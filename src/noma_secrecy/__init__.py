@@ -21,18 +21,14 @@ from .montecarlo import (
     SimConfig,
     empirical_conventional_violation_rate,
     empirical_sop,
-    rmse_vs_analytical,
 )
 from .optimize import (
     Candidate,
     CandidateSet,
     ClosedFormAlpha,
-    GssConfig,
-    GssResult,
     MinMaxOutcome,
     equal_sop_alpha,
     equal_sop_alpha_asymptotic,
-    gss_minimize,
     minmax_pa,
     minmax_pa_asymptotic,
     optimal_pa_far,
@@ -53,7 +49,7 @@ from .rates import (
     sinr_proposed,
 )
 from .sop import (
-    SopPair,
+    QuadratureError,
     SopValue,
     TargetRates,
     asymptotic_sop_far,
@@ -62,7 +58,6 @@ from .sop import (
     exact_sop_near,
     log_integrand_far,
     log_integrand_near,
-    sop_pair,
 )
 
 __version__ = "0.1.0"

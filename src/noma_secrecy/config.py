@@ -63,7 +63,6 @@ class RunConfig:
     condition_on_ordering: bool = False
     out_path: Optional[str] = None
     out_format: str = "csv"
-    gss_tolerance: float = 0.01
     fixed_alpha: float = 0.33        # fixed-split baseline for gain comparison
 
     def __post_init__(self) -> None:
@@ -138,7 +137,6 @@ _KEYS = {
     "sim.condition_on_ordering": ("condition_on_ordering", _parse_bool),
     "output.path": ("out_path", str),
     "output.format": ("out_format", str),
-    "gss.tolerance": ("gss_tolerance", float),
     "fixed.alpha": ("fixed_alpha", float),
 }
 

@@ -10,20 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelStats, sample_gains, with_received_snr
+from .channel import ChannelStats, sample_gains
 from .rates import rates_from_sinrs, sinr_conventional, sinr_proposed
-from .sop import TargetRates, exact_sop_near
+from .sop import TargetRates
 
 __all__ = [
     "SimConfig",
     "EmpiricalSop",
     "empirical_sop",
     "empirical_conventional_violation_rate",
-    "rmse_vs_analytical",
 ]
 
 _CHUNK = 1 << 18
@@ -117,29 +116,3 @@ def empirical_conventional_violation_rate(
         ordered += int(gains.g1.size)
     return violations / ordered if ordered else 0.0
 
-
-def rmse_vs_analytical(
-    stats: ChannelStats,
-    points: Iterable[tuple],
-    sim: SimConfig,
-) -> float:
-    """RMSE between empirical and exact near-user SOP over (alpha, rho_r_db, rth1) points.
-
-    Each point gets its own stream (seed offset by the point index) so the
-    grid is reproducible regardless of evaluation order.
-    """
-    squared = []
-    for index, (alpha, rho_r_db, rth1) in enumerate(points):
-        point_stats = with_received_snr(stats, rho_r_db)
-        targets = TargetRates(rth1=rth1, rth2=rth1)
-        point_sim = SimConfig(
-            realizations=sim.realizations,
-            seed=sim.seed + index,
-            condition_on_ordering=sim.condition_on_ordering,
-        )
-        empirical = empirical_sop(point_stats, alpha, targets, point_sim)
-        exact = exact_sop_near(point_stats, alpha, targets)
-        squared.append((empirical.so1_hat - exact.value) ** 2)
-    if not squared:
-        raise ValueError("need at least one grid point")
-    return math.sqrt(sum(squared) / len(squared))

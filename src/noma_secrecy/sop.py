@@ -35,14 +35,13 @@ from .channel import ChannelStats
 from .rates import ALPHA_MAX, ALPHA_MIN, PowerSplit
 
 __all__ = [
+    "QuadratureError",
     "TargetRates",
     "SopValue",
-    "SopPair",
     "exact_sop_near",
     "exact_sop_far",
     "asymptotic_sop_near",
     "asymptotic_sop_far",
-    "sop_pair",
     "log_integrand_near",
     "log_integrand_far",
 ]
@@ -74,26 +73,13 @@ class TargetRates:
         return 2.0 ** self.rth2
 
 
+class QuadratureError(RuntimeError):
+    """Raised when an outage quadrature misses its error contract."""
+
+
 class SopValue(NamedTuple):
     value: float | np.ndarray
     quad_error: float | np.ndarray
-
-
-@dataclass(frozen=True)
-class SopPair:
-    """Both users' outage probabilities at one power split."""
-
-    alpha: float
-    so1: float
-    so2: float
-    kind: str  # "exact" | "asymptotic" | "empirical"
-    quad_error: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.so1 <= 1.0 and 0.0 <= self.so2 <= 1.0):
-            raise ValueError("outage probabilities must lie in [0, 1]")
-        if self.quad_error < 0.0:
-            raise ValueError("quadrature error must be nonnegative")
 
 
 def _de_nodes(level: int):
@@ -146,7 +132,7 @@ def _survival_integral(pi: float, slope: np.ndarray, lam_exp: float, lam_int: fl
             if worst < _REFINE_TOL or (level == _MAX_HALVINGS and worst <= _ACCEPT_TOL):
                 return est, diff
         prev = est
-    raise RuntimeError(
+    raise QuadratureError(
         f"outage quadrature did not converge: error {worst:.3e} "
         f"after {nodes} nodes (tolerance {_ACCEPT_TOL:g})"
     )
@@ -212,27 +198,6 @@ def asymptotic_sop_far(stats: ChannelStats, alpha, targets: TargetRates):
     if a.ndim == 0:
         return float(value)
     return value
-
-
-def sop_pair(stats: ChannelStats, alpha: float, targets: TargetRates, kind: str = "exact") -> SopPair:
-    if kind == "exact":
-        so1 = exact_sop_near(stats, alpha, targets)
-        so2 = exact_sop_far(stats, alpha, targets)
-        return SopPair(
-            alpha=float(alpha),
-            so1=so1.value,
-            so2=so2.value,
-            kind="exact",
-            quad_error=max(so1.quad_error, so2.quad_error),
-        )
-    if kind == "asymptotic":
-        return SopPair(
-            alpha=float(alpha),
-            so1=asymptotic_sop_near(stats, alpha, targets),
-            so2=asymptotic_sop_far(stats, alpha, targets),
-            kind="asymptotic",
-        )
-    raise ValueError(f"unknown SOP kind {kind!r}")
 
 
 def log_integrand_near(stats: ChannelStats, alpha, targets: TargetRates, y):

@@ -18,8 +18,8 @@ from noma_secrecy.montecarlo import (
     empirical_sop,
 )
 from noma_secrecy.optimize import (
+    brent_minimize,
     equal_sop_alpha,
-    gss_minimize,
     minmax_pa,
     optimal_pa_far_asymptotic,
     optimal_pa_near_asymptotic,
@@ -164,17 +164,17 @@ def test_criterion_03_closed_form_optima():
         if abs(total - 1.0) > 1e-12:
             issues.append(f"complement identity at pi={pi:g}")
     stats = RunConfig().stats()
-    near = gss_minimize(lambda a: asymptotic_sop_near(stats, a, RTH))
-    far = gss_minimize(lambda a: asymptotic_sop_far(stats, a, RTH))
-    if abs(near.alpha - (math.sqrt(2.0) - 1.0)) > 0.01:
-        issues.append("gss vs alpha1_hat")
-    if abs(far.alpha - (2.0 - math.sqrt(2.0))) > 0.01:
-        issues.append("gss vs alpha2_hat")
+    near = brent_minimize(lambda a: asymptotic_sop_near(stats, a, RTH))
+    far = brent_minimize(lambda a: asymptotic_sop_far(stats, a, RTH))
+    if abs(near.alpha - (math.sqrt(2.0) - 1.0)) > 1e-6:
+        issues.append("brent vs alpha1_hat")
+    if abs(far.alpha - (2.0 - math.sqrt(2.0))) > 1e-6:
+        issues.append("brent vs alpha2_hat")
     _report(
         3,
         "closed-form-optima",
         not issues,
-        "formulas to 1e-12, complement identity on 5 targets, gss within 0.01"
+        "formulas to 1e-12, complement identity on 5 targets, brent within 1e-6"
         if not issues
         else "failed: " + ", ".join(issues),
     )
@@ -228,12 +228,12 @@ def test_criterion_05_minmax_global_optimality():
                 exact_sop_far(stats, grid, targets).value,
             )
             worst_excess = max(worst_excess, outcome.objective - float(curve.min()))
-    ok = worst_excess <= 1e-3
+    ok = worst_excess <= 1e-9
     _report(
         5,
         "minmax-global-optimality",
         ok,
-        f"9 target pairs, worst (objective - grid min) = {worst_excess:.2e} (limit 1e-3)",
+        f"9 target pairs, worst (objective - grid min) = {worst_excess:.2e} (limit 1e-9)",
     )
 
 
@@ -253,13 +253,13 @@ def test_criterion_06_symmetric_configuration():
     crossing = equal_sop_alpha(stats, RTH)
     crossing_gap = abs(crossing - 0.5) if crossing is not None else np.inf
     selected_gap = abs(minmax_pa(stats, RTH).selected - 0.5)
-    ok = mirror_gap <= 1e-8 and crossing_gap <= 1e-6 and selected_gap <= 0.01
+    ok = mirror_gap <= 1e-8 and crossing_gap <= 1e-6 and selected_gap <= 1e-6
     _report(
         6,
         "symmetric-configuration",
         ok,
         f"mirror gap {mirror_gap:.1e} (1e-8), crossing offset {crossing_gap:.1e} (1e-6), "
-        f"minmax offset {selected_gap:.1e} (0.01)",
+        f"minmax offset {selected_gap:.1e} (1e-6)",
     )
 
 

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
-from noma_secrecy import cli
+from noma_secrecy import cli, sop
 from noma_secrecy.channel import ChannelStats
 from noma_secrecy.cli import main
+from noma_secrecy.optimize import minmax_pa
 from noma_secrecy.sop import SopValue, TargetRates, exact_sop_near
 
 FAST_SIM = "sim.realizations = 50000\n"
@@ -172,3 +174,48 @@ def test_parser_lists_all_subcommands():
     help_text = parser.format_help()
     for name in ("validate", "distance-sweep", "optimize", "minmax", "gain-comparison"):
         assert name in help_text
+
+
+def test_minmax_reproducer_reaches_true_optimum(tmp_path):
+    # At 40 dB with the far user at 60 m the SOPs are about 2.5e-4, so an
+    # absolute grid slack of 1e-3 would pass any split in the window.
+    config = (
+        "system.d2_m = 60\nsystem.rho_r_db = 40\ntargets.rth2_bits = 0.25\n"
+        "sweep.axis = rth1_bits\nsweep.start = 0.5\nsweep.stop = 0.5\nsweep.step = 0.5\n"
+    )
+    code, payload = run_to_file(tmp_path, "minmax", config, fmt="json")
+    assert code == 0
+    doc = json.loads(payload)
+    (row,) = doc["rows"]
+    assert row["max_sop"] <= 2.532e-4
+    assert row["alpha_sop"] == pytest.approx(0.567, abs=1e-3)
+    assert doc["summary"]["grid_dominance"] is True
+
+
+def test_minmax_flags_a_split_worse_than_the_grid(tmp_path, monkeypatch):
+    def detuned(stats, targets):
+        outcome = minmax_pa(stats, targets)
+        return dataclasses.replace(outcome, objective=outcome.objective * (1.0 + 1e-5))
+
+    monkeypatch.setattr(cli, "minmax_pa", detuned)
+    code, payload = run_to_file(tmp_path, "minmax", SMALL_MINMAX, fmt="json")
+    assert code == 1
+    assert json.loads(payload)["summary"]["grid_dominance"] is False
+
+
+def test_quadrature_failure_exits_three(monkeypatch, capsys):
+    # A negative tolerance cannot be met, so every quadrature runs out of halvings.
+    monkeypatch.setattr(sop, "_REFINE_TOL", -1.0)
+    monkeypatch.setattr(sop, "_ACCEPT_TOL", -1.0)
+    assert main(["distance-sweep"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("quadrature error: ")
+    with pytest.raises(sop.QuadratureError):
+        exact_sop_near(ChannelStats(1e-4, 1e-4, 1e7), 0.5, TargetRates(1.0, 1.0))
+
+
+def test_removed_solver_tolerance_key_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("gss.tolerance = 0.01\n", encoding="utf-8")
+    assert main(["minmax", "--config", str(cfg)]) == 2
+    assert "unknown key 'gss.tolerance'" in capsys.readouterr().err

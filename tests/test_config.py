@@ -27,7 +27,6 @@ sim.seed = 42
 sim.condition_on_ordering = yes
 output.path = out.csv
 output.format = json
-gss.tolerance = 0.005
 fixed.alpha = 0.25
 """
 
@@ -55,7 +54,7 @@ def test_full_file_round_trip():
     assert cfg.realizations == 5000 and cfg.seed == 42
     assert cfg.condition_on_ordering is True
     assert cfg.out_path == "out.csv" and cfg.out_format == "json"
-    assert cfg.gss_tolerance == 0.005 and cfg.fixed_alpha == 0.25
+    assert cfg.fixed_alpha == 0.25
 
 
 def test_unknown_key_reports_line_number():

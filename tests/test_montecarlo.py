@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from noma_secrecy.channel import ChannelStats
+from noma_secrecy.channel import ChannelStats, with_received_snr
 from noma_secrecy.montecarlo import (
     EmpiricalSop,
     SimConfig,
     empirical_conventional_violation_rate,
     empirical_sop,
-    rmse_vs_analytical,
 )
 from noma_secrecy.rates import ALPHA_MIN
 from noma_secrecy.sop import TargetRates, exact_sop_far, exact_sop_near
@@ -65,17 +64,6 @@ def test_conditioned_mode_keeps_a_subset():
     assert unconditioned.n == 50_000
 
 
-def test_rmse_of_single_point_is_absolute_deviation():
-    sim = SimConfig(realizations=50_000, seed=4)
-    point = (0.5, 30.0, 1.0)
-    rmse = rmse_vs_analytical(STATS_30DB, [point], sim)
-    empirical = empirical_sop(STATS_30DB, 0.5, RTH1, SimConfig(50_000, 4))
-    exact = exact_sop_near(STATS_30DB, 0.5, RTH1).value
-    assert rmse == pytest.approx(abs(empirical.so1_hat - exact), rel=1e-12)
-    with pytest.raises(ValueError):
-        rmse_vs_analytical(STATS_30DB, [], sim)
-
-
 def test_rmse_shrinks_like_root_n():
     grid = [
         (alpha, rho_r, rth)
@@ -83,10 +71,18 @@ def test_rmse_shrinks_like_root_n():
         for rho_r in (20.0, 30.0)
         for rth in (0.5, 1.0)
     ]
-    coarse = rmse_vs_analytical(STATS_30DB, grid, SimConfig(realizations=40_000, seed=5))
-    fine = rmse_vs_analytical(STATS_30DB, grid, SimConfig(realizations=160_000, seed=5))
+
+    def rmse(realizations):
+        squared = []
+        for index, (alpha, rho_r, rth) in enumerate(grid):
+            stats = with_received_snr(STATS_30DB, rho_r)
+            targets = TargetRates(rth, rth)
+            empirical = empirical_sop(stats, alpha, targets, SimConfig(realizations, seed=5 + index))
+            squared.append((empirical.so1_hat - exact_sop_near(stats, alpha, targets).value) ** 2)
+        return math.sqrt(sum(squared) / len(squared))
+
     # quadrupling the sample size should roughly halve the error
-    assert 0.3 <= fine / coarse <= 0.7
+    assert 0.3 <= rmse(160_000) / rmse(40_000) <= 0.7
 
 
 def test_stderr_follows_binomial_formula():

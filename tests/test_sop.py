@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from noma_secrecy.channel import ChannelStats
 from noma_secrecy.rates import ALPHA_MAX, ALPHA_MIN
 from noma_secrecy.sop import (
-    SopPair,
     TargetRates,
     asymptotic_sop_far,
     asymptotic_sop_near,
@@ -16,7 +15,6 @@ from noma_secrecy.sop import (
     exact_sop_near,
     log_integrand_far,
     log_integrand_near,
-    sop_pair,
 )
 
 LAM1 = 50.0 ** -2.5
@@ -243,15 +241,3 @@ def test_target_rates_exponentials_are_exact():
     with pytest.raises(ValueError):
         TargetRates(-0.1, 1.0)
 
-
-def test_sop_pair_construction():
-    stats = stats_at(1e8)
-    exact = sop_pair(stats, 0.5, RTH1, kind="exact")
-    assert exact.kind == "exact" and exact.quad_error <= 1e-9
-    asym = sop_pair(stats, 0.5, RTH1, kind="asymptotic")
-    assert asym.kind == "asymptotic"
-    assert asym.so1 == pytest.approx(exact.so1, rel=0.05)
-    with pytest.raises(ValueError):
-        sop_pair(stats, 0.5, RTH1, kind="empirical-ish")
-    with pytest.raises(ValueError):
-        SopPair(alpha=0.5, so1=1.2, so2=0.1, kind="exact")
