@@ -141,16 +141,22 @@ class GainSample:
 def sample_gains(stats: ChannelStats, count: int, seed: int, start: int = 0) -> GainSample:
     """Draw exponential gain pairs from a counter-based stream.
 
-    One Philox counter block is spent per sample, so the window (start, count)
+    Two samples per Philox counter block: words (0, 1) of each block give one
+    sample and words (2, 3) the next. A window (start, count) advances by
+    start // 2 blocks and drops one leading sample when start is odd, so it
     always reproduces the corresponding slice of the single-stream sequence;
     partitioned generation across workers is exact, not approximate.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     bitgen = np.random.Philox(key=seed)
-    if start:
-        bitgen = bitgen.advance(start)
-    u = np.random.Generator(bitgen).random((count, 4))
-    g1 = -stats.lambda1 * np.log1p(-u[:, 0])
-    g2 = -stats.lambda2 * np.log1p(-u[:, 1])
-    return GainSample(g1=g1, g2=g2)
+    if start >= 2:
+        bitgen = bitgen.advance(start // 2)
+    skip = start % 2
+    blocks = (skip + count + 1) // 2
+    pairs = np.random.Generator(bitgen).random((blocks, 4)).reshape(-1, 2)[skip:skip + count]
+    # In place, column by user: g = -lambda * log1p(-u).
+    np.negative(pairs, out=pairs)
+    np.log1p(pairs, out=pairs)
+    pairs *= (-stats.lambda1, -stats.lambda2)
+    return GainSample(g1=pairs[:, 0], g2=pairs[:, 1])

@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import ChannelStats, mean_gain, with_received_snr
 from .config import ConfigError, RunConfig, SweepSpec, load_config
-from .montecarlo import SimConfig, empirical_sop
+from .montecarlo import SimConfig, empirical_sops
 from .optimize import (
     XTOL,
     MinMaxOutcome,
@@ -112,7 +112,7 @@ def _max_sop_curve(stats: ChannelStats, targets: TargetRates) -> np.ndarray:
 
 def cmd_validate(cfg: RunConfig) -> bool:
     sweep = _sweep_for(cfg, "rth1_bits", SweepSpec("rth1_bits", 0.5, 3.0, 0.5))
-    rates = sweep.values()
+    targets_seq = [TargetRates(rth1=float(rth1), rth2=float(rth1)) for rth1 in sweep.values()]
     base = cfg.stats()
     columns = [
         "rho_r_db", "rth1_bits", "so1_exact", "so1_sim",
@@ -120,25 +120,23 @@ def cmd_validate(cfg: RunConfig) -> bool:
     ]
     rows = []
     all_within = True
-    index = 0
-    for rho_r in cfg.validate_rho_r_grid_db:
+    for snr_index, rho_r in enumerate(cfg.validate_rho_r_grid_db):
         stats = with_received_snr(base, rho_r)
+        # One stream per SNR: every target rate is counted on the same draws.
+        sim = SimConfig(
+            realizations=cfg.realizations,
+            seed=cfg.seed + snr_index,
+            condition_on_ordering=cfg.condition_on_ordering,
+        )
+        empiricals = empirical_sops(stats, cfg.alpha, targets_seq, sim)
         curve = []
-        for rth1 in rates:
-            targets = TargetRates(rth1=float(rth1), rth2=float(rth1))
+        for targets, empirical in zip(targets_seq, empiricals):
             exact = exact_sop_near(stats, cfg.alpha, targets).value
-            sim = SimConfig(
-                realizations=cfg.realizations,
-                seed=cfg.seed + index,
-                condition_on_ordering=cfg.condition_on_ordering,
-            )
-            empirical = empirical_sop(stats, cfg.alpha, targets, sim)
             diff = abs(empirical.so1_hat - exact)
             bound = 3.0 * empirical.stderr1 + 1e-6
             within = diff <= bound
             all_within = all_within and within
-            curve.append((rho_r, float(rth1), exact, empirical.so1_hat, diff, bound, within))
-            index += 1
+            curve.append((rho_r, targets.rth1, exact, empirical.so1_hat, diff, bound, within))
         rmse = float(np.sqrt(np.mean([row[4] ** 2 for row in curve])))
         rows.extend(row + (rmse,) for row in curve)
     summary = {"all_within_bound": bool(all_within), "alpha": cfg.alpha, "samples": cfg.realizations}

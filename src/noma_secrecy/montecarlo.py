@@ -2,30 +2,37 @@
 
 The estimator is the empirical oracle every analytical expression is checked
 against: draw gain pairs, apply the proposed decoding order, count outages
-R_s < R_th (strict; ties are non-outage). Samples are generated in chunks
-from a counter-based stream, so the totals are independent of chunk size and
-of any partitioning across workers.
+R_s < R_th (strict; ties are non-outage). The count needs no logarithm:
+R_s1 < R_th1 iff (1 + g11) / (1 + g12) < 2**R_th1, and likewise for the far
+user. Samples are generated in chunks from a counter-based stream, two per
+Philox block, so the totals are independent of chunk size and of any
+partitioning across workers. Each chunk is drawn once and counted against
+every target-rate pair of a call (common random numbers), so a sweep over
+target rates costs one stream, not one per rate: `noma-secrecy validate`
+draws one stream per SNR, seeded `seed + snr_index`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .channel import ChannelStats, sample_gains
-from .rates import rates_from_sinrs, sinr_conventional, sinr_proposed
+from .rates import _alpha_value, sinr_conventional
 from .sop import TargetRates
 
 __all__ = [
     "SimConfig",
     "EmpiricalSop",
     "empirical_sop",
+    "empirical_sops",
     "empirical_conventional_violation_rate",
 ]
 
-_CHUNK = 1 << 18
+# 2**16 samples keep a chunk's temporaries in cache; totals do not depend on it.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -61,28 +68,7 @@ def _chunks(total: int, size: int):
         start += count
 
 
-def empirical_sop(
-    stats: ChannelStats,
-    alpha: float,
-    targets: TargetRates,
-    sim: SimConfig,
-    _chunk: int = _CHUNK,
-) -> EmpiricalSop:
-    """Outage frequencies under the proposed decoding order."""
-    out1 = 0
-    out2 = 0
-    kept = 0
-    for start, count in _chunks(sim.realizations, _chunk):
-        gains = sample_gains(stats, count, sim.seed, start)
-        if sim.condition_on_ordering:
-            mask = gains.g1 > gains.g2
-            gains = type(gains)(g1=gains.g1[mask], g2=gains.g2[mask])
-            if gains.g1.size == 0:
-                continue
-        rates = rates_from_sinrs(sinr_proposed(gains, alpha, stats.rho_t))
-        out1 += int(np.count_nonzero(rates.rs1 < targets.rth1))
-        out2 += int(np.count_nonzero(rates.rs2 < targets.rth2))
-        kept += int(np.asarray(rates.rs1).size)
+def _estimate(out1: int, out2: int, kept: int) -> EmpiricalSop:
     so1 = out1 / kept if kept else 0.0
     so2 = out2 / kept if kept else 0.0
     return EmpiricalSop(
@@ -92,6 +78,65 @@ def empirical_sop(
         stderr2=_binomial_stderr(so2, kept),
         n=kept,
     )
+
+
+def _secrecy_ratios(
+    g1: np.ndarray, g2: np.ndarray, a: float, rho_t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(1 + g11) / (1 + g12) and (1 + g22) / (1 + g21) under the proposed order.
+
+    With x_i = rho_t * g_i the SINRs give 1 + g11 = 1 + a x1,
+    1 + g12 = (1 + x2) / (1 + (1 - a) x2), 1 + g22 = 1 + (1 - a) x2 and
+    1 + g21 = (1 + x1) / (1 + a x1), so both ratios share one product.
+    """
+    x1 = rho_t * g1
+    x2 = rho_t * g2
+    product = (1.0 + a * x1) * (1.0 + (1.0 - a) * x2)
+    return product / (1.0 + x2), product / (1.0 + x1)
+
+
+def empirical_sops(
+    stats: ChannelStats,
+    alpha: float,
+    targets_seq: Sequence[TargetRates],
+    sim: SimConfig,
+    _chunk: int = _CHUNK,
+) -> tuple[EmpiricalSop, ...]:
+    """Outage frequencies under the proposed decoding order, one per target pair.
+
+    All target pairs are counted on the same draws, so the estimates share
+    one stream and each equals what a separate call with that pair alone gives.
+    """
+    a = _alpha_value(alpha)
+    pis = [(targets.pi1, targets.pi2) for targets in targets_seq]
+    out1 = [0] * len(pis)
+    out2 = [0] * len(pis)
+    kept = 0
+    for start, count in _chunks(sim.realizations, _chunk):
+        gains = sample_gains(stats, count, sim.seed, start)
+        g1, g2 = gains.g1, gains.g2
+        if sim.condition_on_ordering:
+            mask = g1 > g2
+            g1, g2 = g1[mask], g2[mask]
+            if g1.size == 0:
+                continue
+        ratio1, ratio2 = _secrecy_ratios(g1, g2, a, stats.rho_t)
+        for index, (pi1, pi2) in enumerate(pis):
+            out1[index] += int(np.count_nonzero(ratio1 < pi1))
+            out2[index] += int(np.count_nonzero(ratio2 < pi2))
+        kept += int(g1.size)
+    return tuple(_estimate(o1, o2, kept) for o1, o2 in zip(out1, out2))
+
+
+def empirical_sop(
+    stats: ChannelStats,
+    alpha: float,
+    targets: TargetRates,
+    sim: SimConfig,
+    _chunk: int = _CHUNK,
+) -> EmpiricalSop:
+    """Outage frequencies under the proposed decoding order."""
+    return empirical_sops(stats, alpha, (targets,), sim, _chunk)[0]
 
 
 def empirical_conventional_violation_rate(
@@ -111,8 +156,9 @@ def empirical_conventional_violation_rate(
         gains = type(gains)(g1=gains.g1[mask], g2=gains.g2[mask])
         if gains.g1.size == 0:
             continue
-        rates = rates_from_sinrs(sinr_conventional(gains, alpha, stats.rho_t))
-        violations += int(np.count_nonzero(np.asarray(rates.rs2) > 0.0))
+        # rs2 = log2(1 + g22) - log2(1 + g21) > 0 iff g22 > g21.
+        sinrs = sinr_conventional(gains, alpha, stats.rho_t)
+        violations += int(np.count_nonzero(sinrs.g22 > sinrs.g21))
         ordered += int(gains.g1.size)
     return violations / ordered if ordered else 0.0
 

@@ -136,6 +136,29 @@ def test_sample_gains_partitioning_reproduces_single_stream():
     assert np.array_equal(whole.g2, np.concatenate([first.g2, second.g2]))
 
 
+@pytest.mark.parametrize(
+    "windows",
+    [
+        ((0, 301), (301, 700)),
+        ((0, 1), (1, 1), (2, 999)),
+        ((0, 1000), (1000, 1)),
+        ((0, 2), (2, 3), (5, 996)),
+    ],
+)
+def test_odd_windows_reproduce_single_stream(windows):
+    whole = sample_gains(STATS, 1001, seed=7)
+    parts = [sample_gains(STATS, count, seed=7, start=start) for start, count in windows]
+    assert np.array_equal(whole.g1, np.concatenate([part.g1 for part in parts]))
+    assert np.array_equal(whole.g2, np.concatenate([part.g2 for part in parts]))
+
+
+def test_two_samples_per_philox_block():
+    words = np.random.Generator(np.random.Philox(key=7)).random((2, 4))
+    gains = sample_gains(STATS, 4, seed=7)
+    assert np.array_equal(gains.g1, -STATS.lambda1 * np.log1p(-words[:, [0, 2]].ravel()))
+    assert np.array_equal(gains.g2, -STATS.lambda2 * np.log1p(-words[:, [1, 3]].ravel()))
+
+
 def test_sample_gains_rejects_empty():
     with pytest.raises(ValueError):
         sample_gains(STATS, 0, seed=1)

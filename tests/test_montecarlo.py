@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from noma_secrecy.channel import ChannelStats, with_received_snr
+from noma_secrecy.channel import ChannelStats, sample_gains, with_received_snr
 from noma_secrecy.montecarlo import (
     EmpiricalSop,
     SimConfig,
+    _secrecy_ratios,
     empirical_conventional_violation_rate,
     empirical_sop,
+    empirical_sops,
 )
-from noma_secrecy.rates import ALPHA_MIN
+from noma_secrecy.rates import ALPHA_MIN, rates_from_sinrs, sinr_proposed
 from noma_secrecy.sop import TargetRates, exact_sop_far, exact_sop_near
 
 LAM1 = 50.0 ** -2.5
@@ -30,7 +32,48 @@ def test_totals_do_not_depend_on_chunking():
     sim = SimConfig(realizations=50_000, seed=3)
     default = empirical_sop(STATS_30DB, 0.4, RTH1, sim)
     tiny_chunks = empirical_sop(STATS_30DB, 0.4, RTH1, sim, _chunk=1000)
-    assert default == tiny_chunks
+    odd_chunks = empirical_sop(STATS_30DB, 0.4, RTH1, sim, _chunk=999)
+    assert default == tiny_chunks == odd_chunks
+
+
+@pytest.mark.parametrize("conditioned", [False, True])
+def test_many_targets_match_single_target_calls(conditioned):
+    sim = SimConfig(realizations=50_001, seed=4, condition_on_ordering=conditioned)
+    targets_seq = [
+        TargetRates(0.5, 3.0), TargetRates(1.0, 1.0), TargetRates(3.0, 0.25), TargetRates(0.0, 0.0)
+    ]
+    together = empirical_sops(STATS_30DB, 0.4, targets_seq, sim, _chunk=10_007)
+    assert len(together) == len(targets_seq)
+    for targets, joint in zip(targets_seq, together):
+        single = empirical_sop(STATS_30DB, 0.4, targets, sim)
+        for field in EmpiricalSop._fields:
+            assert getattr(joint, field) == getattr(single, field), field
+    assert empirical_sops(STATS_30DB, 0.4, (), sim) == ()
+
+
+def test_log_free_outage_test_matches_log2_rates():
+    gains = sample_gains(STATS_30DB, 100_000, seed=12)
+    # Exact ties at rho_t = 1, alpha = 0.5, R_th = 1: (g1, g2) = (2, 0) gives
+    # rs1 = 1 and (0, 2) gives rs2 = 1; neither may count as an outage.
+    g1 = np.concatenate([gains.g1, [2.0, 0.0]])
+    g2 = np.concatenate([gains.g2, [0.0, 2.0]])
+    for rho_t in (STATS_30DB.rho_t, 1.0):
+        for alpha in (0.1, 0.5, 0.9):
+            ratio1, ratio2 = _secrecy_ratios(g1, g2, alpha, rho_t)
+            rates = rates_from_sinrs(sinr_proposed(type(gains)(g1=g1, g2=g2), alpha, rho_t))
+            for rth in (0.0, 0.5, 1.0, 3.0):
+                assert np.array_equal(ratio1 < 2.0**rth, rates.rs1 < rth)
+                assert np.array_equal(ratio2 < 2.0**rth, rates.rs2 < rth)
+    ratio1, ratio2 = _secrecy_ratios(g1[-2:], g2[-2:], 0.5, 1.0)
+    assert (ratio1[0], ratio2[1]) == (2.0, 2.0)
+    assert not (ratio1[0] < 2.0 or ratio2[1] < 2.0)
+
+
+def test_counts_stay_python_ints():
+    sim = SimConfig(realizations=2_000, seed=3, condition_on_ordering=True)
+    result = empirical_sop(STATS_30DB, 0.5, RTH1, sim)
+    assert type(result.n) is int
+    assert all(type(value) is float for value in result[:4])
 
 
 def test_near_outage_is_certain_without_power():
