@@ -39,7 +39,6 @@ from .optimize import (
 from .rates import (
     ALPHA_MAX,
     ALPHA_MIN,
-    PowerSplit,
     RateSet,
     SinrSet,
     conventional_far_secrecy_is_nonpositive,

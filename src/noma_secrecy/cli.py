@@ -249,8 +249,6 @@ def cmd_gain_comparison(cfg: RunConfig) -> bool:
     sweep = _sweep_for(cfg, "rho_r_db", SweepSpec("rho_r_db", 10.0, 40.0, 5.0))
     base = cfg.stats()
     targets = cfg.targets()
-    if not (ALPHA_MIN <= cfg.fixed_alpha <= ALPHA_MAX):
-        raise ConfigError("fixed.alpha must lie inside the admissible window")
     columns = [
         "rho_r_db", "alpha_sop", "max_sop_opt", "max_sop_fixed",
         "max_sop_near_opt", "max_sop_far_opt",

@@ -14,6 +14,7 @@ import numpy as np
 
 from .channel import ChannelStats, SystemParams, dbm_to_watt, derive_stats, mean_gain, rho_t_for_received_snr
 from .montecarlo import SimConfig
+from .rates import ALPHA_MAX, ALPHA_MIN
 from .sop import TargetRates
 
 __all__ = ["ConfigError", "SweepSpec", "RunConfig", "parse_config", "load_config"]
@@ -72,6 +73,9 @@ class RunConfig:
             raise ConfigError("sim.realizations must be at least 1")
         if not self.validate_rho_r_grid_db:
             raise ConfigError("validate.rho_r_grid_db must be nonempty")
+        for key, value in (("system.alpha", self.alpha), ("fixed.alpha", self.fixed_alpha)):
+            if not (ALPHA_MIN <= value <= ALPHA_MAX):
+                raise ConfigError(f"{key} must lie within [{ALPHA_MIN:g}, {ALPHA_MAX:g}], got {value!r}")
 
     def system(self) -> SystemParams:
         lam2 = mean_gain(self.d2_m, self.path_loss_const, self.path_loss_exp)

@@ -19,7 +19,6 @@ from .channel import GainSample
 __all__ = [
     "ALPHA_MIN",
     "ALPHA_MAX",
-    "PowerSplit",
     "SinrSet",
     "RateSet",
     "sinr_conventional",
@@ -34,21 +33,7 @@ ALPHA_MIN = 1e-6
 ALPHA_MAX = 1.0 - 1e-6
 
 
-@dataclass(frozen=True)
-class PowerSplit:
-    """Fraction of transmit power allocated to the near user."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"power split must lie strictly inside (0, 1), got {self.alpha!r}")
-
-    def __float__(self) -> float:
-        return self.alpha
-
-
-def _alpha_value(alpha: "PowerSplit | float") -> float:
+def _alpha_value(alpha: float) -> float:
     a = float(alpha)
     if not (0.0 < a < 1.0):
         raise ValueError(f"power split must lie strictly inside (0, 1), got {a!r}")
@@ -76,7 +61,7 @@ class RateSet:
     rs2: float | np.ndarray  # r22 - r21, signed
 
 
-def sinr_conventional(sample: GainSample, alpha: "PowerSplit | float", rho_t: float) -> SinrSet:
+def sinr_conventional(sample: GainSample, alpha: float, rho_t: float) -> SinrSet:
     """Both users decode the far user's signal first at full interference."""
     a = _alpha_value(alpha)
     g1, g2 = sample.g1, sample.g2
@@ -90,7 +75,7 @@ def sinr_conventional(sample: GainSample, alpha: "PowerSplit | float", rho_t: fl
     )
 
 
-def sinr_proposed(sample: GainSample, alpha: "PowerSplit | float", rho_t: float) -> SinrSet:
+def sinr_proposed(sample: GainSample, alpha: float, rho_t: float) -> SinrSet:
     """Each user decodes the other's signal first, then its own cleanly."""
     a = _alpha_value(alpha)
     g1, g2 = sample.g1, sample.g2
@@ -133,7 +118,7 @@ def positive_secrecy_window(sample: GainSample, rho_t: float) -> tuple:
 
 
 def conventional_far_secrecy_is_nonpositive(
-    sample: GainSample, alpha: "PowerSplit | float", rho_t: float
+    sample: GainSample, alpha: float, rho_t: float
 ) -> bool | np.ndarray:
     """True when the far user's conventional-order secrecy rate is <= 0.
 

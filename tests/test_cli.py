@@ -219,3 +219,20 @@ def test_removed_solver_tolerance_key_exits_two(tmp_path, capsys):
     cfg.write_text("gss.tolerance = 0.01\n", encoding="utf-8")
     assert main(["minmax", "--config", str(cfg)]) == 2
     assert "unknown key 'gss.tolerance'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,config_text",
+    [
+        ("distance-sweep", "system.alpha = 1.5\n"),
+        ("validate", "system.alpha = 1e-7\n" + FAST_SIM),
+        ("gain-comparison", "fixed.alpha = 1.0\n"),
+    ],
+    ids=["system-alpha-above-window", "system-alpha-below-window", "fixed-alpha-at-edge"],
+)
+def test_out_of_window_alpha_exits_two(tmp_path, capsys, command, config_text):
+    cfg = tmp_path / "alpha.cfg"
+    cfg.write_text(config_text, encoding="utf-8")
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and "alpha must lie within" in err[0]

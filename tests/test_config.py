@@ -92,6 +92,14 @@ def test_empty_sweep_range_is_rejected():
         SweepSpec("alpha", 0.1, 0.9, 0.0)
 
 
+def test_power_splits_must_lie_in_the_window():
+    for key in ("system.alpha", "fixed.alpha"):
+        for bad in ("0", "1e-7", "1", "1.5", "nan"):
+            with pytest.raises(ConfigError, match=rf"{key} must lie within"):
+                parse_config(f"{key} = {bad}\n")
+        assert parse_config(f"{key} = 1e-6\n") is not None
+
+
 def test_bool_and_list_parsing():
     assert parse_config("sim.condition_on_ordering = TRUE\n").condition_on_ordering is True
     assert parse_config("sim.condition_on_ordering = 0\n").condition_on_ordering is False

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from noma_secrecy.channel import GainSample
 from noma_secrecy.rates import (
-    PowerSplit,
     conventional_far_secrecy_is_nonpositive,
     positive_secrecy_window,
     rates_from_sinrs,
@@ -178,13 +177,9 @@ def test_proposed_rs2_nondecreasing_in_g2(pair, alpha, rho_t, bump):
 
 
 def test_power_split_validation():
-    assert float(PowerSplit(0.33)) == 0.33
-    for bad in (0.0, 1.0, -0.2, 1.7):
-        with pytest.raises(ValueError):
-            PowerSplit(bad)
-
-
-def test_power_split_accepted_by_sinr_functions():
-    direct = sinr_proposed(SAMPLE, 0.5, rho_t=10.0)
-    wrapped = sinr_proposed(SAMPLE, PowerSplit(0.5), rho_t=10.0)
-    assert direct == wrapped
+    # The SINR and Monte Carlo paths accept any split strictly inside (0, 1).
+    for sinr in (sinr_conventional, sinr_proposed):
+        assert sinr(SAMPLE, 1e-9, rho_t=10.0).g11 == pytest.approx(2e-8, rel=1e-12)
+        for bad in (0.0, 1.0, -0.2, 1.7, math.nan):
+            with pytest.raises(ValueError):
+                sinr(SAMPLE, bad, rho_t=10.0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from noma_secrecy import sop
 from noma_secrecy.channel import ChannelStats
 from noma_secrecy.rates import ALPHA_MAX, ALPHA_MIN
 from noma_secrecy.sop import (
@@ -114,11 +115,14 @@ def test_curve_mode_matches_scalar_calls():
 
 def test_alpha_window_is_enforced():
     stats = stats_at(1e6)
-    for bad in (0.0, 1e-7, 1.0, 1.0 - 1e-7):
+    for bad in (0.0, 1e-7, 1.0, 1.0 - 1e-7, math.nan, np.nextafter(ALPHA_MIN, 0.0)):
         with pytest.raises(ValueError):
             exact_sop_near(stats, bad, RTH1)
-    with pytest.raises(ValueError):
-        exact_sop_far(stats, np.array([0.5, 1e-9]), RTH1)
+    for bad in (np.array([0.5, 1e-9]), np.array([0.5, math.nan]), np.array([np.nextafter(ALPHA_MAX, 1.0)])):
+        with pytest.raises(ValueError):
+            exact_sop_far(stats, bad, RTH1)
+    edges = exact_sop_far(stats, np.array([ALPHA_MIN, ALPHA_MAX]), RTH1).value
+    assert np.all((edges >= 0.0) & (edges <= 1.0))
 
 
 def test_asymptotic_near_reference_values():
@@ -241,3 +245,92 @@ def test_target_rates_exponentials_are_exact():
     with pytest.raises(ValueError):
         TargetRates(-0.1, 1.0)
 
+
+
+def _per_halving_survival_integral(pi, slope, lam_exp, lam_int, scale, reached):
+    """The exp-sinh loop evaluated one halving at a time: the reference for the
+    fused kernel, which must return the same bits. Appends the last halving
+    it ran to ``reached``."""
+    slope = np.atleast_1d(slope)
+    total = 0.0
+    nodes = 0
+    prev = None
+    for level, (z, w) in enumerate(sop._DE_NODES):
+        nodes += len(z)
+        y = lam_int * z
+        total = total + w @ np.exp(-pi * y[:, None] / ((slope[None, :] * y[:, None] + 1.0) * lam_exp))
+        est = total * (sop._STEP0 / (1 << level))
+        if prev is not None:
+            diff = np.abs(est - prev)
+            worst = float((scale * diff).max())
+            if worst < sop._REFINE_TOL or (level == sop._MAX_HALVINGS and worst <= sop._ACCEPT_TOL):
+                reached.append(level)
+                return est, diff
+        prev = est
+    reached.append(level)
+    raise sop.QuadratureError(
+        f"outage quadrature did not converge: error {worst:.3e} "
+        f"after {nodes} nodes (tolerance {sop._ACCEPT_TOL:g})"
+    )
+
+
+def _box_sweep(count, seed):
+    """Seeded log-uniform draws over test_probabilities_stay_in_unit_interval's box."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        lam2 = 10.0 ** rng.uniform(-6.0, 0.0)
+        stats = ChannelStats(lam2 * 10.0 ** rng.uniform(0.0, 2.0), lam2, 10.0 ** rng.uniform(0.0, 10.0))
+        rth = rng.uniform(0.0, 4.0)
+        yield stats, rng.uniform(ALPHA_MIN, ALPHA_MAX), TargetRates(rth, rth)
+
+
+def _assert_same_bits(monkeypatch, cases):
+    """Every case gives the same value and quad_error bits from both kernels."""
+    reached = []
+
+    def reference(*args):
+        return _per_halving_survival_integral(*args, reached)
+
+    for func in (exact_sop_near, exact_sop_far):
+        fused = [func(*case) for case in cases]
+        with monkeypatch.context() as patch:
+            patch.setattr(sop, "_survival_integral", reference)
+            expected = [func(*case) for case in cases]
+        for got, want in zip(fused, expected):
+            assert type(got.value) is type(want.value)
+            assert np.asarray(got.value).tobytes() == np.asarray(want.value).tobytes()
+            assert np.asarray(got.quad_error).tobytes() == np.asarray(want.quad_error).tobytes()
+    return reached
+
+
+def test_fused_kernel_matches_per_halving_bits_over_the_box(monkeypatch):
+    cases = list(_box_sweep(400, seed=2024))
+    reached = _assert_same_bits(monkeypatch, cases)
+    assert max(reached) == sop._FUSED_HALVINGS
+    grid = np.linspace(ALPHA_MIN, ALPHA_MAX, 1000)
+    curves = [(stats, grid, targets) for stats, _, targets in cases[:12]]
+    reached = _assert_same_bits(monkeypatch, curves)
+    assert max(reached) == sop._FUSED_HALVINGS
+
+
+def test_fused_kernel_matches_per_halving_bits_in_later_halvings(monkeypatch):
+    # A tolerance this tight sends many calls past the fused block.
+    monkeypatch.setattr(sop, "_REFINE_TOL", 1e-16)
+    cases = list(_box_sweep(60, seed=7))
+    grid = np.linspace(0.05, 0.95, 7)
+    cases += [(stats, grid, targets) for stats, _, targets in cases[:6]]
+    reached = _assert_same_bits(monkeypatch, cases)
+    assert set(reached) >= {4, 5, 6}
+
+
+def test_quadrature_error_reports_the_nodes_it_reached(monkeypatch):
+    monkeypatch.setattr(sop, "_REFINE_TOL", -1.0)
+    monkeypatch.setattr(sop, "_ACCEPT_TOL", -1.0)
+    args = (stats_at(1e7), 0.5, RTH1)
+    with pytest.raises(sop.QuadratureError) as fused:
+        exact_sop_near(*args)
+    monkeypatch.setattr(sop, "_survival_integral", lambda *a: _per_halving_survival_integral(*a, []))
+    with pytest.raises(sop.QuadratureError) as expected:
+        exact_sop_near(*args)
+    assert str(fused.value) == str(expected.value)
+    assert "after 1473 nodes" in str(fused.value)
