@@ -8,7 +8,8 @@ minmax           fair power split vs the near user's target rate
 gain-comparison  fair split vs fixed and per-user baselines over SNR
 
 Exit code is the worst exit code among the sweeps (0 = all embedded
-checks passed, 1 = some check failed, 2 = configuration problem).
+checks passed, 1 = some check failed, 2 = configuration problem,
+3 = an outage quadrature missed its error contract).
 """
 import argparse
 import pathlib

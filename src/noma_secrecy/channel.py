@@ -1,9 +1,10 @@
-"""System geometry and channel statistics for the two-user downlink.
+"""Channel statistics for the two-user downlink, in linear units.
 
-Distances and powers enter at the boundary (meters, dBm or Watts); everything
-downstream runs in linear units. Channel power gains are exponentially
-distributed (Rayleigh fading) with mean lambda_i = Lc * d_i**-n, and the
-transmit SNR is rho_t = P_t / sigma^2.
+Channel power gains are exponentially distributed (Rayleigh fading) with
+mean lambda_i = d_i**-n at distance d_i meters, and rho_t is the transmit
+SNR. A run sets the mean received SNR at the far user, rho_t * lambda2, so
+every outage probability depends only on rho_t * lambda1 and rho_t * lambda2:
+a path-loss constant or a noise power would cancel out, and neither appears.
 """
 from __future__ import annotations
 
@@ -13,76 +14,20 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SystemParams",
     "ChannelStats",
     "GainSample",
-    "dbm_to_watt",
-    "watt_to_dbm",
     "mean_gain",
-    "derive_stats",
-    "received_snr_far_db",
     "rho_t_for_received_snr",
     "with_received_snr",
     "sample_gains",
 ]
 
 
-def dbm_to_watt(p_dbm: float) -> float:
-    return 10.0 ** (p_dbm / 10.0) * 1e-3
-
-
-def watt_to_dbm(p_watt: float) -> float:
-    if p_watt <= 0.0:
-        raise ValueError("power must be positive")
-    return 10.0 * np.log10(p_watt / 1e-3)
-
-
-def mean_gain(d: float, lc: float = 1.0, n: float = 2.5) -> float:
-    """Mean channel power gain lc * d**-n at distance d meters."""
-    if d <= 0.0 or lc <= 0.0 or n <= 0.0:
-        raise ValueError("distance, path-loss constant and exponent must be positive")
-    return lc * d ** (-n)
-
-
-@dataclass(frozen=True)
-class SystemParams:
-    """Physical setup: geometry, path loss, power budget, noise floor."""
-
-    d1: float                      # BS to near-user distance, meters
-    d2: float                      # BS to far-user distance, meters; d2 > d1
-    transmit_power: float          # P_t, Watts
-    path_loss_exp: float = 2.5     # n
-    path_loss_const: float = 1.0   # Lc
-    noise_power: float = 1e-9      # sigma^2, Watts (-60 dBm)
-
-    def __post_init__(self) -> None:
-        if self.d1 <= 0.0 or self.d2 <= 0.0:
-            raise ValueError("distances must be positive")
-        if self.d1 >= self.d2:
-            raise ValueError("near user must be strictly closer than far user (d1 < d2)")
-        if self.path_loss_exp <= 0.0 or self.path_loss_const <= 0.0:
-            raise ValueError("path-loss parameters must be positive")
-        if self.noise_power <= 0.0 or self.transmit_power <= 0.0:
-            raise ValueError("powers must be positive")
-
-    @classmethod
-    def from_dbm(
-        cls,
-        d1: float,
-        d2: float,
-        transmit_dbm: float,
-        path_loss_exp: float = 2.5,
-        path_loss_const: float = 1.0,
-        noise_dbm: float = -60.0,
-    ) -> "SystemParams":
-        return cls(
-            d1=d1,
-            d2=d2,
-            transmit_power=dbm_to_watt(transmit_dbm),
-            path_loss_exp=path_loss_exp,
-            path_loss_const=path_loss_const,
-            noise_power=dbm_to_watt(noise_dbm),
-        )
+def mean_gain(d: float, n: float = 2.5) -> float:
+    """Mean channel power gain d**-n at distance d meters."""
+    if d <= 0.0 or n <= 0.0:
+        raise ValueError("distance and path-loss exponent must be positive")
+    return d ** (-n)
 
 
 @dataclass(frozen=True)
@@ -95,24 +40,11 @@ class ChannelStats:
 
     def __post_init__(self) -> None:
         # Ties lambda1 == lambda2 are admitted for symmetric diagnostics;
-        # derive_stats enforces the strict ordering implied by d1 < d2.
+        # RunConfig requires d1 < d2 of every configured geometry.
         if not (self.lambda1 >= self.lambda2 > 0.0):
             raise ValueError("mean gains must satisfy lambda1 >= lambda2 > 0")
         if self.rho_t <= 0.0:
             raise ValueError("transmit SNR must be positive")
-
-
-def derive_stats(params: SystemParams) -> ChannelStats:
-    lam1 = mean_gain(params.d1, params.path_loss_const, params.path_loss_exp)
-    lam2 = mean_gain(params.d2, params.path_loss_const, params.path_loss_exp)
-    if not lam1 > lam2:
-        raise ValueError("derived mean gains violate the near/far ordering")
-    return ChannelStats(lambda1=lam1, lambda2=lam2, rho_t=params.transmit_power / params.noise_power)
-
-
-def received_snr_far_db(stats: ChannelStats) -> float:
-    """Mean received SNR at the far user, in dB: 10*log10(rho_t * lambda2)."""
-    return float(10.0 * np.log10(stats.rho_t * stats.lambda2))
 
 
 def rho_t_for_received_snr(rho_r_db: float, lambda2: float) -> float:

@@ -45,7 +45,6 @@ __all__ = [
     "ClosedFormAlpha",
     "optimal_pa_near_asymptotic",
     "optimal_pa_far_asymptotic",
-    "equal_sop_alpha",
     "equal_sop_alpha_asymptotic",
     "Candidate",
     "CandidateSet",
@@ -255,26 +254,6 @@ def _sop_gap(stats: ChannelStats, targets: TargetRates) -> Callable[[float], flo
     return g
 
 
-def equal_sop_alpha(
-    stats: ChannelStats,
-    targets: TargetRates,
-    lower: float = ALPHA_MIN,
-    upper: float = ALPHA_MAX,
-) -> Optional[float]:
-    """Power split in [lower, upper] where both users' exact SOPs coincide, or None.
-
-    Brent-Dekker on g(alpha) = s_o1 - s_o2, to XTOL in alpha. Returns None
-    when g has the same sign at both ends. The crossing is unique when the
-    bracket lies between the two per-user minimizers; over a wider bracket
-    g may change sign more than once, and any one of the crossings is found.
-    """
-    g = _sop_gap(stats, targets)
-    g_lower, g_upper = g(lower), g(upper)
-    if g_lower * g_upper > 0.0:
-        return None
-    return brent_root(g, lower, upper, g_lower, g_upper)
-
-
 def equal_sop_alpha_asymptotic(stats: ChannelStats, targets: TargetRates) -> ClosedFormAlpha:
     """Closed-form high-SNR equal-SOP power split; may land outside (0, 1)."""
     lam1, lam2 = stats.lambda1, stats.lambda2
@@ -310,16 +289,15 @@ class MinMaxOutcome:
     candidates: CandidateSet
     selected: float
     objective: float
-    kind: str  # "exact" | "asymptotic"
 
 
-def _select(candidates: CandidateSet, kind: str) -> MinMaxOutcome:
+def _select(candidates: CandidateSet) -> MinMaxOutcome:
     pool = candidates.present()
     if not pool:
         raise RuntimeError("no feasible power-split candidate to select from")
     # Ties break toward the smaller alpha so reruns are reproducible.
     best = min(pool, key=lambda c: (c.max_sop, c.alpha))
-    return MinMaxOutcome(candidates=candidates, selected=best.alpha, objective=best.max_sop, kind=kind)
+    return MinMaxOutcome(candidates=candidates, selected=best.alpha, objective=best.max_sop)
 
 
 def minmax_pa(stats: ChannelStats, targets: TargetRates) -> MinMaxOutcome:
@@ -359,7 +337,6 @@ def minmax_pa(stats: ChannelStats, targets: TargetRates) -> MinMaxOutcome:
         candidates=CandidateSet(alpha1=near, alpha2=far, alpha3=crossing),
         selected=best.alpha,
         objective=best.max_sop,
-        kind="exact",
     )
 
 
@@ -387,5 +364,4 @@ def minmax_pa_asymptotic(stats: ChannelStats, targets: TargetRates) -> MinMaxOut
             alpha2=admit(optimal_pa_far_asymptotic(targets)),
             alpha3=admit(equal_sop_alpha_asymptotic(stats, targets)),
         ),
-        kind="asymptotic",
     )

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from noma_secrecy import montecarlo
 from noma_secrecy.channel import GainSample, sample_gains, with_received_snr
 from noma_secrecy.cli import main as cli_main
 from noma_secrecy.config import RunConfig
@@ -19,7 +20,6 @@ from noma_secrecy.montecarlo import (
 )
 from noma_secrecy.optimize import (
     brent_minimize,
-    equal_sop_alpha,
     minmax_pa,
     optimal_pa_far_asymptotic,
     optimal_pa_near_asymptotic,
@@ -250,9 +250,10 @@ def test_criterion_06_symmetric_configuration():
             )
         )
     )
-    crossing = equal_sop_alpha(stats, RTH)
-    crossing_gap = abs(crossing - 0.5) if crossing is not None else np.inf
-    selected_gap = abs(minmax_pa(stats, RTH).selected - 0.5)
+    outcome = minmax_pa(stats, RTH)
+    crossing = outcome.candidates.alpha3
+    crossing_gap = abs(crossing.alpha - 0.5) if crossing is not None else np.inf
+    selected_gap = abs(outcome.selected - 0.5)
     ok = mirror_gap <= 1e-8 and crossing_gap <= 1e-6 and selected_gap <= 1e-6
     _report(
         6,
@@ -283,6 +284,16 @@ def test_criterion_07_decoding_order_theorems():
         f"{violation * int(mask.sum()):.0f}, window sign agreement "
         f"near={near_agree} far={far_agree}",
     )
+
+
+def test_criterion_07_catches_a_swapped_decoding_order(monkeypatch):
+    # Under the proposed order the far user keeps positive secrecy on some
+    # g1 > g2 draws, so the conventional-order count must see them once the
+    # proposed SINRs stand in for the conventional ones.
+    monkeypatch.setattr(montecarlo, "sinr_conventional", sinr_proposed)
+    stats = RunConfig().stats()
+    sim = SimConfig(realizations=10**5, seed=1)
+    assert empirical_conventional_violation_rate(stats, 0.5, sim) > 0.0
 
 
 def test_criterion_08_figure_trends():

@@ -8,38 +8,33 @@ from hypothesis import strategies as st
 from noma_secrecy.channel import (
     ChannelStats,
     GainSample,
-    SystemParams,
-    dbm_to_watt,
-    derive_stats,
     mean_gain,
-    received_snr_far_db,
     rho_t_for_received_snr,
     sample_gains,
-    watt_to_dbm,
     with_received_snr,
 )
 
 
 def test_mean_gain_unit_distance_returns_constant():
-    assert mean_gain(1.0, 1.0, 2.5) == 1.0
+    assert mean_gain(1.0, 2.5) == 1.0
 
 
 def test_mean_gain_hundred_meters():
     # 100**2.5 = 10**5
-    assert mean_gain(100.0, 1.0, 2.5) == pytest.approx(1.0e-5, rel=1e-14)
+    assert mean_gain(100.0, 2.5) == pytest.approx(1.0e-5, rel=1e-14)
 
 
 def test_mean_gain_fifty_meters():
     # 1 / (2500 * sqrt(50))
     expected = 1.0 / (2500.0 * math.sqrt(50.0))
-    assert mean_gain(50.0, 1.0, 2.5) == pytest.approx(expected, rel=1e-14)
-    assert mean_gain(50.0, 1.0, 2.5) == pytest.approx(5.6569e-5, rel=1e-4)
+    assert mean_gain(50.0, 2.5) == pytest.approx(expected, rel=1e-14)
+    assert mean_gain(50.0, 2.5) == pytest.approx(5.6569e-5, rel=1e-4)
 
 
-@pytest.mark.parametrize("d,lc,n", [(0.0, 1.0, 2.5), (-3.0, 1.0, 2.5), (10.0, 0.0, 2.5), (10.0, 1.0, -1.0)])
-def test_mean_gain_rejects_nonpositive_inputs(d, lc, n):
+@pytest.mark.parametrize("d,n", [(0.0, 2.5), (-3.0, 2.5), (10.0, -1.0)])
+def test_mean_gain_rejects_nonpositive_inputs(d, n):
     with pytest.raises(ValueError):
-        mean_gain(d, lc, n)
+        mean_gain(d, n)
 
 
 @given(
@@ -48,35 +43,7 @@ def test_mean_gain_rejects_nonpositive_inputs(d, lc, n):
     n=st.floats(min_value=0.1, max_value=6.0),
 )
 def test_mean_gain_strictly_decreasing_in_distance(d_lo, bump, n):
-    assert mean_gain(d_lo + bump, 1.0, n) < mean_gain(d_lo, 1.0, n)
-
-
-def test_derive_stats_reference_geometry():
-    params = SystemParams(d1=50.0, d2=100.0, transmit_power=1e-9, noise_power=1e-9)
-    stats = derive_stats(params)
-    assert stats.lambda1 == pytest.approx(5.6569e-5, rel=1e-4)
-    assert stats.lambda2 == pytest.approx(1.0e-5, rel=1e-14)
-    assert stats.rho_t == 1.0
-
-
-def test_derive_stats_rejects_reversed_geometry():
-    with pytest.raises(ValueError):
-        SystemParams(d1=100.0, d2=100.0, transmit_power=1.0)
-    with pytest.raises(ValueError):
-        SystemParams(d1=120.0, d2=100.0, transmit_power=1.0)
-
-
-def test_equal_powers_give_unit_snr():
-    params = SystemParams.from_dbm(d1=50.0, d2=100.0, transmit_dbm=-60.0, noise_dbm=-60.0)
-    assert derive_stats(params).rho_t == pytest.approx(1.0, rel=1e-12)
-
-
-def test_dbm_conversions():
-    assert dbm_to_watt(-60.0) == pytest.approx(1e-9, rel=1e-12)
-    assert dbm_to_watt(0.0) == pytest.approx(1e-3, rel=1e-12)
-    assert watt_to_dbm(dbm_to_watt(17.3)) == pytest.approx(17.3, rel=1e-12)
-    with pytest.raises(ValueError):
-        watt_to_dbm(0.0)
+    assert mean_gain(d_lo + bump, n) < mean_gain(d_lo, n)
 
 
 @pytest.mark.parametrize(
@@ -84,15 +51,15 @@ def test_dbm_conversions():
     [(1e5, 0.0), (1e8, 30.0), (1e7, 20.0)],
 )
 def test_received_snr_far_db(rho_t, expected_db):
-    stats = ChannelStats(lambda1=5.66e-5, lambda2=1e-5, rho_t=rho_t)
-    assert received_snr_far_db(stats) == pytest.approx(expected_db, abs=1e-10)
+    # A far user at 100 m (lambda2 = 1e-5) receives rho_t * 1e-5 on average.
+    assert rho_t_for_received_snr(expected_db, 1e-5) == pytest.approx(rho_t, rel=1e-12)
 
 
 @given(rho_r=st.floats(min_value=-30.0, max_value=60.0))
 def test_received_snr_roundtrip(rho_r):
     lam2 = 1e-5
     stats = ChannelStats(lambda1=5.66e-5, lambda2=lam2, rho_t=rho_t_for_received_snr(rho_r, lam2))
-    assert received_snr_far_db(stats) == pytest.approx(rho_r, abs=1e-9)
+    assert 10.0 * math.log10(stats.rho_t * stats.lambda2) == pytest.approx(rho_r, abs=1e-9)
 
 
 def test_with_received_snr_only_touches_rho_t():

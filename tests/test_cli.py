@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pathlib
 
 import pytest
 
@@ -236,3 +237,55 @@ def test_out_of_window_alpha_exits_two(tmp_path, capsys, command, config_text):
     assert main([command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ") and "alpha must lie within" in err[0]
+
+
+def _sweep(axis, start, stop, step):
+    return f"sweep.axis = {axis}\nsweep.start = {start}\nsweep.stop = {stop}\nsweep.step = {step}\n"
+
+
+@pytest.mark.parametrize(
+    "command,config_text",
+    [
+        ("optimize", "system.d1_m = 200\n"),
+        ("optimize", "system.d1_m = 0\n"),
+        ("optimize", "system.path_loss_exp = 0\n"),
+        ("optimize", "system.d2_m = inf\n"),
+        ("validate", "sim.seed = -3\n" + FAST_SIM),
+        ("validate", _sweep("rth1_bits", -1, 1, 0.5) + FAST_SIM),
+        ("optimize", "targets.rth2_bits = nan\n"),
+        ("optimize", "system.rho_r_db = nan\n"),
+        ("optimize", "system.noise_dbm = -93.7\n"),
+        ("optimize", "system.path_loss_const = 0.0137\n"),
+        ("optimize", _sweep("alpha", 0, 0.5, 0.1)),
+    ],
+    ids=[
+        "d1-beyond-d2", "d1-zero", "path-loss-exp-zero", "d2-infinite", "negative-seed-in-file",
+        "negative-rth1-sweep", "nan-rth2", "nan-rho-r", "removed-noise-key",
+        "removed-path-loss-const-key", "alpha-sweep-outside-window",
+    ],
+)
+def test_bad_config_input_exits_two(tmp_path, capsys, command, config_text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config_text, encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data"
+# Extra flags of each golden run; every other setting is the default.
+GOLDEN_FLAGS = {
+    "validate": ["--samples", "20000"],
+    "distance-sweep": [],
+    "optimize": [],
+    "minmax": [],
+    "gain-comparison": [],
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_FLAGS)
+def test_default_output_matches_golden_file(tmp_path, command):
+    # Any change to these files changes the CLI's output bytes, and is recorded as such.
+    out = tmp_path / f"{command}.csv"
+    assert main([command, "--out", str(out), *GOLDEN_FLAGS[command]]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{command}.csv").read_bytes()

@@ -8,8 +8,6 @@ FULL_TEXT = """
 system.d1_m = 40
 system.d2_m = 120
 system.path_loss_exp = 3.0
-system.path_loss_const = 2.0
-system.noise_dbm = -70
 system.rho_r_db = 25
 system.alpha = 0.4
 
@@ -34,8 +32,7 @@ fixed.alpha = 0.25
 def test_defaults_reproduce_reference_setup():
     cfg = RunConfig()
     assert cfg.d1_m == 50.0 and cfg.d2_m == 100.0
-    assert cfg.path_loss_exp == 2.5 and cfg.path_loss_const == 1.0
-    assert cfg.noise_dbm == -60.0 and cfg.rho_r_db == 30.0
+    assert cfg.path_loss_exp == 2.5 and cfg.rho_r_db == 30.0
     assert cfg.alpha == 0.5 and cfg.rth1 == 1.0 and cfg.rth2 == 1.0
     assert cfg.realizations == 10**6 and cfg.seed == 1
     assert cfg.validate_rho_r_grid_db == (20.0, 30.0, 40.0)
@@ -45,8 +42,7 @@ def test_defaults_reproduce_reference_setup():
 def test_full_file_round_trip():
     cfg = parse_config(FULL_TEXT)
     assert cfg.d1_m == 40.0 and cfg.d2_m == 120.0
-    assert cfg.path_loss_exp == 3.0 and cfg.path_loss_const == 2.0
-    assert cfg.noise_dbm == -70.0 and cfg.rho_r_db == 25.0
+    assert cfg.path_loss_exp == 3.0 and cfg.rho_r_db == 25.0
     assert cfg.alpha == 0.4
     assert cfg.rth1 == 0.5 and cfg.rth2 == 1.5
     assert cfg.sweep == SweepSpec("rho_r_db", 10.0, 40.0, 5.0)
@@ -115,18 +111,79 @@ def test_bad_output_format_is_rejected():
 
 def test_system_derivation_at_reference_point():
     cfg = RunConfig()
-    system = cfg.system()
-    # -60 dBm noise and 30 dB received SNR at 100 m with n = 2.5: P_t = 0.1 W
-    assert system.noise_power == pytest.approx(1e-9, rel=1e-12)
-    assert system.transmit_power == pytest.approx(0.1, rel=1e-9)
+    # lambda_i = d_i**-n; 30 dB received SNR at 100 m with n = 2.5: rho_t = 1e8
     stats = cfg.stats()
-    assert stats.lambda1 == pytest.approx(50.0 ** -2.5, rel=1e-12)
-    assert stats.lambda2 == pytest.approx(1e-5, rel=1e-12)
-    assert stats.rho_t == pytest.approx(1e8, rel=1e-9)
+    assert stats.lambda1 == 50.0 ** -2.5
+    assert stats.lambda2 == 100.0 ** -2.5 == pytest.approx(1e-5, rel=1e-12)
+    assert stats.rho_t == pytest.approx(1e8, rel=1e-12)
     targets = cfg.targets()
     assert targets.pi1 == 2.0 and targets.pi2 == 2.0
-    sim = cfg.sim()
-    assert sim.realizations == 10**6 and sim.seed == 1
+
+
+def _sweep(axis, start, stop, step):
+    return f"sweep.axis = {axis}\nsweep.start = {start}\nsweep.stop = {stop}\nsweep.step = {step}\n"
+
+
+@pytest.mark.parametrize(
+    "text,match",
+    [
+        ("system.d1_m = 0\n", "0 < d1_m < d2_m"),
+        ("system.d1_m = 200\n", "0 < d1_m < d2_m"),
+        ("system.d1_m = 100\n", "0 < d1_m < d2_m"),
+        ("system.d1_m = nan\n", "0 < d1_m < d2_m"),
+        ("system.d2_m = inf\n", "0 < d1_m < d2_m"),
+        ("system.path_loss_exp = 0\n", "path_loss_exp must be finite and positive"),
+        ("system.path_loss_exp = inf\n", "path_loss_exp must be finite and positive"),
+        ("system.path_loss_exp = 1000\n", "floating-point range"),
+        ("system.d1_m = 1e-300\n", "floating-point range"),
+        ("system.rho_r_db = nan\n", "rho_r_db must be finite"),
+        ("system.rho_r_db = 4000\n", "floating-point range"),
+        ("validate.rho_r_grid_db = 20, inf\n", "rho_r_grid_db must be a nonempty list of finite values"),
+        ("validate.rho_r_grid_db = -4000\n", "floating-point range"),
+        ("targets.rth1_bits = -1\n", r"rth1_bits must lie within \[0, 1024\)"),
+        ("targets.rth2_bits = nan\n", r"rth2_bits must lie within \[0, 1024\)"),
+        ("targets.rth2_bits = 1024\n", r"rth2_bits must lie within \[0, 1024\)"),
+        ("sim.realizations = 0\n", "realizations must be at least 1"),
+        ("sim.seed = -3\n", "seed must lie within"),
+        (f"sim.seed = {2**128 - 2}\n", "seed must lie within"),
+        (_sweep("alpha", 0, 0.5, 0.1), "must lie within"),
+        (_sweep("d2_m", 40, 100, 10), "must exceed system.d1_m"),
+        (_sweep("rth1_bits", -1, 2, 0.5), r"must lie within \[0, 1024\)"),
+        (_sweep("rth1_bits", 1000, 1100, 50), r"must lie within \[0, 1024\)"),
+        (_sweep("rho_r_db", 10, 4000, 10), "floating-point range"),
+        (_sweep("rho_r_db", 10, "nan", 10), "must be finite"),
+        (_sweep("rho_r_db", 10, 40, "inf"), "must be finite"),
+    ],
+    ids=[
+        "d1-zero", "d1-beyond-d2", "d1-equals-d2", "d1-nan", "d2-infinite",
+        "exp-zero", "exp-infinite", "gain-underflow", "gain-overflow",
+        "rho-r-nan", "rho-t-overflow", "grid-infinite", "grid-rho-t-underflow",
+        "rth1-negative", "rth2-nan", "rth2-overflow", "realizations-zero",
+        "seed-negative", "seed-past-philox-keys", "alpha-sweep-outside-window",
+        "d2-sweep-inside-d1", "rth1-sweep-negative", "rth1-sweep-overflow", "rho-sweep-overflow",
+        "sweep-stop-nan", "sweep-step-infinite",
+    ],
+)
+def test_out_of_domain_values_are_config_errors(text, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text)
+
+
+def test_seed_leaves_room_for_one_stream_per_snr():
+    # Philox keys stop at 2**128 - 1; validate keys its streams seed + snr_index.
+    assert parse_config(f"sim.seed = {2**128 - 3}\n").seed == 2**128 - 3
+    assert parse_config(f"validate.rho_r_grid_db = 20\nsim.seed = {2**128 - 1}\n").seed == 2**128 - 1
+
+
+def test_default_sweeps_meet_the_same_checks():
+    default = SweepSpec("d2_m", 60.0, 150.0, 10.0)
+    assert RunConfig().sweep_or(default) == default
+    with pytest.raises(ConfigError, match="must exceed system.d1_m"):
+        RunConfig(d1_m=70.0, d2_m=100.0).sweep_or(default)
+    other = parse_config(_sweep("alpha", 0.1, 0.9, 0.1))
+    with pytest.raises(ConfigError, match="this subcommand sweeps 'd2_m', config sweeps 'alpha'"):
+        other.sweep_or(default)
+
 
 
 def test_sweep_values_are_inclusive():

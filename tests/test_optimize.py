@@ -11,7 +11,6 @@ from noma_secrecy.optimize import (
     _select,
     brent_minimize,
     brent_root,
-    equal_sop_alpha,
     equal_sop_alpha_asymptotic,
     minmax_pa,
     minmax_pa_asymptotic,
@@ -161,15 +160,22 @@ def test_brent_on_asymptotic_curves_recovers_closed_forms(rth):
     assert abs(far.alpha - optimal_pa_far_asymptotic(targets).alpha) <= 1e-6
 
 
+def _equal_sop_root(stats, targets):
+    """Brent-Dekker root of s_o1 - s_o2 over the whole window."""
+    def gap(a):
+        return exact_sop_near(stats, a, targets).value - exact_sop_far(stats, a, targets).value
+
+    return brent_root(gap, ALPHA_MIN, ALPHA_MAX, gap(ALPHA_MIN), gap(ALPHA_MAX))
+
+
 def test_equal_sop_symmetric_crossing_is_half():
     stats = ChannelStats(1e-4, 1e-4, 1e7)
-    root = equal_sop_alpha(stats, RTH1)
+    root = _equal_sop_root(stats, RTH1)
     assert root == pytest.approx(0.5, abs=1e-12)
 
 
 def test_equal_sop_crossing_is_a_true_root():
-    root = equal_sop_alpha(STATS_30DB, RTH1)
-    assert root is not None
+    root = _equal_sop_root(STATS_30DB, RTH1)
     gap = exact_sop_near(STATS_30DB, root, RTH1).value - exact_sop_far(STATS_30DB, root, RTH1).value
     assert abs(gap) <= 1e-8
     grid = np.linspace(ALPHA_MIN, ALPHA_MAX, 1000)
@@ -177,10 +183,6 @@ def test_equal_sop_crossing_is_a_true_root():
     flips = np.nonzero(np.sign(g[:-1]) != np.sign(g[1:]))[0]
     spacing = grid[1] - grid[0]
     assert any(grid[i] - spacing <= root <= grid[i + 1] + spacing for i in flips)
-
-
-def test_equal_sop_returns_none_without_bracket():
-    assert equal_sop_alpha(STATS_30DB, RTH1, lower=0.6, upper=0.9) is None
 
 
 def test_equal_sop_closed_form_reference_values():
@@ -220,7 +222,6 @@ def test_minmax_candidate_bookkeeping():
     pool = outcome.candidates.present()
     assert outcome.selected in [c.alpha for c in pool]
     assert all(outcome.objective <= c.max_sop + 1e-15 for c in pool)
-    assert outcome.kind == "exact"
 
 
 def test_minmax_symmetric_selects_half():
@@ -233,7 +234,6 @@ def test_minmax_agrees_with_asymptotic_selection():
     exact = minmax_pa(STATS_30DB, RTH1)
     asym = minmax_pa_asymptotic(STATS_30DB, RTH1)
     assert abs(exact.selected - asym.selected) <= 0.02
-    assert asym.kind == "asymptotic"
 
 
 def test_asymptotic_minmax_drops_degenerate_candidates():
@@ -256,7 +256,7 @@ def test_selection_breaks_ties_toward_smaller_alpha():
         alpha2=Candidate(alpha=0.3, so1=0.1, so2=0.2),
         alpha3=None,
     )
-    outcome = _select(tied, kind="exact")
+    outcome = _select(tied)
     assert outcome.selected == 0.3
     with pytest.raises(RuntimeError):
-        _select(CandidateSet(None, None, None), kind="exact")
+        _select(CandidateSet(None, None, None))
