@@ -13,6 +13,7 @@ from noma_secrecy.channel import (
     sample_gains,
     with_received_snr,
 )
+from noma_secrecy.config import RunConfig
 
 
 def test_mean_gain_unit_distance_returns_constant():
@@ -35,6 +36,14 @@ def test_mean_gain_fifty_meters():
 def test_mean_gain_rejects_nonpositive_inputs(d, n):
     with pytest.raises(ValueError):
         mean_gain(d, n)
+
+
+def test_derive_stats_reference_geometry():
+    # 50 m / 100 m users, transmit SNR of one: mean received SNR at 100 m is 1e-5 = -50 dB
+    stats = RunConfig(d1_m=50.0, d2_m=100.0, rho_r_db=-50.0).stats()
+    assert stats.lambda1 == pytest.approx(5.6569e-5, rel=1e-4)
+    assert stats.lambda2 == pytest.approx(1.0e-5, rel=1e-14)
+    assert stats.rho_t == 1.0
 
 
 @given(
