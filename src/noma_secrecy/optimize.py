@@ -1,17 +1,26 @@
 """Power-split optimization: per-user minima and the min-max fair point.
 
-Each user's exact SOP is unimodal in alpha (criterion 04 checks the
-log-concavity behind this). A coarse vectorised curve therefore brackets
-each minimizer between the grid neighbours of its argmin, and Brent's
-minimizer (Brent 1973, "Algorithms for Minimization without Derivatives")
-refines it inside that bracket.
+A user's SOP is least where phi = d/dalpha log(1 - s_o) crosses zero from
+above, and sop.exact_sop_slopes gives phi and phi' from the same
+quadrature pass as the SOP itself. One pass takes both users on a coarse
+curve; each user's minimizer lies in the grid cell beside the argmin of its
+SOP where phi changes sign. Safeguarded Newton on phi (newton_root) then
+refines the minimizers in lockstep, one pass of both users at every
+minimizer per step, so the last pass also holds each user's SOP at the
+other's minimizer. optimal_pa_near/optimal_pa_far are the one-user case of
+the same path. Near a minimizer phi' < 0, so Newton converges
+quadratically; a solve takes 3 or 4 passes. phi' > 0 does occur near the
+window edges, and in a low-SNR, high-rate corner the far user's SOP has two
+local minima: the integrand's log-concavity in alpha (criterion 04) does
+not carry over to the integral. The bracket then follows the grid's lowest
+valley, and bisection keeps each step inside it.
 
 Between the two per-user minimizers one SOP rises and the other falls, so
 they cross at most once there, and the min-max fair split follows without
 any search over the whole window: it is the near user's minimizer when the
 near user is the worse-off one there, else the far user's minimizer when
 the far user is the worse-off one there, else the unique crossing between
-the two, found by the Brent-Dekker root finder.
+the two, found by the same Newton iteration on s_o1 - s_o2.
 
 High-SNR counterparts have closed forms; targets at exactly zero rate push
 them onto the boundary of the admissible window and are flagged degenerate
@@ -21,25 +30,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .channel import ChannelStats
 from .rates import ALPHA_MAX, ALPHA_MIN
 from .sop import (
+    SopSlopes,
     TargetRates,
     asymptotic_sop_far,
     asymptotic_sop_near,
-    exact_sop_far,
-    exact_sop_near,
+    exact_sop_slopes,
 )
 
 __all__ = [
     "XTOL",
     "Minimum",
-    "brent_minimize",
-    "brent_root",
+    "newton_root",
     "optimal_pa_near",
     "optimal_pa_far",
     "ClosedFormAlpha",
@@ -55,11 +63,8 @@ __all__ = [
 
 XTOL = 1e-8  # absolute tolerance on every solved power split
 # Coarse curve that brackets each minimizer. Any size works for a unimodal
-# curve; 33 points keeps the Brent brackets short without a costly curve.
+# curve; 33 points keep the Newton brackets short without a costly pass.
 _BRACKET_GRID = np.linspace(ALPHA_MIN, ALPHA_MAX, 33)
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))  # golden-section step, 0.381966...
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
-_EPS = float(np.finfo(float).eps)
 
 
 class Minimum(NamedTuple):
@@ -67,159 +72,141 @@ class Minimum(NamedTuple):
     value: float
 
 
-def _finite(objective: Callable[[float], float]) -> Callable[[float], float]:
-    def evaluate(x: float) -> float:
-        v = float(objective(x))
-        if not math.isfinite(v):
-            raise ValueError(f"objective returned non-finite value {v!r} at alpha={x:.8g}")
-        return v
+class _Bracket:
+    """One column of newton_root: the bracket [lo, hi] on which f changes
+    sign, and the last evaluated point x with f and its slope there."""
 
-    return evaluate
+    def __init__(self, lo, hi, f_lo, f_hi, df_lo, df_hi, settle):
+        if not all(map(math.isfinite, (lo, hi, f_lo, f_hi, df_lo, df_hi))):
+            raise ValueError("root finder got a non-finite bracket end or value")
+        if not lo <= hi:
+            raise ValueError("need lower <= upper")
+        if f_lo * f_hi > 0.0:
+            raise ValueError("f must change sign on every [lower, upper]")
+        self.lo, self.hi, self.lo_positive, self.settle = lo, hi, f_lo > 0.0, settle
+        self.x, self.f, self.df = (lo, f_lo, df_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi, df_hi)
+        # The last two step sizes; the first two Newton steps need only stay in the bracket.
+        self.last = self.before = 2.0 * (hi - lo)
+        self.done = False
 
-
-def brent_minimize(
-    objective: Callable[[float], float],
-    lower: float = ALPHA_MIN,
-    upper: float = ALPHA_MAX,
-) -> Minimum:
-    """Minimum of a unimodal objective on [lower, upper] by Brent's method, to XTOL.
-
-    Golden-section steps safeguard parabolic interpolation, so the bracket
-    shrinks at least geometrically and superlinearly near a smooth minimum.
-    The ends themselves are never evaluated; a minimum on an end is
-    approached to within the tolerance.
-    """
-    if not lower < upper:
-        raise ValueError("need lower < upper")
-    f = _finite(objective)
-    a, b = lower, upper
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = f(x)
-    d = e = 0.0
-    while True:
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + XTOL / 3.0
-        tol2 = 2.0 * tol1
-        if abs(x - xm) <= tol2 - 0.5 * (b - a):
-            return Minimum(alpha=x, value=fx)
-        golden = True
-        if abs(e) > tol1:
-            # Parabola through (v, fv), (w, fw), (x, fx); accept its vertex
-            # only if it falls inside the bracket and the step shrinks.
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-                e, d = d, p / q
-                u = x + d
-                if u - a < tol2 or b - u < tol2:
-                    d = math.copysign(tol1, xm - x)
-                golden = False
-        if golden:
-            e = (a - x) if x >= xm else (b - x)
-            d = _GOLDEN * e
-        u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
-        fu = f(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+    def advance(self) -> bool:
+        """Move x to the next point to evaluate; False once the column has stopped."""
+        lo, hi = self.lo, self.hi
+        if self.done or self.f == 0.0 or hi - lo <= XTOL:
+            self.done = True
+            return False
+        d = -self.f / self.df if self.df != 0.0 else math.inf
+        target = self.x + d
+        # The end values may come from a pass with other columns, so a target
+        # a hair outside the bracket is clipped onto its end.
+        if lo - XTOL <= target <= hi + XTOL and abs(d) < 0.5 * self.before:
+            if abs(d) <= 0.5 * XTOL:
+                self.done = True
+                if not self.settle:
+                    return False
+            step = min(max(target, lo), hi)
+            self.last, self.before = abs(d), self.last
         else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+            step = 0.5 * (lo + hi)
+            self.last, self.before = 0.5 * (hi - lo), self.last
+        if step == self.x:  # a sub-XTOL step blocked by the bracket's end
+            self.done = True
+            return False
+        self.x = step
+        return True
 
-
-def brent_root(
-    g: Callable[[float], float],
-    lower: float,
-    upper: float,
-    g_lower: float,
-    g_upper: float,
-) -> float:
-    """Root of g on [lower, upper] by the Brent-Dekker method, to XTOL.
-
-    The caller passes g at both ends, which must differ in sign (or one be
-    zero). Inverse quadratic and secant steps are taken while they shrink the
-    bracket fast enough, bisection otherwise, so convergence is guaranteed.
-    """
-    if g_lower * g_upper > 0.0:
-        raise ValueError("g must change sign on [lower, upper]")
-    f = _finite(g)
-    a, fa, b, fb = lower, g_lower, upper, g_upper
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if fb * fc > 0.0:
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * XTOL
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p = 2.0 * xm * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = xm
+    def update(self, f: float, df: float) -> None:
+        if not (math.isfinite(f) and math.isfinite(df)):
+            raise ValueError(f"root finder got a non-finite value at x={self.x!r}")
+        self.f, self.df = f, df
+        if (f > 0.0) == self.lo_positive:
+            self.lo = self.x
         else:
-            d = e = xm
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = f(b)
+            self.hi = self.x
 
 
-def _sop_minimum(sop, stats: ChannelStats, targets: TargetRates) -> Minimum:
-    """Minimum of a unimodal SOP: grid bracket, then Brent refinement inside it."""
+def newton_root(evaluate, lower, upper, f_lower, f_upper, df_lower, df_upper, settle=False) -> np.ndarray:
+    """Roots of one function per column by safeguarded Newton, to XTOL.
+
+    Column j's function is f_lower[j] at lower[j] and f_upper[j] at upper[j],
+    of opposite signs (or one zero), with slopes df_lower/df_upper there.
+    evaluate(x) gives (f, df) at one point per column, so the columns move in
+    lockstep, one call per step; the bookkeeping is per column, in floats.
+    Each column starts from the end with the smaller |f| and keeps the
+    bracket on which f changes sign. A Newton step that leaves the bracket,
+    or is not under half the step two iterations back, is replaced by
+    bisection, so every column converges.
+
+    A column stops at a point whose Newton step is at most XTOL/2, so within
+    XTOL of the root. With ``settle`` it first takes that step and evaluates
+    it: Newton converges quadratically, so the point it returns then lies
+    within rounding of the root, for one more call. It also stops where a
+    step is blocked by the bracket's end, or once its bracket is no wider
+    than XTOL. Every call to evaluate covers all columns, stopped ones at
+    their final point, so the last call was made at the returned points
+    unless there was none.
+    """
+    columns = [
+        _Bracket(*map(float, ends), settle) for ends in zip(lower, upper, f_lower, f_upper, df_lower, df_upper)
+    ]
+    while True:
+        moved = [column.advance() for column in columns]
+        if not any(moved):
+            return np.array([column.x for column in columns])
+        f, df = evaluate(np.array([column.x for column in columns]))
+        for column, move, f_j, df_j in zip(columns, moved, f.tolist(), df.tolist()):
+            if move:
+                column.update(f_j, df_j)
+
+
+def _minima(stats: ChannelStats, targets: TargetRates, users: np.ndarray):
+    """Minimizers of the listed users' SOPs (0 near, 1 far), refined in lockstep.
+
+    One pass takes both users on the bracket grid. Each listed user's
+    minimizer lies beside the grid argmin of its SOP, on the side phi points
+    to, and is the root of phi in that cell unless the argmin is a window
+    edge. Each later pass takes both users at every current minimizer, so
+    the last one also holds each user's SOP at the others' minimizers.
+    Returns the minimizers and that pass, a SopSlopes of (user, minimizer)
+    arrays.
+    """
     grid = _BRACKET_GRID
-    curve = sop(stats, grid, targets).value
-    i = int(np.argmin(curve))
-    found = brent_minimize(
-        lambda a: sop(stats, a, targets).value,
-        float(grid[max(i - 1, 0)]),
-        float(grid[min(i + 1, grid.size - 1)]),
-    )
-    # Brent never evaluates its bracket's ends, so a minimum at the window
-    # edge is kept as the grid node itself.
-    if curve[i] < found.value:
-        return Minimum(alpha=float(grid[i]), value=float(curve[i]))
-    return found
+    on_grid = exact_sop_slopes(stats, grid, targets)
+    i = np.argmin(on_grid.value[users], axis=1)
+    phi = on_grid.phi[users, i]
+    j = np.clip(np.where(phi > 0.0, i + 1, i - 1), 0, grid.size - 1)
+    inner = (j != i) & (phi != 0.0) & (phi * on_grid.phi[users, j] <= 0.0)
+    points = grid[i]
+    last = None
+
+    def evaluate(x):
+        nonlocal last
+        points[inner] = x
+        last = exact_sop_slopes(stats, points, targets)
+        at = users[inner], np.nonzero(inner)[0]
+        return last.phi[at], last.dphi[at]
+
+    if inner.any():
+        lo, hi, at = np.minimum(i, j)[inner], np.maximum(i, j)[inner], users[inner]
+        points[inner] = newton_root(
+            evaluate, grid[lo], grid[hi],
+            on_grid.phi[at, lo], on_grid.phi[at, hi], on_grid.dphi[at, lo], on_grid.dphi[at, hi],
+        )
+    if last is None:  # no pass after the grid's: every minimizer is a grid node
+        last = SopSlopes(*(v[:, np.searchsorted(grid, points)] for v in on_grid))
+    return points, last
 
 
 def optimal_pa_near(stats: ChannelStats, targets: TargetRates) -> Minimum:
     """Power split minimizing the near user's exact SOP."""
-    return _sop_minimum(exact_sop_near, stats, targets)
+    alpha, at = _minima(stats, targets, np.array([0]))
+    return Minimum(float(alpha[0]), float(at.value[0, 0]))
 
 
 def optimal_pa_far(stats: ChannelStats, targets: TargetRates) -> Minimum:
     """Power split minimizing the far user's exact SOP."""
-    return _sop_minimum(exact_sop_far, stats, targets)
+    alpha, at = _minima(stats, targets, np.array([1]))
+    return Minimum(float(alpha[0]), float(at.value[1, 0]))
 
 
 class ClosedFormAlpha(NamedTuple):
@@ -245,13 +232,6 @@ def optimal_pa_far_asymptotic(targets: TargetRates) -> ClosedFormAlpha:
     if pi2 == 1.0:
         return ClosedFormAlpha(1.0, True)
     return ClosedFormAlpha(pi2 - math.sqrt(pi2 * (pi2 - 1.0)), False)
-
-
-def _sop_gap(stats: ChannelStats, targets: TargetRates) -> Callable[[float], float]:
-    def g(a: float) -> float:
-        return exact_sop_near(stats, a, targets).value - exact_sop_far(stats, a, targets).value
-
-    return g
 
 
 def equal_sop_alpha_asymptotic(stats: ChannelStats, targets: TargetRates) -> ClosedFormAlpha:
@@ -310,29 +290,36 @@ def minmax_pa(stats: ChannelStats, targets: TargetRates) -> MinMaxOutcome:
     them. The candidate set records both minimizers, and the crossing only
     when it was needed.
     """
-    min1 = optimal_pa_near(stats, targets)
-    min2 = optimal_pa_far(stats, targets)
-    near = Candidate(min1.alpha, so1=min1.value, so2=exact_sop_far(stats, min1.alpha, targets).value)
-    far = Candidate(min2.alpha, so1=exact_sop_near(stats, min2.alpha, targets).value, so2=min2.value)
+    alpha, at = _minima(stats, targets, np.array([0, 1]))
+    near, far = (Candidate(float(a), so1=float(so1), so2=float(so2)) for a, (so1, so2) in zip(alpha, at.value.T))
     crossing = None
     if near.so1 >= near.so2:
         best = near
     elif far.so2 >= far.so1:
         best = far
     else:
-        ends = sorted((near, far), key=lambda c: c.alpha)
-        root = brent_root(
-            _sop_gap(stats, targets),
-            ends[0].alpha,
-            ends[1].alpha,
-            ends[0].so1 - ends[0].so2,
-            ends[1].so1 - ends[1].so2,
-        )
-        crossing = best = Candidate(
-            root,
-            so1=exact_sop_near(stats, root, targets).value,
-            so2=exact_sop_far(stats, root, targets).value,
-        )
+        # Between the minimizers s_o1 - s_o2 is monotone, with slope
+        # (1 - s_o2)*phi2 - (1 - s_o1)*phi1.
+        def gap(sops: SopSlopes):
+            so1, so2 = sops.value
+            return so1 - so2, (1.0 - so2) * sops.phi[1] - (1.0 - so1) * sops.phi[0]
+
+        found = []
+
+        def evaluate(x):
+            found.append(exact_sop_slopes(stats, x, targets))
+            return gap(found[-1])
+
+        lo, hi = (0, 1) if near.alpha < far.alpha else (1, 0)
+        g, dg = gap(at)
+        # Its objective moves to first order with alpha, so the root is settled.
+        root = float(newton_root(evaluate, [alpha[lo]], [alpha[hi]], [g[lo]], [g[hi]], [dg[lo]], [dg[hi]], settle=True)[0])
+        if found:
+            so1, so2 = found[-1].value[:, 0]
+            crossing = Candidate(root, so1=float(so1), so2=float(so2))
+        else:  # the crossing lies within XTOL of a minimizer
+            crossing = near if root == near.alpha else far
+        best = crossing
     return MinMaxOutcome(
         candidates=CandidateSet(alpha1=near, alpha2=far, alpha3=crossing),
         selected=best.alpha,

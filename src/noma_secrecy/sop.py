@@ -21,11 +21,16 @@ returned value; it is at most 1e-9 over the whole power-split window.
 
 Every evaluation over the admissible box stops by halving 3 (185 nodes), so
 the integrand is evaluated at all nodes of halvings 0-3 in one array pass;
-the halvings then sum their own row blocks of it with the same stop rule, so
-they return the same bits as evaluating one halving at a time. A call that
-needs halvings 4-6 evaluates each of those on its own. A call that misses the
-error contract after halving 6 raises QuadratureError with the node count it
-reached.
+the halvings then sum their own row blocks of it with the same stop rule,
+judged for all four at once, so they return the same bits as evaluating one
+halving at a time. A call that needs halvings 4-6 evaluates each of those on
+its own. A call that misses the error contract after halving 6 raises
+QuadratureError with the node count it reached.
+
+exact_sop_slopes also takes the first two alpha-derivatives of
+log(1 - s_o): log of the prefactor is closed-form, and the survival
+integral's derivatives are moments of the same integrand, summed on the same
+nodes and halvings. It is the optimizer's one evaluation path.
 
 The asymptotic forms drop the "+1" in the SINR denominators, valid once the
 received SNR is large. They are upper bounds on the exact SOPs, with an
@@ -48,6 +53,8 @@ __all__ = [
     "SopValue",
     "exact_sop_near",
     "exact_sop_far",
+    "SopSlopes",
+    "exact_sop_slopes",
     "asymptotic_sop_near",
     "asymptotic_sop_far",
     "log_integrand_near",
@@ -60,6 +67,7 @@ _MAX_HALVINGS = 6    # at most 1473 nodes
 _FUSED_HALVINGS = 3  # halvings 0-3 (185 nodes) are evaluated in one pass
 _REFINE_TOL = 1e-10  # stop halving once successive estimates agree this well
 _ACCEPT_TOL = 1e-9   # contract on the reported absolute quadrature error
+_MOMENT_FLOOR = 1e-150  # least integrand value in the derivative moments
 
 
 @dataclass(frozen=True)
@@ -109,27 +117,34 @@ def _de_nodes(level: int):
 _DE_NODES = tuple(_de_nodes(level) for level in range(_MAX_HALVINGS + 1))
 
 
-def _passes():
-    """One (nodes to evaluate, weights, rows, step) entry per halving.
+class _Group(NamedTuple):
+    """Nodes evaluated in one array pass, and the halvings that sum them."""
 
-    The nodes of halvings 0.._FUSED_HALVINGS are evaluated together at
-    halving 0, and each of those halvings sums its own row block; every later
-    halving evaluates its own nodes.
-    """
-    block = np.concatenate([z for z, _ in _DE_NODES[: _FUSED_HALVINGS + 1]])
-    table = []
-    start = 0
-    for level, (z, w) in enumerate(_DE_NODES):
-        if level <= _FUSED_HALVINGS:
-            nodes, rows = (block if level == 0 else None), slice(start, start + len(z))
-            start += len(z)
-        else:
-            nodes, rows = z, slice(None)
-        table.append((nodes, w, rows, _STEP0 / (1 << level)))
-    return tuple(table)
+    nodes: np.ndarray
+    halvings: tuple     # (weights, rows) of each halving, in order
+    first: int          # the first of those halvings
+    steps: np.ndarray   # each halving's trapezoid step, shaped (halvings, 1, 1)
+    blocks: np.ndarray  # each halving's weights on its own rows, zeros elsewhere
 
 
-_PASSES = _passes()
+def _groups():
+    """Halvings 0.._FUSED_HALVINGS share one group; each later one has its own."""
+    fused = _DE_NODES[: _FUSED_HALVINGS + 1]
+    ends = np.cumsum([len(z) for z, _ in fused])
+    rows = [slice(end - len(z), end) for end, (z, _) in zip(ends, fused)]
+    blocks = np.zeros((len(fused), ends[-1]))
+    for block, (_, w), r in zip(blocks, fused, rows):
+        block[r] = w
+    groups = [(np.concatenate([z for z, _ in fused]), [w for _, w in fused], rows, 0, blocks)]
+    groups += [(z, [w], [slice(None)], level, w[None, :]) for level, (z, w) in enumerate(_DE_NODES)
+               if level > _FUSED_HALVINGS]
+    return tuple(
+        _Group(z, tuple(zip(w, r)), first, _STEP0 / 2.0 ** np.arange(first, first + len(w))[:, None, None], b)
+        for z, w, r, first, b in groups
+    )
+
+
+_GROUPS = _groups()
 
 
 def _validated_alpha(alpha) -> np.ndarray:
@@ -139,36 +154,79 @@ def _validated_alpha(alpha) -> np.ndarray:
     return a
 
 
-def _survival_integral(pi: float, slope: np.ndarray, lam_exp: float, lam_int: float, scale: np.ndarray):
+def _moment_sums(e: np.ndarray, h: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Weighted sums of e, e*h^2, e*h^3 and e*h^4 for each halving in blocks.
+
+    Returns a (halvings, 4, columns) array. Integrand values below
+    _MOMENT_FLOOR are raised to it in the products: this moves the moments
+    by a negligible amount and keeps them out of subnormal numbers, which
+    are slow to compute with.
+    """
+    sums = np.empty((blocks.shape[0], 4, e.shape[1]))
+    np.matmul(blocks, e, out=sums[:, 0])
+    eh = np.maximum(e, _MOMENT_FLOOR)
+    eh *= h
+    for k in (1, 2, 3):
+        eh *= h
+        np.matmul(blocks, eh, out=sums[:, k])
+    return sums
+
+
+def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarray, moments: bool = False):
     """E_y[exp(-pi*y/((slope*y+1)*lam_exp))] for y ~ Exponential(lam_int).
 
-    Vectorized over slope; returns (estimates, last-refinement differences).
+    Vectorized over slope; pi, lam_exp and lam_int are scalars or one value
+    per slope column. Returns (estimates, last-refinement differences).
     Convergence is judged on scale * |difference|, because the caller folds
     the integral into the outage value with that weight and the error
     contract applies to the outage value, not the raw integral.
+
+    With ``moments`` it also returns E_y[e * h**k] for k = 2, 3, 4 as a
+    (3, n) array, taken on the same nodes and halvings, where e is the
+    integrand and h = slope*y/(slope*y + 1) lies in [0, 1). The integrand is
+    then built from h, in fewer array steps, so its estimates agree with
+    the plain call's to within the stop rule rather than bit for bit.
     """
     slope = np.atleast_1d(slope)
-    total = 0.0
+    total = prev = None
     nodes = 0
-    prev = None
-    for level, (z, w, rows, step) in enumerate(_PASSES):
-        if z is not None:
+    if moments:
+        scaled_slope, exponent = slope * lam_int, -pi / (lam_exp * slope)
+    for group in _GROUPS:
+        if moments:
+            # exp(-pi/(lam_exp*slope) * h), the same integrand
+            h = np.multiply.outer(group.nodes, scaled_slope)
+            f = h + 1.0
+            np.divide(h, f, out=h)
+            np.multiply(h, exponent, out=f)
+        else:
             # exp(-pi*y / ((slope*y + 1)*lam_exp)), built in place step by step
-            y = lam_int * z
-            f = np.multiply.outer(y, slope)
+            y = lam_int * group.nodes[:, None]
+            f = y * slope
             f += 1.0
             f *= lam_exp
-            np.divide(-pi * y[:, None], f, out=f)
-            np.exp(f, out=f)
-        nodes += len(w)
-        total = total + w @ f[rows]
-        est = total * step
-        if prev is not None:
-            diff = np.abs(est - prev)
-            worst = float((scale * diff).max())
+            np.divide(-pi * y, f, out=f)
+        np.exp(f, out=f)
+        nodes += len(group.nodes)
+        # Each halving's sums, added to the ones before it in order, as one
+        # halving at a time would add them.
+        if moments:
+            sums = _moment_sums(f, h, group.blocks)
+        else:
+            sums = np.stack([w @ f[rows] for w, rows in group.halvings])[:, None]
+        if total is not None:
+            sums[0] += total
+        totals = np.cumsum(sums, axis=0)
+        total, est = totals[-1], totals * group.steps
+        chain = est[:, 0] if prev is None else np.concatenate((prev[None], est[:, 0]))
+        diffs = np.abs(np.diff(chain, axis=0))
+        skipped = len(est) - len(diffs)  # halving 0 has no difference to judge
+        prev = est[-1, 0]
+        for k, worst in enumerate((scale * diffs).max(axis=1).tolist()):
+            level = group.first + skipped + k
             if worst < _REFINE_TOL or (level == _MAX_HALVINGS and worst <= _ACCEPT_TOL):
-                return est, diff
-        prev = est
+                found = est[skipped + k]
+                return (found[0], diffs[k], found[1:]) if moments else (found[0], diffs[k])
     raise QuadratureError(
         f"outage quadrature did not converge: error {worst:.3e} "
         f"after {nodes} nodes (tolerance {_ACCEPT_TOL:g})"
@@ -201,6 +259,53 @@ def exact_sop_far(stats: ChannelStats, alpha, targets: TargetRates) -> SopValue:
     slope = a * stats.rho_t
     shift = (pi2 - 1.0) / ((1.0 - a) * stats.rho_t)
     return _exact_sop(pi2, slope, shift, stats.lambda2, stats.lambda1, scalar=a.ndim == 0)
+
+
+class SopSlopes(NamedTuple):
+    value: np.ndarray
+    quad_error: np.ndarray
+    phi: np.ndarray   # d/dalpha log(1 - s_o)
+    dphi: np.ndarray  # d^2/dalpha^2 log(1 - s_o)
+
+
+_OWN_SHARE_SLOPES = np.array([1.0, -1.0])  # d(own power share)/dalpha: near, far
+
+
+def exact_sop_slopes(stats: ChannelStats, alpha, targets: TargetRates) -> SopSlopes:
+    """Both users' exact SOPs at each alpha in one quadrature pass, with the
+    first two alpha-derivatives of log(1 - s_o).
+
+    Each field has shape (2,) + alpha's shape: the near user's values, then
+    the far user's. value and quad_error are those of exact_sop_near/far up
+    to the quadrature's error. With 1 - s_o = P * I, where P = exp(-A/lam_e)
+    and I is the survival integral, log P is closed-form in alpha. I depends
+    on alpha only through the slope c, and dI/dc = kappa*E[e*h^2],
+    d2I/dc2 = kappa*E[e*(kappa*h^4 - 2*h^3)], with h = y/(c*y + 1) and
+    kappa = Pi/lam_e; the kernel takes these moments on the same nodes as I.
+    """
+    a = _validated_alpha(alpha)
+    shape = (2,) + a.shape
+    a = a.ravel()
+    b = 1.0 - a
+    own = np.concatenate((a, b))    # each user's own power share
+    other = np.concatenate((b, a))  # the other user's, so the slope c = other*rho_t
+    pi = np.array((targets.pi1, targets.pi2)).repeat(a.size)
+    lam = np.array((stats.lambda1, stats.lambda2)).repeat(a.size)
+    sign = _OWN_SHARE_SLOPES.repeat(a.size)
+    slope = other * stats.rho_t
+    shift = (pi - 1.0) / (own * stats.rho_t)
+    prefactor = np.exp(-shift / lam)
+    integral, diff, (m2, m3, m4) = _survival_integral(pi, slope, lam, lam[::-1], prefactor, moments=True)
+    value = np.minimum(np.maximum(1.0 - prefactor * integral, 0.0), 1.0)
+    # dc/dalpha = -sign*rho_t; the moments carry (c*h)**k, so kappa/c**k scales them.
+    u = pi / (lam * slope)
+    q = u / (other * integral)
+    r = q * m2                             # -sign * I'/I
+    d2i = q * (u * m4 - 2.0 * m3) / other  # I''/I
+    dlogp = shift / (own * lam)            # sign * (log P)'
+    phi = sign * (dlogp - r)
+    dphi = d2i - r * r - 2.0 * dlogp / own
+    return SopSlopes(*(v.reshape(shape) for v in (value, prefactor * diff, phi, dphi)))
 
 
 def asymptotic_sop_near(stats: ChannelStats, alpha, targets: TargetRates):

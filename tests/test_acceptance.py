@@ -19,7 +19,6 @@ from noma_secrecy.montecarlo import (
     empirical_sops,
 )
 from noma_secrecy.optimize import (
-    brent_minimize,
     minmax_pa,
     optimal_pa_far_asymptotic,
     optimal_pa_near_asymptotic,
@@ -152,6 +151,24 @@ def test_criterion_02_asymptotic_accuracy():
     )
 
 
+def _golden_section_minimize(objective, lower=ALPHA_MIN, upper=ALPHA_MAX, tol=1e-9):
+    """Minimizer of a unimodal objective on [lower, upper], independent of the package's solver."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lower, upper
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = objective(d)
+    return 0.5 * (a + b)
+
+
 def test_criterion_03_closed_form_optima():
     issues = []
     if abs(optimal_pa_near_asymptotic(RTH).alpha - (math.sqrt(2.0) - 1.0)) > 1e-12:
@@ -164,17 +181,17 @@ def test_criterion_03_closed_form_optima():
         if abs(total - 1.0) > 1e-12:
             issues.append(f"complement identity at pi={pi:g}")
     stats = RunConfig().stats()
-    near = brent_minimize(lambda a: asymptotic_sop_near(stats, a, RTH))
-    far = brent_minimize(lambda a: asymptotic_sop_far(stats, a, RTH))
-    if abs(near.alpha - (math.sqrt(2.0) - 1.0)) > 1e-6:
-        issues.append("brent vs alpha1_hat")
-    if abs(far.alpha - (2.0 - math.sqrt(2.0))) > 1e-6:
-        issues.append("brent vs alpha2_hat")
+    near = _golden_section_minimize(lambda a: asymptotic_sop_near(stats, a, RTH))
+    far = _golden_section_minimize(lambda a: asymptotic_sop_far(stats, a, RTH))
+    if abs(near - (math.sqrt(2.0) - 1.0)) > 1e-6:
+        issues.append("golden-section search vs alpha1_hat")
+    if abs(far - (2.0 - math.sqrt(2.0))) > 1e-6:
+        issues.append("golden-section search vs alpha2_hat")
     _report(
         3,
         "closed-form-optima",
         not issues,
-        "formulas to 1e-12, complement identity on 5 targets, brent within 1e-6"
+        "formulas to 1e-12, complement identity on 5 targets, golden-section search within 1e-6"
         if not issues
         else "failed: " + ", ".join(issues),
     )

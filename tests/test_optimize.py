@@ -9,18 +9,18 @@ from noma_secrecy.optimize import (
     Candidate,
     CandidateSet,
     _select,
-    brent_minimize,
-    brent_root,
     equal_sop_alpha_asymptotic,
     minmax_pa,
     minmax_pa_asymptotic,
+    newton_root,
     optimal_pa_far,
     optimal_pa_far_asymptotic,
     optimal_pa_near,
     optimal_pa_near_asymptotic,
 )
 from noma_secrecy.rates import ALPHA_MAX, ALPHA_MIN
-from noma_secrecy.sop import TargetRates, exact_sop_far, exact_sop_near
+from noma_secrecy import sop
+from noma_secrecy.sop import TargetRates, exact_sop_far, exact_sop_near, exact_sop_slopes
 
 LAM1 = 50.0 ** -2.5
 LAM2 = 100.0 ** -2.5
@@ -28,60 +28,86 @@ STATS_30DB = ChannelStats(LAM1, LAM2, 1e8)
 RTH1 = TargetRates(1.0, 1.0)
 
 
-def test_brent_finds_quadratic_minimum():
-    result = brent_minimize(lambda a: (a - 0.3) ** 2)
-    assert abs(result.alpha - 0.3) <= XTOL
-    assert result.value <= XTOL ** 2
-
-
-def test_brent_converges_on_kink():
-    result = brent_minimize(lambda a: abs(a - 0.7))
-    assert abs(result.alpha - 0.7) <= XTOL
-
-
-def test_brent_evaluation_counts():
+def test_newton_converges_on_monotone_functions_in_lockstep():
+    columns = [
+        (lambda x: math.cos(x) - x, lambda x: -math.sin(x) - 1.0, 0.7390851332151607),
+        (lambda x: x ** 3 - 0.2, lambda x: 3.0 * x * x, 0.2 ** (1.0 / 3.0)),
+    ]
     calls = []
 
-    def smooth(a):
-        calls.append(a)
-        return (a - 0.42) ** 2
+    def evaluate(x):
+        calls.append(x.copy())
+        return (np.array([f(v) for (f, _, _), v in zip(columns, x)]),
+                np.array([df(v) for (_, df, _), v in zip(columns, x)]))
 
-    def kink(a):
-        calls.append(a)
-        return abs(a - 0.42)
-
-    brent_minimize(smooth)
-    assert len(calls) <= 8  # parabolic steps are exact on a parabola
+    lower, upper = np.array([0.0, 0.0]), np.array([1.0, 1.0])
+    f_lo, df_lo = evaluate(lower)
+    f_hi, df_hi = evaluate(upper)
     calls.clear()
-    brent_minimize(kink)
-    assert len(calls) <= 40  # golden-section alone needs 39 to reach XTOL
+    roots = newton_root(evaluate, lower, upper, f_lo, f_hi, df_lo, df_hi)
+    assert np.all(np.abs(roots - [root for _, _, root in columns]) <= XTOL)
+    assert np.array_equal(calls[-1], roots)  # the last call was made at the roots
+    assert len(calls) <= 8
 
 
-def test_brent_rejects_non_finite_objective():
+def test_newton_bisects_where_a_step_would_leave_the_bracket():
+    points = []
+
+    def evaluate(x):
+        points.append(float(x[0]))
+        return np.arctan(10.0 * (x - 0.3)), 10.0 / (1.0 + 100.0 * (x - 0.3) ** 2)
+
+    # From x = 0, where f = arctan(-3) and f' = 1, the Newton step lands at
+    # 1.25, past the bracket's end 0.95.
+    root = newton_root(evaluate, [0.0], [0.95], [math.atan(-3.0)], [math.atan(6.5)], [1.0], [10.0 / 43.25])
+    assert points[0] == 0.475
+    assert abs(root[0] - 0.3) <= XTOL
+    assert len(points) <= 12
+
+
+def test_newton_steps_onto_the_bracket_end_when_the_root_lies_just_past_it():
+    # The end values come from another evaluation of g, which puts the root
+    # at 0.299; g itself puts it 1e-10 past the bracket's end 0.3. The second
+    # step overshoots that end by less than XTOL and is clipped onto it,
+    # which collapses the bracket onto the iterate. Bisecting instead would
+    # take about 17 more evaluations.
+    points = []
+
+    def evaluate(x):
+        points.append(float(x[0]))
+        return 0.3 + 1e-10 - x, -np.ones_like(x)
+
+    root = newton_root(evaluate, [0.0], [0.3], [0.3], [-1e-3], [-1.0], [-1.0])
+    assert points == [0.299, 0.3]
+    assert abs(root[0] - (0.3 + 1e-10)) <= XTOL
+
+
+@pytest.mark.parametrize("settle", [False, True])
+def test_newton_stops_on_a_sub_xtol_step(settle):
+    points = []
+
+    def evaluate(x):
+        points.append(float(x[0]))
+        return 0.3 - x, -np.ones_like(x)
+
+    root = newton_root(evaluate, [0.2], [0.3 + 4e-9], [0.1], [-4e-9], [-1.0], [-1.0], settle=settle)
+    # The step from 0.3 + 4e-9 is -4e-9: settling takes it and evaluates 0.3.
+    assert points == ([0.3] if settle else [])
+    assert root[0] == (0.3 if settle else 0.3 + 4e-9)
+
+
+def test_newton_rejects_non_finite_values_and_unbracketed_roots():
+    def line(x):
+        return 0.5 - x, -np.ones_like(x)
+
     with pytest.raises(ValueError):
-        brent_minimize(lambda a: float("nan"))
+        newton_root(lambda x: (x * math.nan, np.ones_like(x)), [0.0], [1.0], [-1.0], [1.0], [2.0], [2.0])
     with pytest.raises(ValueError):
-        brent_root(lambda a: float("inf"), 0.0, 1.0, -1.0, 1.0)
-
-
-def test_brent_argument_validation():
+        newton_root(line, [0.0], [1.0], [math.nan], [-0.5], [-1.0], [-1.0])
     with pytest.raises(ValueError):
-        brent_minimize(lambda a: a, lower=0.7, upper=0.3)
+        newton_root(line, [0.6], [1.0], [-0.1], [-0.5], [-1.0], [-1.0])
     with pytest.raises(ValueError):
-        brent_root(lambda a: a - 2.0, 0.0, 1.0, -2.0, -1.0)
-
-
-def test_brent_root_finds_transcendental_root():
-    calls = []
-
-    def g(a):
-        calls.append(a)
-        return math.cos(a) - a
-
-    root = brent_root(g, 0.0, 1.0, 1.0, math.cos(1.0) - 1.0)
-    assert root == pytest.approx(0.7390851332151607, abs=XTOL)
-    assert len(calls) <= 10
-    assert brent_root(g, 0.0, 1.0, 0.0, -1.0) == 0.0
+        newton_root(line, [1.0], [0.0], [-0.5], [0.5], [-1.0], [-1.0])
 
 
 def test_near_optimum_matches_dense_grid():
@@ -149,23 +175,54 @@ def test_closed_forms_are_complementary_for_equal_targets(pi):
     assert near.alpha + far.alpha == pytest.approx(1.0, abs=1e-12)
 
 
+def _golden_section_minimize(objective, lower=ALPHA_MIN, upper=ALPHA_MAX, tol=1e-9):
+    """Minimizer of a unimodal objective on [lower, upper], solver-independent."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lower, upper
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = objective(d)
+    return 0.5 * (a + b)
+
+
 @pytest.mark.parametrize("rth", [0.5, 1.0, 2.0])
 def test_brent_on_asymptotic_curves_recovers_closed_forms(rth):
+    # Kept under its old name; the minimizer is now a test-local golden-section search.
     targets = TargetRates(rth, rth)
     from noma_secrecy.sop import asymptotic_sop_far, asymptotic_sop_near
 
-    near = brent_minimize(lambda a: asymptotic_sop_near(STATS_30DB, a, targets))
-    far = brent_minimize(lambda a: asymptotic_sop_far(STATS_30DB, a, targets))
-    assert abs(near.alpha - optimal_pa_near_asymptotic(targets).alpha) <= 1e-6
-    assert abs(far.alpha - optimal_pa_far_asymptotic(targets).alpha) <= 1e-6
+    near = _golden_section_minimize(lambda a: asymptotic_sop_near(STATS_30DB, a, targets))
+    far = _golden_section_minimize(lambda a: asymptotic_sop_far(STATS_30DB, a, targets))
+    assert abs(near - optimal_pa_near_asymptotic(targets).alpha) <= 1e-6
+    assert abs(far - optimal_pa_far_asymptotic(targets).alpha) <= 1e-6
 
 
-def _equal_sop_root(stats, targets):
-    """Brent-Dekker root of s_o1 - s_o2 over the whole window."""
+def _equal_sop_root(stats, targets, tol=1e-12):
+    """Root of s_o1 - s_o2 over the whole window, by bisection."""
     def gap(a):
         return exact_sop_near(stats, a, targets).value - exact_sop_far(stats, a, targets).value
 
-    return brent_root(gap, ALPHA_MIN, ALPHA_MAX, gap(ALPHA_MIN), gap(ALPHA_MAX))
+    lo, hi = ALPHA_MIN, ALPHA_MAX
+    g_lo = gap(lo)
+    assert g_lo * gap(hi) <= 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        g_mid = gap(mid)
+        if g_mid == 0.0:
+            return mid
+        if (g_mid > 0.0) == (g_lo > 0.0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def test_equal_sop_symmetric_crossing_is_half():
@@ -195,26 +252,79 @@ def test_equal_sop_closed_form_reference_values():
     assert outside.degenerate
 
 
-def test_minmax_beats_dense_grid():
+def _grid_configs():
     # 4 SNRs x 3 far-user distances x 6 x 6 target pairs; the reference
     # setup (30 dB, 100 m, 1/1 bit) is one of the 432 configurations.
-    grid = np.linspace(ALPHA_MIN, ALPHA_MAX, 1000)
-    beaten = []
     for rho_r in (10.0, 20.0, 30.0, 40.0):
         for d2 in (60.0, 100.0, 150.0):
             lam2 = mean_gain(d2)
             stats = ChannelStats(LAM1, lam2, rho_t_for_received_snr(rho_r, lam2))
             for rth1 in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
                 for rth2 in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0):
-                    targets = TargetRates(rth1, rth2)
-                    outcome = minmax_pa(stats, targets)
-                    worst = np.maximum(
-                        exact_sop_near(stats, grid, targets).value,
-                        exact_sop_far(stats, grid, targets).value,
-                    )
-                    if outcome.objective > float(worst.min()) + 1e-9:
-                        beaten.append((rho_r, d2, rth1, rth2))
+                    yield stats, TargetRates(rth1, rth2)
+
+
+def test_minmax_beats_dense_grid():
+    grid = np.linspace(ALPHA_MIN, ALPHA_MAX, 1000)
+    beaten = []
+    for stats, targets in _grid_configs():
+        outcome = minmax_pa(stats, targets)
+        worst = np.maximum(
+            exact_sop_near(stats, grid, targets).value,
+            exact_sop_far(stats, grid, targets).value,
+        )
+        if outcome.objective > float(worst.min()) + 1e-9:
+            beaten.append((stats, targets))
     assert not beaten
+
+
+def test_solved_splits_meet_their_tolerances(monkeypatch):
+    # Each interior minimizer brackets the root of phi = d/dalpha log(1 - s_o)
+    # within XTOL, with phi taken at the quadrature's last halving. A
+    # crossing's objective moves to first order with alpha, so it is settled
+    # to rounding: s_o1 and s_o2 agree there far inside what XTOL allows.
+    solved = [(stats, targets, minmax_pa(stats, targets).candidates) for stats, targets in _grid_configs()]
+    crossings = [c.alpha3 for _, _, c in solved if c.alpha3 is not None]
+    assert crossings
+    assert all(abs(c.so1 - c.so2) <= 1e-11 * c.max_sop for c in crossings)
+    monkeypatch.setattr(sop, "_REFINE_TOL", -1.0)
+    missed = []
+    checked = 0
+    for stats, targets, candidates in solved:
+        for candidate, user in ((candidates.alpha1, 0), (candidates.alpha2, 1)):
+            alpha = candidate.alpha
+            if not ALPHA_MIN + XTOL <= alpha <= ALPHA_MAX - XTOL:
+                continue
+            checked += 1
+            phi = exact_sop_slopes(stats, np.array([alpha - XTOL, alpha + XTOL]), targets).phi[user]
+            if not phi[0] > 0.0 > phi[1]:
+                missed.append((stats, targets, user, alpha))
+    assert checked == 2 * 432
+    assert not missed
+
+
+def _count_passes(monkeypatch):
+    calls = []
+    kernel = sop._survival_integral
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(sop, "_survival_integral", counted)
+    return calls
+
+
+def test_solves_take_few_quadrature_passes(monkeypatch):
+    calls = _count_passes(monkeypatch)
+    worst = {"minmax_pa": 0, "optimal_pa_near": 0}
+    for stats, targets in _grid_configs():
+        for name, solve in (("minmax_pa", minmax_pa), ("optimal_pa_near", optimal_pa_near)):
+            calls.clear()
+            solve(stats, targets)
+            worst[name] = max(worst[name], len(calls))
+    assert worst["minmax_pa"] <= 12
+    assert worst["optimal_pa_near"] <= 7
 
 
 def test_minmax_candidate_bookkeeping():

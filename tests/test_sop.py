@@ -14,6 +14,7 @@ from noma_secrecy.sop import (
     asymptotic_sop_near,
     exact_sop_far,
     exact_sop_near,
+    exact_sop_slopes,
     log_integrand_far,
     log_integrand_near,
 )
@@ -334,3 +335,44 @@ def test_quadrature_error_reports_the_nodes_it_reached(monkeypatch):
         exact_sop_near(*args)
     assert str(fused.value) == str(expected.value)
     assert "after 1473 nodes" in str(fused.value)
+
+
+def test_sop_slopes_match_central_differences_over_the_box():
+    # Five-point differences, s_o' of the values and s_o'' of s_o', wherever
+    # |s_o'| > 1e-6; the step keeps every point inside the window.
+    checked = 0
+    for stats, alpha, targets in _box_sweep(200, seed=11):
+        h = 3e-3 * min(alpha, 1.0 - alpha)
+        points = alpha + h * np.arange(-2.0, 3.0)
+        slopes = exact_sop_slopes(stats, points, targets)
+        assert np.all(slopes.quad_error <= 1e-9)
+        # s_o' = -(1 - s_o)*phi and s_o'' = -(1 - s_o)*(phi' + phi^2)
+        first = -(1.0 - slopes.value) * slopes.phi
+        second = -(1.0 - slopes.value) * (slopes.dphi + slopes.phi ** 2)
+        for user, func in enumerate((exact_sop_near, exact_sop_far)):
+            value = func(stats, points, targets).value
+            # The two calls may stop at different halvings, each within the stop rule.
+            assert slopes.value[user] == pytest.approx(value, abs=sop._REFINE_TOL)
+            if abs(first[user, 2]) <= 1e-6:
+                continue
+            checked += 1
+            stencil = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
+            assert first[user, 2] == pytest.approx(stencil @ value, rel=1e-5)
+            assert second[user, 2] == pytest.approx(stencil @ first[user], rel=1e-5)
+    assert checked >= 250
+
+
+def test_log_survival_is_strictly_concave_at_each_minimizer():
+    # phi' < 0 at an interior root of phi makes it a strict minimum of s_o,
+    # where Newton on phi converges quadratically. Away from the minimizer
+    # phi' may be positive: near the window edges it is on part of the box.
+    from noma_secrecy.optimize import optimal_pa_far, optimal_pa_near
+
+    checked = 0
+    for stats, _, targets in _box_sweep(100, seed=12):
+        for user, solve in enumerate((optimal_pa_near, optimal_pa_far)):
+            alpha = solve(stats, targets).alpha
+            if ALPHA_MIN < alpha < ALPHA_MAX:
+                checked += 1
+                assert exact_sop_slopes(stats, alpha, targets).dphi[user] < 0.0
+    assert checked >= 120
