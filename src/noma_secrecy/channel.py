@@ -70,6 +70,19 @@ class GainSample:
             raise ValueError("channel power gains must be nonnegative")
 
 
+def _exponential_gains(words: np.ndarray, stats: ChannelStats) -> None:
+    """Turn a (blocks, 4) array of uniforms into gains in place.
+
+    Words (0, 1) of a block are one sample's (g1, g2) and words (2, 3) the
+    next one's; each becomes -lambda * log1p(-u) for its user.
+    """
+    np.negative(words, out=words)
+    np.log1p(words, out=words)
+    flat = words.reshape(-1)
+    flat[0::2] *= -stats.lambda1
+    flat[1::2] *= -stats.lambda2
+
+
 def sample_gains(stats: ChannelStats, count: int, seed: int, start: int = 0) -> GainSample:
     """Draw exponential gain pairs from a counter-based stream.
 
@@ -86,9 +99,28 @@ def sample_gains(stats: ChannelStats, count: int, seed: int, start: int = 0) -> 
         bitgen = bitgen.advance(start // 2)
     skip = start % 2
     blocks = (skip + count + 1) // 2
-    pairs = np.random.Generator(bitgen).random((blocks, 4)).reshape(-1, 2)[skip:skip + count]
-    # In place, column by user: g = -lambda * log1p(-u).
-    np.negative(pairs, out=pairs)
-    np.log1p(pairs, out=pairs)
-    pairs *= (-stats.lambda1, -stats.lambda2)
+    words = np.random.Generator(bitgen).random((blocks, 4))
+    _exponential_gains(words, stats)
+    pairs = words.reshape(-1, 2)[skip:skip + count]
     return GainSample(g1=pairs[:, 0], g2=pairs[:, 1])
+
+
+def _gain_stream(stats: ChannelStats, total: int, seed: int, chunk: int):
+    """Yield (g1, g2) views of `total` samples of one stream, chunk by chunk.
+
+    The samples are those of sample_gains(stats, total, seed), drawn in order
+    from one generator into one reused buffer. A chunk is rounded up to whole
+    Philox blocks (an even sample count), so the generator never holds a
+    partly used block between chunks; the last chunk drops its odd sample.
+    Each yielded view is overwritten by the next chunk.
+    """
+    generator = np.random.Generator(np.random.Philox(key=seed))
+    words = np.empty(((min(chunk, total) + 1) // 2, 4))
+    while total > 0:
+        count = min(2 * len(words), total)
+        block = words[:(count + 1) // 2]
+        generator.random(out=block)
+        _exponential_gains(block, stats)
+        pairs = block.reshape(-1, 2)[:count]
+        yield pairs[:, 0], pairs[:, 1]
+        total -= count

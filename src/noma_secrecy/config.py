@@ -27,6 +27,7 @@ __all__ = ["ConfigError", "SweepSpec", "RunConfig", "parse_config", "load_config
 SWEEP_AXES = ("alpha", "rho_r_db", "d2_m", "rth1_bits")
 _MAX_SEED = 2**128 - 1  # Philox keys are 128-bit
 _MAX_RTH = 1024.0  # 2**rth overflows a double from here on
+_MAX_SWEEP_POINTS = 100_000  # default sweeps have at most 99 points
 
 
 class ConfigError(ValueError):
@@ -53,10 +54,19 @@ class SweepSpec:
         )
         _require(self.step > 0.0, "sweep step must be positive")
         _require(self.stop >= self.start, "sweep range is empty (stop < start)")
+        # The point count is floor(span) + 1, so span < limit caps it at the limit.
+        span = self._span()
+        _require(
+            span < _MAX_SWEEP_POINTS,
+            f"sweep from {self.start!r} to {self.stop!r} by {self.step!r} gives more than "
+            f"{_MAX_SWEEP_POINTS} points",
+        )
+
+    def _span(self) -> float:
+        return (self.stop - self.start) / self.step + 1e-9
 
     def values(self) -> np.ndarray:
-        count = int(np.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return self.start + self.step * np.arange(count)
+        return self.start + self.step * np.arange(math.floor(self._span()) + 1)
 
 
 @dataclass(frozen=True)

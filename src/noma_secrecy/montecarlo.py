@@ -4,22 +4,26 @@ The estimator is the empirical oracle every analytical expression is checked
 against: draw gain pairs, apply the proposed decoding order, count outages
 R_s < R_th (strict; ties are non-outage). The count needs no logarithm:
 R_s1 < R_th1 iff (1 + g11) / (1 + g12) < 2**R_th1, and likewise for the far
-user. Samples are generated in chunks from a counter-based stream, two per
-Philox block, so the totals are independent of chunk size and of any
-partitioning across workers. Each chunk is drawn once and counted against
-every target-rate pair of a call (common random numbers), so a sweep over
-target rates costs one stream, not one per rate: `noma-secrecy validate`
-draws one stream per SNR, seeded `seed + snr_index`.
+user. Each stream is one Philox generator, two samples per counter block,
+read in order in chunks of whole blocks: the draws are exactly those of
+one `sample_gains` window, so the totals are independent of chunk size and
+of any partitioning across workers. A stream keeps one set of buffers: the
+uniforms become gains in place, and `empirical_sops` runs the ratio algebra
+and the comparisons into reused arrays, building no array or object per
+chunk. Each chunk is drawn once and counted against every target-rate pair
+of a call (common random numbers), so a sweep over target rates costs one
+stream, not one per rate: `noma-secrecy validate` draws one stream per SNR,
+seeded `seed + snr_index`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .channel import ChannelStats, sample_gains
+from .channel import ChannelStats, GainSample, _gain_stream
 from .rates import _alpha_value, sinr_conventional
 from .sop import TargetRates
 
@@ -31,7 +35,7 @@ __all__ = [
     "empirical_conventional_violation_rate",
 ]
 
-# 2**16 samples keep a chunk's temporaries in cache; totals do not depend on it.
+# 2**16 samples per chunk keep a stream's buffers near cache; totals do not depend on it.
 _CHUNK = 1 << 16
 
 
@@ -60,14 +64,6 @@ def _binomial_stderr(p: float, n: int) -> float:
     return math.sqrt(p * (1.0 - p) / n)
 
 
-def _chunks(total: int, size: int):
-    start = 0
-    while start < total:
-        count = min(size, total - start)
-        yield start, count
-        start += count
-
-
 def _estimate(out1: int, out2: int, kept: int) -> EmpiricalSop:
     so1 = out1 / kept if kept else 0.0
     so2 = out2 / kept if kept else 0.0
@@ -81,18 +77,34 @@ def _estimate(out1: int, out2: int, kept: int) -> EmpiricalSop:
 
 
 def _secrecy_ratios(
-    g1: np.ndarray, g2: np.ndarray, a: float, rho_t: float
+    g1: np.ndarray,
+    g2: np.ndarray,
+    a: float,
+    rho_t: float,
+    out: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(1 + g11) / (1 + g12) and (1 + g22) / (1 + g21) under the proposed order.
 
     With x_i = rho_t * g_i the SINRs give 1 + g11 = 1 + a x1,
     1 + g12 = (1 + x2) / (1 + (1 - a) x2), 1 + g22 = 1 + (1 - a) x2 and
     1 + g21 = (1 + x1) / (1 + a x1), so both ratios share one product.
+    `out` is scratch of shape (4,) + g1.shape; the ratios are views of it.
     """
-    x1 = rho_t * g1
-    x2 = rho_t * g2
-    product = (1.0 + a * x1) * (1.0 + (1.0 - a) * x2)
-    return product / (1.0 + x2), product / (1.0 + x1)
+    if out is None:
+        out = np.empty((4,) + np.shape(g1))
+    x1, x2, product, term = out
+    np.multiply(g1, rho_t, out=x1)
+    np.multiply(g2, rho_t, out=x2)
+    np.multiply(x1, a, out=product)
+    np.add(product, 1.0, out=product)
+    np.multiply(x2, 1.0 - a, out=term)
+    np.add(term, 1.0, out=term)
+    np.multiply(product, term, out=product)
+    np.add(x2, 1.0, out=x2)
+    np.divide(product, x2, out=x2)
+    np.add(x1, 1.0, out=x1)
+    np.divide(product, x1, out=x1)
+    return x2, x1
 
 
 def empirical_sops(
@@ -106,26 +118,38 @@ def empirical_sops(
 
     All target pairs are counted on the same draws, so the estimates share
     one stream and each equals what a separate call with that pair alone gives.
+    Conditioning masks the counts instead of compacting the draws.
     """
     a = _alpha_value(alpha)
     pis = [(targets.pi1, targets.pi2) for targets in targets_seq]
     out1 = [0] * len(pis)
     out2 = [0] * len(pis)
     kept = 0
-    for start, count in _chunks(sim.realizations, _chunk):
-        gains = sample_gains(stats, count, sim.seed, start)
-        g1, g2 = gains.g1, gains.g2
+    scratch = flags = None
+    for g1, g2 in _gain_stream(stats, sim.realizations, sim.seed, _chunk):
+        count = g1.size
+        if scratch is None:  # the first chunk is the largest
+            scratch, flags = np.empty((4, count)), np.empty((2, count), bool)
+        ratio1, ratio2 = _secrecy_ratios(g1, g2, a, stats.rho_t, scratch[:, :count])
+        below, ordered = flags[:, :count]
         if sim.condition_on_ordering:
-            mask = g1 > g2
-            g1, g2 = g1[mask], g2[mask]
-            if g1.size == 0:
-                continue
-        ratio1, ratio2 = _secrecy_ratios(g1, g2, a, stats.rho_t)
+            mask = np.greater(g1, g2, out=ordered)
+            kept += int(np.count_nonzero(mask))
+        else:
+            mask = None
+            kept += count
         for index, (pi1, pi2) in enumerate(pis):
-            out1[index] += int(np.count_nonzero(ratio1 < pi1))
-            out2[index] += int(np.count_nonzero(ratio2 < pi2))
-        kept += int(g1.size)
+            out1[index] += _count_below(ratio1, pi1, mask, below)
+            out2[index] += _count_below(ratio2, pi2, mask, below)
     return tuple(_estimate(o1, o2, kept) for o1, o2 in zip(out1, out2))
+
+
+def _count_below(values: np.ndarray, limit: float, mask: Optional[np.ndarray], below: np.ndarray) -> int:
+    """Number of values < limit, among the masked ones when a mask is given."""
+    np.less(values, limit, out=below)
+    if mask is not None:
+        np.logical_and(below, mask, out=below)
+    return int(np.count_nonzero(below))
 
 
 def empirical_sop(
@@ -150,15 +174,11 @@ def empirical_conventional_violation_rate(
     """
     violations = 0
     ordered = 0
-    for start, count in _chunks(sim.realizations, _chunk):
-        gains = sample_gains(stats, count, sim.seed, start)
-        mask = gains.g1 > gains.g2
-        gains = type(gains)(g1=gains.g1[mask], g2=gains.g2[mask])
-        if gains.g1.size == 0:
-            continue
+    for g1, g2 in _gain_stream(stats, sim.realizations, sim.seed, _chunk):
+        mask = g1 > g2
+        gains = GainSample(g1=g1[mask], g2=g2[mask])
         # rs2 = log2(1 + g22) - log2(1 + g21) > 0 iff g22 > g21.
         sinrs = sinr_conventional(gains, alpha, stats.rho_t)
         violations += int(np.count_nonzero(sinrs.g22 > sinrs.g21))
         ordered += int(gains.g1.size)
     return violations / ordered if ordered else 0.0
-

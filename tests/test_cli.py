@@ -257,11 +257,14 @@ def _sweep(axis, start, stop, step):
         ("optimize", "system.noise_dbm = -93.7\n"),
         ("optimize", "system.path_loss_const = 0.0137\n"),
         ("optimize", _sweep("alpha", 0, 0.5, 0.1)),
+        ("optimize", _sweep("alpha", 0.01, 0.99, 1e-300)),
+        ("optimize", _sweep("alpha", 0.01, 0.99, 1e-9)),
     ],
     ids=[
         "d1-beyond-d2", "d1-zero", "path-loss-exp-zero", "d2-infinite", "negative-seed-in-file",
         "negative-rth1-sweep", "nan-rth2", "nan-rho-r", "removed-noise-key",
-        "removed-path-loss-const-key", "alpha-sweep-outside-window",
+        "removed-path-loss-const-key", "alpha-sweep-outside-window", "sweep-step-tiny",
+        "sweep-billion-points",
     ],
 )
 def test_bad_config_input_exits_two(tmp_path, capsys, command, config_text):

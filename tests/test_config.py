@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from noma_secrecy.config import ConfigError, RunConfig, SweepSpec, load_config, parse_config
+from noma_secrecy.config import (
+    _MAX_SWEEP_POINTS,
+    ConfigError,
+    RunConfig,
+    SweepSpec,
+    load_config,
+    parse_config,
+)
 
 FULL_TEXT = """
 # geometry and radio
@@ -153,6 +160,9 @@ def _sweep(axis, start, stop, step):
         (_sweep("rho_r_db", 10, 4000, 10), "floating-point range"),
         (_sweep("rho_r_db", 10, "nan", 10), "must be finite"),
         (_sweep("rho_r_db", 10, 40, "inf"), "must be finite"),
+        (_sweep("alpha", 0.01, 0.99, 1e-300), "gives more than 100000 points"),
+        (_sweep("alpha", 0.01, 0.99, 1e-9), "gives more than 100000 points"),
+        (_sweep("rho_r_db", -1e308, 1e308, 1), "gives more than 100000 points"),
     ],
     ids=[
         "d1-zero", "d1-beyond-d2", "d1-equals-d2", "d1-nan", "d2-infinite",
@@ -161,7 +171,8 @@ def _sweep(axis, start, stop, step):
         "rth1-negative", "rth2-nan", "rth2-overflow", "realizations-zero",
         "seed-negative", "seed-past-philox-keys", "alpha-sweep-outside-window",
         "d2-sweep-inside-d1", "rth1-sweep-negative", "rth1-sweep-overflow", "rho-sweep-overflow",
-        "sweep-stop-nan", "sweep-step-infinite",
+        "sweep-stop-nan", "sweep-step-infinite", "sweep-step-tiny", "sweep-billion-points",
+        "sweep-count-infinite",
     ],
 )
 def test_out_of_domain_values_are_config_errors(text, match):
@@ -184,6 +195,12 @@ def test_default_sweeps_meet_the_same_checks():
     with pytest.raises(ConfigError, match="this subcommand sweeps 'd2_m', config sweeps 'alpha'"):
         other.sweep_or(default)
 
+
+
+def test_sweep_point_count_is_capped():
+    assert len(SweepSpec("alpha", 0.0, _MAX_SWEEP_POINTS - 1.0, 1.0).values()) == _MAX_SWEEP_POINTS
+    with pytest.raises(ConfigError, match="gives more than"):
+        SweepSpec("alpha", 0.0, float(_MAX_SWEEP_POINTS), 1.0)
 
 
 def test_sweep_values_are_inclusive():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from noma_secrecy.channel import ChannelStats, sample_gains, with_received_snr
+from noma_secrecy import montecarlo
+from noma_secrecy.channel import ChannelStats, GainSample, sample_gains, with_received_snr
 from noma_secrecy.montecarlo import (
     EmpiricalSop,
     SimConfig,
@@ -12,7 +13,7 @@ from noma_secrecy.montecarlo import (
     empirical_sop,
     empirical_sops,
 )
-from noma_secrecy.rates import ALPHA_MIN, rates_from_sinrs, sinr_proposed
+from noma_secrecy.rates import ALPHA_MIN, rates_from_sinrs, sinr_conventional, sinr_proposed
 from noma_secrecy.sop import TargetRates, exact_sop_far, exact_sop_near
 
 LAM1 = 50.0 ** -2.5
@@ -49,6 +50,78 @@ def test_many_targets_match_single_target_calls(conditioned):
         for field in EmpiricalSop._fields:
             assert getattr(joint, field) == getattr(single, field), field
     assert empirical_sops(STATS_30DB, 0.4, (), sim) == ()
+
+
+STREAM_TARGETS = (TargetRates(0.5, 3.0), TargetRates(1.0, 1.0), TargetRates(3.0, 0.25))
+
+
+@pytest.mark.parametrize("chunk", [999, 1000, 10_007, 1 << 16])
+@pytest.mark.parametrize("conditioned", [False, True])
+def test_stream_counts_match_one_sample_gains_window(chunk, conditioned):
+    # The kernel reads one generator chunk by chunk; its counts must be those
+    # of the single window sample_gains(stats, n, seed), whatever the chunk.
+    n, seed, alpha = 30_001, 21, 0.4
+    gains = sample_gains(STATS_30DB, n, seed)
+    keep = gains.g1 > gains.g2 if conditioned else np.ones(n, dtype=bool)
+    ratio1, ratio2 = _secrecy_ratios(gains.g1[keep], gains.g2[keep], alpha, STATS_30DB.rho_t)
+    kept = int(np.count_nonzero(keep))
+    sim = SimConfig(realizations=n, seed=seed, condition_on_ordering=conditioned)
+    results = empirical_sops(STATS_30DB, alpha, STREAM_TARGETS, sim, _chunk=chunk)
+    for targets, result in zip(STREAM_TARGETS, results):
+        assert result.n == kept
+        assert result.so1_hat == int(np.count_nonzero(ratio1 < targets.pi1)) / kept
+        assert result.so2_hat == int(np.count_nonzero(ratio2 < targets.pi2)) / kept
+
+
+@pytest.mark.parametrize("chunk", [999, 1000, 10_007, 1 << 16])
+@pytest.mark.parametrize("sinr", [sinr_conventional, sinr_proposed])
+def test_violation_stream_matches_one_sample_gains_window(monkeypatch, chunk, sinr):
+    # With the proposed SINRs standing in, the count is nonzero and pins the draws.
+    monkeypatch.setattr(montecarlo, "sinr_conventional", sinr)
+    n, seed, alpha = 30_001, 22, 0.5
+    gains = sample_gains(STATS_30DB, n, seed)
+    mask = gains.g1 > gains.g2
+    sinrs = sinr(GainSample(g1=gains.g1[mask], g2=gains.g2[mask]), alpha, STATS_30DB.rho_t)
+    expected = int(np.count_nonzero(sinrs.g22 > sinrs.g21)) / int(np.count_nonzero(mask))
+    sim = SimConfig(realizations=n, seed=seed)
+    assert empirical_conventional_violation_rate(STATS_30DB, alpha, sim, _chunk=chunk) == expected
+    assert (expected > 0.0) == (sinr is sinr_proposed)
+
+
+# EmpiricalSop tuples of three target pairs at alpha = 0.4 and 200_001
+# realizations, keyed (seed, rho_r_db, condition_on_ordering), as the
+# chunk-by-chunk kernel with one Philox instance per chunk produced them.
+FROZEN_SOPS = {
+    (1, 20.0, False): (
+        (0.005804970975145124, 0.04038479807600962, 0.00016987119283299172, 0.0004401912788323253, 200001),
+        (0.0100199499002505, 0.06314968425157874, 0.00022270497195552724, 0.0005438819073244463, 200001),
+        (0.051899740501297496, 0.03166484167579162, 0.0004960136661808747, 0.0003915483761127598, 200001),
+    ),
+    (2, 30.0, False): (
+        (0.000559997200014, 0.004254978725106375, 5.2899943513483674e-05, 0.00014554814833744507, 200001),
+        (0.001039994800026, 0.006604966975165124, 7.207315784332741e-05, 0.00018112576542114603, 200001),
+        (0.005409972950135249, 0.003314983425082875, 0.00016402253258962406, 0.00012852972010561118, 200001),
+    ),
+    (3, 20.0, True): (
+        (2.941332188174668e-05, 0.047043667017665644, 1.3153843980942434e-05, 0.0005135398141358889, 169991),
+        (0.0001647146025377814, 0.07339800342371067, 3.112557023787544e-05, 0.0006325222027079872, 169991),
+        (0.007418039778576513, 0.03687842297533399, 0.00020812047262837815, 0.0004571026746539359, 169991),
+    ),
+    (2024, 10.0, False): (
+        (0.04784476077619612, 0.31429342853285736, 0.0004772599494269625, 0.0010380558553227284, 200001),
+        (0.08359958200208999, 0.45231773841130796, 0.0006189115802746852, 0.001112935674924591, 200001),
+        (0.3827030864845676, 0.25149874250628745, 0.0010868308352234232, 0.0009701705617908756, 200001),
+    ),
+}
+
+
+@pytest.mark.parametrize("key", FROZEN_SOPS)
+def test_estimates_are_bit_identical_to_frozen_values(key):
+    seed, rho_r_db, conditioned = key
+    stats = with_received_snr(STATS_30DB, rho_r_db)
+    sim = SimConfig(realizations=200_001, seed=seed, condition_on_ordering=conditioned)
+    targets_seq = (TargetRates(0.5, 0.5), TargetRates(1.0, 1.0), TargetRates(3.0, 0.25))
+    assert tuple(tuple(r) for r in empirical_sops(stats, 0.4, targets_seq, sim)) == FROZEN_SOPS[key]
 
 
 def test_log_free_outage_test_matches_log2_rates():
