@@ -1,18 +1,23 @@
 """Power-split optimization: per-user minima and the min-max fair point.
 
 A user's SOP is least where phi = d/dalpha log(1 - s_o) crosses zero from
-above, and sop.exact_sop_slopes gives phi and phi' from the same
+above, and sop.exact_sop_slopes gives phi, phi' and phi'' from the same
 quadrature pass as the SOP itself. One pass takes both users on a coarse
 curve; each user's minimizer lies in the grid cell beside the argmin of its
-SOP where phi changes sign. Safeguarded Newton on phi (newton_root) then
-refines the minimizers in lockstep, one pass of both users at every
-minimizer per step, so the last pass also holds each user's SOP at the
-other's minimizer. optimal_pa_near/optimal_pa_far are the one-user case of
-the same path. Near a minimizer phi' < 0, so Newton converges
-quadratically; a solve takes 3 or 4 passes. phi' > 0 does occur near the
-window edges, and in a low-SNR, high-rate corner the far user's SOP has two
-local minima: the integrand's log-concavity in alpha (criterion 04) does
-not carry over to the integral. The bracket then follows the grid's lowest
+SOP where phi changes sign. The root of the quintic Hermite interpolant of
+phi on that cell, built from phi, phi' and phi'' at its ends, typically
+lies within 1e-9 of the minimizer; the next pass evaluates it. Safeguarded Newton
+on phi (newton_root) then refines the minimizers in lockstep from there,
+one pass of both users at every minimizer per step, so the last pass also
+holds each user's SOP at the other's minimizer. optimal_pa_near/
+optimal_pa_far are the one-user case of the same path. Near a minimizer
+phi' < 0, so Newton converges quadratically, and its first step from the
+interpolant's root is usually already below the tolerance: a solve
+usually takes 2 passes (2.25 on average and at most 8 on the
+432-configuration test grid). phi' > 0 does occur near the window edges,
+and in a low-SNR, high-rate corner the far user's SOP has two local
+minima: the integrand's log-concavity in alpha (criterion 04) does not
+carry over to the integral. The bracket then follows the grid's lowest
 valley, and bisection keeps each step inside it.
 
 Between the two per-user minimizers one SOP rises and the other falls, so
@@ -65,6 +70,10 @@ XTOL = 1e-8  # absolute tolerance on every solved power split
 # Coarse curve that brackets each minimizer. Any size works for a unimodal
 # curve; 33 points keep the Newton brackets short without a costly pass.
 _BRACKET_GRID = np.linspace(ALPHA_MIN, ALPHA_MAX, 33)
+# The start point's root search: at most this many steps, stopping once a
+# step moves less than this fraction of the cell.
+_START_STEPS = 12
+_START_TTOL = 1e-12
 
 
 class Minimum(NamedTuple):
@@ -159,53 +168,108 @@ def newton_root(evaluate, lower, upper, f_lower, f_upper, df_lower, df_upper, se
                 column.update(f_j, df_j)
 
 
-def _minima(stats: ChannelStats, targets: TargetRates, users: np.ndarray):
+def _hermite_start(lo, hi, f_lo, f_hi, df_lo, df_hi, d2f_lo, d2f_hi) -> float:
+    """Root in [lo, hi] of the quintic Hermite interpolant of f on that cell.
+
+    The interpolant matches f, f' and f'' at both ends, so where f is smooth
+    its root lies O((hi - lo)**6) from f's. f_lo and f_hi have opposite signs
+    (or one is zero). A few safeguarded Newton steps from the secant point,
+    in cell units t = (x - lo)/(hi - lo), keep the bracket on which the
+    interpolant changes sign and bisect it where a step would leave it, so
+    the point returned lies in [lo, hi] whatever the derivatives say.
+    """
+    w = hi - lo
+    d0, s0 = w * df_lo, w * w * d2f_lo
+    # p(t) = f_lo + d0*t + s0/2*t^2 + c3*t^3 + c4*t^4 + c5*t^5; the value,
+    # slope and curvature it must still gain by t = 1 fix c3, c4 and c5.
+    a = f_hi - f_lo - d0 - 0.5 * s0
+    b = w * df_hi - d0 - s0
+    c = w * w * d2f_hi - s0
+    c3 = 10.0 * a - 4.0 * b + 0.5 * c
+    c4 = -15.0 * a + 7.0 * b - c
+    c5 = 6.0 * a - 3.0 * b + 0.5 * c
+    c2 = 0.5 * s0
+    t_lo, t_hi, lo_positive = 0.0, 1.0, f_lo > 0.0
+    t = f_lo / (f_lo - f_hi)
+    for _ in range(_START_STEPS):
+        p = ((((c5 * t + c4) * t + c3) * t + c2) * t + d0) * t + f_lo
+        dp = (((5.0 * c5 * t + 4.0 * c4) * t + 3.0 * c3) * t + 2.0 * c2) * t + d0
+        if p == 0.0:
+            break
+        if (p > 0.0) == lo_positive:
+            t_lo = t
+        else:
+            t_hi = t
+        step = t - p / dp if dp != 0.0 else math.inf
+        if not t_lo < step < t_hi:
+            step = 0.5 * (t_lo + t_hi)
+        moved, t = abs(step - t), step
+        if moved <= _START_TTOL:
+            break
+    return min(max(lo + w * t, lo), hi)
+
+
+def _minima(stats: ChannelStats, targets: TargetRates, users: tuple):
     """Minimizers of the listed users' SOPs (0 near, 1 far), refined in lockstep.
 
     One pass takes both users on the bracket grid. Each listed user's
     minimizer lies beside the grid argmin of its SOP, on the side phi points
     to, and is the root of phi in that cell unless the argmin is a window
-    edge. Each later pass takes both users at every current minimizer, so
-    the last one also holds each user's SOP at the others' minimizers.
-    Returns the minimizers and that pass, a SopSlopes of (user, minimizer)
-    arrays.
+    edge. The next pass takes both users at each cell's start point, the
+    root of the quintic Hermite interpolant of phi built from phi, phi' and
+    phi'' at the cell's ends (_hermite_start); Newton then usually stops
+    there. Each pass after the grid's takes both users at every current
+    minimizer, so the last one also holds each user's SOP at the others'
+    minimizers. Returns the minimizers and that pass, a SopSlopes of (user,
+    minimizer) arrays.
     """
     grid = _BRACKET_GRID
     on_grid = exact_sop_slopes(stats, grid, targets)
-    i = np.argmin(on_grid.value[users], axis=1)
-    phi = on_grid.phi[users, i]
-    j = np.clip(np.where(phi > 0.0, i + 1, i - 1), 0, grid.size - 1)
-    inner = (j != i) & (phi != 0.0) & (phi * on_grid.phi[users, j] <= 0.0)
+    i = np.argmin(on_grid.value[users, :], axis=1)
     points = grid[i]
+    alphas = grid.tolist()
+    phi, dphi, d2phi = (v.tolist() for v in on_grid[2:])
+    cells, refined = [], ([], [])  # each refined cell's ends, and its (user, minimizer)
+    for column, (user, k) in enumerate(zip(users, i.tolist())):
+        f = phi[user]
+        j = min(max(k + 1 if f[k] > 0.0 else k - 1, 0), grid.size - 1)
+        if j != k and f[k] != 0.0 and f[k] * f[j] <= 0.0:
+            lo, hi = min(k, j), max(k, j)
+            cells.append((alphas[lo], alphas[hi], f[lo], f[hi], dphi[user][lo], dphi[user][hi],
+                          d2phi[user][lo], d2phi[user][hi]))
+            refined[0].append(user)
+            refined[1].append(column)
     last = None
 
     def evaluate(x):
         nonlocal last
-        points[inner] = x
-        last = exact_sop_slopes(stats, points, targets)
-        at = users[inner], np.nonzero(inner)[0]
-        return last.phi[at], last.dphi[at]
+        points[refined[1]] = x
+        last = exact_sop_slopes(stats, points, targets, d2phi=False)
+        return last.phi[refined], last.dphi[refined]
 
-    if inner.any():
-        lo, hi, at = np.minimum(i, j)[inner], np.maximum(i, j)[inner], users[inner]
-        points[inner] = newton_root(
-            evaluate, grid[lo], grid[hi],
-            on_grid.phi[at, lo], on_grid.phi[at, hi], on_grid.dphi[at, lo], on_grid.dphi[at, hi],
-        )
+    if cells:
+        start = [_hermite_start(*cell) for cell in cells]
+        f, df = evaluate(np.array(start))
+        # Each cell narrows to the start on the side where phi changes sign.
+        brackets = [
+            (x, b, fx, fb, dfx, dfb) if (fx > 0.0) == (fa > 0.0) else (a, x, fa, fx, dfa, dfx)
+            for (a, b, fa, fb, dfa, dfb, _, _), x, fx, dfx in zip(cells, start, f.tolist(), df.tolist())
+        ]
+        points[refined[1]] = newton_root(evaluate, *zip(*brackets))
     if last is None:  # no pass after the grid's: every minimizer is a grid node
-        last = SopSlopes(*(v[:, np.searchsorted(grid, points)] for v in on_grid))
+        last = SopSlopes(*(v[:, i] for v in on_grid))
     return points, last
 
 
 def optimal_pa_near(stats: ChannelStats, targets: TargetRates) -> Minimum:
     """Power split minimizing the near user's exact SOP."""
-    alpha, at = _minima(stats, targets, np.array([0]))
+    alpha, at = _minima(stats, targets, (0,))
     return Minimum(float(alpha[0]), float(at.value[0, 0]))
 
 
 def optimal_pa_far(stats: ChannelStats, targets: TargetRates) -> Minimum:
     """Power split minimizing the far user's exact SOP."""
-    alpha, at = _minima(stats, targets, np.array([1]))
+    alpha, at = _minima(stats, targets, (1,))
     return Minimum(float(alpha[0]), float(at.value[1, 0]))
 
 
@@ -290,7 +354,7 @@ def minmax_pa(stats: ChannelStats, targets: TargetRates) -> MinMaxOutcome:
     them. The candidate set records both minimizers, and the crossing only
     when it was needed.
     """
-    alpha, at = _minima(stats, targets, np.array([0, 1]))
+    alpha, at = _minima(stats, targets, (0, 1))
     near, far = (Candidate(float(a), so1=float(so1), so2=float(so2)) for a, (so1, so2) in zip(alpha, at.value.T))
     crossing = None
     if near.so1 >= near.so2:
@@ -307,7 +371,7 @@ def minmax_pa(stats: ChannelStats, targets: TargetRates) -> MinMaxOutcome:
         found = []
 
         def evaluate(x):
-            found.append(exact_sop_slopes(stats, x, targets))
+            found.append(exact_sop_slopes(stats, x, targets, d2phi=False))
             return gap(found[-1])
 
         lo, hi = (0, 1) if near.alpha < far.alpha else (1, 0)

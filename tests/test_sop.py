@@ -338,8 +338,8 @@ def test_quadrature_error_reports_the_nodes_it_reached(monkeypatch):
 
 
 def test_sop_slopes_match_central_differences_over_the_box():
-    # Five-point differences, s_o' of the values and s_o'' of s_o', wherever
-    # |s_o'| > 1e-6; the step keeps every point inside the window.
+    # Five-point differences, s_o' of the values, s_o'' of s_o' and phi'' of
+    # phi', wherever |s_o'| > 1e-6; the step keeps every point inside the window.
     checked = 0
     for stats, alpha, targets in _box_sweep(200, seed=11):
         h = 3e-3 * min(alpha, 1.0 - alpha)
@@ -359,7 +359,20 @@ def test_sop_slopes_match_central_differences_over_the_box():
             stencil = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
             assert first[user, 2] == pytest.approx(stencil @ value, rel=1e-5)
             assert second[user, 2] == pytest.approx(stencil @ first[user], rel=1e-5)
+            assert slopes.d2phi[user, 2] == pytest.approx(stencil @ slopes.dphi[user], rel=1e-5)
     assert checked >= 250
+
+
+def test_sop_slopes_without_the_third_derivative_keep_every_other_bit():
+    # The two extra moments are summed after the others, so dropping them
+    # changes no other field.
+    for stats, alpha, targets in _box_sweep(40, seed=13):
+        points = np.array([alpha, 0.5 * (alpha + ALPHA_MIN)])
+        full = exact_sop_slopes(stats, points, targets)
+        lean = exact_sop_slopes(stats, points, targets, d2phi=False)
+        assert lean.d2phi is None and full.d2phi.shape == (2, 2)
+        for got, want in zip(lean[:4], full[:4]):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_log_survival_is_strictly_concave_at_each_minimizer():
