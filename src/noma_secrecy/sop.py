@@ -19,10 +19,13 @@ reported quadrature error is the last halving's change. The error falls
 geometrically with each halving, so this overstates the error of the
 returned value; it is at most 1e-9 over the whole power-split window.
 
-Every evaluation over the admissible box stops by halving 3 (185 nodes), so
-the integrand is evaluated at all nodes of halvings 0-3 in one array pass;
-the halvings then sum their own row blocks of it with the same stop rule,
-judged for all four at once, so they return the same bits as evaluating one
+With s = c*lam_i and kappa = -Pi*lam_i/lam_e, one value per column, the
+integrand at node z is exp(kappa/(s + 1/z)), so a pass builds it in one
+array from the stored 1/z: add s, divide kappa by the sum, take exp. Every
+evaluation over the admissible box stops by halving 3 (185 nodes), so the
+integrand is built at all nodes of halvings 0-3 in one array pass; the
+halvings then sum their own row blocks of it with the same stop rule, judged
+for all four at once, so they return the same bits as evaluating one
 halving at a time. A call that needs halvings 4-6 evaluates each of those on
 its own. A call that misses the error contract after halving 6 raises
 QuadratureError with the node count it reached.
@@ -30,7 +33,8 @@ QuadratureError with the node count it reached.
 exact_sop_slopes also takes the first three alpha-derivatives of
 log(1 - s_o): log of the prefactor is closed-form, and the survival
 integral's derivatives are moments of the same integrand, summed on the same
-nodes and halvings. It is the optimizer's one evaluation path.
+nodes and halvings; they need only h = s/(s + 1/z), taken from the sum
+before the divide. It is the optimizer's one evaluation path.
 
 The asymptotic forms drop the "+1" in the SINR denominators, valid once the
 received SNR is large. They are upper bounds on the exact SOPs, with an
@@ -120,7 +124,7 @@ _DE_NODES = tuple(_de_nodes(level) for level in range(_MAX_HALVINGS + 1))
 class _Group(NamedTuple):
     """Nodes evaluated in one array pass, and the halvings that sum them."""
 
-    nodes: np.ndarray
+    inverse_nodes: np.ndarray  # 1/z at each node, as a column
     halvings: tuple     # (weights, rows) of each halving, in order
     first: int          # the first of those halvings
     steps: np.ndarray   # each halving's trapezoid step, shaped (halvings, 1, 1)
@@ -139,7 +143,7 @@ def _groups():
     groups += [(z, [w], [slice(None)], level, w[None, :]) for level, (z, w) in enumerate(_DE_NODES)
                if level > _FUSED_HALVINGS]
     return tuple(
-        _Group(z, tuple(zip(w, r)), first, _STEP0 / 2.0 ** np.arange(first, first + len(w))[:, None, None], b)
+        _Group(1.0 / z[:, None], tuple(zip(w, r)), first, _STEP0 / 2.0 ** np.arange(first, first + len(w))[:, None, None], b)
         for z, w, r, first, b in groups
     )
 
@@ -181,33 +185,29 @@ def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarra
     the integral into the outage value with that weight and the error
     contract applies to the outage value, not the raw integral.
 
+    The integrand is exp(kappa/(s + 1/z)) at y = lam_int*z, with
+    s = slope*lam_int and kappa = -pi*lam_int/lam_exp, built in place in one
+    (nodes, columns) array per group.
+
     With ``moments`` = m > 0 it also returns E_y[e * h**k] for k = 2..m as
     an (m - 1, n) array, taken on the same nodes and halvings, where e is the
-    integrand and h = slope*y/(slope*y + 1) lies in [0, 1). The integrand is
-    then built from h, in fewer array steps, so its estimates agree with
-    the plain call's to within the stop rule rather than bit for bit.
+    integrand and h = slope*y/(slope*y + 1) = s/(s + 1/z) lies in [0, 1).
+    Only h is added; the integrand is built as in the plain call, and only
+    the halvings' sums (one block product) round apart.
     """
     slope = np.atleast_1d(slope)
     total = prev = None
     nodes = 0
-    if moments:
-        scaled_slope, exponent = slope * lam_int, -pi / (lam_exp * slope)
+    scaled_slope, kappa = slope * lam_int, -pi * lam_int / lam_exp
     for group in _GROUPS:
+        # 1/z then + s: numpy fills and adds faster than it takes an outer sum
+        f = group.inverse_nodes.repeat(scaled_slope.size, axis=1)
+        f += scaled_slope
         if moments:
-            # exp(-pi/(lam_exp*slope) * h), the same integrand
-            h = np.multiply.outer(group.nodes, scaled_slope)
-            f = h + 1.0
-            np.divide(h, f, out=h)
-            np.multiply(h, exponent, out=f)
-        else:
-            # exp(-pi*y / ((slope*y + 1)*lam_exp)), built in place step by step
-            y = lam_int * group.nodes[:, None]
-            f = y * slope
-            f += 1.0
-            f *= lam_exp
-            np.divide(-pi * y, f, out=f)
+            h = scaled_slope / f
+        np.divide(kappa, f, out=f)
         np.exp(f, out=f)
-        nodes += len(group.nodes)
+        nodes += len(group.inverse_nodes)
         # Each halving's sums, added to the ones before it in order, as one
         # halving at a time would add them.
         if moments:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,26 +249,44 @@ def test_target_rates_exponentials_are_exact():
 
 
 
-def _per_halving_survival_integral(pi, slope, lam_exp, lam_int, scale, reached):
+def _kernel_integrand(pi, slope, lam_exp, lam_int, z):
+    """The kernel's build: exp(kappa/(s + 1/z)), kappa = -pi*lam_int/lam_exp, s = slope*lam_int."""
+    return np.exp((-pi * lam_int / lam_exp) / np.add.outer(1.0 / z, slope * lam_int))
+
+
+def _written_integrand(pi, slope, lam_exp, lam_int, z):
+    """The integrand as the SOP integral writes it, exp(-pi*y/((slope*y + 1)*lam_exp))."""
+    y = lam_int * z[:, None]
+    return np.exp(-pi * y / ((slope[None, :] * y + 1.0) * lam_exp))
+
+
+def _per_halving_survival_integral(pi, slope, lam_exp, lam_int, scale, reached,
+                                   integrand=_kernel_integrand, moments=0):
     """The exp-sinh loop evaluated one halving at a time: the reference for the
-    fused kernel, which must return the same bits. Appends the last halving
-    it ran to ``reached``."""
+    fused kernel, which must return the same bits when it builds the kernel's
+    integrand. Appends the last halving it ran to ``reached``. With
+    ``moments`` it also sums e*h**k, k = 2..moments, with h = slope*y/(slope*y + 1)."""
     slope = np.atleast_1d(slope)
     total = 0.0
     nodes = 0
     prev = None
     for level, (z, w) in enumerate(sop._DE_NODES):
         nodes += len(z)
-        y = lam_int * z
-        total = total + w @ np.exp(-pi * y[:, None] / ((slope[None, :] * y[:, None] + 1.0) * lam_exp))
+        e = integrand(pi, slope, lam_exp, lam_int, z)
+        terms = [e]
+        if moments:
+            y = lam_int * z[:, None]
+            h = slope * y / (slope * y + 1.0)
+            terms += [np.maximum(e, sop._MOMENT_FLOOR) * h ** k for k in range(2, moments + 1)]
+        total = total + np.array([w @ term for term in terms])
         est = total * (sop._STEP0 / (1 << level))
         if prev is not None:
-            diff = np.abs(est - prev)
+            diff = np.abs(est[0] - prev)
             worst = float((scale * diff).max())
             if worst < sop._REFINE_TOL or (level == sop._MAX_HALVINGS and worst <= sop._ACCEPT_TOL):
                 reached.append(level)
-                return est, diff
-        prev = est
+                return (est[0], diff, est[1:]) if moments else (est[0], diff)
+        prev = est[0]
     reached.append(level)
     raise sop.QuadratureError(
         f"outage quadrature did not converge: error {worst:.3e} "
@@ -322,6 +341,47 @@ def test_fused_kernel_matches_per_halving_bits_in_later_halvings(monkeypatch):
     cases += [(stats, grid, targets) for stats, _, targets in cases[:6]]
     reached = _assert_same_bits(monkeypatch, cases)
     assert set(reached) >= {4, 5, 6}
+
+
+def test_kernel_build_matches_the_written_integrand(monkeypatch):
+    # The kernel builds the integrand as exp(kappa/(s + 1/z)), which rounds
+    # differently from the integral as written; the two stay within a few ulps.
+    def reference(*args, moments=0):
+        return _per_halving_survival_integral(*args, [], integrand=_written_integrand, moments=moments)
+
+    cases = list(_box_sweep(2000, seed=41))
+    grid = np.linspace(ALPHA_MIN, ALPHA_MAX, 1000)
+    curves = [(stats, grid, targets) for stats, _, targets in cases[:12]]
+    got = [func(*case) for func in (exact_sop_near, exact_sop_far) for case in cases + curves]
+    slopes = [exact_sop_slopes(*case) for case in cases]
+    with monkeypatch.context() as patch:
+        patch.setattr(sop, "_survival_integral", reference)
+        want = [func(*case) for func in (exact_sop_near, exact_sop_far) for case in cases + curves]
+        want_slopes = [exact_sop_slopes(*case) for case in cases]
+    for g, w in zip(got, want):
+        assert np.abs(np.subtract(g.value, w.value)).max() <= 1e-15
+        assert np.abs(np.subtract(g.quad_error, w.quad_error)).max() <= 1e-15
+    for g, w in zip(slopes, want_slopes):
+        for field in ("phi", "dphi", "d2phi"):
+            x, ref = getattr(g, field), getattr(w, field)
+            big = np.abs(ref) > 1e-6
+            assert np.all(np.abs(x - ref)[big] <= 1e-12 * np.abs(ref)[big])
+
+
+def test_curve_call_holds_one_full_size_array_at_a_time():
+    # A 1000-point call fills one (185 nodes x 1000 columns) float array; a
+    # second temporary of that size would take the peak past 1.5 of them.
+    grid = np.linspace(ALPHA_MIN, ALPHA_MAX, 1000)
+    limit = 1.5 * 185 * grid.size * 8
+    for func in (exact_sop_near, exact_sop_far):
+        func(stats_at(1e7), grid, RTH1)
+        tracemalloc.start()
+        try:
+            func(stats_at(1e7), grid, RTH1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 def test_quadrature_error_reports_the_nodes_it_reached(monkeypatch):
