@@ -15,11 +15,9 @@ import numpy as np
 
 __all__ = [
     "ChannelStats",
-    "GainSample",
     "mean_gain",
     "rho_t_for_received_snr",
     "with_received_snr",
-    "sample_gains",
 ]
 
 
@@ -58,18 +56,6 @@ def with_received_snr(stats: ChannelStats, rho_r_db: float) -> ChannelStats:
     return dataclasses.replace(stats, rho_t=rho_t_for_received_snr(rho_r_db, stats.lambda2))
 
 
-@dataclass(frozen=True)
-class GainSample:
-    """Realizations of both channel power gains (scalars or equal-length arrays)."""
-
-    g1: float | np.ndarray
-    g2: float | np.ndarray
-
-    def __post_init__(self) -> None:
-        if not (np.all(np.asarray(self.g1) >= 0.0) and np.all(np.asarray(self.g2) >= 0.0)):
-            raise ValueError("channel power gains must be nonnegative")
-
-
 def _exponential_gains(words: np.ndarray, stats: ChannelStats) -> None:
     """Turn a (blocks, 4) array of uniforms into gains in place.
 
@@ -83,36 +69,15 @@ def _exponential_gains(words: np.ndarray, stats: ChannelStats) -> None:
     flat[1::2] *= -stats.lambda2
 
 
-def sample_gains(stats: ChannelStats, count: int, seed: int, start: int = 0) -> GainSample:
-    """Draw exponential gain pairs from a counter-based stream.
-
-    Two samples per Philox counter block: words (0, 1) of each block give one
-    sample and words (2, 3) the next. A window (start, count) advances by
-    start // 2 blocks and drops one leading sample when start is odd, so it
-    always reproduces the corresponding slice of the single-stream sequence;
-    partitioned generation across workers is exact, not approximate.
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    bitgen = np.random.Philox(key=seed)
-    if start >= 2:
-        bitgen = bitgen.advance(start // 2)
-    skip = start % 2
-    blocks = (skip + count + 1) // 2
-    words = np.random.Generator(bitgen).random((blocks, 4))
-    _exponential_gains(words, stats)
-    pairs = words.reshape(-1, 2)[skip:skip + count]
-    return GainSample(g1=pairs[:, 0], g2=pairs[:, 1])
-
-
 def _gain_stream(stats: ChannelStats, total: int, seed: int, chunk: int):
     """Yield (g1, g2) views of `total` samples of one stream, chunk by chunk.
 
-    The samples are those of sample_gains(stats, total, seed), drawn in order
-    from one generator into one reused buffer. A chunk is rounded up to whole
+    The stream is Generator(Philox(key=seed)) read in order, two samples per
+    counter block, into one reused buffer. A chunk is rounded up to whole
     Philox blocks (an even sample count), so the generator never holds a
     partly used block between chunks; the last chunk drops its odd sample.
-    Each yielded view is overwritten by the next chunk.
+    The samples therefore do not depend on `chunk`. Each yielded view is
+    overwritten by the next chunk.
     """
     generator = np.random.Generator(np.random.Philox(key=seed))
     words = np.empty(((min(chunk, total) + 1) // 2, 4))

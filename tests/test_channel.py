@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noma_secrecy.channel import (
-    ChannelStats,
-    GainSample,
-    mean_gain,
-    rho_t_for_received_snr,
-    sample_gains,
-    with_received_snr,
-)
+from noma_secrecy.channel import ChannelStats, mean_gain, rho_t_for_received_snr, with_received_snr
 from noma_secrecy.config import RunConfig
+from reference import GainSample, sample_gains
 
 
 def test_mean_gain_unit_distance_returns_constant():

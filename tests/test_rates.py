@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
-from noma_secrecy.channel import GainSample
-from noma_secrecy.rates import (
+from reference import (
+    GainSample,
     conventional_far_secrecy_is_nonpositive,
     positive_secrecy_window,
     rates_from_sinrs,
@@ -177,7 +177,8 @@ def test_proposed_rs2_nondecreasing_in_g2(pair, alpha, rho_t, bump):
 
 
 def test_power_split_validation():
-    # The SINR and Monte Carlo paths accept any split strictly inside (0, 1).
+    # The reference SINRs accept any split strictly inside (0, 1); the library
+    # takes only [ALPHA_MIN, ALPHA_MAX] (test_sop.py).
     for sinr in (sinr_conventional, sinr_proposed):
         assert sinr(SAMPLE, 1e-9, rho_t=10.0).g11 == pytest.approx(2e-8, rel=1e-12)
         for bad in (0.0, 1.0, -0.2, 1.7, math.nan):

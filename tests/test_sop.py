@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from noma_secrecy import sop
 from noma_secrecy.channel import ChannelStats
+from noma_secrecy.montecarlo import SimConfig, empirical_sops
 from noma_secrecy.rates import ALPHA_MAX, ALPHA_MIN
 from noma_secrecy.sop import (
     TargetRates,
@@ -16,9 +17,8 @@ from noma_secrecy.sop import (
     exact_sop_far,
     exact_sop_near,
     exact_sop_slopes,
-    log_integrand_far,
-    log_integrand_near,
 )
+from reference import log_integrand_far, log_integrand_near
 
 LAM1 = 50.0 ** -2.5
 LAM2 = 100.0 ** -2.5
@@ -125,6 +125,26 @@ def test_alpha_window_is_enforced():
             exact_sop_far(stats, bad, RTH1)
     edges = exact_sop_far(stats, np.array([ALPHA_MIN, ALPHA_MAX]), RTH1).value
     assert np.all((edges >= 0.0) & (edges <= 1.0))
+
+
+ALPHA_ENTRY_POINTS = {
+    "exact_sop_near": lambda alpha: exact_sop_near(stats_at(1e6), alpha, RTH1),
+    "exact_sop_far": lambda alpha: exact_sop_far(stats_at(1e6), alpha, RTH1),
+    "exact_sop_slopes": lambda alpha: exact_sop_slopes(stats_at(1e6), alpha, RTH1),
+    "asymptotic_sop_near": lambda alpha: asymptotic_sop_near(stats_at(1e6), alpha, RTH1),
+    "asymptotic_sop_far": lambda alpha: asymptotic_sop_far(stats_at(1e6), alpha, RTH1),
+    "empirical_sops": lambda alpha: empirical_sops(stats_at(1e6), alpha, (RTH1,), SimConfig(1000, 1)),
+}
+
+
+@pytest.mark.parametrize("entry", ALPHA_ENTRY_POINTS)
+def test_every_alpha_entry_point_takes_the_same_window(entry):
+    call = ALPHA_ENTRY_POINTS[entry]
+    for bad in (0.0, 1e-9, 1.0 - 1e-9, 1.0, -0.2, math.nan):
+        with pytest.raises(ValueError):
+            call(bad)
+    for edge in (ALPHA_MIN, ALPHA_MAX):
+        call(edge)
 
 
 def test_asymptotic_near_reference_values():
