@@ -45,7 +45,7 @@ __all__ = ["main", "build_parser"]
 # protocol is unspecified, so they are echoed for side-by-side reading only.
 REFERENCE_GAINS_PCT = {"fixed": 55.12, "near_opt": 69.30, "far_opt": 19.11}
 
-_GRID_POINTS = 1000
+_DOMINANCE_GRID = np.linspace(ALPHA_MIN, ALPHA_MAX, 1000)
 # The fair split's max-SOP may exceed the dense grid's best by this fraction.
 # Relative, because at high SNR the SOPs are about 1e-4.
 _GRID_REL_SLACK = 1e-6
@@ -95,11 +95,9 @@ def _closed_form_payload(form) -> dict:
     return {"alpha": form.alpha, "degenerate": form.degenerate}
 
 
-def _max_sop_curve(stats: ChannelStats, targets: TargetRates) -> np.ndarray:
-    grid = np.linspace(ALPHA_MIN, ALPHA_MAX, _GRID_POINTS)
-    so1 = exact_sop_near(stats, grid, targets).value
-    so2 = exact_sop_far(stats, grid, targets).value
-    return np.maximum(so1, so2)
+def _max_sop(stats: ChannelStats, alpha, targets: TargetRates):
+    """The larger of the two users' exact SOPs at alpha (a scalar or an array)."""
+    return np.maximum(exact_sop_near(stats, alpha, targets).value, exact_sop_far(stats, alpha, targets).value)
 
 
 def cmd_validate(cfg: RunConfig) -> bool:
@@ -185,9 +183,9 @@ def cmd_optimize(cfg: RunConfig) -> bool:
     far_ok = abs(grid[int(np.argmin(so2_curve))] - far.alpha) <= slack
     summary = {
         "alpha1_star": near.alpha,
-        "so1_at_alpha1_star": near.value,
+        "so1_at_alpha1_star": near.so1,
         "alpha2_star": far.alpha,
-        "so2_at_alpha2_star": far.value,
+        "so2_at_alpha2_star": far.so2,
         "alpha1_hat": _closed_form_payload(optimal_pa_near_asymptotic(targets)),
         "alpha2_hat": _closed_form_payload(optimal_pa_far_asymptotic(targets)),
         "curve_minima_consistent": bool(near_ok and far_ok),
@@ -197,11 +195,11 @@ def cmd_optimize(cfg: RunConfig) -> bool:
 
 
 def _minmax_row(outcome: MinMaxOutcome) -> tuple:
-    cands = outcome.candidates
+    crossing = outcome.crossing
     return (
-        cands.alpha1.alpha if cands.alpha1 is not None else None,
-        cands.alpha2.alpha if cands.alpha2 is not None else None,
-        cands.alpha3.alpha if cands.alpha3 is not None else None,
+        outcome.near.alpha,
+        outcome.far.alpha,
+        crossing.alpha if crossing is not None else None,
         outcome.selected,
         outcome.objective,
     )
@@ -216,7 +214,7 @@ def cmd_minmax(cfg: RunConfig) -> bool:
     for rth1 in sweep.values():
         targets = TargetRates(rth1=float(rth1), rth2=cfg.rth2)
         outcome = minmax_pa(stats, targets)
-        grid_min = float(_max_sop_curve(stats, targets).min())
+        grid_min = float(_max_sop(stats, _DOMINANCE_GRID, targets).min())
         dominance_ok = dominance_ok and outcome.objective <= grid_min * (1.0 + _GRID_REL_SLACK)
         rows.append((float(rth1),) + _minmax_row(outcome))
     alphas = np.array([row[4] for row in rows])
@@ -246,18 +244,11 @@ def cmd_gain_comparison(cfg: RunConfig) -> bool:
     dominance_ok = True
     for rho_r in sweep.values():
         stats = with_received_snr(base, float(rho_r))
-
-        def max_sop(alpha: float) -> float:
-            return max(
-                exact_sop_near(stats, alpha, targets).value,
-                exact_sop_far(stats, alpha, targets).value,
-            )
-
         outcome = minmax_pa(stats, targets)
         baselines = {
-            "fixed": max_sop(cfg.fixed_alpha),
-            "near_opt": outcome.candidates.alpha1.max_sop,
-            "far_opt": outcome.candidates.alpha2.max_sop,
+            "fixed": _max_sop(stats, cfg.fixed_alpha, targets),
+            "near_opt": outcome.near.max_sop,
+            "far_opt": outcome.far.max_sop,
         }
         dominance_ok = dominance_ok and all(
             outcome.objective <= value + 1e-12 for value in baselines.values()

@@ -205,7 +205,7 @@ _KEYS = {
 }
 
 
-def parse_config(text: str, base: Optional[RunConfig] = None) -> RunConfig:
+def parse_config(text: str) -> RunConfig:
     overrides = {}
     sweep_parts = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -233,9 +233,9 @@ def parse_config(text: str, base: Optional[RunConfig] = None) -> RunConfig:
         if missing:
             raise ConfigError(f"incomplete sweep section, missing {sorted(missing)}")
         overrides["sweep"] = SweepSpec(**sweep_parts)
-    return replace(base if base is not None else RunConfig(), **overrides)
+    return RunConfig(**overrides)
 
 
-def load_config(path: str, base: Optional[RunConfig] = None) -> RunConfig:
+def load_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read(), base)
+        return parse_config(handle.read())

@@ -29,7 +29,6 @@ from .sop import TargetRates
 __all__ = [
     "SimConfig",
     "EmpiricalSop",
-    "empirical_sop",
     "empirical_sops",
 ]
 
@@ -149,13 +148,3 @@ def _count_below(values: np.ndarray, limit: float, mask: Optional[np.ndarray], b
         np.logical_and(below, mask, out=below)
     return int(np.count_nonzero(below))
 
-
-def empirical_sop(
-    stats: ChannelStats,
-    alpha: float,
-    targets: TargetRates,
-    sim: SimConfig,
-    _chunk: int = _CHUNK,
-) -> EmpiricalSop:
-    """Outage frequencies under the proposed decoding order."""
-    return empirical_sops(stats, alpha, (targets,), sim, _chunk)[0]

@@ -22,10 +22,11 @@ valley, and bisection keeps each step inside it.
 
 Between the two per-user minimizers one SOP rises and the other falls, so
 they cross at most once there, and the min-max fair split follows without
-any search over the whole window: it is the near user's minimizer when the
-near user is the worse-off one there, else the far user's minimizer when
-the far user is the worse-off one there, else the unique crossing between
-the two, found by the same Newton iteration on s_o1 - s_o2.
+any search over the whole window. Each solved split is a Candidate: both
+minimizers, plus the crossing between them when each minimizer leaves its
+own user the better-off one, found by the same Newton iteration on
+s_o1 - s_o2. _select picks the candidate with the smallest max-SOP, ties
+going to the smaller alpha; the closed-form solver selects by the same rule.
 
 High-SNR counterparts have closed forms; targets at exactly zero rate push
 them onto the boundary of the admissible window and are flagged degenerate
@@ -34,7 +35,6 @@ rather than clamped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -51,7 +51,6 @@ from .sop import (
 
 __all__ = [
     "XTOL",
-    "Minimum",
     "newton_root",
     "optimal_pa_near",
     "optimal_pa_far",
@@ -60,7 +59,6 @@ __all__ = [
     "optimal_pa_far_asymptotic",
     "equal_sop_alpha_asymptotic",
     "Candidate",
-    "CandidateSet",
     "MinMaxOutcome",
     "minmax_pa",
     "minmax_pa_asymptotic",
@@ -74,11 +72,6 @@ _BRACKET_GRID = np.linspace(ALPHA_MIN, ALPHA_MAX, 33)
 # step moves less than this fraction of the cell.
 _START_STEPS = 12
 _START_TTOL = 1e-12
-
-
-class Minimum(NamedTuple):
-    alpha: float
-    value: float
 
 
 class _Bracket:
@@ -261,16 +254,28 @@ def _minima(stats: ChannelStats, targets: TargetRates, users: tuple):
     return points, last
 
 
-def optimal_pa_near(stats: ChannelStats, targets: TargetRates) -> Minimum:
+class Candidate(NamedTuple):
+    """A solved power split and both users' SOPs there."""
+
+    alpha: float
+    so1: float
+    so2: float
+
+    @property
+    def max_sop(self) -> float:
+        return max(self.so1, self.so2)
+
+
+def optimal_pa_near(stats: ChannelStats, targets: TargetRates) -> Candidate:
     """Power split minimizing the near user's exact SOP."""
     alpha, at = _minima(stats, targets, (0,))
-    return Minimum(float(alpha[0]), float(at.value[0, 0]))
+    return Candidate(float(alpha[0]), *at.value[:, 0].tolist())
 
 
-def optimal_pa_far(stats: ChannelStats, targets: TargetRates) -> Minimum:
+def optimal_pa_far(stats: ChannelStats, targets: TargetRates) -> Candidate:
     """Power split minimizing the far user's exact SOP."""
     alpha, at = _minima(stats, targets, (1,))
-    return Minimum(float(alpha[0]), float(at.value[1, 0]))
+    return Candidate(float(alpha[0]), *at.value[:, 0].tolist())
 
 
 class ClosedFormAlpha(NamedTuple):
@@ -305,43 +310,25 @@ def equal_sop_alpha_asymptotic(stats: ChannelStats, targets: TargetRates) -> Clo
     return ClosedFormAlpha(alpha3, not (ALPHA_MIN <= alpha3 <= ALPHA_MAX))
 
 
-@dataclass(frozen=True)
-class Candidate:
-    alpha: float
-    so1: float
-    so2: float
+class MinMaxOutcome(NamedTuple):
+    """The fair split and its max-SOP, with the candidates it was picked from;
+    crossing is None when no crossing was needed or exists."""
 
-    @property
-    def max_sop(self) -> float:
-        return max(self.so1, self.so2)
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Stationary candidates; alpha3 is None when no crossing was needed or exists."""
-
-    alpha1: Optional[Candidate]
-    alpha2: Optional[Candidate]
-    alpha3: Optional[Candidate]
-
-    def present(self) -> list:
-        return [c for c in (self.alpha1, self.alpha2, self.alpha3) if c is not None]
-
-
-@dataclass(frozen=True)
-class MinMaxOutcome:
-    candidates: CandidateSet
     selected: float
     objective: float
+    near: Optional[Candidate]
+    far: Optional[Candidate]
+    crossing: Optional[Candidate]
 
 
-def _select(candidates: CandidateSet) -> MinMaxOutcome:
-    pool = candidates.present()
+def _select(near: Optional[Candidate], far: Optional[Candidate], crossing: Optional[Candidate]) -> MinMaxOutcome:
+    """The candidate with the smallest max-SOP; ties break toward the smaller
+    alpha so reruns are reproducible. None marks a missing candidate."""
+    pool = [c for c in (near, far, crossing) if c is not None]
     if not pool:
         raise RuntimeError("no feasible power-split candidate to select from")
-    # Ties break toward the smaller alpha so reruns are reproducible.
     best = min(pool, key=lambda c: (c.max_sop, c.alpha))
-    return MinMaxOutcome(candidates=candidates, selected=best.alpha, objective=best.max_sop)
+    return MinMaxOutcome(best.alpha, best.max_sop, near, far, crossing)
 
 
 def minmax_pa(stats: ChannelStats, targets: TargetRates) -> MinMaxOutcome:
@@ -351,17 +338,12 @@ def minmax_pa(stats: ChannelStats, targets: TargetRates) -> MinMaxOutcome:
     the least s_o1 of any split, so no split does better; likewise for the
     far user's minimizer alpha2. Otherwise s_o1 < s_o2 at alpha1 and
     s_o2 < s_o1 at alpha2, and the optimum is the single crossing between
-    them. The candidate set records both minimizers, and the crossing only
-    when it was needed.
+    them; only then is the crossing solved and added to the candidates.
     """
     alpha, at = _minima(stats, targets, (0, 1))
-    near, far = (Candidate(float(a), so1=float(so1), so2=float(so2)) for a, (so1, so2) in zip(alpha, at.value.T))
+    near, far = (Candidate(a, *sops) for a, sops in zip(alpha.tolist(), at.value.T.tolist()))
     crossing = None
-    if near.so1 >= near.so2:
-        best = near
-    elif far.so2 >= far.so1:
-        best = far
-    else:
+    if near.so1 < near.so2 and far.so2 < far.so1:
         # Between the minimizers s_o1 - s_o2 is monotone, with slope
         # (1 - s_o2)*phi2 - (1 - s_o1)*phi1.
         def gap(sops: SopSlopes):
@@ -379,16 +361,10 @@ def minmax_pa(stats: ChannelStats, targets: TargetRates) -> MinMaxOutcome:
         # Its objective moves to first order with alpha, so the root is settled.
         root = float(newton_root(evaluate, [alpha[lo]], [alpha[hi]], [g[lo]], [g[hi]], [dg[lo]], [dg[hi]], settle=True)[0])
         if found:
-            so1, so2 = found[-1].value[:, 0]
-            crossing = Candidate(root, so1=float(so1), so2=float(so2))
+            crossing = Candidate(root, *found[-1].value[:, 0].tolist())
         else:  # the crossing lies within XTOL of a minimizer
             crossing = near if root == near.alpha else far
-        best = crossing
-    return MinMaxOutcome(
-        candidates=CandidateSet(alpha1=near, alpha2=far, alpha3=crossing),
-        selected=best.alpha,
-        objective=best.max_sop,
-    )
+    return _select(near, far, crossing)
 
 
 def minmax_pa_asymptotic(stats: ChannelStats, targets: TargetRates) -> MinMaxOutcome:
@@ -397,22 +373,14 @@ def minmax_pa_asymptotic(stats: ChannelStats, targets: TargetRates) -> MinMaxOut
     Degenerate or out-of-window closed forms are dropped before selection;
     with both target rates zero the crossing candidate always survives.
     """
-    def evaluate(alpha: float) -> Candidate:
-        return Candidate(
-            alpha=alpha,
-            so1=asymptotic_sop_near(stats, alpha, targets),
-            so2=asymptotic_sop_far(stats, alpha, targets),
-        )
-
     def admit(form: ClosedFormAlpha) -> Optional[Candidate]:
         if form.degenerate or not (ALPHA_MIN <= form.alpha <= ALPHA_MAX):
             return None
-        return evaluate(form.alpha)
+        return Candidate(form.alpha, asymptotic_sop_near(stats, form.alpha, targets),
+                         asymptotic_sop_far(stats, form.alpha, targets))
 
     return _select(
-        CandidateSet(
-            alpha1=admit(optimal_pa_near_asymptotic(targets)),
-            alpha2=admit(optimal_pa_far_asymptotic(targets)),
-            alpha3=admit(equal_sop_alpha_asymptotic(stats, targets)),
-        ),
+        admit(optimal_pa_near_asymptotic(targets)),
+        admit(optimal_pa_far_asymptotic(targets)),
+        admit(equal_sop_alpha_asymptotic(stats, targets)),
     )

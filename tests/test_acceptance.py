@@ -266,7 +266,7 @@ def test_criterion_06_symmetric_configuration():
         )
     )
     outcome = minmax_pa(stats, RTH)
-    crossing = outcome.candidates.alpha3
+    crossing = outcome.crossing
     crossing_gap = abs(crossing.alpha - 0.5) if crossing is not None else np.inf
     selected_gap = abs(outcome.selected - 0.5)
     ok = mirror_gap <= 1e-8 and crossing_gap <= 1e-6 and selected_gap <= 1e-6
@@ -372,8 +372,8 @@ def test_criterion_09_gain_comparison_dominance():
                 exact_sop_near(stats, cfg.fixed_alpha, RTH).value,
                 exact_sop_far(stats, cfg.fixed_alpha, RTH).value,
             ),
-            "near_opt": outcome.candidates.alpha1.max_sop,
-            "far_opt": outcome.candidates.alpha2.max_sop,
+            "near_opt": outcome.near.max_sop,
+            "far_opt": outcome.far.max_sop,
         }
         for key, value in baselines.items():
             dominance = dominance and outcome.objective <= value + 1e-12

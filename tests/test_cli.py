@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import pathlib
 
@@ -196,7 +195,7 @@ def test_minmax_reproducer_reaches_true_optimum(tmp_path):
 def test_minmax_flags_a_split_worse_than_the_grid(tmp_path, monkeypatch):
     def detuned(stats, targets):
         outcome = minmax_pa(stats, targets)
-        return dataclasses.replace(outcome, objective=outcome.objective * (1.0 + 1e-5))
+        return outcome._replace(objective=outcome.objective * (1.0 + 1e-5))
 
     monkeypatch.setattr(cli, "minmax_pa", detuned)
     code, payload = run_to_file(tmp_path, "minmax", SMALL_MINMAX, fmt="json")

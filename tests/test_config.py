@@ -216,8 +216,3 @@ def test_load_config_reads_files(tmp_path):
     cfg = load_config(str(path))
     assert cfg.rho_r_db == 20.0 and cfg.seed == 3
 
-
-def test_base_config_is_extended_not_replaced():
-    base = parse_config("system.rho_r_db = 20\n")
-    derived = parse_config("sim.seed = 9\n", base)
-    assert derived.rho_r_db == 20.0 and derived.seed == 9

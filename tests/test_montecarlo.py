@@ -5,7 +5,7 @@ import pytest
 
 import reference
 from noma_secrecy.channel import ChannelStats, with_received_snr
-from noma_secrecy.montecarlo import EmpiricalSop, SimConfig, _secrecy_ratios, empirical_sop, empirical_sops
+from noma_secrecy.montecarlo import EmpiricalSop, SimConfig, _secrecy_ratios, empirical_sops
 from noma_secrecy.rates import ALPHA_MIN
 from noma_secrecy.sop import TargetRates, exact_sop_far, exact_sop_near
 from reference import (
@@ -25,16 +25,16 @@ RTH1 = TargetRates(1.0, 1.0)
 
 def test_runs_are_deterministic():
     sim = SimConfig(realizations=20_000, seed=11)
-    first = empirical_sop(STATS_30DB, 0.5, RTH1, sim)
-    second = empirical_sop(STATS_30DB, 0.5, RTH1, sim)
+    first = empirical_sops(STATS_30DB, 0.5, (RTH1,), sim)[0]
+    second = empirical_sops(STATS_30DB, 0.5, (RTH1,), sim)[0]
     assert first == second
 
 
 def test_totals_do_not_depend_on_chunking():
     sim = SimConfig(realizations=50_000, seed=3)
-    default = empirical_sop(STATS_30DB, 0.4, RTH1, sim)
-    tiny_chunks = empirical_sop(STATS_30DB, 0.4, RTH1, sim, _chunk=1000)
-    odd_chunks = empirical_sop(STATS_30DB, 0.4, RTH1, sim, _chunk=999)
+    default = empirical_sops(STATS_30DB, 0.4, (RTH1,), sim)[0]
+    tiny_chunks = empirical_sops(STATS_30DB, 0.4, (RTH1,), sim, _chunk=1000)[0]
+    odd_chunks = empirical_sops(STATS_30DB, 0.4, (RTH1,), sim, _chunk=999)[0]
     assert default == tiny_chunks == odd_chunks
 
 
@@ -47,7 +47,7 @@ def test_many_targets_match_single_target_calls(conditioned):
     together = empirical_sops(STATS_30DB, 0.4, targets_seq, sim, _chunk=10_007)
     assert len(together) == len(targets_seq)
     for targets, joint in zip(targets_seq, together):
-        single = empirical_sop(STATS_30DB, 0.4, targets, sim)
+        single = empirical_sops(STATS_30DB, 0.4, (targets,), sim)[0]
         for field in EmpiricalSop._fields:
             assert getattr(joint, field) == getattr(single, field), field
     assert empirical_sops(STATS_30DB, 0.4, (), sim) == ()
@@ -145,20 +145,20 @@ def test_log_free_outage_test_matches_log2_rates():
 
 def test_counts_stay_python_ints():
     sim = SimConfig(realizations=2_000, seed=3, condition_on_ordering=True)
-    result = empirical_sop(STATS_30DB, 0.5, RTH1, sim)
+    result = empirical_sops(STATS_30DB, 0.5, (RTH1,), sim)[0]
     assert type(result.n) is int
     assert all(type(value) is float for value in result[:4])
 
 
 def test_near_outage_is_certain_without_power():
     sim = SimConfig(realizations=100_000, seed=2)
-    result = empirical_sop(STATS_30DB, ALPHA_MIN, RTH1, sim)
+    result = empirical_sops(STATS_30DB, ALPHA_MIN, (RTH1,), sim)[0]
     assert result.so1_hat >= 0.999
 
 
 def test_matches_analytical_sop_within_three_sigma():
     sim = SimConfig(realizations=1_000_000, seed=7)
-    result = empirical_sop(STATS_30DB, 0.5, RTH1, sim)
+    result = empirical_sops(STATS_30DB, 0.5, (RTH1,), sim)[0]
     so1 = exact_sop_near(STATS_30DB, 0.5, RTH1).value
     so2 = exact_sop_far(STATS_30DB, 0.5, RTH1).value
     assert abs(result.so1_hat - so1) <= 3.0 * result.stderr1 + 1e-6
@@ -173,11 +173,11 @@ def test_conventional_order_never_gives_far_user_secrecy(alpha):
 
 def test_conditioned_mode_keeps_a_subset():
     sim = SimConfig(realizations=50_000, seed=9, condition_on_ordering=True)
-    result = empirical_sop(STATS_30DB, 0.5, RTH1, sim)
-    repeat = empirical_sop(STATS_30DB, 0.5, RTH1, sim)
+    result = empirical_sops(STATS_30DB, 0.5, (RTH1,), sim)[0]
+    repeat = empirical_sops(STATS_30DB, 0.5, (RTH1,), sim)[0]
     assert result == repeat
     assert 0 < result.n < sim.realizations
-    unconditioned = empirical_sop(STATS_30DB, 0.5, RTH1, SimConfig(50_000, 9))
+    unconditioned = empirical_sops(STATS_30DB, 0.5, (RTH1,), SimConfig(50_000, 9))[0]
     assert unconditioned.n == 50_000
 
 
@@ -194,7 +194,7 @@ def test_rmse_shrinks_like_root_n():
         for index, (alpha, rho_r, rth) in enumerate(grid):
             stats = with_received_snr(STATS_30DB, rho_r)
             targets = TargetRates(rth, rth)
-            empirical = empirical_sop(stats, alpha, targets, SimConfig(realizations, seed=5 + index))
+            empirical = empirical_sops(stats, alpha, (targets,), SimConfig(realizations, seed=5 + index))[0]
             squared.append((empirical.so1_hat - exact_sop_near(stats, alpha, targets).value) ** 2)
         return math.sqrt(sum(squared) / len(squared))
 
@@ -204,7 +204,7 @@ def test_rmse_shrinks_like_root_n():
 
 def test_stderr_follows_binomial_formula():
     sim = SimConfig(realizations=10_000, seed=6)
-    result = empirical_sop(STATS_30DB, 0.5, RTH1, sim)
+    result = empirical_sops(STATS_30DB, 0.5, (RTH1,), sim)[0]
     assert result.stderr1 == pytest.approx(
         math.sqrt(result.so1_hat * (1.0 - result.so1_hat) / result.n), rel=1e-12
     )
@@ -219,7 +219,7 @@ def test_sim_config_validation():
 
 
 def test_empirical_result_shape():
-    result = empirical_sop(STATS_30DB, 0.5, RTH1, SimConfig(realizations=1_000, seed=1))
+    result = empirical_sops(STATS_30DB, 0.5, (RTH1,), SimConfig(realizations=1_000, seed=1))[0]
     assert isinstance(result, EmpiricalSop)
     assert 0.0 <= result.so1_hat <= 1.0
     assert 0.0 <= result.so2_hat <= 1.0

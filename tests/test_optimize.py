@@ -7,7 +7,6 @@ from noma_secrecy.channel import ChannelStats, mean_gain, rho_t_for_received_snr
 from noma_secrecy.optimize import (
     XTOL,
     Candidate,
-    CandidateSet,
     _hermite_start,
     _select,
     equal_sop_alpha_asymptotic,
@@ -160,7 +159,7 @@ def test_near_optimum_matches_dense_grid():
         if values[i] < best_value:
             best_alpha, best_value = float(chunk[i]), float(values[i])
     assert abs(result.alpha - best_alpha) <= (grid[1] - grid[0]) + XTOL
-    assert result.value <= best_value + 1e-12
+    assert result.so1 <= best_value + 1e-12
 
 
 def test_far_optimum_matches_dense_grid():
@@ -173,7 +172,7 @@ def test_far_optimum_matches_dense_grid():
         if values[i] < best_value:
             best_alpha, best_value = float(chunk[i]), float(values[i])
     assert abs(result.alpha - best_alpha) <= (grid[1] - grid[0]) + XTOL
-    assert result.value <= best_value + 1e-12
+    assert result.so2 <= best_value + 1e-12
 
 
 def test_exact_optima_approach_closed_forms_at_40db():
@@ -323,15 +322,15 @@ def test_solved_splits_meet_their_tolerances(monkeypatch):
     # within XTOL, with phi taken at the quadrature's last halving. A
     # crossing's objective moves to first order with alpha, so it is settled
     # to rounding: s_o1 and s_o2 agree there far inside what XTOL allows.
-    solved = [(stats, targets, minmax_pa(stats, targets).candidates) for stats, targets in _grid_configs()]
-    crossings = [c.alpha3 for _, _, c in solved if c.alpha3 is not None]
+    solved = [(stats, targets, minmax_pa(stats, targets)) for stats, targets in _grid_configs()]
+    crossings = [o.crossing for _, _, o in solved if o.crossing is not None]
     assert crossings
     assert all(abs(c.so1 - c.so2) <= 1e-11 * c.max_sop for c in crossings)
     monkeypatch.setattr(sop, "_REFINE_TOL", -1.0)
     missed = []
     checked = 0
-    for stats, targets, candidates in solved:
-        for candidate, user in ((candidates.alpha1, 0), (candidates.alpha2, 1)):
+    for stats, targets, outcome in solved:
+        for candidate, user in ((outcome.near, 0), (outcome.far, 1)):
             alpha = candidate.alpha
             if not ALPHA_MIN + XTOL <= alpha <= ALPHA_MAX - XTOL:
                 continue
@@ -373,10 +372,13 @@ def test_solves_take_few_quadrature_passes(monkeypatch):
 
 
 def test_minmax_candidate_bookkeeping():
-    outcome = minmax_pa(STATS_30DB, RTH1)
-    pool = outcome.candidates.present()
-    assert outcome.selected in [c.alpha for c in pool]
-    assert all(outcome.objective <= c.max_sop + 1e-15 for c in pool)
+    for stats, targets in _grid_configs():
+        outcome = minmax_pa(stats, targets)
+        pool = [c for c in (outcome.near, outcome.far, outcome.crossing) if c is not None]
+        objective = min(c.max_sop for c in pool)
+        assert outcome.objective == objective
+        assert outcome.selected in [c.alpha for c in pool if c.max_sop == objective]
+        assert outcome == _select(outcome.near, outcome.far, outcome.crossing)
 
 
 def test_minmax_symmetric_selects_half():
@@ -394,24 +396,23 @@ def test_minmax_agrees_with_asymptotic_selection():
 def test_asymptotic_minmax_drops_degenerate_candidates():
     stats = ChannelStats(3e-5, 1e-5, 1e8)
     outcome = minmax_pa_asymptotic(stats, TargetRates(0.0, 0.0))
-    assert outcome.candidates.alpha1 is None
-    assert outcome.candidates.alpha2 is None
+    assert outcome.near is None
+    assert outcome.far is None
     assert outcome.selected == pytest.approx(0.75, rel=1e-12)
 
 
 def test_asymptotic_minmax_drops_out_of_window_crossing():
     outcome = minmax_pa_asymptotic(STATS_30DB, RTH1)
-    assert outcome.candidates.alpha3 is None
+    assert outcome.crossing is None
     assert outcome.selected == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-12)
 
 
 def test_selection_breaks_ties_toward_smaller_alpha():
-    tied = CandidateSet(
-        alpha1=Candidate(alpha=0.7, so1=0.2, so2=0.1),
-        alpha2=Candidate(alpha=0.3, so1=0.1, so2=0.2),
-        alpha3=None,
+    outcome = _select(
+        Candidate(alpha=0.7, so1=0.2, so2=0.1),
+        Candidate(alpha=0.3, so1=0.1, so2=0.2),
+        None,
     )
-    outcome = _select(tied)
     assert outcome.selected == 0.3
     with pytest.raises(RuntimeError):
-        _select(CandidateSet(None, None, None))
+        _select(None, None, None)
