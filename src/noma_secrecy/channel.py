@@ -69,17 +69,22 @@ def _exponential_gains(words: np.ndarray, stats: ChannelStats) -> None:
     flat[1::2] *= -stats.lambda2
 
 
-def _gain_stream(stats: ChannelStats, total: int, seed: int, chunk: int):
-    """Yield (g1, g2) views of `total` samples of one stream, chunk by chunk.
+def _gain_stream(stats: ChannelStats, total: int, seed: int, chunk: int, start: int = 0):
+    """Yield (g1, g2) views of `total` samples of one stream, from sample `start`.
 
     The stream is Generator(Philox(key=seed)) read in order, two samples per
-    counter block, into one reused buffer. A chunk is rounded up to whole
-    Philox blocks (an even sample count), so the generator never holds a
-    partly used block between chunks; the last chunk drops its odd sample.
-    The samples therefore do not depend on `chunk`. Each yielded view is
-    overwritten by the next chunk.
+    counter block, into one reused buffer. Philox is counter-based: with
+    counter=k its first block is block k of the stream, so seeding
+    Philox(key=seed, counter=start // 2) starts exactly at the even sample
+    `start`, and slices of one stream can be read independently. A chunk is
+    rounded up to whole Philox blocks (an even sample count), so the
+    generator never holds a partly used block between chunks; the last chunk
+    drops its odd sample. The samples therefore do not depend on `chunk`.
+    Each yielded view is overwritten by the next chunk.
     """
-    generator = np.random.Generator(np.random.Philox(key=seed))
+    if start % 2:
+        raise ValueError(f"a stream slice must start at an even sample, got {start}")
+    generator = np.random.Generator(np.random.Philox(key=seed, counter=start // 2))
     words = np.empty(((min(chunk, total) + 1) // 2, 4))
     while total > 0:
         count = min(2 * len(words), total)

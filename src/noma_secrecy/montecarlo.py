@@ -4,19 +4,27 @@ The estimator is the empirical oracle every analytical expression is checked
 against: draw gain pairs, apply the proposed decoding order, count outages
 R_s < R_th (strict; ties are non-outage). The count needs no logarithm:
 R_s1 < R_th1 iff (1 + g11) / (1 + g12) < 2**R_th1, and likewise for the far
-user. Each stream is one Philox generator, two samples per counter block,
-read in order in chunks of whole blocks, so the draws, and hence the
-totals, do not depend on the chunk size. A stream keeps one set of
-buffers: the uniforms become gains in place, and `empirical_sops` runs the
-ratio algebra and the comparisons into reused arrays, building no array or
-object per chunk. Each chunk is drawn once and counted against every
-target-rate pair of a call (common random numbers), so a sweep over target
-rates costs one stream, not one per rate: `noma-secrecy validate` draws one
-stream per SNR, seeded `seed + snr_index`.
+user. Each stream is one Philox key, two samples per counter block, so
+sample 2k starts block k and a Philox generator seeded with counter k reads
+the stream from there. `empirical_sops` cuts each stream into contiguous
+slices, one per CPU this process may run on and each at least one chunk
+long, that start at even samples; the calling thread counts the first slice
+and a thread each the others, and the integer counts are summed in slice
+order. A slice is read in order in chunks of whole blocks. So the draws, and
+hence the totals, depend neither on the chunk size nor on the worker or CPU
+count. A slice keeps one set of buffers: the uniforms become gains in place,
+and the ratio algebra and the comparisons run into reused arrays, building
+no array or object per chunk. Each chunk is drawn once and counted against
+every target-rate pair of a call (common random numbers), so a sweep over
+target rates costs one stream, not one per rate: `noma-secrecy validate`
+draws one stream per SNR, seeded `seed + snr_index`.
 """
 from __future__ import annotations
 
 import math
+import operator
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -32,8 +40,8 @@ __all__ = [
     "empirical_sops",
 ]
 
-# 2**16 samples per chunk keep a stream's buffers near cache; totals do not depend on it.
-_CHUNK = 1 << 16
+# 2**15 samples per chunk keep a slice's buffers near cache; totals do not depend on it.
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -43,7 +51,10 @@ class SimConfig:
     condition_on_ordering: bool = False  # keep only draws with g1 > g2
 
     def __post_init__(self) -> None:
-        if self.realizations < 1:
+        # Streams are cut into slices by index, so the count must be a true integer.
+        if isinstance(self.realizations, bool):
+            raise TypeError("realizations must be an integer, not a bool")
+        if operator.index(self.realizations) < 1:
             raise ValueError("need at least one realization")
 
 
@@ -104,6 +115,13 @@ def _secrecy_ratios(
     return x2, x1
 
 
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def empirical_sops(
     stats: ChannelStats,
     alpha: float,
@@ -115,15 +133,61 @@ def empirical_sops(
 
     All target pairs are counted on the same draws, so the estimates share
     one stream and each equals what a separate call with that pair alone gives.
-    Conditioning masks the counts instead of compacting the draws.
+    Conditioning masks the counts instead of compacting the draws. The
+    stream is cut into one slice per usable CPU, each at least one chunk
+    long and starting at an even sample; the calling thread counts the
+    first slice and one thread each the others. An error in any slice is
+    raised here once every thread has ended.
     """
     a = float(validated_alpha(alpha))
     pis = [(targets.pi1, targets.pi2) for targets in targets_seq]
+    total = sim.realizations
+    workers = max(1, min(_usable_cpus(), total // _chunk))
+    bounds = [2 * ((total // 2) * index // workers) for index in range(workers)] + [total]
+    counts: list = [None] * workers
+    errors: list = [None] * workers
+
+    def run_slice(index: int) -> None:
+        try:
+            counts[index] = _count_slice(stats, a, pis, sim, bounds[index], bounds[index + 1], _chunk)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors[index] = exc
+
+    threads = [threading.Thread(target=run_slice, args=(index,)) for index in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run_slice(0)
+    for thread in threads:
+        thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    slice_kept, slice_out1, slice_out2 = zip(*counts)
+    out1 = [sum(column) for column in zip(*slice_out1)]
+    out2 = [sum(column) for column in zip(*slice_out2)]
+    kept = sum(slice_kept)
+    return tuple(_estimate(o1, o2, kept) for o1, o2 in zip(out1, out2))
+
+
+def _count_slice(
+    stats: ChannelStats,
+    a: float,
+    pis: Sequence[tuple[float, float]],
+    sim: SimConfig,
+    start: int,
+    stop: int,
+    chunk: int,
+) -> tuple[int, list[int], list[int]]:
+    """Kept count and per-pair outage counts of samples [start, stop) of one stream.
+
+    `start` must be even. The slice keeps its own buffers: its first chunk
+    is its largest, and later chunks reuse views of it.
+    """
     out1 = [0] * len(pis)
     out2 = [0] * len(pis)
     kept = 0
     scratch = flags = None
-    for g1, g2 in _gain_stream(stats, sim.realizations, sim.seed, _chunk):
+    for g1, g2 in _gain_stream(stats, stop - start, sim.seed, chunk, start):
         count = g1.size
         if scratch is None:  # the first chunk is the largest
             scratch, flags = np.empty((4, count)), np.empty((2, count), bool)
@@ -138,7 +202,7 @@ def empirical_sops(
         for index, (pi1, pi2) in enumerate(pis):
             out1[index] += _count_below(ratio1, pi1, mask, below)
             out2[index] += _count_below(ratio2, pi2, mask, below)
-    return tuple(_estimate(o1, o2, kept) for o1, o2 in zip(out1, out2))
+    return kept, out1, out2
 
 
 def _count_below(values: np.ndarray, limit: float, mask: Optional[np.ndarray], below: np.ndarray) -> int:

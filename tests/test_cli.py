@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -291,3 +294,49 @@ def test_default_output_matches_golden_file(tmp_path, command):
     out = tmp_path / f"{command}.csv"
     assert main([command, "--out", str(out), *GOLDEN_FLAGS[command]]) == 0
     assert out.read_bytes() == (GOLDEN / f"{command}.csv").read_bytes()
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(args, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120, **kwargs
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_validate_bytes_do_not_depend_on_cpu_count(tmp_path):
+    # Pinned to one CPU the Monte Carlo streams are counted in one slice each;
+    # unpinned, in one slice per usable CPU. The tables must agree byte for byte.
+    def validate(name, **kwargs):
+        out = tmp_path / f"{name}.csv"
+        proc = run_python(["-m", "noma_secrecy.cli", "validate", "--samples", "300001", "--out", str(out)], **kwargs)
+        assert proc.returncode in (0, 1), proc.stdout + proc.stderr
+        return proc.returncode, out.read_bytes()
+
+    pinned = validate("pinned", preexec_fn=lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}))
+    assert validate("unpinned") == pinned
+
+
+def test_cli_loads_neither_futures_nor_logging():
+    # Either import costs milliseconds on every invocation; the worker
+    # threads of the Monte Carlo count use plain threading instead.
+    code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import noma_secrecy.cli
+from noma_secrecy import montecarlo
+from noma_secrecy.channel import ChannelStats
+from noma_secrecy.sop import TargetRates
+loaded = lambda: sorted(name for name in ("concurrent.futures", "logging") if name in sys.modules)
+print(loaded())
+montecarlo._usable_cpus = lambda: 2
+montecarlo.empirical_sops(ChannelStats(1.0, 0.5, 10.0), 0.5, [TargetRates(1.0, 1.0)], montecarlo.SimConfig(2001), _chunk=1000)
+print(loaded())
+"""
+    proc = run_python(["-I", "-c", code, str(SRC)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "[]"]

@@ -1,11 +1,15 @@
 import math
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reference
+from noma_secrecy import montecarlo
 from noma_secrecy.channel import ChannelStats, with_received_snr
-from noma_secrecy.montecarlo import EmpiricalSop, SimConfig, _secrecy_ratios, empirical_sops
+from noma_secrecy.montecarlo import EmpiricalSop, SimConfig, _count_slice, _secrecy_ratios, empirical_sops
 from noma_secrecy.rates import ALPHA_MIN
 from noma_secrecy.sop import TargetRates, exact_sop_far, exact_sop_near
 from reference import (
@@ -87,6 +91,92 @@ def test_violation_stream_matches_one_sample_gains_window(monkeypatch, chunk, si
     sim = SimConfig(realizations=n, seed=seed)
     assert empirical_conventional_violation_rate(STATS_30DB, alpha, sim, _chunk=chunk) == expected
     assert (expected > 0.0) == (sinr is sinr_proposed)
+
+
+def _window_counts(n, seed, alpha, conditioned):
+    """Kept and per-pair outage counts of one sample_gains window of n samples."""
+    gains = sample_gains(STATS_30DB, n, seed)
+    keep = gains.g1 > gains.g2 if conditioned else np.ones(n, dtype=bool)
+    ratio1, ratio2 = _secrecy_ratios(gains.g1[keep], gains.g2[keep], alpha, STATS_30DB.rho_t)
+    out1 = [int(np.count_nonzero(ratio1 < targets.pi1)) for targets in STREAM_TARGETS]
+    out2 = [int(np.count_nonzero(ratio2 < targets.pi2)) for targets in STREAM_TARGETS]
+    return int(np.count_nonzero(keep)), out1, out2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6_001),
+    cuts=st.lists(st.integers(1, 3_000), max_size=4),
+    chunk=st.integers(1, 2_500),
+    conditioned=st.booleans(),
+)
+@example(n=6_001, cuts=[1, 1_000], chunk=999, conditioned=False)  # a 2-sample slice, odd total
+@example(n=6_001, cuts=[1_000, 2_000], chunk=999, conditioned=True)
+@example(n=6_000, cuts=[1_500], chunk=1 << 15, conditioned=True)
+def test_even_aligned_slices_count_like_one_sequential_read(n, cuts, chunk, conditioned):
+    # Slices of one stream, cut at even samples and counted apart, must sum
+    # to the counts of the whole stream read in order.
+    seed, alpha = 23, 0.4
+    bounds = sorted({0, n, *(2 * cut for cut in cuts if 2 * cut < n)})
+    sim = SimConfig(realizations=n, seed=seed, condition_on_ordering=conditioned)
+    pis = [(targets.pi1, targets.pi2) for targets in STREAM_TARGETS]
+    kept, out1, out2 = 0, [0] * len(pis), [0] * len(pis)
+    for start, stop in zip(bounds, bounds[1:]):
+        slice_kept, slice_out1, slice_out2 = _count_slice(STATS_30DB, alpha, pis, sim, start, stop, chunk)
+        kept += slice_kept
+        out1 = [total + part for total, part in zip(out1, slice_out1)]
+        out2 = [total + part for total, part in zip(out2, slice_out2)]
+    assert (kept, out1, out2) == _window_counts(n, seed, alpha, conditioned)
+
+
+def test_slices_start_at_even_samples():
+    sim = SimConfig(realizations=11, seed=1)
+    with pytest.raises(ValueError, match="even"):
+        _count_slice(STATS_30DB, 0.4, [(2.0, 2.0)], sim, 3, 11, 1000)
+
+
+@pytest.mark.parametrize("conditioned", [False, True])
+def test_estimates_do_not_depend_on_worker_count(monkeypatch, conditioned):
+    sim = SimConfig(realizations=50_001, seed=8, condition_on_ordering=conditioned)
+    starts = []
+
+    def counted_slice(*args):
+        starts.append(args[4])
+        return _count_slice(*args)
+
+    monkeypatch.setattr(montecarlo, "_count_slice", counted_slice)
+    results = []
+    for workers in (1, 2, 3, 4):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda workers=workers: workers)
+        starts.clear()
+        results.append(empirical_sops(STATS_30DB, 0.4, STREAM_TARGETS, sim, _chunk=1_000))
+        assert len(starts) == workers and all(start % 2 == 0 for start in starts)
+    assert results[1:] == results[:1] * 3
+    kept, out1, out2 = _window_counts(sim.realizations, sim.seed, 0.4, conditioned)
+    assert [result.n for result in results[0]] == [kept] * len(STREAM_TARGETS)
+    assert [result.so1_hat for result in results[0]] == [count / kept for count in out1]
+    assert [result.so2_hat for result in results[0]] == [count / kept for count in out2]
+    # Every slice holds at least one chunk: two chunks of 20_000 leave room for two slices.
+    starts.clear()
+    assert empirical_sops(STATS_30DB, 0.4, STREAM_TARGETS, sim, _chunk=20_000) == results[0]
+    assert len(starts) == 2
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_slice_errors_reach_the_caller_after_every_thread_ends(monkeypatch, failing):
+    caller = threading.current_thread()
+
+    def ratios(*args):
+        if (threading.current_thread() is caller) == (failing == "caller"):
+            raise RuntimeError(f"{failing} slice failed")
+        return _secrecy_ratios(*args)
+
+    monkeypatch.setattr(montecarlo, "_secrecy_ratios", ratios)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{failing} slice failed"):
+        empirical_sops(STATS_30DB, 0.4, (RTH1,), SimConfig(realizations=30_001, seed=5), _chunk=1_000)
+    assert threading.active_count() == before
 
 
 # EmpiricalSop tuples of three target pairs at alpha = 0.4 and 200_001
@@ -213,6 +303,11 @@ def test_stderr_follows_binomial_formula():
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(realizations=0)
+    # Slicing a stream needs an integer count; floats and bools fail before any draw.
+    for realizations in (1e6, 1.0, True, "10"):
+        with pytest.raises(TypeError):
+            SimConfig(realizations=realizations)
+    assert SimConfig(realizations=np.int64(5)).realizations == 5
     assert SimConfig().realizations == 10**6
     assert SimConfig().seed == 1
     assert not SimConfig().condition_on_ordering
