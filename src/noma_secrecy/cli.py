@@ -113,11 +113,7 @@ def cmd_validate(cfg: RunConfig) -> bool:
     for snr_index, rho_r in enumerate(cfg.validate_rho_r_grid_db):
         stats = with_received_snr(base, rho_r)
         # One stream per SNR: every target rate is counted on the same draws.
-        sim = SimConfig(
-            realizations=cfg.realizations,
-            seed=cfg.seed + snr_index,
-            condition_on_ordering=cfg.condition_on_ordering,
-        )
+        sim = SimConfig(realizations=cfg.realizations, seed=cfg.seed + snr_index)
         empiricals = empirical_sops(stats, cfg.alpha, targets_seq, sim)
         curve = []
         for targets, empirical in zip(targets_seq, empiricals):
@@ -306,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--format", choices=("csv", "json"), help="output format")
         sub.add_argument("--seed", type=int, help="base seed for the sample streams")
         sub.add_argument("--samples", type=int, help="Monte Carlo realizations")
-        sub.add_argument("--conditioned", action="store_true",
-                         help="keep only draws with g1 > g2")
     return parser
 
 
@@ -318,8 +312,6 @@ def _configure(args: argparse.Namespace) -> RunConfig:
         overrides["seed"] = args.seed
     if args.samples is not None:
         overrides["realizations"] = args.samples
-    if args.conditioned:
-        overrides["condition_on_ordering"] = True
     if args.out is not None:
         overrides["out_path"] = args.out
     if args.format is not None:

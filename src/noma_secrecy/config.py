@@ -82,7 +82,6 @@ class RunConfig:
     validate_rho_r_grid_db: tuple = (20.0, 30.0, 40.0)
     realizations: int = 10**6
     seed: int = 1
-    condition_on_ordering: bool = False
     out_path: Optional[str] = None
     out_format: str = "csv"
     fixed_alpha: float = 0.33        # fixed-split baseline for gain comparison
@@ -109,6 +108,13 @@ class RunConfig:
             _require(
                 ALPHA_MIN <= value <= ALPHA_MAX,
                 f"{key} must lie within [{ALPHA_MIN:g}, {ALPHA_MAX:g}], got {value!r}",
+            )
+        # Slicing a stream and keying Philox both need true integers; a float
+        # or bool would be truncated or fail later inside the Monte Carlo kernel.
+        for key, value in (("sim.realizations", self.realizations), ("sim.seed", self.seed)):
+            _require(
+                isinstance(value, (int, np.integer)) and not isinstance(value, bool),
+                f"{key} must be an integer, got {value!r}",
             )
         _require(self.realizations >= 1, f"sim.realizations must be at least 1, got {self.realizations!r}")
         # validate seeds its streams seed, seed + 1, ..., one per grid SNR.
@@ -166,15 +172,6 @@ class RunConfig:
         return self.sweep
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def _parse_float_list(raw: str) -> tuple:
     items = [part.strip() for part in raw.split(",") if part.strip()]
     if not items:
@@ -198,7 +195,6 @@ _KEYS = {
     "validate.rho_r_grid_db": ("validate_rho_r_grid_db", _parse_float_list),
     "sim.realizations": ("realizations", int),
     "sim.seed": ("seed", int),
-    "sim.condition_on_ordering": ("condition_on_ordering", _parse_bool),
     "output.path": ("out_path", str),
     "output.format": ("out_format", str),
     "fixed.alpha": ("fixed_alpha", float),

@@ -48,14 +48,17 @@ _CHUNK = 1 << 15
 class SimConfig:
     realizations: int = 10**6
     seed: int = 1
-    condition_on_ordering: bool = False  # keep only draws with g1 > g2
 
     def __post_init__(self) -> None:
-        # Streams are cut into slices by index, so the count must be a true integer.
-        if isinstance(self.realizations, bool):
-            raise TypeError("realizations must be an integer, not a bool")
+        # Streams are cut into slices by index, so the count must be a true integer,
+        # and Philox truncates a float or bool key to another seed's stream.
+        for name in ("realizations", "seed"):
+            if isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be an integer, not a bool")
         if operator.index(self.realizations) < 1:
             raise ValueError("need at least one realization")
+        if not 0 <= operator.index(self.seed) < 2**128:
+            raise ValueError("seed must lie within [0, 2**128), the range of Philox keys")
 
 
 class EmpiricalSop(NamedTuple):
@@ -63,24 +66,22 @@ class EmpiricalSop(NamedTuple):
     so2_hat: float
     stderr1: float
     stderr2: float
-    n: int  # samples actually counted (smaller than realizations if conditioned)
+    n: int  # samples counted, always sim.realizations
 
 
 def _binomial_stderr(p: float, n: int) -> float:
-    if n == 0:
-        return 0.0
     return math.sqrt(p * (1.0 - p) / n)
 
 
-def _estimate(out1: int, out2: int, kept: int) -> EmpiricalSop:
-    so1 = out1 / kept if kept else 0.0
-    so2 = out2 / kept if kept else 0.0
+def _estimate(out1: int, out2: int, n: int) -> EmpiricalSop:
+    so1 = out1 / n
+    so2 = out2 / n
     return EmpiricalSop(
         so1_hat=so1,
         so2_hat=so2,
-        stderr1=_binomial_stderr(so1, kept),
-        stderr2=_binomial_stderr(so2, kept),
-        n=kept,
+        stderr1=_binomial_stderr(so1, n),
+        stderr2=_binomial_stderr(so2, n),
+        n=n,
     )
 
 
@@ -133,8 +134,7 @@ def empirical_sops(
 
     All target pairs are counted on the same draws, so the estimates share
     one stream and each equals what a separate call with that pair alone gives.
-    Conditioning masks the counts instead of compacting the draws. The
-    stream is cut into one slice per usable CPU, each at least one chunk
+    The stream is cut into one slice per usable CPU, each at least one chunk
     long and starting at an even sample; the calling thread counts the
     first slice and one thread each the others. An error in any slice is
     raised here once every thread has ended.
@@ -162,11 +162,10 @@ def empirical_sops(
     for error in errors:
         if error is not None:
             raise error
-    slice_kept, slice_out1, slice_out2 = zip(*counts)
+    slice_out1, slice_out2 = zip(*counts)
     out1 = [sum(column) for column in zip(*slice_out1)]
     out2 = [sum(column) for column in zip(*slice_out2)]
-    kept = sum(slice_kept)
-    return tuple(_estimate(o1, o2, kept) for o1, o2 in zip(out1, out2))
+    return tuple(_estimate(o1, o2, total) for o1, o2 in zip(out1, out2))
 
 
 def _count_slice(
@@ -177,38 +176,29 @@ def _count_slice(
     start: int,
     stop: int,
     chunk: int,
-) -> tuple[int, list[int], list[int]]:
-    """Kept count and per-pair outage counts of samples [start, stop) of one stream.
+) -> tuple[list[int], list[int]]:
+    """Per-pair outage counts of samples [start, stop) of one stream.
 
     `start` must be even. The slice keeps its own buffers: its first chunk
     is its largest, and later chunks reuse views of it.
     """
     out1 = [0] * len(pis)
     out2 = [0] * len(pis)
-    kept = 0
     scratch = flags = None
     for g1, g2 in _gain_stream(stats, stop - start, sim.seed, chunk, start):
         count = g1.size
         if scratch is None:  # the first chunk is the largest
-            scratch, flags = np.empty((4, count)), np.empty((2, count), bool)
+            scratch, flags = np.empty((4, count)), np.empty(count, bool)
         ratio1, ratio2 = _secrecy_ratios(g1, g2, a, stats.rho_t, scratch[:, :count])
-        below, ordered = flags[:, :count]
-        if sim.condition_on_ordering:
-            mask = np.greater(g1, g2, out=ordered)
-            kept += int(np.count_nonzero(mask))
-        else:
-            mask = None
-            kept += count
+        below = flags[:count]
         for index, (pi1, pi2) in enumerate(pis):
-            out1[index] += _count_below(ratio1, pi1, mask, below)
-            out2[index] += _count_below(ratio2, pi2, mask, below)
-    return kept, out1, out2
+            out1[index] += _count_below(ratio1, pi1, below)
+            out2[index] += _count_below(ratio2, pi2, below)
+    return out1, out2
 
 
-def _count_below(values: np.ndarray, limit: float, mask: Optional[np.ndarray], below: np.ndarray) -> int:
-    """Number of values < limit, among the masked ones when a mask is given."""
+def _count_below(values: np.ndarray, limit: float, below: np.ndarray) -> int:
+    """Number of values < limit; `below` is bool scratch of the values' shape."""
     np.less(values, limit, out=below)
-    if mask is not None:
-        np.logical_and(below, mask, out=below)
     return int(np.count_nonzero(below))
 

@@ -113,9 +113,11 @@ def test_missing_config_file_exits_two(tmp_path):
 
 
 def test_bad_format_flag_is_rejected_by_parser():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["optimize", "--format", "yaml"])
-    assert excinfo.value.code == 2
+    # --conditioned is gone with the ordering-conditioned Monte Carlo mode.
+    for argv in (["optimize", "--format", "yaml"], ["validate", "--conditioned"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
 
 def test_optimize_json_reports_degenerate_closed_forms(tmp_path):

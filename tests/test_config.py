@@ -1,7 +1,11 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
 from noma_secrecy.config import (
+    _KEYS,
     _MAX_SWEEP_POINTS,
     ConfigError,
     RunConfig,
@@ -29,7 +33,6 @@ sweep.step = 5
 validate.rho_r_grid_db = 15, 25, 35
 sim.realizations = 5000
 sim.seed = 42
-sim.condition_on_ordering = yes
 output.path = out.csv
 output.format = json
 fixed.alpha = 0.25
@@ -55,7 +58,6 @@ def test_full_file_round_trip():
     assert cfg.sweep == SweepSpec("rho_r_db", 10.0, 40.0, 5.0)
     assert cfg.validate_rho_r_grid_db == (15.0, 25.0, 35.0)
     assert cfg.realizations == 5000 and cfg.seed == 42
-    assert cfg.condition_on_ordering is True
     assert cfg.out_path == "out.csv" and cfg.out_format == "json"
     assert cfg.fixed_alpha == 0.25
 
@@ -63,13 +65,14 @@ def test_full_file_round_trip():
 def test_unknown_key_reports_line_number():
     with pytest.raises(ConfigError, match=r"line 2: unknown key 'system\.d3_m'"):
         parse_config("system.d1_m = 50\nsystem.d3_m = 1\n")
+    # The Monte Carlo oracle counts every draw; the ordering-conditioned key is gone.
+    with pytest.raises(ConfigError, match=r"line 1: unknown key 'sim\.condition_on_ordering'"):
+        parse_config("sim.condition_on_ordering = false\n")
 
 
 def test_bad_value_reports_line_number():
     with pytest.raises(ConfigError, match="line 1: bad value for system.d1_m"):
         parse_config("system.d1_m = fifty\n")
-    with pytest.raises(ConfigError, match="line 1: bad value for sim.condition_on_ordering"):
-        parse_config("sim.condition_on_ordering = maybe\n")
 
 
 def test_missing_equals_sign_is_rejected():
@@ -104,8 +107,9 @@ def test_power_splits_must_lie_in_the_window():
 
 
 def test_bool_and_list_parsing():
-    assert parse_config("sim.condition_on_ordering = TRUE\n").condition_on_ordering is True
-    assert parse_config("sim.condition_on_ordering = 0\n").condition_on_ordering is False
+    # No key takes a boolean; integer keys refuse one.
+    with pytest.raises(ConfigError, match="line 1: bad value for sim.seed"):
+        parse_config("sim.seed = true\n")
     assert parse_config("validate.rho_r_grid_db = 10\n").validate_rho_r_grid_db == (10.0,)
     with pytest.raises(ConfigError, match="empty list"):
         parse_config("validate.rho_r_grid_db = ,\n")
@@ -180,6 +184,16 @@ def test_out_of_domain_values_are_config_errors(text, match):
         parse_config(text)
 
 
+@pytest.mark.parametrize("key,attr", [("sim.seed", "seed"), ("sim.realizations", "realizations")])
+def test_seed_and_realizations_must_be_integers(key, attr):
+    # Philox truncates a float or bool key (seed 1.5 or True would draw seed 1's
+    # stream), and a float sample count would fail inside the Monte Carlo kernel.
+    for value in (1.5, 2000.0, True):
+        with pytest.raises(ConfigError, match=rf"{key} must be an integer, got {value!r}"):
+            RunConfig(**{attr: value})
+    assert getattr(RunConfig(**{attr: np.int64(5)}), attr) == 5
+
+
 def test_seed_leaves_room_for_one_stream_per_snr():
     # Philox keys stop at 2**128 - 1; validate keys its streams seed + snr_index.
     assert parse_config(f"sim.seed = {2**128 - 3}\n").seed == 2**128 - 3
@@ -208,6 +222,18 @@ def test_sweep_values_are_inclusive():
     values = SweepSpec("alpha", 0.1, 0.7, 0.1).values()
     assert len(values) == 7
     assert values[-1] == pytest.approx(0.7, abs=1e-12)
+
+
+def test_example_config_names_every_key_at_its_default():
+    # README promises that scripts/example.cfg lists every key, active or commented out.
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "example.cfg"
+    named = set()
+    for line in path.read_text(encoding="utf-8").splitlines():
+        match = re.fullmatch(r"#?\s*([a-z0-9_]+\.[a-z0-9_]+)\s*=.*", line.strip())
+        if match:
+            named.add(match.group(1))
+    assert named == set(_KEYS)
+    assert load_config(str(path)) == RunConfig()
 
 
 def test_load_config_reads_files(tmp_path):
