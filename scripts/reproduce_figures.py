@@ -23,7 +23,7 @@ COMMANDS = ("validate", "distance-sweep", "optimize", "minmax", "gain-comparison
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", default="results", help="directory for the output tables")
-    parser.add_argument("--seed", type=int, default=1, help="base seed for the sample streams")
+    parser.add_argument("--seed", type=int, default=1, help="seed of the Monte Carlo sample stream")
     parser.add_argument("--samples", type=int, default=10**6, help="Monte Carlo realizations")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--config", help="key=value file applied to every sweep")

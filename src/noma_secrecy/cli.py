@@ -108,13 +108,14 @@ def cmd_validate(cfg: RunConfig) -> bool:
         "rho_r_db", "rth1_bits", "so1_exact", "so1_sim",
         "abs_diff", "bound_3sigma", "within_bound", "rmse_curve",
     ]
+    grid = cfg.validate_rho_r_grid_db
+    stats_seq = [with_received_snr(base, rho_r) for rho_r in grid]
+    # One stream for the whole grid: every SNR and target rate is counted on the same draws.
+    sim = SimConfig(realizations=cfg.realizations, seed=cfg.seed)
+    empiricals_seq = empirical_sops(stats_seq, cfg.alpha, targets_seq, sim)
     rows = []
     all_within = True
-    for snr_index, rho_r in enumerate(cfg.validate_rho_r_grid_db):
-        stats = with_received_snr(base, rho_r)
-        # One stream per SNR: every target rate is counted on the same draws.
-        sim = SimConfig(realizations=cfg.realizations, seed=cfg.seed + snr_index)
-        empiricals = empirical_sops(stats, cfg.alpha, targets_seq, sim)
+    for rho_r, stats, empiricals in zip(grid, stats_seq, empiricals_seq):
         curve = []
         for targets, empirical in zip(targets_seq, empiricals):
             exact = exact_sop_near(stats, cfg.alpha, targets).value
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", help="key=value run configuration file")
         sub.add_argument("--out", help="output file path (default: stdout)")
         sub.add_argument("--format", choices=("csv", "json"), help="output format")
-        sub.add_argument("--seed", type=int, help="base seed for the sample streams")
+        sub.add_argument("--seed", type=int, help="seed of the Monte Carlo sample stream")
         sub.add_argument("--samples", type=int, help="Monte Carlo realizations")
     return parser
 

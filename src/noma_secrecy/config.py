@@ -117,11 +117,7 @@ class RunConfig:
                 f"{key} must be an integer, got {value!r}",
             )
         _require(self.realizations >= 1, f"sim.realizations must be at least 1, got {self.realizations!r}")
-        # validate seeds its streams seed, seed + 1, ..., one per grid SNR.
-        _require(
-            0 <= self.seed <= _MAX_SEED - (len(grid) - 1),
-            f"sim.seed must lie within [0, 2**128 - {len(grid)}], got {self.seed!r}",
-        )
+        _require(0 <= self.seed <= _MAX_SEED, f"sim.seed must lie within [0, 2**128), got {self.seed!r}")
         distances, snrs = [self.d1_m, self.d2_m], [self.rho_r_db, *grid]
         if self.sweep is not None:
             values = self.sweep.values()

@@ -6,7 +6,7 @@ R_s < R_th (strict; ties are non-outage). The count needs no logarithm:
 R_s1 < R_th1 iff (1 + g11) / (1 + g12) < 2**R_th1, and likewise for the far
 user. Each stream is one Philox key, two samples per counter block, so
 sample 2k starts block k and a Philox generator seeded with counter k reads
-the stream from there. `empirical_sops` cuts each stream into contiguous
+the stream from there. `empirical_sops` cuts the stream into contiguous
 slices, one per CPU this process may run on and each at least one chunk
 long, that start at even samples; the calling thread counts the first slice
 and a thread each the others, and the integer counts are summed in slice
@@ -14,10 +14,12 @@ order. A slice is read in order in chunks of whole blocks. So the draws, and
 hence the totals, depend neither on the chunk size nor on the worker or CPU
 count. A slice keeps one set of buffers: the uniforms become gains in place,
 and the ratio algebra and the comparisons run into reused arrays, building
-no array or object per chunk. Each chunk is drawn once and counted against
-every target-rate pair of a call (common random numbers), so a sweep over
-target rates costs one stream, not one per rate: `noma-secrecy validate`
-draws one stream per SNR, seeded `seed + snr_index`.
+no array or object per chunk. Each chunk is drawn once and counted for every
+channel entry and target-rate pair of a call (common random numbers). The
+entries share the mean gains and differ only in the transmit SNR, which
+scales the drawn gains, so a sweep over SNRs and target rates costs one
+stream: `noma-secrecy validate` counts its whole grid on the stream keyed
+by its seed.
 """
 from __future__ import annotations
 
@@ -124,22 +126,35 @@ def _usable_cpus() -> int:
 
 
 def empirical_sops(
-    stats: ChannelStats,
+    stats_seq: Sequence[ChannelStats],
     alpha: float,
     targets_seq: Sequence[TargetRates],
     sim: SimConfig,
     _chunk: int = _CHUNK,
-) -> tuple[EmpiricalSop, ...]:
-    """Outage frequencies under the proposed decoding order, one per target pair.
+) -> tuple[tuple[EmpiricalSop, ...], ...]:
+    """Outage frequencies under the proposed decoding order, one row per entry.
 
-    All target pairs are counted on the same draws, so the estimates share
-    one stream and each equals what a separate call with that pair alone gives.
+    Row i holds one estimate per target pair for `stats_seq[i]`. The entries
+    must share lambda1 and lambda2 and may differ only in rho_t, which
+    scales the drawn gains; so every entry and every target pair is counted
+    on the same draws, and each estimate equals what a separate call with
+    that entry and that pair alone gives.
     The stream is cut into one slice per usable CPU, each at least one chunk
     long and starting at an even sample; the calling thread counts the
     first slice and one thread each the others. An error in any slice is
     raised here once every thread has ended.
     """
+    stats_seq = tuple(stats_seq)
     a = float(validated_alpha(alpha))
+    if not stats_seq:
+        return ()
+    first = stats_seq[0]
+    for index, stats in enumerate(stats_seq):
+        if (stats.lambda1, stats.lambda2) != (first.lambda1, first.lambda2):
+            raise ValueError(
+                "entries of one stream must share lambda1 and lambda2: entry "
+                f"{index} has {(stats.lambda1, stats.lambda2)}, entry 0 {(first.lambda1, first.lambda2)}"
+            )
     pis = [(targets.pi1, targets.pi2) for targets in targets_seq]
     total = sim.realizations
     workers = max(1, min(_usable_cpus(), total // _chunk))
@@ -149,7 +164,7 @@ def empirical_sops(
 
     def run_slice(index: int) -> None:
         try:
-            counts[index] = _count_slice(stats, a, pis, sim, bounds[index], bounds[index + 1], _chunk)
+            counts[index] = _count_slice(stats_seq, a, pis, sim, bounds[index], bounds[index + 1], _chunk)
         except BaseException as exc:  # re-raised in the calling thread
             errors[index] = exc
 
@@ -162,39 +177,45 @@ def empirical_sops(
     for error in errors:
         if error is not None:
             raise error
-    slice_out1, slice_out2 = zip(*counts)
-    out1 = [sum(column) for column in zip(*slice_out1)]
-    out2 = [sum(column) for column in zip(*slice_out2)]
-    return tuple(_estimate(o1, o2, total) for o1, o2 in zip(out1, out2))
+    rows = []
+    for entry_counts in zip(*counts):  # one entry's (out1, out2) of every slice
+        slice_out1, slice_out2 = zip(*entry_counts)
+        out1 = [sum(column) for column in zip(*slice_out1)]
+        out2 = [sum(column) for column in zip(*slice_out2)]
+        rows.append(tuple(_estimate(o1, o2, total) for o1, o2 in zip(out1, out2)))
+    return tuple(rows)
 
 
 def _count_slice(
-    stats: ChannelStats,
+    stats_seq: Sequence[ChannelStats],
     a: float,
     pis: Sequence[tuple[float, float]],
     sim: SimConfig,
     start: int,
     stop: int,
     chunk: int,
-) -> tuple[list[int], list[int]]:
-    """Per-pair outage counts of samples [start, stop) of one stream.
+) -> list[tuple[list[int], list[int]]]:
+    """Per-entry, per-pair outage counts of samples [start, stop) of one stream.
 
-    `start` must be even. The slice keeps its own buffers: its first chunk
-    is its largest, and later chunks reuse views of it.
+    `start` must be even. The gains are drawn with the first entry's mean
+    gains, which every entry shares, and each entry scales them by its own
+    rho_t. The slice keeps its own buffers: its first chunk is its largest,
+    and later chunks reuse views of it.
     """
-    out1 = [0] * len(pis)
-    out2 = [0] * len(pis)
+    counts = [([0] * len(pis), [0] * len(pis)) for _ in stats_seq]
+    rho_ts = [stats.rho_t for stats in stats_seq]
     scratch = flags = None
-    for g1, g2 in _gain_stream(stats, stop - start, sim.seed, chunk, start):
+    for g1, g2 in _gain_stream(stats_seq[0], stop - start, sim.seed, chunk, start):
         count = g1.size
         if scratch is None:  # the first chunk is the largest
             scratch, flags = np.empty((4, count)), np.empty(count, bool)
-        ratio1, ratio2 = _secrecy_ratios(g1, g2, a, stats.rho_t, scratch[:, :count])
         below = flags[:count]
-        for index, (pi1, pi2) in enumerate(pis):
-            out1[index] += _count_below(ratio1, pi1, below)
-            out2[index] += _count_below(ratio2, pi2, below)
-    return out1, out2
+        for rho_t, (out1, out2) in zip(rho_ts, counts):
+            ratio1, ratio2 = _secrecy_ratios(g1, g2, a, rho_t, scratch[:, :count])
+            for index, (pi1, pi2) in enumerate(pis):
+                out1[index] += _count_below(ratio1, pi1, below)
+                out2[index] += _count_below(ratio2, pi2, below)
+    return counts
 
 
 def _count_below(values: np.ndarray, limit: float, below: np.ndarray) -> int:

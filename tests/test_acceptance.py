@@ -61,16 +61,15 @@ def _single_valley(curve: np.ndarray, tol: float = 1e-12) -> bool:
 
 
 def test_criterion_01_simulation_validation():
-    # Mirrors `noma-secrecy validate` at seed 1: one stream per SNR, seeded
-    # 1 + snr_index, counts every target rate.
+    # Mirrors `noma-secrecy validate` at seed 1: one stream, seeded 1, counts
+    # every SNR of the grid and every target rate.
     base = RunConfig().stats()
+    stats_seq = [with_received_snr(base, rho_r) for rho_r in SNR_GRID_DB]
     targets_seq = [TargetRates(float(rth), float(rth)) for rth in RTH_GRID]
     worst_budget = 0.0
     deviations = []
     all_within = True
-    for snr_index, rho_r in enumerate(SNR_GRID_DB):
-        stats = with_received_snr(base, rho_r)
-        empiricals = empirical_sops(stats, 0.5, targets_seq, SimConfig(10**6, 1 + snr_index))
+    for stats, empiricals in zip(stats_seq, empirical_sops(stats_seq, 0.5, targets_seq, SimConfig(10**6, 1))):
         for targets, empirical in zip(targets_seq, empiricals):
             exact = exact_sop_near(stats, 0.5, targets).value
             diff = abs(empirical.so1_hat - exact)

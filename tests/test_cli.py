@@ -311,7 +311,7 @@ def run_python(args, **kwargs):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
 def test_validate_bytes_do_not_depend_on_cpu_count(tmp_path):
-    # Pinned to one CPU the Monte Carlo streams are counted in one slice each;
+    # Pinned to one CPU the Monte Carlo stream is counted in one slice;
     # unpinned, in one slice per usable CPU. The tables must agree byte for byte.
     def validate(name, **kwargs):
         out = tmp_path / f"{name}.csv"
@@ -336,9 +336,23 @@ from noma_secrecy.sop import TargetRates
 loaded = lambda: sorted(name for name in ("concurrent.futures", "logging") if name in sys.modules)
 print(loaded())
 montecarlo._usable_cpus = lambda: 2
-montecarlo.empirical_sops(ChannelStats(1.0, 0.5, 10.0), 0.5, [TargetRates(1.0, 1.0)], montecarlo.SimConfig(2001), _chunk=1000)
+montecarlo.empirical_sops((ChannelStats(1.0, 0.5, 10.0),), 0.5, [TargetRates(1.0, 1.0)], montecarlo.SimConfig(2001), _chunk=1000)
 print(loaded())
 """
     proc = run_python(["-I", "-c", code, str(SRC)])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]", "[]"]
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random loads at the first Philox draw and costs milliseconds; the
+    # subcommands that draw nothing must not pay for it at import.
+    code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import noma_secrecy.cli
+print("numpy.random" in sys.modules)
+"""
+    proc = run_python(["-I", "-c", code, str(SRC)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

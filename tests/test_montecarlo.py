@@ -32,16 +32,16 @@ UNCONDITIONED = pytest.mark.parametrize("conditioned", [False])
 
 def test_runs_are_deterministic():
     sim = SimConfig(realizations=20_000, seed=11)
-    first = empirical_sops(STATS_30DB, 0.5, (RTH1,), sim)[0]
-    second = empirical_sops(STATS_30DB, 0.5, (RTH1,), sim)[0]
+    first = empirical_sops((STATS_30DB,), 0.5, (RTH1,), sim)[0][0]
+    second = empirical_sops((STATS_30DB,), 0.5, (RTH1,), sim)[0][0]
     assert first == second
 
 
 def test_totals_do_not_depend_on_chunking():
     sim = SimConfig(realizations=50_000, seed=3)
-    default = empirical_sops(STATS_30DB, 0.4, (RTH1,), sim)[0]
-    tiny_chunks = empirical_sops(STATS_30DB, 0.4, (RTH1,), sim, _chunk=1000)[0]
-    odd_chunks = empirical_sops(STATS_30DB, 0.4, (RTH1,), sim, _chunk=999)[0]
+    default = empirical_sops((STATS_30DB,), 0.4, (RTH1,), sim)[0][0]
+    tiny_chunks = empirical_sops((STATS_30DB,), 0.4, (RTH1,), sim, _chunk=1000)[0][0]
+    odd_chunks = empirical_sops((STATS_30DB,), 0.4, (RTH1,), sim, _chunk=999)[0][0]
     assert default == tiny_chunks == odd_chunks
 
 
@@ -51,16 +51,55 @@ def test_many_targets_match_single_target_calls(conditioned):
     targets_seq = [
         TargetRates(0.5, 3.0), TargetRates(1.0, 1.0), TargetRates(3.0, 0.25), TargetRates(0.0, 0.0)
     ]
-    together = empirical_sops(STATS_30DB, 0.4, targets_seq, sim, _chunk=10_007)
+    together = empirical_sops((STATS_30DB,), 0.4, targets_seq, sim, _chunk=10_007)[0]
     assert len(together) == len(targets_seq)
     for targets, joint in zip(targets_seq, together):
-        single = empirical_sops(STATS_30DB, 0.4, (targets,), sim)[0]
+        single = empirical_sops((STATS_30DB,), 0.4, (targets,), sim)[0][0]
         for field in EmpiricalSop._fields:
             assert getattr(joint, field) == getattr(single, field), field
-    assert empirical_sops(STATS_30DB, 0.4, (), sim) == ()
+    assert empirical_sops((STATS_30DB,), 0.4, (), sim)[0] == ()
 
 
 STREAM_TARGETS = (TargetRates(0.5, 3.0), TargetRates(1.0, 1.0), TargetRates(3.0, 0.25))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rho_t_exponents=st.lists(st.floats(-2.0, 10.0), min_size=1, max_size=4),
+    half=st.integers(0, 3_000),
+    chunk=st.integers(1, 2_500),
+    workers=st.integers(1, 3),
+)
+@example(rho_t_exponents=[8.0, 9.0, 10.0], half=3_000, chunk=999, workers=3)
+def test_each_entry_counts_like_its_own_call(rho_t_exponents, half, chunk, workers):
+    # Entries that differ only in rho_t share one stream; each row must be
+    # bit-identical to a call with that entry alone, at any worker count.
+    sim = SimConfig(realizations=2 * half + 1, seed=9)
+    stats_seq = [ChannelStats(LAM1, LAM2, 10.0**exponent) for exponent in rho_t_exponents]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+        rows = empirical_sops(stats_seq, 0.4, STREAM_TARGETS, sim, _chunk=chunk)
+    assert len(rows) == len(stats_seq)
+    for stats, row in zip(stats_seq, rows):
+        assert row == empirical_sops((stats,), 0.4, STREAM_TARGETS, sim)[0]
+
+
+@pytest.mark.parametrize(
+    "other",
+    [ChannelStats(2 * LAM1, LAM2, 1e8), ChannelStats(LAM1, LAM2 / 2, 1e8)],
+    ids=["lambda1-differs", "lambda2-differs"],
+)
+def test_entries_must_share_mean_gains(monkeypatch, other):
+    def no_philox(*args, **kwargs):
+        raise AssertionError("a Philox generator was built")
+
+    monkeypatch.setattr(np.random, "Philox", no_philox)
+    with pytest.raises(ValueError, match="must share lambda1 and lambda2"):
+        empirical_sops((STATS_30DB, other), 0.4, STREAM_TARGETS, SimConfig(realizations=1_000))
+
+
+def test_no_entries_give_no_rows():
+    assert empirical_sops((), 0.4, STREAM_TARGETS, SimConfig(realizations=1_000)) == ()
 
 
 @pytest.mark.parametrize("chunk", [999, 1000, 10_007, 1 << 16])
@@ -72,7 +111,7 @@ def test_stream_counts_match_one_sample_gains_window(chunk, conditioned):
     gains = sample_gains(STATS_30DB, n, seed)
     ratio1, ratio2 = _secrecy_ratios(gains.g1, gains.g2, alpha, STATS_30DB.rho_t)
     sim = SimConfig(realizations=n, seed=seed)
-    results = empirical_sops(STATS_30DB, alpha, STREAM_TARGETS, sim, _chunk=chunk)
+    results = empirical_sops((STATS_30DB,), alpha, STREAM_TARGETS, sim, _chunk=chunk)[0]
     for targets, result in zip(STREAM_TARGETS, results):
         assert result.n == n
         assert result.so1_hat == int(np.count_nonzero(ratio1 < targets.pi1)) / n
@@ -121,7 +160,7 @@ def test_even_aligned_slices_count_like_one_sequential_read(n, cuts, chunk):
     pis = [(targets.pi1, targets.pi2) for targets in STREAM_TARGETS]
     out1, out2 = [0] * len(pis), [0] * len(pis)
     for start, stop in zip(bounds, bounds[1:]):
-        slice_out1, slice_out2 = _count_slice(STATS_30DB, alpha, pis, sim, start, stop, chunk)
+        slice_out1, slice_out2 = _count_slice((STATS_30DB,), alpha, pis, sim, start, stop, chunk)[0]
         out1 = [total + part for total, part in zip(out1, slice_out1)]
         out2 = [total + part for total, part in zip(out2, slice_out2)]
     assert (out1, out2) == _window_counts(n, seed, alpha)
@@ -130,7 +169,7 @@ def test_even_aligned_slices_count_like_one_sequential_read(n, cuts, chunk):
 def test_slices_start_at_even_samples():
     sim = SimConfig(realizations=11, seed=1)
     with pytest.raises(ValueError, match="even"):
-        _count_slice(STATS_30DB, 0.4, [(2.0, 2.0)], sim, 3, 11, 1000)
+        _count_slice((STATS_30DB,), 0.4, [(2.0, 2.0)], sim, 3, 11, 1000)
 
 
 @UNCONDITIONED
@@ -147,7 +186,7 @@ def test_estimates_do_not_depend_on_worker_count(monkeypatch, conditioned):
     for workers in (1, 2, 3, 4):
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda workers=workers: workers)
         starts.clear()
-        results.append(empirical_sops(STATS_30DB, 0.4, STREAM_TARGETS, sim, _chunk=1_000))
+        results.append(empirical_sops((STATS_30DB,), 0.4, STREAM_TARGETS, sim, _chunk=1_000)[0])
         assert len(starts) == workers and all(start % 2 == 0 for start in starts)
     assert results[1:] == results[:1] * 3
     n = sim.realizations
@@ -157,7 +196,7 @@ def test_estimates_do_not_depend_on_worker_count(monkeypatch, conditioned):
     assert [result.so2_hat for result in results[0]] == [count / n for count in out2]
     # Every slice holds at least one chunk: two chunks of 20_000 leave room for two slices.
     starts.clear()
-    assert empirical_sops(STATS_30DB, 0.4, STREAM_TARGETS, sim, _chunk=20_000) == results[0]
+    assert empirical_sops((STATS_30DB,), 0.4, STREAM_TARGETS, sim, _chunk=20_000)[0] == results[0]
     assert len(starts) == 2
 
 
@@ -174,7 +213,7 @@ def test_slice_errors_reach_the_caller_after_every_thread_ends(monkeypatch, fail
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"{failing} slice failed"):
-        empirical_sops(STATS_30DB, 0.4, (RTH1,), SimConfig(realizations=30_001, seed=5), _chunk=1_000)
+        empirical_sops((STATS_30DB,), 0.4, (RTH1,), SimConfig(realizations=30_001, seed=5), _chunk=1_000)
     assert threading.active_count() == before
 
 
@@ -207,7 +246,7 @@ def test_estimates_are_bit_identical_to_frozen_values(key):
     stats = with_received_snr(STATS_30DB, rho_r_db)
     sim = SimConfig(realizations=200_001, seed=seed)
     targets_seq = (TargetRates(0.5, 0.5), TargetRates(1.0, 1.0), TargetRates(3.0, 0.25))
-    assert tuple(tuple(r) for r in empirical_sops(stats, 0.4, targets_seq, sim)) == FROZEN_SOPS[key]
+    assert tuple(tuple(r) for r in empirical_sops((stats,), 0.4, targets_seq, sim)[0]) == FROZEN_SOPS[key]
 
 
 def test_log_free_outage_test_matches_log2_rates():
@@ -230,20 +269,20 @@ def test_log_free_outage_test_matches_log2_rates():
 
 def test_counts_stay_python_ints():
     sim = SimConfig(realizations=2_000, seed=3)
-    result = empirical_sops(STATS_30DB, 0.5, (RTH1,), sim)[0]
+    result = empirical_sops((STATS_30DB,), 0.5, (RTH1,), sim)[0][0]
     assert type(result.n) is int
     assert all(type(value) is float for value in result[:4])
 
 
 def test_near_outage_is_certain_without_power():
     sim = SimConfig(realizations=100_000, seed=2)
-    result = empirical_sops(STATS_30DB, ALPHA_MIN, (RTH1,), sim)[0]
+    result = empirical_sops((STATS_30DB,), ALPHA_MIN, (RTH1,), sim)[0][0]
     assert result.so1_hat >= 0.999
 
 
 def test_matches_analytical_sop_within_three_sigma():
     sim = SimConfig(realizations=1_000_000, seed=7)
-    result = empirical_sops(STATS_30DB, 0.5, (RTH1,), sim)[0]
+    result = empirical_sops((STATS_30DB,), 0.5, (RTH1,), sim)[0][0]
     so1 = exact_sop_near(STATS_30DB, 0.5, RTH1).value
     so2 = exact_sop_far(STATS_30DB, 0.5, RTH1).value
     assert abs(result.so1_hat - so1) <= 3.0 * result.stderr1 + 1e-6
@@ -269,7 +308,7 @@ def test_rmse_shrinks_like_root_n():
         for index, (alpha, rho_r, rth) in enumerate(grid):
             stats = with_received_snr(STATS_30DB, rho_r)
             targets = TargetRates(rth, rth)
-            empirical = empirical_sops(stats, alpha, (targets,), SimConfig(realizations, seed=5 + index))[0]
+            empirical = empirical_sops((stats,), alpha, (targets,), SimConfig(realizations, seed=5 + index))[0][0]
             squared.append((empirical.so1_hat - exact_sop_near(stats, alpha, targets).value) ** 2)
         return math.sqrt(sum(squared) / len(squared))
 
@@ -279,7 +318,7 @@ def test_rmse_shrinks_like_root_n():
 
 def test_stderr_follows_binomial_formula():
     sim = SimConfig(realizations=10_000, seed=6)
-    result = empirical_sops(STATS_30DB, 0.5, (RTH1,), sim)[0]
+    result = empirical_sops((STATS_30DB,), 0.5, (RTH1,), sim)[0][0]
     assert result.stderr1 == pytest.approx(
         math.sqrt(result.so1_hat * (1.0 - result.so1_hat) / result.n), rel=1e-12
     )
@@ -307,7 +346,7 @@ def test_sim_config_validation():
 
 
 def test_empirical_result_shape():
-    result = empirical_sops(STATS_30DB, 0.5, (RTH1,), SimConfig(realizations=1_000, seed=1))[0]
+    result = empirical_sops((STATS_30DB,), 0.5, (RTH1,), SimConfig(realizations=1_000, seed=1))[0][0]
     assert isinstance(result, EmpiricalSop)
     assert 0.0 <= result.so1_hat <= 1.0
     assert 0.0 <= result.so2_hat <= 1.0

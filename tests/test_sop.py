@@ -133,7 +133,7 @@ ALPHA_ENTRY_POINTS = {
     "exact_sop_slopes": lambda alpha: exact_sop_slopes(stats_at(1e6), alpha, RTH1),
     "asymptotic_sop_near": lambda alpha: asymptotic_sop_near(stats_at(1e6), alpha, RTH1),
     "asymptotic_sop_far": lambda alpha: asymptotic_sop_far(stats_at(1e6), alpha, RTH1),
-    "empirical_sops": lambda alpha: empirical_sops(stats_at(1e6), alpha, (RTH1,), SimConfig(1000, 1)),
+    "empirical_sops": lambda alpha: empirical_sops((stats_at(1e6),), alpha, (RTH1,), SimConfig(1000, 1))[0],
 }
 
 
