@@ -9,6 +9,7 @@ a path-loss constant or a noise power would cancel out, and neither appears.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,8 @@ class ChannelStats:
     rho_t: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.lambda1, self.lambda2, self.rho_t))):
+            raise ValueError("mean gains and transmit SNR must be finite")
         # Ties lambda1 == lambda2 are admitted for symmetric diagnostics;
         # RunConfig requires d1 < d2 of every configured geometry.
         if not (self.lambda1 >= self.lambda2 > 0.0):

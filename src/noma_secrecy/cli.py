@@ -30,14 +30,7 @@ from .optimize import (
     optimal_pa_near_asymptotic,
 )
 from .rates import ALPHA_MAX, ALPHA_MIN
-from .sop import (
-    QuadratureError,
-    TargetRates,
-    asymptotic_sop_far,
-    asymptotic_sop_near,
-    exact_sop_far,
-    exact_sop_near,
-)
+from .sop import QuadratureError, TargetRates, asymptotic_sop_far, asymptotic_sop_near, exact_sop_near, exact_sops
 
 __all__ = ["main", "build_parser"]
 
@@ -95,11 +88,6 @@ def _closed_form_payload(form) -> dict:
     return {"alpha": form.alpha, "degenerate": form.degenerate}
 
 
-def _max_sop(stats: ChannelStats, alpha, targets: TargetRates):
-    """The larger of the two users' exact SOPs at alpha (a scalar or an array)."""
-    return np.maximum(exact_sop_near(stats, alpha, targets).value, exact_sop_far(stats, alpha, targets).value)
-
-
 def cmd_validate(cfg: RunConfig) -> bool:
     sweep = cfg.sweep_or(SweepSpec("rth1_bits", 0.5, 3.0, 0.5))
     targets_seq = [TargetRates(rth1=float(rth1), rth2=float(rth1)) for rth1 in sweep.values()]
@@ -143,8 +131,7 @@ def cmd_distance_sweep(cfg: RunConfig) -> bool:
         stats = ChannelStats(lambda1=base.lambda1, lambda2=lam2, rho_t=base.rho_t)
         rows.append((
             float(d2),
-            exact_sop_near(stats, cfg.alpha, targets).value,
-            exact_sop_far(stats, cfg.alpha, targets).value,
+            *exact_sops(stats, cfg.alpha, targets).value.tolist(),
             asymptotic_sop_near(stats, cfg.alpha, targets),
             asymptotic_sop_far(stats, cfg.alpha, targets),
         ))
@@ -162,8 +149,7 @@ def cmd_optimize(cfg: RunConfig) -> bool:
     grid = sweep.values()
     stats = cfg.stats()
     targets = cfg.targets()
-    so1_curve = exact_sop_near(stats, grid, targets).value
-    so2_curve = exact_sop_far(stats, grid, targets).value
+    so1_curve, so2_curve = exact_sops(stats, grid, targets).value
     columns = ["alpha", "so1_exact", "so2_exact", "so1_asym", "so2_asym"]
     rows = list(zip(
         grid.tolist(),
@@ -174,10 +160,11 @@ def cmd_optimize(cfg: RunConfig) -> bool:
     ))
     near = optimal_pa_near(stats, targets)
     far = optimal_pa_far(stats, targets)
-    # A unimodal curve's grid argmin lies within one step of its minimizer.
+    # A unimodal curve's grid argmin lies within one step of its minimizer,
+    # or of the swept window's edge when the minimizer lies outside it.
     slack = sweep.step + XTOL
-    near_ok = abs(grid[int(np.argmin(so1_curve))] - near.alpha) <= slack
-    far_ok = abs(grid[int(np.argmin(so2_curve))] - far.alpha) <= slack
+    near_ok = abs(grid[int(np.argmin(so1_curve))] - np.clip(near.alpha, grid[0], grid[-1])) <= slack
+    far_ok = abs(grid[int(np.argmin(so2_curve))] - np.clip(far.alpha, grid[0], grid[-1])) <= slack
     summary = {
         "alpha1_star": near.alpha,
         "so1_at_alpha1_star": near.so1,
@@ -211,7 +198,7 @@ def cmd_minmax(cfg: RunConfig) -> bool:
     for rth1 in sweep.values():
         targets = TargetRates(rth1=float(rth1), rth2=cfg.rth2)
         outcome = minmax_pa(stats, targets)
-        grid_min = float(_max_sop(stats, _DOMINANCE_GRID, targets).min())
+        grid_min = float(exact_sops(stats, _DOMINANCE_GRID, targets).value.max(axis=0).min())
         dominance_ok = dominance_ok and outcome.objective <= grid_min * (1.0 + _GRID_REL_SLACK)
         rows.append((float(rth1),) + _minmax_row(outcome))
     alphas = np.array([row[4] for row in rows])
@@ -243,7 +230,7 @@ def cmd_gain_comparison(cfg: RunConfig) -> bool:
         stats = with_received_snr(base, float(rho_r))
         outcome = minmax_pa(stats, targets)
         baselines = {
-            "fixed": _max_sop(stats, cfg.fixed_alpha, targets),
+            "fixed": exact_sops(stats, cfg.fixed_alpha, targets).value.max(axis=0),
             "near_opt": outcome.near.max_sop,
             "far_opt": outcome.far.max_sop,
         }

@@ -20,13 +20,12 @@ import numpy as np
 
 from .channel import ChannelStats, mean_gain, rho_t_for_received_snr
 from .rates import ALPHA_MAX, ALPHA_MIN
-from .sop import TargetRates
+from .sop import _MAX_RTH, TargetRates
 
 __all__ = ["ConfigError", "SweepSpec", "RunConfig", "parse_config", "load_config"]
 
 SWEEP_AXES = ("alpha", "rho_r_db", "d2_m", "rth1_bits")
 _MAX_SEED = 2**128 - 1  # Philox keys are 128-bit
-_MAX_RTH = 1024.0  # 2**rth overflows a double from here on
 _MAX_SWEEP_POINTS = 100_000  # default sweeps have at most 99 points
 
 

@@ -1,14 +1,15 @@
 """Power-split optimization: per-user minima and the min-max fair point.
 
 A user's SOP is least where phi = d/dalpha log(1 - s_o) crosses zero from
-above, and sop.exact_sop_slopes gives phi, phi' and phi'' from the same
-quadrature pass as the SOP itself. One pass takes both users on a coarse
-curve; each user's minimizer lies in the grid cell beside the argmin of its
-SOP where phi changes sign. The root of the quintic Hermite interpolant of
-phi on that cell, built from phi, phi' and phi'' at its ends, typically
-lies within 1e-9 of the minimizer; the next pass evaluates it. Safeguarded Newton
-on phi (newton_root) then refines the minimizers in lockstep from there,
-one pass of both users at every minimizer per step, so the last pass also
+above, and sop.exact_sops gives phi and phi' at order 2, and phi'' too at
+order 3, from the quadrature pass that takes both users' SOPs. One order-3
+pass takes both users on a coarse curve; each user's minimizer lies in the
+grid cell beside the argmin of its SOP where phi changes sign. The root of
+the quintic Hermite interpolant of phi on that cell, built from phi, phi'
+and phi'' at its ends, typically lies within 1e-9 of the minimizer; the
+next pass evaluates it. Safeguarded Newton on phi (newton_root) then
+refines the minimizers in lockstep from there, one order-2 pass of both
+users at every minimizer per step, so the last pass also
 holds each user's SOP at the other's minimizer. optimal_pa_near/
 optimal_pa_far are the one-user case of the same path. Near a minimizer
 phi' < 0, so Newton converges quadratically, and its first step from the
@@ -41,13 +42,7 @@ import numpy as np
 
 from .channel import ChannelStats
 from .rates import ALPHA_MAX, ALPHA_MIN
-from .sop import (
-    SopSlopes,
-    TargetRates,
-    asymptotic_sop_far,
-    asymptotic_sop_near,
-    exact_sop_slopes,
-)
+from .sop import SopValue, TargetRates, asymptotic_sop_far, asymptotic_sop_near, exact_sops
 
 __all__ = [
     "XTOL",
@@ -213,11 +208,11 @@ def _minima(stats: ChannelStats, targets: TargetRates, users: tuple):
     phi'' at the cell's ends (_hermite_start); Newton then usually stops
     there. Each pass after the grid's takes both users at every current
     minimizer, so the last one also holds each user's SOP at the others'
-    minimizers. Returns the minimizers and that pass, a SopSlopes of (user,
+    minimizers. Returns the minimizers and that pass, a SopValue of (user,
     minimizer) arrays.
     """
     grid = _BRACKET_GRID
-    on_grid = exact_sop_slopes(stats, grid, targets)
+    on_grid = exact_sops(stats, grid, targets, order=3)
     i = np.argmin(on_grid.value[users, :], axis=1)
     points = grid[i]
     alphas = grid.tolist()
@@ -237,7 +232,7 @@ def _minima(stats: ChannelStats, targets: TargetRates, users: tuple):
     def evaluate(x):
         nonlocal last
         points[refined[1]] = x
-        last = exact_sop_slopes(stats, points, targets, d2phi=False)
+        last = exact_sops(stats, points, targets, order=2)
         return last.phi[refined], last.dphi[refined]
 
     if cells:
@@ -250,7 +245,7 @@ def _minima(stats: ChannelStats, targets: TargetRates, users: tuple):
         ]
         points[refined[1]] = newton_root(evaluate, *zip(*brackets))
     if last is None:  # no pass after the grid's: every minimizer is a grid node
-        last = SopSlopes(*(v[:, i] for v in on_grid))
+        last = SopValue(*(v[:, i] for v in on_grid))
     return points, last
 
 
@@ -346,14 +341,14 @@ def minmax_pa(stats: ChannelStats, targets: TargetRates) -> MinMaxOutcome:
     if near.so1 < near.so2 and far.so2 < far.so1:
         # Between the minimizers s_o1 - s_o2 is monotone, with slope
         # (1 - s_o2)*phi2 - (1 - s_o1)*phi1.
-        def gap(sops: SopSlopes):
+        def gap(sops: SopValue):
             so1, so2 = sops.value
             return so1 - so2, (1.0 - so2) * sops.phi[1] - (1.0 - so1) * sops.phi[0]
 
         found = []
 
         def evaluate(x):
-            found.append(exact_sop_slopes(stats, x, targets, d2phi=False))
+            found.append(exact_sops(stats, x, targets, order=2))
             return gap(found[-1])
 
         lo, hi = (0, 1) if near.alpha < far.alpha else (1, 0)

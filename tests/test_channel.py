@@ -81,6 +81,15 @@ def test_channel_stats_validation():
     ChannelStats(lambda1=1e-5, lambda2=1e-5, rho_t=1.0)
 
 
+@pytest.mark.parametrize("field", ["lambda1", "lambda2", "rho_t"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_channel_stats_rejects_non_finite_fields(field, bad):
+    values = {"lambda1": 1e-4, "lambda2": 1e-5, "rho_t": 1e6}
+    values[field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ChannelStats(**values)
+
+
 def test_gain_sample_rejects_negative():
     with pytest.raises(ValueError):
         GainSample(g1=-1.0, g2=1.0)

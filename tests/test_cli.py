@@ -143,6 +143,33 @@ def test_optimize_rows_match_direct_evaluation(tmp_path):
         assert row["so1_exact"] == pytest.approx(direct, rel=1e-9)
 
 
+def test_optimize_sweep_that_misses_the_minimizers_passes_its_check(tmp_path):
+    # Both minimizers (0.4164 and 0.5853) lie right of this window, so each
+    # curve's grid argmin is the window's right edge.
+    config = "sweep.axis = alpha\nsweep.start = 0.01\nsweep.stop = 0.2\nsweep.step = 0.01\n"
+    code, payload = run_to_file(tmp_path, "optimize", config, fmt="json")
+    assert code == 0
+    doc = json.loads(payload)
+    assert doc["summary"]["curve_minima_consistent"] is True
+    assert doc["summary"]["alpha1_star"] > 0.2 and doc["summary"]["alpha2_star"] > 0.2
+    assert len(doc["rows"]) == 20
+
+
+def test_distance_sweep_takes_one_kernel_pass_per_distance(monkeypatch, capsys):
+    calls = []
+    kernel = sop._survival_integral
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(sop, "_survival_integral", counted)
+    assert main(["distance-sweep"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()[1:] if not line.startswith("#")]
+    assert len(rows) == 10
+    assert len(calls) == len(rows)
+
+
 def test_gain_comparison_summary_carries_reference_numbers(tmp_path):
     code, payload = run_to_file(tmp_path, "gain-comparison", SMALL_GAIN, fmt="json")
     assert code == 0

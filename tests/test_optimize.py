@@ -20,7 +20,7 @@ from noma_secrecy.optimize import (
 )
 from noma_secrecy.rates import ALPHA_MAX, ALPHA_MIN
 from noma_secrecy import sop
-from noma_secrecy.sop import TargetRates, exact_sop_far, exact_sop_near, exact_sop_slopes
+from noma_secrecy.sop import TargetRates, exact_sop_far, exact_sop_near, exact_sops
 
 LAM1 = 50.0 ** -2.5
 LAM2 = 100.0 ** -2.5
@@ -335,7 +335,7 @@ def test_solved_splits_meet_their_tolerances(monkeypatch):
             if not ALPHA_MIN + XTOL <= alpha <= ALPHA_MAX - XTOL:
                 continue
             checked += 1
-            phi = exact_sop_slopes(stats, np.array([alpha - XTOL, alpha + XTOL]), targets).phi[user]
+            phi = exact_sops(stats, np.array([alpha - XTOL, alpha + XTOL]), targets, order=3).phi[user]
             if not phi[0] > 0.0 > phi[1]:
                 missed.append((stats, targets, user, alpha))
     assert checked == 2 * 432

@@ -16,7 +16,7 @@ from noma_secrecy.sop import (
     asymptotic_sop_near,
     exact_sop_far,
     exact_sop_near,
-    exact_sop_slopes,
+    exact_sops,
 )
 from reference import log_integrand_far, log_integrand_near
 
@@ -130,7 +130,8 @@ def test_alpha_window_is_enforced():
 ALPHA_ENTRY_POINTS = {
     "exact_sop_near": lambda alpha: exact_sop_near(stats_at(1e6), alpha, RTH1),
     "exact_sop_far": lambda alpha: exact_sop_far(stats_at(1e6), alpha, RTH1),
-    "exact_sop_slopes": lambda alpha: exact_sop_slopes(stats_at(1e6), alpha, RTH1),
+    **{f"exact_sops_order_{order}": lambda alpha, order=order: exact_sops(stats_at(1e6), alpha, RTH1, order)
+       for order in (0, 2, 3)},
     "asymptotic_sop_near": lambda alpha: asymptotic_sop_near(stats_at(1e6), alpha, RTH1),
     "asymptotic_sop_far": lambda alpha: asymptotic_sop_far(stats_at(1e6), alpha, RTH1),
     "empirical_sops": lambda alpha: empirical_sops((stats_at(1e6),), alpha, (RTH1,), SimConfig(1000, 1))[0],
@@ -268,6 +269,39 @@ def test_target_rates_exponentials_are_exact():
         TargetRates(-0.1, 1.0)
 
 
+@pytest.mark.parametrize("field", ["rth1", "rth2"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1024.0, 1100.0])
+def test_target_rates_reject_non_finite_and_overflowing_rates(field, bad):
+    # 2**rth overflows a double from 1024 bits on.
+    values = {"rth1": 1.0, "rth2": 1.0}
+    values[field] = bad
+    with pytest.raises(ValueError, match="target secrecy rates"):
+        TargetRates(**values)
+    values[field] = 1023.0
+    assert math.isfinite(getattr(TargetRates(**values), "pi" + field[-1]))
+
+
+def test_exact_sops_order_zero_takes_no_derivatives():
+    stats = stats_at(1e7)
+    scalar = exact_sops(stats, 0.3, RTH1)
+    assert scalar.value.shape == scalar.quad_error.shape == (2,)
+    assert scalar.phi is None and scalar.dphi is None and scalar.d2phi is None
+    grid = np.linspace(0.1, 0.9, 5)
+    curve = exact_sops(stats, grid, RTH1)
+    assert curve.value.shape == curve.quad_error.shape == (2, grid.size)
+    assert curve.phi is None and curve.dphi is None and curve.d2phi is None
+    # Order 0 is the plain mode that exact_sop_near/far take one user at a time.
+    for row, func in zip(curve.value, (exact_sop_near, exact_sop_far)):
+        assert np.abs(row - func(stats, grid, RTH1).value).max() <= 1e-15
+    assert exact_sops(stats, grid, RTH1, order=2).d2phi is None
+
+
+@pytest.mark.parametrize("order", [-1, 1, 4, None, "3"])
+def test_exact_sops_rejects_an_unknown_order(order):
+    with pytest.raises(ValueError, match="order"):
+        exact_sops(stats_at(1e7), 0.3, RTH1, order)
+
+
 
 def _kernel_integrand(pi, slope, lam_exp, lam_int, z):
     """The kernel's build: exp(kappa/(s + 1/z)), kappa = -pi*lam_int/lam_exp, s = slope*lam_int."""
@@ -328,8 +362,8 @@ def _assert_same_bits(monkeypatch, cases):
     """Every case gives the same value and quad_error bits from both kernels."""
     reached = []
 
-    def reference(*args):
-        return _per_halving_survival_integral(*args, reached)
+    def reference(*args, moments=0):
+        return _per_halving_survival_integral(*args, reached, moments=moments)
 
     for func in (exact_sop_near, exact_sop_far):
         fused = [func(*case) for case in cases]
@@ -373,11 +407,11 @@ def test_kernel_build_matches_the_written_integrand(monkeypatch):
     grid = np.linspace(ALPHA_MIN, ALPHA_MAX, 1000)
     curves = [(stats, grid, targets) for stats, _, targets in cases[:12]]
     got = [func(*case) for func in (exact_sop_near, exact_sop_far) for case in cases + curves]
-    slopes = [exact_sop_slopes(*case) for case in cases]
+    slopes = [exact_sops(*case, order=3) for case in cases]
     with monkeypatch.context() as patch:
         patch.setattr(sop, "_survival_integral", reference)
         want = [func(*case) for func in (exact_sop_near, exact_sop_far) for case in cases + curves]
-        want_slopes = [exact_sop_slopes(*case) for case in cases]
+        want_slopes = [exact_sops(*case, order=3) for case in cases]
     for g, w in zip(got, want):
         assert np.abs(np.subtract(g.value, w.value)).max() <= 1e-15
         assert np.abs(np.subtract(g.quad_error, w.quad_error)).max() <= 1e-15
@@ -389,11 +423,12 @@ def test_kernel_build_matches_the_written_integrand(monkeypatch):
 
 
 def test_curve_call_holds_one_full_size_array_at_a_time():
-    # A 1000-point call fills one (185 nodes x 1000 columns) float array; a
-    # second temporary of that size would take the peak past 1.5 of them.
+    # A 1000-point call fills one (185 nodes x 1000 columns) float array, and
+    # a two-user call one of 2000 columns; a second temporary of that size
+    # would take the peak past 1.5 of them.
     grid = np.linspace(ALPHA_MIN, ALPHA_MAX, 1000)
-    limit = 1.5 * 185 * grid.size * 8
-    for func in (exact_sop_near, exact_sop_far):
+    for func, columns in ((exact_sop_near, 1000), (exact_sop_far, 1000), (exact_sops, 2000)):
+        limit = 1.5 * 185 * columns * 8
         func(stats_at(1e7), grid, RTH1)
         tracemalloc.start()
         try:
@@ -410,7 +445,7 @@ def test_quadrature_error_reports_the_nodes_it_reached(monkeypatch):
     args = (stats_at(1e7), 0.5, RTH1)
     with pytest.raises(sop.QuadratureError) as fused:
         exact_sop_near(*args)
-    monkeypatch.setattr(sop, "_survival_integral", lambda *a: _per_halving_survival_integral(*a, []))
+    monkeypatch.setattr(sop, "_survival_integral", lambda *a, moments=0: _per_halving_survival_integral(*a, []))
     with pytest.raises(sop.QuadratureError) as expected:
         exact_sop_near(*args)
     assert str(fused.value) == str(expected.value)
@@ -424,7 +459,7 @@ def test_sop_slopes_match_central_differences_over_the_box():
     for stats, alpha, targets in _box_sweep(200, seed=11):
         h = 3e-3 * min(alpha, 1.0 - alpha)
         points = alpha + h * np.arange(-2.0, 3.0)
-        slopes = exact_sop_slopes(stats, points, targets)
+        slopes = exact_sops(stats, points, targets, order=3)
         assert np.all(slopes.quad_error <= 1e-9)
         # s_o' = -(1 - s_o)*phi and s_o'' = -(1 - s_o)*(phi' + phi^2)
         first = -(1.0 - slopes.value) * slopes.phi
@@ -448,8 +483,8 @@ def test_sop_slopes_without_the_third_derivative_keep_every_other_bit():
     # changes no other field.
     for stats, alpha, targets in _box_sweep(40, seed=13):
         points = np.array([alpha, 0.5 * (alpha + ALPHA_MIN)])
-        full = exact_sop_slopes(stats, points, targets)
-        lean = exact_sop_slopes(stats, points, targets, d2phi=False)
+        full = exact_sops(stats, points, targets, order=3)
+        lean = exact_sops(stats, points, targets, order=2)
         assert lean.d2phi is None and full.d2phi.shape == (2, 2)
         for got, want in zip(lean[:4], full[:4]):
             assert got.tobytes() == want.tobytes()
@@ -467,5 +502,5 @@ def test_log_survival_is_strictly_concave_at_each_minimizer():
             alpha = solve(stats, targets).alpha
             if ALPHA_MIN < alpha < ALPHA_MAX:
                 checked += 1
-                assert exact_sop_slopes(stats, alpha, targets).dphi[user] < 0.0
+                assert exact_sops(stats, alpha, targets, order=3).dphi[user] < 0.0
     assert checked >= 120
