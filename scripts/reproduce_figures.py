@@ -23,8 +23,8 @@ COMMANDS = ("validate", "distance-sweep", "optimize", "minmax", "gain-comparison
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", default="results", help="directory for the output tables")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the Monte Carlo sample stream")
-    parser.add_argument("--samples", type=int, default=10**6, help="Monte Carlo realizations")
+    parser.add_argument("--seed", type=int, default=1, help="seed of validate's Monte Carlo sample stream")
+    parser.add_argument("--samples", type=int, default=10**6, help="validate's Monte Carlo realizations")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--config", help="key=value file applied to every sweep")
     args = parser.parse_args()
@@ -34,13 +34,9 @@ def main() -> int:
     worst = 0
     for command in COMMANDS:
         out = outdir / f"{command.replace('-', '_')}.{args.format}"
-        argv = [
-            command,
-            "--out", str(out),
-            "--format", args.format,
-            "--seed", str(args.seed),
-            "--samples", str(args.samples),
-        ]
+        argv = [command, "--out", str(out), "--format", args.format]
+        if command == "validate":
+            argv.extend(["--seed", str(args.seed), "--samples", str(args.samples)])
         if args.config:
             argv.extend(["--config", args.config])
         code = run_subcommand(argv)

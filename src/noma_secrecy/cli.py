@@ -24,9 +24,7 @@ from .optimize import (
     XTOL,
     MinMaxOutcome,
     minmax_pa,
-    optimal_pa_far,
     optimal_pa_far_asymptotic,
-    optimal_pa_near,
     optimal_pa_near_asymptotic,
 )
 from .rates import ALPHA_MAX, ALPHA_MIN
@@ -158,8 +156,8 @@ def cmd_optimize(cfg: RunConfig) -> bool:
         np.asarray(asymptotic_sop_near(stats, grid, targets)).tolist(),
         np.asarray(asymptotic_sop_far(stats, grid, targets)).tolist(),
     ))
-    near = optimal_pa_near(stats, targets)
-    far = optimal_pa_far(stats, targets)
+    outcome = minmax_pa(stats, targets)
+    near, far = outcome.near, outcome.far
     # A unimodal curve's grid argmin lies within one step of its minimizer,
     # or of the swept window's edge when the minimizer lies outside it.
     slack = sweep.step + XTOL
@@ -288,22 +286,21 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", help="key=value run configuration file")
         sub.add_argument("--out", help="output file path (default: stdout)")
         sub.add_argument("--format", choices=("csv", "json"), help="output format")
-        sub.add_argument("--seed", type=int, help="seed of the Monte Carlo sample stream")
-        sub.add_argument("--samples", type=int, help="Monte Carlo realizations")
+        if name == "validate":
+            sub.add_argument("--seed", type=int, help="seed of the Monte Carlo sample stream")
+            sub.add_argument("--samples", type=int, help="Monte Carlo realizations")
     return parser
+
+
+# Each flag and the run-configuration field it overrides; only validate has
+# the Monte Carlo ones.
+_OVERRIDES = {"seed": "seed", "samples": "realizations", "out": "out_path", "format": "out_format"}
 
 
 def _configure(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.samples is not None:
-        overrides["realizations"] = args.samples
-    if args.out is not None:
-        overrides["out_path"] = args.out
-    if args.format is not None:
-        overrides["out_format"] = args.format
+    flags = vars(args)
+    overrides = {key: flags[flag] for flag, key in _OVERRIDES.items() if flags.get(flag) is not None}
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     return cfg

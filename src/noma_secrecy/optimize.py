@@ -9,9 +9,9 @@ the quintic Hermite interpolant of phi on that cell, built from phi, phi'
 and phi'' at its ends, typically lies within 1e-9 of the minimizer; the
 next pass evaluates it. Safeguarded Newton on phi (newton_root) then
 refines the minimizers in lockstep from there, one order-2 pass of both
-users at every minimizer per step, so the last pass also
-holds each user's SOP at the other's minimizer. optimal_pa_near/
-optimal_pa_far are the one-user case of the same path. Near a minimizer
+users at both minimizers per step, so the last pass also holds each user's
+SOP at the other's minimizer. minmax_pa is the one exact solver: its near
+and far candidates are each user's own optimum. Near a minimizer
 phi' < 0, so Newton converges quadratically, and its first step from the
 interpolant's root is usually already below the tolerance: a solve
 usually takes 2 passes (2.25 on average and at most 8 on the
@@ -47,8 +47,6 @@ from .sop import SopValue, TargetRates, asymptotic_sop_far, asymptotic_sop_near,
 __all__ = [
     "XTOL",
     "newton_root",
-    "optimal_pa_near",
-    "optimal_pa_far",
     "ClosedFormAlpha",
     "optimal_pa_near_asymptotic",
     "optimal_pa_far_asymptotic",
@@ -197,43 +195,41 @@ def _hermite_start(lo, hi, f_lo, f_hi, df_lo, df_hi, d2f_lo, d2f_hi) -> float:
     return min(max(lo + w * t, lo), hi)
 
 
-def _minima(stats: ChannelStats, targets: TargetRates, users: tuple):
-    """Minimizers of the listed users' SOPs (0 near, 1 far), refined in lockstep.
+def _minima(stats: ChannelStats, targets: TargetRates):
+    """Minimizers of both users' SOPs (0 near, 1 far), refined in lockstep.
 
-    One pass takes both users on the bracket grid. Each listed user's
-    minimizer lies beside the grid argmin of its SOP, on the side phi points
-    to, and is the root of phi in that cell unless the argmin is a window
-    edge. The next pass takes both users at each cell's start point, the
-    root of the quintic Hermite interpolant of phi built from phi, phi' and
-    phi'' at the cell's ends (_hermite_start); Newton then usually stops
-    there. Each pass after the grid's takes both users at every current
-    minimizer, so the last one also holds each user's SOP at the others'
-    minimizers. Returns the minimizers and that pass, a SopValue of (user,
-    minimizer) arrays.
+    One pass takes both users on the bracket grid. Each user's minimizer
+    lies beside the grid argmin of its SOP, on the side phi points to, and
+    is the root of phi in that cell unless the argmin is a window edge. The
+    next pass takes both users at each cell's start point, the root of the
+    quintic Hermite interpolant of phi built from phi, phi' and phi'' at the
+    cell's ends (_hermite_start); Newton then usually stops there. Each pass
+    after the grid's takes both users at both current minimizers, so the
+    last one also holds each user's SOP at the other's minimizer. Returns
+    the minimizers and that pass, a SopValue of (user, minimizer) arrays.
     """
     grid = _BRACKET_GRID
     on_grid = exact_sops(stats, grid, targets, order=3)
-    i = np.argmin(on_grid.value[users, :], axis=1)
+    i = np.argmin(on_grid.value, axis=1)
     points = grid[i]
     alphas = grid.tolist()
     phi, dphi, d2phi = (v.tolist() for v in on_grid[2:])
-    cells, refined = [], ([], [])  # each refined cell's ends, and its (user, minimizer)
-    for column, (user, k) in enumerate(zip(users, i.tolist())):
+    cells, refined = [], []  # each refined cell's ends, and its user
+    for user, k in enumerate(i.tolist()):
         f = phi[user]
         j = min(max(k + 1 if f[k] > 0.0 else k - 1, 0), grid.size - 1)
         if j != k and f[k] != 0.0 and f[k] * f[j] <= 0.0:
             lo, hi = min(k, j), max(k, j)
             cells.append((alphas[lo], alphas[hi], f[lo], f[hi], dphi[user][lo], dphi[user][hi],
                           d2phi[user][lo], d2phi[user][hi]))
-            refined[0].append(user)
-            refined[1].append(column)
+            refined.append(user)
     last = None
 
     def evaluate(x):
         nonlocal last
-        points[refined[1]] = x
+        points[refined] = x
         last = exact_sops(stats, points, targets, order=2)
-        return last.phi[refined], last.dphi[refined]
+        return last.phi[refined, refined], last.dphi[refined, refined]
 
     if cells:
         start = [_hermite_start(*cell) for cell in cells]
@@ -243,7 +239,7 @@ def _minima(stats: ChannelStats, targets: TargetRates, users: tuple):
             (x, b, fx, fb, dfx, dfb) if (fx > 0.0) == (fa > 0.0) else (a, x, fa, fx, dfa, dfx)
             for (a, b, fa, fb, dfa, dfb, _, _), x, fx, dfx in zip(cells, start, f.tolist(), df.tolist())
         ]
-        points[refined[1]] = newton_root(evaluate, *zip(*brackets))
+        points[refined] = newton_root(evaluate, *zip(*brackets))
     if last is None:  # no pass after the grid's: every minimizer is a grid node
         last = SopValue(*(v[:, i] for v in on_grid))
     return points, last
@@ -259,18 +255,6 @@ class Candidate(NamedTuple):
     @property
     def max_sop(self) -> float:
         return max(self.so1, self.so2)
-
-
-def optimal_pa_near(stats: ChannelStats, targets: TargetRates) -> Candidate:
-    """Power split minimizing the near user's exact SOP."""
-    alpha, at = _minima(stats, targets, (0,))
-    return Candidate(float(alpha[0]), *at.value[:, 0].tolist())
-
-
-def optimal_pa_far(stats: ChannelStats, targets: TargetRates) -> Candidate:
-    """Power split minimizing the far user's exact SOP."""
-    alpha, at = _minima(stats, targets, (1,))
-    return Candidate(float(alpha[0]), *at.value[:, 0].tolist())
 
 
 class ClosedFormAlpha(NamedTuple):
@@ -335,7 +319,7 @@ def minmax_pa(stats: ChannelStats, targets: TargetRates) -> MinMaxOutcome:
     s_o2 < s_o1 at alpha2, and the optimum is the single crossing between
     them; only then is the crossing solved and added to the candidates.
     """
-    alpha, at = _minima(stats, targets, (0, 1))
+    alpha, at = _minima(stats, targets)
     near, far = (Candidate(a, *sops) for a, sops in zip(alpha.tolist(), at.value.T.tolist()))
     crossing = None
     if near.so1 < near.so2 and far.so2 < far.so1:

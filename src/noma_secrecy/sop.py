@@ -227,7 +227,8 @@ def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarra
         diffs = np.abs(np.diff(chain, axis=0))
         skipped = len(est) - len(diffs)  # halving 0 has no difference to judge
         prev = est[-1, 0]
-        for k, worst in enumerate((scale * diffs).max(axis=1).tolist()):
+        # initial=0 lets an empty alpha (no columns) stop at once with empty fields.
+        for k, worst in enumerate((scale * diffs).max(axis=1, initial=0.0).tolist()):
             level = group.first + skipped + k
             if worst < _REFINE_TOL or (level == _MAX_HALVINGS and worst <= _ACCEPT_TOL):
                 found = est[skipped + k]

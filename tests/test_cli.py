@@ -95,7 +95,15 @@ def test_distance_sweep_must_stay_beyond_near_user(tmp_path):
 
 
 def test_negative_seed_exits_two():
-    assert main(["optimize", "--seed", "-1"]) == 2
+    assert main(["validate", "--seed", "-1"]) == 2
+
+
+def test_monte_carlo_flags_are_validate_only(capsys):
+    # The other subcommands draw no samples, so they have no seed or sample count.
+    with pytest.raises(SystemExit) as exited:
+        main(["optimize", "--seed", "1"])
+    assert exited.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_zero_samples_exits_two():
@@ -155,19 +163,33 @@ def test_optimize_sweep_that_misses_the_minimizers_passes_its_check(tmp_path):
     assert len(doc["rows"]) == 20
 
 
-def test_distance_sweep_takes_one_kernel_pass_per_distance(monkeypatch, capsys):
+def _count_kernel_passes(monkeypatch) -> list:
+    """Wrap the quadrature kernel; the list gets each pass's moment count."""
     calls = []
     kernel = sop._survival_integral
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs.get("moments", 0))
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(sop, "_survival_integral", counted)
+    return calls
+
+
+def test_distance_sweep_takes_one_kernel_pass_per_distance(monkeypatch, capsys):
+    calls = _count_kernel_passes(monkeypatch)
     assert main(["distance-sweep"]) == 0
     rows = [line for line in capsys.readouterr().out.splitlines()[1:] if not line.startswith("#")]
     assert len(rows) == 10
     assert len(calls) == len(rows)
+
+
+def test_optimize_solves_both_minimizers_in_one_bracket_pass(monkeypatch, capsys):
+    # One order-3 pass (6 moments) brackets both users' minimizers at once.
+    calls = _count_kernel_passes(monkeypatch)
+    assert main(["optimize"]) == 0
+    capsys.readouterr()
+    assert calls.count(6) == 1
 
 
 def test_gain_comparison_summary_carries_reference_numbers(tmp_path):

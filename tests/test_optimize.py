@@ -13,9 +13,7 @@ from noma_secrecy.optimize import (
     minmax_pa,
     minmax_pa_asymptotic,
     newton_root,
-    optimal_pa_far,
     optimal_pa_far_asymptotic,
-    optimal_pa_near,
     optimal_pa_near_asymptotic,
 )
 from noma_secrecy.rates import ALPHA_MAX, ALPHA_MIN
@@ -150,7 +148,7 @@ def test_hermite_start_stays_in_the_bracket_whatever_the_derivatives():
 
 
 def test_near_optimum_matches_dense_grid():
-    result = optimal_pa_near(STATS_30DB, RTH1)
+    result = minmax_pa(STATS_30DB, RTH1).near
     grid = np.linspace(ALPHA_MIN, ALPHA_MAX, 10_000)
     best_alpha, best_value = None, np.inf
     for chunk in np.array_split(grid, 10):
@@ -163,7 +161,7 @@ def test_near_optimum_matches_dense_grid():
 
 
 def test_far_optimum_matches_dense_grid():
-    result = optimal_pa_far(STATS_30DB, RTH1)
+    result = minmax_pa(STATS_30DB, RTH1).far
     grid = np.linspace(ALPHA_MIN, ALPHA_MAX, 10_000)
     best_alpha, best_value = None, np.inf
     for chunk in np.array_split(grid, 10):
@@ -177,16 +175,16 @@ def test_far_optimum_matches_dense_grid():
 
 def test_exact_optima_approach_closed_forms_at_40db():
     stats = ChannelStats(LAM1, LAM2, 10.0 ** 4.0 / LAM2)
-    near = optimal_pa_near(stats, RTH1)
-    far = optimal_pa_far(stats, RTH1)
+    outcome = minmax_pa(stats, RTH1)
+    near, far = outcome.near, outcome.far
     assert abs(near.alpha - optimal_pa_near_asymptotic(RTH1).alpha) <= 0.02
     assert abs(far.alpha - optimal_pa_far_asymptotic(RTH1).alpha) <= 0.02
 
 
 def test_symmetric_stats_mirror_the_optima():
     stats = ChannelStats(1e-4, 1e-4, 1e7)
-    near = optimal_pa_near(stats, RTH1)
-    far = optimal_pa_far(stats, RTH1)
+    outcome = minmax_pa(stats, RTH1)
+    near, far = outcome.near, outcome.far
     assert abs(near.alpha - (1.0 - far.alpha)) <= 0.02
 
 
@@ -359,16 +357,13 @@ def test_solves_take_few_quadrature_passes(monkeypatch):
     # Hermite interpolant of phi on its cell, so it usually stops after the
     # pass that evaluates that start.
     calls = _count_passes(monkeypatch)
-    passes = {"minmax_pa": [], "optimal_pa_near": []}
+    passes = []
     for stats, targets in _grid_configs():
-        for name, solve in (("minmax_pa", minmax_pa), ("optimal_pa_near", optimal_pa_near)):
-            calls.clear()
-            solve(stats, targets)
-            passes[name].append(len(calls))
-    assert max(passes["minmax_pa"]) <= 12
-    assert max(passes["optimal_pa_near"]) <= 7
-    assert np.mean(passes["minmax_pa"]) <= 2.5
-    assert np.mean(passes["optimal_pa_near"]) <= 2.2
+        calls.clear()
+        minmax_pa(stats, targets)
+        passes.append(len(calls))
+    assert max(passes) <= 12
+    assert np.mean(passes) <= 2.5
 
 
 def test_minmax_candidate_bookkeeping():

@@ -148,6 +148,18 @@ def test_every_alpha_entry_point_takes_the_same_window(entry):
         call(edge)
 
 
+@pytest.mark.parametrize("shape", [(0,), (0, 3)], ids=("flat", "by_3"))
+@pytest.mark.parametrize("entry", [name for name in ALPHA_ENTRY_POINTS if name.startswith("exact_")])
+def test_an_empty_alpha_gives_empty_fields(entry, shape):
+    # Shaped as for any other alpha: both users lead with an axis of 2, and
+    # each order adds that many derivative fields.
+    both = entry.startswith("exact_sops")
+    fields = [field for field in ALPHA_ENTRY_POINTS[entry](np.empty(shape)) if field is not None]
+    assert len(fields) == 2 + (int(entry[-1]) if both else 0)
+    for field in fields:
+        assert field.shape == ((2,) if both else ()) + shape
+
+
 def test_asymptotic_near_reference_values():
     stats = ChannelStats(lambda1=1e-4, lambda2=1e-5, rho_t=1e6)  # rho_t * lambda1 = 100
     assert asymptotic_sop_near(stats, 0.5, TargetRates(1.0, 1.0)) == pytest.approx(
@@ -494,12 +506,12 @@ def test_log_survival_is_strictly_concave_at_each_minimizer():
     # phi' < 0 at an interior root of phi makes it a strict minimum of s_o,
     # where Newton on phi converges quadratically. Away from the minimizer
     # phi' may be positive: near the window edges it is on part of the box.
-    from noma_secrecy.optimize import optimal_pa_far, optimal_pa_near
+    from noma_secrecy.optimize import minmax_pa
 
     checked = 0
     for stats, _, targets in _box_sweep(100, seed=12):
-        for user, solve in enumerate((optimal_pa_near, optimal_pa_far)):
-            alpha = solve(stats, targets).alpha
+        outcome = minmax_pa(stats, targets)
+        for user, alpha in enumerate((outcome.near.alpha, outcome.far.alpha)):
             if ALPHA_MIN < alpha < ALPHA_MAX:
                 checked += 1
                 assert exact_sops(stats, alpha, targets, order=3).dphi[user] < 0.0
