@@ -14,7 +14,7 @@ SOP at the other's minimizer. minmax_pa is the one exact solver: its near
 and far candidates are each user's own optimum. Near a minimizer
 phi' < 0, so Newton converges quadratically, and its first step from the
 interpolant's root is usually already below the tolerance: a solve
-usually takes 2 passes (2.25 on average and at most 8 on the
+usually takes 2 passes (2.22 on average and at most 6 on the
 432-configuration test grid). phi' > 0 does occur near the window edges,
 and in a low-SNR, high-rate corner the far user's SOP has two local
 minima: the integrand's log-concavity in alpha (criterion 04) does not
@@ -25,9 +25,14 @@ Between the two per-user minimizers one SOP rises and the other falls, so
 they cross at most once there, and the min-max fair split follows without
 any search over the whole window. Each solved split is a Candidate: both
 minimizers, plus the crossing between them when each minimizer leaves its
-own user the better-off one, found by the same Newton iteration on
-s_o1 - s_o2. _select picks the candidate with the smallest max-SOP, ties
-going to the smaller alpha; the closed-form solver selects by the same rule.
+own user the better-off one. The crossing is solved as the minimizers are
+(_hermite_newton), on s_o1 - s_o2 over the cell between them: its value,
+slope and curvature at both ends follow from the last minimizer pass's
+values, phi and phi', so its Newton iteration also starts at an
+interpolant's root; a crossing adds 3.2 passes on average and at most 4
+on the test grid. _select picks the candidate with the smallest max-SOP,
+ties going to the smaller alpha; the closed-form solver selects by the
+same rule.
 
 High-SNR counterparts have closed forms; targets at exactly zero rate push
 them onto the boundary of the admissible window and are flagged degenerate
@@ -195,18 +200,42 @@ def _hermite_start(lo, hi, f_lo, f_hi, df_lo, df_hi, d2f_lo, d2f_hi) -> float:
     return min(max(lo + w * t, lo), hi)
 
 
+def _hermite_newton(cells, evaluate, fields, settle=False):
+    """Roots of one function per cell, and the last pass made.
+
+    Each cell is (lo, hi, f_lo, f_hi, df_lo, df_hi, d2f_lo, d2f_hi).
+    evaluate(x) makes one pass at one point per cell, and fields(pass) gives
+    f and its slope at those points. The first pass takes each cell's
+    _hermite_start; the cell narrows to the start on the side where f
+    changes sign, and newton_root refines the roots in lockstep from there.
+    """
+    last = None
+
+    def step(x):
+        nonlocal last
+        last = evaluate(x)
+        return fields(last)
+
+    start = [_hermite_start(*cell) for cell in cells]
+    f, df = step(np.array(start))
+    brackets = [
+        (x, b, fx, fb, dfx, dfb) if (fx > 0.0) == (fa > 0.0) else (a, x, fa, fx, dfa, dfx)
+        for (a, b, fa, fb, dfa, dfb, _, _), x, fx, dfx in zip(cells, start, f.tolist(), df.tolist())
+    ]
+    return newton_root(step, *zip(*brackets), settle=settle), last
+
+
 def _minima(stats: ChannelStats, targets: TargetRates):
     """Minimizers of both users' SOPs (0 near, 1 far), refined in lockstep.
 
     One pass takes both users on the bracket grid. Each user's minimizer
     lies beside the grid argmin of its SOP, on the side phi points to, and
-    is the root of phi in that cell unless the argmin is a window edge. The
-    next pass takes both users at each cell's start point, the root of the
-    quintic Hermite interpolant of phi built from phi, phi' and phi'' at the
-    cell's ends (_hermite_start); Newton then usually stops there. Each pass
-    after the grid's takes both users at both current minimizers, so the
-    last one also holds each user's SOP at the other's minimizer. Returns
-    the minimizers and that pass, a SopValue of (user, minimizer) arrays.
+    is the root of phi in that cell unless the argmin is a window edge;
+    _hermite_newton refines those roots, and Newton usually stops at their
+    start points. Each pass after the grid's takes both users at both
+    current minimizers, so the last one also holds each user's SOP at the
+    other's minimizer. Returns the minimizers and that pass, a SopValue of
+    (user, minimizer) arrays.
     """
     grid = _BRACKET_GRID
     on_grid = exact_sops(stats, grid, targets, order=3)
@@ -223,25 +252,16 @@ def _minima(stats: ChannelStats, targets: TargetRates):
             cells.append((alphas[lo], alphas[hi], f[lo], f[hi], dphi[user][lo], dphi[user][hi],
                           d2phi[user][lo], d2phi[user][hi]))
             refined.append(user)
-    last = None
+    if not cells:  # no pass after the grid's: every minimizer is a grid node
+        return points, SopValue(*(v[:, i] for v in on_grid))
 
     def evaluate(x):
-        nonlocal last
         points[refined] = x
-        last = exact_sops(stats, points, targets, order=2)
-        return last.phi[refined, refined], last.dphi[refined, refined]
+        return exact_sops(stats, points, targets, order=2)
 
-    if cells:
-        start = [_hermite_start(*cell) for cell in cells]
-        f, df = evaluate(np.array(start))
-        # Each cell narrows to the start on the side where phi changes sign.
-        brackets = [
-            (x, b, fx, fb, dfx, dfb) if (fx > 0.0) == (fa > 0.0) else (a, x, fa, fx, dfa, dfx)
-            for (a, b, fa, fb, dfa, dfb, _, _), x, fx, dfx in zip(cells, start, f.tolist(), df.tolist())
-        ]
-        points[refined] = newton_root(evaluate, *zip(*brackets))
-    if last is None:  # no pass after the grid's: every minimizer is a grid node
-        last = SopValue(*(v[:, i] for v in on_grid))
+    points[refined], last = _hermite_newton(
+        cells, evaluate, lambda sops: (sops.phi[refined, refined], sops.dphi[refined, refined])
+    )
     return points, last
 
 
@@ -323,26 +343,20 @@ def minmax_pa(stats: ChannelStats, targets: TargetRates) -> MinMaxOutcome:
     near, far = (Candidate(a, *sops) for a, sops in zip(alpha.tolist(), at.value.T.tolist()))
     crossing = None
     if near.so1 < near.so2 and far.so2 < far.so1:
-        # Between the minimizers s_o1 - s_o2 is monotone, with slope
-        # (1 - s_o2)*phi2 - (1 - s_o1)*phi1.
+        # Between the minimizers s_o1 - s_o2 is monotone. With
+        # s_o' = -(1 - s_o)*phi and s_o'' = -(1 - s_o)*(phi^2 + phi'), its
+        # slope and curvature follow from each pass's phi and dphi.
         def gap(sops: SopValue):
-            so1, so2 = sops.value
-            return so1 - so2, (1.0 - so2) * sops.phi[1] - (1.0 - so1) * sops.phi[0]
+            (so1, so2), (phi1, phi2), (dphi1, dphi2) = sops.value, sops.phi, sops.dphi
+            return (so1 - so2, (1.0 - so2) * phi2 - (1.0 - so1) * phi1,
+                    (1.0 - so2) * (phi2 * phi2 + dphi2) - (1.0 - so1) * (phi1 * phi1 + dphi1))
 
-        found = []
-
-        def evaluate(x):
-            found.append(exact_sops(stats, x, targets, order=2))
-            return gap(found[-1])
-
-        lo, hi = (0, 1) if near.alpha < far.alpha else (1, 0)
-        g, dg = gap(at)
+        ends = [0, 1] if near.alpha < far.alpha else [1, 0]
+        cell = [float(v) for field in (alpha, *gap(at)) for v in field[ends]]
         # Its objective moves to first order with alpha, so the root is settled.
-        root = float(newton_root(evaluate, [alpha[lo]], [alpha[hi]], [g[lo]], [g[hi]], [dg[lo]], [dg[hi]], settle=True)[0])
-        if found:
-            crossing = Candidate(root, *found[-1].value[:, 0].tolist())
-        else:  # the crossing lies within XTOL of a minimizer
-            crossing = near if root == near.alpha else far
+        root, last = _hermite_newton([cell], lambda x: exact_sops(stats, x, targets, order=2),
+                                     lambda sops: gap(sops)[:2], settle=True)
+        crossing = Candidate(float(root[0]), *last.value[:, 0].tolist())
     return _select(near, far, crossing)
 
 

@@ -29,19 +29,15 @@ evaluates each of those on its own. A call that misses the error contract
 after halving 6 raises QuadratureError with the node count it reached.
 
 Every exact SOP goes through one column builder: exact_sop_near and
-exact_sop_far take one user per pass, exact_sops both. At order 0 the
-kernel runs in plain mode, where each halving sums its own rows with its
-own weight vector, in the same bits as evaluating one halving at a time.
-exact_sops at order 2 or 3 runs it in moment mode and also returns that
-many alpha-derivatives of log(1 - s_o): log of the prefactor is
-closed-form, and the survival integral's derivatives are moments of the
-same integrand on the same nodes and halvings, which need only
-h = s/(s + 1/z), taken from the sum before the divide. Moment mode sums the
-integrand and each moment with one block product over a group's halvings,
-so its values round apart from plain mode's: on a 1000-point curve they
-agree bit for bit at about 45% of the points, and within 3e-12 relative
-at 40 dB and 4.1e-10 at 60 dB. The optimizer takes moment mode; every
-other caller the plain one.
+exact_sop_far take one user per pass, exact_sops both. exact_sops at order
+2 or 3 also returns that many alpha-derivatives of log(1 - s_o): log of the
+prefactor is closed-form, and the survival integral's derivatives are
+moments of the same integrand on the same nodes and halvings, which need
+only h = s/(s + 1/z), taken from the sum before the divide. Every order sums
+by one rule: each halving sums the integrand, and each moment, over its own
+rows with its own weight vector, in the same bits as evaluating one halving
+at a time. So a pass's values and quadrature errors do not depend on the
+order it takes.
 
 The asymptotic forms drop the "+1" in the SINR denominators, valid once the
 received SNR is large. They are upper bounds on the exact SOPs, with an
@@ -140,7 +136,6 @@ class _Group(NamedTuple):
     halvings: tuple     # (weights, rows) of each halving, in order
     first: int          # the first of those halvings
     steps: np.ndarray   # each halving's trapezoid step, shaped (halvings, 1, 1)
-    blocks: np.ndarray  # each halving's weights on its own rows, zeros elsewhere
 
 
 def _groups():
@@ -148,37 +143,15 @@ def _groups():
     fused = _DE_NODES[: _FUSED_HALVINGS + 1]
     ends = np.cumsum([len(z) for z, _ in fused])
     rows = [slice(end - len(z), end) for end, (z, _) in zip(ends, fused)]
-    blocks = np.zeros((len(fused), ends[-1]))
-    for block, (_, w), r in zip(blocks, fused, rows):
-        block[r] = w
-    groups = [(np.concatenate([z for z, _ in fused]), [w for _, w in fused], rows, 0, blocks)]
-    groups += [(z, [w], [slice(None)], level, w[None, :]) for level, (z, w) in enumerate(_DE_NODES)
-               if level > _FUSED_HALVINGS]
+    groups = [(np.concatenate([z for z, _ in fused]), [w for _, w in fused], rows, 0)]
+    groups += [(z, [w], [slice(None)], level) for level, (z, w) in enumerate(_DE_NODES) if level > _FUSED_HALVINGS]
     return tuple(
-        _Group(1.0 / z[:, None], tuple(zip(w, r)), first, _STEP0 / 2.0 ** np.arange(first, first + len(w))[:, None, None], b)
-        for z, w, r, first, b in groups
+        _Group(1.0 / z[:, None], tuple(zip(w, r)), first, _STEP0 / 2.0 ** np.arange(first, first + len(w))[:, None, None])
+        for z, w, r, first in groups
     )
 
 
 _GROUPS = _groups()
-
-
-def _moment_sums(e: np.ndarray, h: np.ndarray, blocks: np.ndarray, top: int) -> np.ndarray:
-    """Weighted sums of e and e*h^k, k = 2..top, for each halving in blocks.
-
-    Returns a (halvings, top, columns) array. Integrand values below
-    _MOMENT_FLOOR are raised to it in the products: this moves the moments
-    by a negligible amount and keeps them out of subnormal numbers, which
-    are slow to compute with.
-    """
-    sums = np.empty((blocks.shape[0], top, e.shape[1]))
-    np.matmul(blocks, e, out=sums[:, 0])
-    eh = np.maximum(e, _MOMENT_FLOOR)
-    eh *= h
-    for k in range(1, top):
-        eh *= h
-        np.matmul(blocks, eh, out=sums[:, k])
-    return sums
 
 
 def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarray, moments: int = 0):
@@ -197,28 +170,39 @@ def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarra
     With ``moments`` = m > 0 it also returns E_y[e * h**k] for k = 2..m as
     an (m - 1, n) array, taken on the same nodes and halvings, where e is the
     integrand and h = slope*y/(slope*y + 1) = s/(s + 1/z) lies in [0, 1).
-    Only h is added; the integrand is built as in the plain call, and only
-    the halvings' sums (one block product) round apart.
+    The moments are more rows of the same terms array, summed by the same
+    statement, so the estimates and differences keep the plain call's bits.
     """
     slope = np.atleast_1d(slope)
     total = prev = None
     nodes = 0
     scaled_slope, kappa = slope * lam_int, -pi * lam_int / lam_exp
+    top = max(moments, 1)  # terms per node: e, then e*h**k for k = 2..moments
     for group in _GROUPS:
+        terms = np.empty((top, len(group.inverse_nodes), scaled_slope.size))
+        f = terms[0]
         # 1/z then + s: numpy fills and adds faster than it takes an outer sum
-        f = group.inverse_nodes.repeat(scaled_slope.size, axis=1)
+        f[...] = group.inverse_nodes
         f += scaled_slope
         if moments:
             h = scaled_slope / f
         np.divide(kappa, f, out=f)
         np.exp(f, out=f)
-        nodes += len(group.inverse_nodes)
-        # Each halving's sums, added to the ones before it in order, as one
-        # halving at a time would add them.
         if moments:
-            sums = _moment_sums(f, h, group.blocks, moments)
-        else:
-            sums = np.stack([w @ f[rows] for w, rows in group.halvings])[:, None]
+            # Integrand values below _MOMENT_FLOOR are raised to it in the
+            # moments: this moves them by a negligible amount and keeps them
+            # out of subnormal numbers, which are slow to compute with.
+            eh = np.maximum(f, _MOMENT_FLOOR, out=terms[1])
+            eh *= h
+            for k in range(1, top):
+                eh = np.multiply(eh, h, out=terms[k])
+        nodes += len(group.inverse_nodes)
+        # Each halving sums every term over its own rows with its own weights,
+        # and adds the sums to the halvings before it in order, as one
+        # halving at a time would.
+        sums = np.empty((len(group.halvings), top, scaled_slope.size))
+        for out, (w, rows) in zip(sums, group.halvings):
+            np.matmul(w, terms[:, rows], out=out)
         if total is not None:
             sums[0] += total
         totals = np.cumsum(sums, axis=0)
@@ -305,9 +289,9 @@ def exact_sops(stats: ChannelStats, alpha, targets: TargetRates, order: int = 0)
     ``order`` 2 or 3, that many alpha-derivatives of log(1 - s_o).
 
     Each field has shape (2,) + alpha's shape, near user first. Order 0
-    gives value and quad_error from the kernel's plain mode, as
-    exact_sop_near/far do; order 2 adds phi and dphi from its moment mode,
-    and order 3 also d2phi. A field the order leaves out is None.
+    gives value and quad_error, as exact_sop_near/far do; order 2 adds phi
+    and dphi, and order 3 also d2phi, with the same value and quad_error
+    bits. A field the order leaves out is None.
 
     With 1 - s_o = P * I, where P = exp(-A/lam_e) and I is the survival
     integral, log P is closed-form in alpha. I depends on alpha only through

@@ -353,17 +353,21 @@ def _count_passes(monkeypatch):
 
 
 def test_solves_take_few_quadrature_passes(monkeypatch):
-    # A minimizer's Newton iteration starts at the root of the quintic
-    # Hermite interpolant of phi on its cell, so it usually stops after the
-    # pass that evaluates that start.
+    # Each Newton iteration, on a minimizer's phi or on the crossing's
+    # s_o1 - s_o2, starts at the root of the quintic Hermite interpolant on
+    # its cell, so it usually stops soon after the pass that evaluates that
+    # start.
     calls = _count_passes(monkeypatch)
-    passes = []
+    passes, crossing = [], []
     for stats, targets in _grid_configs():
         calls.clear()
-        minmax_pa(stats, targets)
+        outcome = minmax_pa(stats, targets)
         passes.append(len(calls))
+        if outcome.crossing is not None:
+            crossing.append(len(calls))
     assert max(passes) <= 12
     assert np.mean(passes) <= 2.5
+    assert crossing and max(crossing) <= 6
 
 
 def test_minmax_candidate_bookkeeping():

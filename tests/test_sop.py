@@ -302,7 +302,7 @@ def test_exact_sops_order_zero_takes_no_derivatives():
     curve = exact_sops(stats, grid, RTH1)
     assert curve.value.shape == curve.quad_error.shape == (2, grid.size)
     assert curve.phi is None and curve.dphi is None and curve.d2phi is None
-    # Order 0 is the plain mode that exact_sop_near/far take one user at a time.
+    # Order 0 gives what exact_sop_near/far give one user at a time.
     for row, func in zip(curve.value, (exact_sop_near, exact_sop_far)):
         assert np.abs(row - func(stats, grid, RTH1).value).max() <= 1e-15
     assert exact_sops(stats, grid, RTH1, order=2).d2phi is None
@@ -371,13 +371,16 @@ def _box_sweep(count, seed):
 
 
 def _assert_same_bits(monkeypatch, cases):
-    """Every case gives the same value and quad_error bits from both kernels."""
+    """Every case gives the same value and quad_error bits from both kernels,
+    one user at a time and both users at orders 0, 2 and 3 alike."""
     reached = []
 
     def reference(*args, moments=0):
         return _per_halving_survival_integral(*args, reached, moments=moments)
 
-    for func in (exact_sop_near, exact_sop_far):
+    entries = [exact_sop_near, exact_sop_far]
+    entries += [lambda *case, order=order: exact_sops(*case, order=order) for order in (0, 2, 3)]
+    for func in entries:
         fused = [func(*case) for case in cases]
         with monkeypatch.context() as patch:
             patch.setattr(sop, "_survival_integral", reference)
@@ -386,6 +389,14 @@ def _assert_same_bits(monkeypatch, cases):
             assert type(got.value) is type(want.value)
             assert np.asarray(got.value).tobytes() == np.asarray(want.value).tobytes()
             assert np.asarray(got.quad_error).tobytes() == np.asarray(want.quad_error).tobytes()
+    # Every order sums the integrand by the same rule, so the derivatives
+    # come with the bits of the plain values.
+    for case in cases:
+        plain = exact_sops(*case)
+        for order in (2, 3):
+            moment = exact_sops(*case, order=order)
+            assert moment.value.tobytes() == plain.value.tobytes()
+            assert moment.quad_error.tobytes() == plain.quad_error.tobytes()
     return reached
 
 
