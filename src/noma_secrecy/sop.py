@@ -14,19 +14,20 @@ with y = lam_i * z and z = exp(pi/2 * sinh(t)), the integrand decays double
 exponentially at both ends of t and every scale of z gets its own stretch of
 nodes. The trapezoidal rule in t then converges geometrically, and halving
 its step reuses every earlier node. The truncation of t to [-4, 1.75] drops
-z below 3e-19 and above 80, each worth less than 1e-18 of probability. The
-reported quadrature error is the last halving's change. The error falls
-geometrically with each halving, so this overstates the error of the
-returned value; it is at most 1e-9 over the whole power-split window.
+z below 3e-19 and above 80, each worth less than 1e-18 of probability.
+
+Every pass takes the same 185 nodes, those of halvings 0-3 of the step, and
+returns the halving-3 estimate; the reported quadrature error is its change
+from halving 2. The error falls geometrically with each halving, so this
+overstates the error of the returned value. A pass whose error, in
+probability, exceeds 1e-9 raises QuadratureError. None does over the
+property box or the config domain, where the largest such change is about
+3e-11 and halvings 4-6 move no value by more than the reported error.
 
 With s = c*lam_i and kappa = -Pi*lam_i/lam_e, one value per column, the
-integrand at node z is exp(kappa/(s + 1/z)), so a pass builds it in one
-array from the stored 1/z: add s, divide kappa by the sum, take exp. Every
-evaluation over the admissible box stops by halving 3 (185 nodes), so the
-integrand is built at all nodes of halvings 0-3 in one array pass and the
-stop rule is judged for all four at once. A call that needs halvings 4-6
-evaluates each of those on its own. A call that misses the error contract
-after halving 6 raises QuadratureError with the node count it reached.
+integrand at node z is exp(kappa/(s + 1/z)), so a pass builds it at all 185
+nodes in one array from the stored 1/z: add s, divide kappa by the sum,
+take exp.
 
 Every exact SOP goes through one column builder: exact_sop_near and
 exact_sop_far take one user per pass, exact_sops both. exact_sops at order
@@ -67,9 +68,7 @@ __all__ = [
 
 _STEP0 = 0.25        # first trapezoid step in t; each refinement halves it
 _T_RANGE = (-16, 7)  # t range [-4, 1.75] in units of _STEP0
-_MAX_HALVINGS = 6    # at most 1473 nodes
-_FUSED_HALVINGS = 3  # halvings 0-3 (185 nodes) are evaluated in one pass
-_REFINE_TOL = 1e-10  # stop halving once successive estimates agree this well
+_HALVINGS = 3        # halvings 0-3 of the step: 185 nodes
 _ACCEPT_TOL = 1e-9   # contract on the reported absolute quadrature error
 _MOMENT_FLOOR = 1e-150  # least integrand value in the derivative moments
 _MAX_RTH = 1024.0  # 2**rth overflows a double from here on
@@ -126,46 +125,31 @@ def _de_nodes(level: int):
     return z, 0.5 * np.pi * np.cosh(t) * z * np.exp(-z)
 
 
-_DE_NODES = tuple(_de_nodes(level) for level in range(_MAX_HALVINGS + 1))
+def _halvings():
+    """1/z at every node of halvings 0.._HALVINGS as one column, and each
+    halving's (weights, rows) in it."""
+    nodes = [_de_nodes(level) for level in range(_HALVINGS + 1)]
+    ends = np.cumsum([len(z) for z, _ in nodes])
+    rows = [slice(end - len(z), end) for end, (z, _) in zip(ends, nodes)]
+    return 1.0 / np.concatenate([z for z, _ in nodes])[:, None], tuple(zip([w for _, w in nodes], rows))
 
 
-class _Group(NamedTuple):
-    """Nodes evaluated in one array pass, and the halvings that sum them."""
-
-    inverse_nodes: np.ndarray  # 1/z at each node, as a column
-    halvings: tuple     # (weights, rows) of each halving, in order
-    first: int          # the first of those halvings
-    steps: np.ndarray   # each halving's trapezoid step, shaped (halvings, 1, 1)
-
-
-def _groups():
-    """Halvings 0.._FUSED_HALVINGS share one group; each later one has its own."""
-    fused = _DE_NODES[: _FUSED_HALVINGS + 1]
-    ends = np.cumsum([len(z) for z, _ in fused])
-    rows = [slice(end - len(z), end) for end, (z, _) in zip(ends, fused)]
-    groups = [(np.concatenate([z for z, _ in fused]), [w for _, w in fused], rows, 0)]
-    groups += [(z, [w], [slice(None)], level) for level, (z, w) in enumerate(_DE_NODES) if level > _FUSED_HALVINGS]
-    return tuple(
-        _Group(1.0 / z[:, None], tuple(zip(w, r)), first, _STEP0 / 2.0 ** np.arange(first, first + len(w))[:, None, None])
-        for z, w, r, first in groups
-    )
-
-
-_GROUPS = _groups()
+_INVERSE_NODES, _HALVING_SUMS = _halvings()
 
 
 def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarray, moments: int = 0):
     """E_y[exp(-pi*y/((slope*y+1)*lam_exp))] for y ~ Exponential(lam_int).
 
     Vectorized over slope; pi, lam_exp and lam_int are scalars or one value
-    per slope column. Returns (estimates, last-refinement differences).
-    Convergence is judged on scale * |difference|, because the caller folds
-    the integral into the outage value with that weight and the error
+    per slope column. Returns the halving-_HALVINGS estimates and their
+    differences from halving _HALVINGS - 1. It raises QuadratureError unless
+    scale * |difference| is at most _ACCEPT_TOL in every column: the caller
+    folds the integral into the outage value with that weight, and the error
     contract applies to the outage value, not the raw integral.
 
     The integrand is exp(kappa/(s + 1/z)) at y = lam_int*z, with
     s = slope*lam_int and kappa = -pi*lam_int/lam_exp, built in place in one
-    (nodes, columns) array per group.
+    (nodes, columns) array.
 
     With ``moments`` = m > 0 it also returns E_y[e * h**k] for k = 2..m as
     an (m - 1, n) array, taken on the same nodes and halvings, where e is the
@@ -173,54 +157,43 @@ def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarra
     The moments are more rows of the same terms array, summed by the same
     statement, so the estimates and differences keep the plain call's bits.
     """
-    slope = np.atleast_1d(slope)
-    total = prev = None
-    nodes = 0
-    scaled_slope, kappa = slope * lam_int, -pi * lam_int / lam_exp
+    scaled_slope, kappa = np.atleast_1d(slope) * lam_int, -pi * lam_int / lam_exp
     top = max(moments, 1)  # terms per node: e, then e*h**k for k = 2..moments
-    for group in _GROUPS:
-        terms = np.empty((top, len(group.inverse_nodes), scaled_slope.size))
-        f = terms[0]
-        # 1/z then + s: numpy fills and adds faster than it takes an outer sum
-        f[...] = group.inverse_nodes
-        f += scaled_slope
-        if moments:
-            h = scaled_slope / f
-        np.divide(kappa, f, out=f)
-        np.exp(f, out=f)
-        if moments:
-            # Integrand values below _MOMENT_FLOOR are raised to it in the
-            # moments: this moves them by a negligible amount and keeps them
-            # out of subnormal numbers, which are slow to compute with.
-            eh = np.maximum(f, _MOMENT_FLOOR, out=terms[1])
-            eh *= h
-            for k in range(1, top):
-                eh = np.multiply(eh, h, out=terms[k])
-        nodes += len(group.inverse_nodes)
-        # Each halving sums every term over its own rows with its own weights,
-        # and adds the sums to the halvings before it in order, as one
-        # halving at a time would.
-        sums = np.empty((len(group.halvings), top, scaled_slope.size))
-        for out, (w, rows) in zip(sums, group.halvings):
-            np.matmul(w, terms[:, rows], out=out)
-        if total is not None:
-            sums[0] += total
-        totals = np.cumsum(sums, axis=0)
-        total, est = totals[-1], totals * group.steps
-        chain = est[:, 0] if prev is None else np.concatenate((prev[None], est[:, 0]))
-        diffs = np.abs(np.diff(chain, axis=0))
-        skipped = len(est) - len(diffs)  # halving 0 has no difference to judge
-        prev = est[-1, 0]
-        # initial=0 lets an empty alpha (no columns) stop at once with empty fields.
-        for k, worst in enumerate((scale * diffs).max(axis=1, initial=0.0).tolist()):
-            level = group.first + skipped + k
-            if worst < _REFINE_TOL or (level == _MAX_HALVINGS and worst <= _ACCEPT_TOL):
-                found = est[skipped + k]
-                return (found[0], diffs[k], found[1:]) if moments else (found[0], diffs[k])
-    raise QuadratureError(
-        f"outage quadrature did not converge: error {worst:.3e} "
-        f"after {nodes} nodes (tolerance {_ACCEPT_TOL:g})"
-    )
+    terms = np.empty((top, len(_INVERSE_NODES), scaled_slope.size))
+    f = terms[0]
+    # 1/z then + s: numpy fills and adds faster than it takes an outer sum
+    f[...] = _INVERSE_NODES
+    f += scaled_slope
+    if moments:
+        h = scaled_slope / f
+    np.divide(kappa, f, out=f)
+    np.exp(f, out=f)
+    if moments:
+        # Integrand values below _MOMENT_FLOOR are raised to it in the
+        # moments: this moves them by a negligible amount and keeps them
+        # out of subnormal numbers, which are slow to compute with.
+        eh = np.maximum(f, _MOMENT_FLOOR, out=terms[1])
+        eh *= h
+        for k in range(1, top):
+            eh = np.multiply(eh, h, out=terms[k])
+    # Each halving sums every term over its own rows with its own weights,
+    # and adds the sums to the halvings before it in order, as one halving
+    # at a time would.
+    sums = np.empty((len(_HALVING_SUMS), top, scaled_slope.size))
+    for out, (w, rows) in zip(sums, _HALVING_SUMS):
+        np.matmul(w, terms[:, rows], out=out)
+    totals = np.cumsum(sums, axis=0)
+    step = _STEP0 / (1 << _HALVINGS)
+    est = totals[-1] * step
+    diff = np.abs(est[0] - totals[-2, 0] * (2.0 * step))
+    # initial=0 lets an empty alpha (no columns) pass with empty fields; a nan fails.
+    worst = float(np.max(scale * diff, initial=0.0))
+    if not worst <= _ACCEPT_TOL:
+        raise QuadratureError(
+            f"outage quadrature did not converge: error {worst:.3e} "
+            f"after {len(_INVERSE_NODES)} nodes (tolerance {_ACCEPT_TOL:g})"
+        )
+    return (est[0], diff, est[1:]) if moments else (est[0], diff)
 
 
 _ORDER_MOMENTS = {0: 0, 2: 4, 3: 6}  # derivative order -> highest moment the kernel takes

@@ -14,6 +14,10 @@ creates a positive-secrecy window for both users simultaneously.
 
 Secrecy rates are kept signed; outage counting needs negative values to
 propagate (clamping at zero would change Pr{R_s < R_th}).
+
+`per_halving_survival_integral` is the reference for the SOP kernel,
+`sop._survival_integral`: the same exp-sinh rule, summed one halving at a
+time, to any number of halvings.
 """
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ import numpy as np
 
 from noma_secrecy.channel import ChannelStats, _gain_stream
 from noma_secrecy.montecarlo import _CHUNK, SimConfig
+from noma_secrecy import sop
 from noma_secrecy.sop import TargetRates
 
 
@@ -214,3 +219,53 @@ def log_integrand_far(stats: ChannelStats, alpha, targets: TargetRates, y):
         - y / stats.lambda1
         - (pi2 - 1.0) / ((1.0 - a) * stats.rho_t * stats.lambda2)
     )
+
+
+def kernel_integrand(pi, slope, lam_exp, lam_int, z):
+    """The kernel's build: exp(kappa/(s + 1/z)), kappa = -pi*lam_int/lam_exp, s = slope*lam_int."""
+    return np.exp((-pi * lam_int / lam_exp) / np.add.outer(1.0 / z, slope * lam_int))
+
+
+def written_integrand(pi, slope, lam_exp, lam_int, z):
+    """The integrand as the SOP integral writes it, exp(-pi*y/((slope*y + 1)*lam_exp))."""
+    y = lam_int * z[:, None]
+    return np.exp(-pi * y / ((slope[None, :] * y + 1.0) * lam_exp))
+
+
+_HALVING_NODES = tuple(sop._de_nodes(level) for level in range(7))  # halvings 0-6: 1473 nodes
+
+
+def per_halving_survival_integral(pi, slope, lam_exp, lam_int, scale,
+                                  integrand=kernel_integrand, moments=0, halvings=sop._HALVINGS):
+    """The exp-sinh rule summed one halving at a time, through halving ``halvings`` (at most 6).
+
+    Returns the last halving's estimate and its change from the halving
+    before, and raises QuadratureError unless scale times that change is at
+    most sop._ACCEPT_TOL in every column. At the default ``halvings``, with
+    the kernel's integrand, sop._survival_integral must return the same bits.
+    With ``moments`` it also sums e*h**k, k = 2..moments, with
+    h = slope*y/(slope*y + 1).
+    """
+    slope = np.atleast_1d(slope)
+    total = 0.0
+    nodes = 0
+    est = None
+    for level in range(halvings + 1):
+        z, w = _HALVING_NODES[level]
+        nodes += len(z)
+        e = integrand(pi, slope, lam_exp, lam_int, z)
+        terms = [e]
+        if moments:
+            y = lam_int * z[:, None]
+            h = slope * y / (slope * y + 1.0)
+            terms += [np.maximum(e, sop._MOMENT_FLOOR) * h ** k for k in range(2, moments + 1)]
+        total = total + np.array([w @ term for term in terms])
+        prev, est = est, total * (sop._STEP0 / (1 << level))
+    diff = np.abs(est[0] - prev[0])
+    worst = float(np.max(scale * diff, initial=0.0))
+    if not worst <= sop._ACCEPT_TOL:
+        raise sop.QuadratureError(
+            f"outage quadrature did not converge: error {worst:.3e} "
+            f"after {nodes} nodes (tolerance {sop._ACCEPT_TOL:g})"
+        )
+    return (est[0], diff, est[1:]) if moments else (est[0], diff)
