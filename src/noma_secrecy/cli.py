@@ -170,6 +170,8 @@ def cmd_optimize(cfg: RunConfig) -> bool:
         "so2_at_alpha2_star": far.so2,
         "alpha1_hat": _closed_form_payload(optimal_pa_near_asymptotic(targets)),
         "alpha2_hat": _closed_form_payload(optimal_pa_far_asymptotic(targets)),
+        "alpha_sop": outcome.selected,
+        "max_sop": outcome.objective,
         "curve_minima_consistent": bool(near_ok and far_ok),
     }
     _emit(cfg, columns, rows, summary)

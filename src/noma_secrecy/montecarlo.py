@@ -28,7 +28,7 @@ import operator
 import os
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,7 +92,7 @@ def _secrecy_ratios(
     g2: np.ndarray,
     a: float,
     rho_t: float,
-    out: Optional[np.ndarray] = None,
+    out: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(1 + g11) / (1 + g12) and (1 + g22) / (1 + g21) under the proposed order.
 
@@ -101,8 +101,6 @@ def _secrecy_ratios(
     1 + g21 = (1 + x1) / (1 + a x1), so both ratios share one product.
     `out` is scratch of shape (4,) + g1.shape; the ratios are views of it.
     """
-    if out is None:
-        out = np.empty((4,) + np.shape(g1))
     x1, x2, product, term = out
     np.multiply(g1, rho_t, out=x1)
     np.multiply(g2, rho_t, out=x2)

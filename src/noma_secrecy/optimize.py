@@ -14,7 +14,7 @@ SOP at the other's minimizer. minmax_pa is the one exact solver: its near
 and far candidates are each user's own optimum. Near a minimizer
 phi' < 0, so Newton converges quadratically, and its first step from the
 interpolant's root is usually already below the tolerance: a solve
-usually takes 2 passes (2.22 on average and at most 6 on the
+usually takes 2 passes (2.21 on average and at most 6 on the
 432-configuration test grid). phi' > 0 does occur near the window edges,
 and in a low-SNR, high-rate corner the far user's SOP has two local
 minima: the integrand's log-concavity in alpha (criterion 04) does not
@@ -29,7 +29,7 @@ own user the better-off one. The crossing is solved as the minimizers are
 (_hermite_newton), on s_o1 - s_o2 over the cell between them: its value,
 slope and curvature at both ends follow from the last minimizer pass's
 values, phi and phi', so its Newton iteration also starts at an
-interpolant's root; a crossing adds 3.2 passes on average and at most 4
+interpolant's root; a crossing adds 3.1 passes on average and at most 4
 on the test grid. _select picks the candidate with the smallest max-SOP,
 ties going to the smaller alpha; the closed-form solver selects by the
 same rule.

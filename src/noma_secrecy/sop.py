@@ -35,10 +35,10 @@ exact_sop_far take one user per pass, exact_sops both. exact_sops at order
 prefactor is closed-form, and the survival integral's derivatives are
 moments of the same integrand on the same nodes and halvings, which need
 only h = s/(s + 1/z), taken from the sum before the divide. Every order sums
-by one rule: each halving sums the integrand, and each moment, over its own
-rows with its own weight vector, in the same bits as evaluating one halving
-at a time. So a pass's values and quadrature errors do not depend on the
-order it takes.
+by one rule, two weight-vector products per term: one over halvings 0-2's 93
+nodes, which is halving 2's estimate before the step, and one over halving
+3's own 92 nodes, which halving 3 adds to it. So a pass's values and
+quadrature errors do not depend on the order it takes.
 
 The asymptotic forms drop the "+1" in the SINR denominators, valid once the
 received SNR is large. They are upper bounds on the exact SOPs, with an
@@ -125,16 +125,15 @@ def _de_nodes(level: int):
     return z, 0.5 * np.pi * np.cosh(t) * z * np.exp(-z)
 
 
-def _halvings():
-    """1/z at every node of halvings 0.._HALVINGS as one column, and each
-    halving's (weights, rows) in it."""
-    nodes = [_de_nodes(level) for level in range(_HALVINGS + 1)]
-    ends = np.cumsum([len(z) for z, _ in nodes])
-    rows = [slice(end - len(z), end) for end, (z, _) in zip(ends, nodes)]
-    return 1.0 / np.concatenate([z for z, _ in nodes])[:, None], tuple(zip([w for _, w in nodes], rows))
+def _rule():
+    """1/z at every node of halvings 0.._HALVINGS as one column in level
+    order, then the weights of the nodes before halving _HALVINGS and the
+    weights of its own nodes."""
+    z, w = zip(*(_de_nodes(level) for level in range(_HALVINGS + 1)))
+    return 1.0 / np.concatenate(z)[:, None], np.concatenate(w[:-1]), w[-1]
 
 
-_INVERSE_NODES, _HALVING_SUMS = _halvings()
+_INVERSE_NODES, _COARSE_WEIGHTS, _LAST_WEIGHTS = _rule()
 
 
 def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarray, moments: int = 0):
@@ -149,13 +148,15 @@ def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarra
 
     The integrand is exp(kappa/(s + 1/z)) at y = lam_int*z, with
     s = slope*lam_int and kappa = -pi*lam_int/lam_exp, built in place in one
-    (nodes, columns) array.
+    (nodes, columns) array with the nodes in level order. Two weight
+    products sum it: the rows of the halvings before _HALVINGS give halving
+    _HALVINGS - 1's sum, and halving _HALVINGS's own rows what it adds.
 
     With ``moments`` = m > 0 it also returns E_y[e * h**k] for k = 2..m as
     an (m - 1, n) array, taken on the same nodes and halvings, where e is the
     integrand and h = slope*y/(slope*y + 1) = s/(s + 1/z) lies in [0, 1).
     The moments are more rows of the same terms array, summed by the same
-    statement, so the estimates and differences keep the plain call's bits.
+    two products, so the estimates and differences keep the plain call's bits.
     """
     scaled_slope, kappa = np.atleast_1d(slope) * lam_int, -pi * lam_int / lam_exp
     top = max(moments, 1)  # terms per node: e, then e*h**k for k = 2..moments
@@ -176,16 +177,15 @@ def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarra
         eh *= h
         for k in range(1, top):
             eh = np.multiply(eh, h, out=terms[k])
-    # Each halving sums every term over its own rows with its own weights,
-    # and adds the sums to the halvings before it in order, as one halving
-    # at a time would.
-    sums = np.empty((len(_HALVING_SUMS), top, scaled_slope.size))
-    for out, (w, rows) in zip(sums, _HALVING_SUMS):
-        np.matmul(w, terms[:, rows], out=out)
-    totals = np.cumsum(sums, axis=0)
+    # Halving 2's estimate sums its 93 nodes, halving 3's adds its own 92.
+    # Folding the step into the weights, or one 185-node product, would
+    # round the sums differently.
+    coarse_rows = len(_COARSE_WEIGHTS)
+    coarse = _COARSE_WEIGHTS @ terms[:, :coarse_rows]
+    last = _LAST_WEIGHTS @ terms[:, coarse_rows:]
     step = _STEP0 / (1 << _HALVINGS)
-    est = totals[-1] * step
-    diff = np.abs(est[0] - totals[-2, 0] * (2.0 * step))
+    est = (coarse + last) * step
+    diff = np.abs(est[0] - coarse[0] * (2.0 * step))
     # initial=0 lets an empty alpha (no columns) pass with empty fields; a nan fails.
     worst = float(np.max(scale * diff, initial=0.0))
     if not worst <= _ACCEPT_TOL:

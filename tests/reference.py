@@ -16,8 +16,8 @@ Secrecy rates are kept signed; outage counting needs negative values to
 propagate (clamping at zero would change Pr{R_s < R_th}).
 
 `per_halving_survival_integral` is the reference for the SOP kernel,
-`sop._survival_integral`: the same exp-sinh rule, summed one halving at a
-time, to any number of halvings.
+`sop._survival_integral`: the same exp-sinh rule and the same two weight
+products, to any number of halvings.
 """
 from __future__ import annotations
 
@@ -237,35 +237,38 @@ _HALVING_NODES = tuple(sop._de_nodes(level) for level in range(7))  # halvings 0
 
 def per_halving_survival_integral(pi, slope, lam_exp, lam_int, scale,
                                   integrand=kernel_integrand, moments=0, halvings=sop._HALVINGS):
-    """The exp-sinh rule summed one halving at a time, through halving ``halvings`` (at most 6).
+    """The exp-sinh rule through halving ``halvings`` (1 to 6), summed in two groups.
 
-    Returns the last halving's estimate and its change from the halving
-    before, and raises QuadratureError unless scale times that change is at
-    most sop._ACCEPT_TOL in every column. At the default ``halvings``, with
-    the kernel's integrand, sop._survival_integral must return the same bits.
+    The nodes of the halvings before the last, in level order, give one
+    weight product and the last halving's own nodes another, as the kernel
+    sums halvings 0-2 and then halving 3. Returns the last halving's
+    estimate and its change from the halving before, and raises
+    QuadratureError unless scale times that change is at most
+    sop._ACCEPT_TOL in every column. At the default ``halvings``, with the
+    kernel's integrand, sop._survival_integral must return the same bits.
     With ``moments`` it also sums e*h**k, k = 2..moments, with
     h = slope*y/(slope*y + 1).
     """
     slope = np.atleast_1d(slope)
-    total = 0.0
-    nodes = 0
-    est = None
-    for level in range(halvings + 1):
-        z, w = _HALVING_NODES[level]
-        nodes += len(z)
+    levels = _HALVING_NODES[:halvings + 1]
+    groups = [[np.concatenate(col) for col in zip(*levels[:-1])], levels[-1]]
+    sums = []
+    for z, w in groups:
         e = integrand(pi, slope, lam_exp, lam_int, z)
         terms = [e]
         if moments:
             y = lam_int * z[:, None]
             h = slope * y / (slope * y + 1.0)
             terms += [np.maximum(e, sop._MOMENT_FLOOR) * h ** k for k in range(2, moments + 1)]
-        total = total + np.array([w @ term for term in terms])
-        prev, est = est, total * (sop._STEP0 / (1 << level))
-    diff = np.abs(est[0] - prev[0])
+        sums.append(np.array([w @ term for term in terms]))
+    coarse, last = sums
+    step = sop._STEP0 / (1 << halvings)
+    est = (coarse + last) * step
+    diff = np.abs(est[0] - coarse[0] * (2.0 * step))
     worst = float(np.max(scale * diff, initial=0.0))
     if not worst <= sop._ACCEPT_TOL:
         raise sop.QuadratureError(
             f"outage quadrature did not converge: error {worst:.3e} "
-            f"after {nodes} nodes (tolerance {sop._ACCEPT_TOL:g})"
+            f"after {sum(len(z) for z, _ in levels)} nodes (tolerance {sop._ACCEPT_TOL:g})"
         )
     return (est[0], diff, est[1:]) if moments else (est[0], diff)

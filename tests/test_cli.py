@@ -151,6 +151,17 @@ def test_optimize_rows_match_direct_evaluation(tmp_path):
         assert row["so1_exact"] == pytest.approx(direct, rel=1e-9)
 
 
+def test_optimize_summary_carries_the_fair_split(tmp_path):
+    # At defaults (rth1 = rth2 = 1) the fair split is minmax's rth1 = 1 row.
+    code, payload = run_to_file(tmp_path, "optimize", "", fmt="json")
+    assert code == 0
+    summary = json.loads(payload)["summary"]
+    row = (GOLDEN / "minmax.csv").read_text(encoding="utf-8").splitlines()[2].split(",")
+    assert row[0] == "1"
+    printed = [cli._fmt(summary["alpha_sop"]), cli._fmt(summary["max_sop"])]
+    assert printed == row[4:6] == ["0.585269741092", "0.00580375218543"]
+
+
 def test_optimize_sweep_that_misses_the_minimizers_passes_its_check(tmp_path):
     # Both minimizers (0.4164 and 0.5853) lie right of this window, so each
     # curve's grid argmin is the window's right edge.

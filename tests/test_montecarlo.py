@@ -109,7 +109,7 @@ def test_stream_counts_match_one_sample_gains_window(chunk, conditioned):
     # of the single window sample_gains(stats, n, seed), whatever the chunk.
     n, seed, alpha = 30_001, 21, 0.4
     gains = sample_gains(STATS_30DB, n, seed)
-    ratio1, ratio2 = _secrecy_ratios(gains.g1, gains.g2, alpha, STATS_30DB.rho_t)
+    ratio1, ratio2 = _secrecy_ratios(gains.g1, gains.g2, alpha, STATS_30DB.rho_t, np.empty((4, n)))
     sim = SimConfig(realizations=n, seed=seed)
     results = empirical_sops((STATS_30DB,), alpha, STREAM_TARGETS, sim, _chunk=chunk)[0]
     for targets, result in zip(STREAM_TARGETS, results):
@@ -136,7 +136,7 @@ def test_violation_stream_matches_one_sample_gains_window(monkeypatch, chunk, si
 def _window_counts(n, seed, alpha):
     """Per-pair outage counts of one sample_gains window of n samples."""
     gains = sample_gains(STATS_30DB, n, seed)
-    ratio1, ratio2 = _secrecy_ratios(gains.g1, gains.g2, alpha, STATS_30DB.rho_t)
+    ratio1, ratio2 = _secrecy_ratios(gains.g1, gains.g2, alpha, STATS_30DB.rho_t, np.empty((4, n)))
     out1 = [int(np.count_nonzero(ratio1 < targets.pi1)) for targets in STREAM_TARGETS]
     out2 = [int(np.count_nonzero(ratio2 < targets.pi2)) for targets in STREAM_TARGETS]
     return out1, out2
@@ -257,12 +257,12 @@ def test_log_free_outage_test_matches_log2_rates():
     g2 = np.concatenate([gains.g2, [0.0, 2.0]])
     for rho_t in (STATS_30DB.rho_t, 1.0):
         for alpha in (0.1, 0.5, 0.9):
-            ratio1, ratio2 = _secrecy_ratios(g1, g2, alpha, rho_t)
+            ratio1, ratio2 = _secrecy_ratios(g1, g2, alpha, rho_t, np.empty((4, g1.size)))
             rates = rates_from_sinrs(sinr_proposed(type(gains)(g1=g1, g2=g2), alpha, rho_t))
             for rth in (0.0, 0.5, 1.0, 3.0):
                 assert np.array_equal(ratio1 < 2.0**rth, rates.rs1 < rth)
                 assert np.array_equal(ratio2 < 2.0**rth, rates.rs2 < rth)
-    ratio1, ratio2 = _secrecy_ratios(g1[-2:], g2[-2:], 0.5, 1.0)
+    ratio1, ratio2 = _secrecy_ratios(g1[-2:], g2[-2:], 0.5, 1.0, np.empty((4, 2)))
     assert (ratio1[0], ratio2[1]) == (2.0, 2.0)
     assert not (ratio1[0] < 2.0 or ratio2[1] < 2.0)
 

@@ -361,6 +361,10 @@ def test_solves_take_few_quadrature_passes(monkeypatch):
     # s_o1 - s_o2, starts at the root of the quintic Hermite interpolant on
     # its cell, so it usually stops soon after the pass that evaluates that
     # start.
+    # The crossing bound of 6 is tight: config (20 dB, 60 m, rth 0.5/0.25)
+    # takes 6 passes only because its second crossing Newton point gives
+    # s_o1 - s_o2 = 0.0 exactly, which skips the settle pass. A change that
+    # rounds the crossing differently can give it a 7th.
     calls = _count_passes(monkeypatch)
     passes, crossing = [], []
     for stats, targets in _grid_configs():
