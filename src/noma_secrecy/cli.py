@@ -28,7 +28,15 @@ from .optimize import (
     optimal_pa_near_asymptotic,
 )
 from .rates import ALPHA_MAX, ALPHA_MIN
-from .sop import QuadratureError, TargetRates, asymptotic_sop_far, asymptotic_sop_near, exact_sop_near, exact_sops
+from .sop import (
+    QuadratureError,
+    TargetRates,
+    asymptotic_sop_far,
+    asymptotic_sop_near,
+    exact_sop_far,
+    exact_sop_near,
+    exact_sops,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -82,8 +90,9 @@ def _summary_text(value) -> str:
     return str(value)
 
 
-def _closed_form_payload(form) -> dict:
-    return {"alpha": form.alpha, "degenerate": form.degenerate}
+def _closed_form_payload(alpha: float) -> dict:
+    # Degenerate: the closed form leaves the admissible window.
+    return {"alpha": alpha, "degenerate": not ALPHA_MIN <= alpha <= ALPHA_MAX}
 
 
 def cmd_validate(cfg: RunConfig) -> bool:
@@ -198,7 +207,10 @@ def cmd_minmax(cfg: RunConfig) -> bool:
     for rth1 in sweep.values():
         targets = TargetRates(rth1=float(rth1), rth2=cfg.rth2)
         outcome = minmax_pa(stats, targets)
-        grid_min = float(exact_sops(stats, _DOMINANCE_GRID, targets).value.max(axis=0).min())
+        # Two one-user passes take less time than one two-user pass of twice the width.
+        grid_max = np.maximum(exact_sop_near(stats, _DOMINANCE_GRID, targets).value,
+                              exact_sop_far(stats, _DOMINANCE_GRID, targets).value)
+        grid_min = float(grid_max.min())
         dominance_ok = dominance_ok and outcome.objective <= grid_min * (1.0 + _GRID_REL_SLACK)
         rows.append((float(rth1),) + _minmax_row(outcome))
     alphas = np.array([row[4] for row in rows])

@@ -31,12 +31,11 @@ slope and curvature at both ends follow from the last minimizer pass's
 values, phi and phi', so its Newton iteration also starts at an
 interpolant's root; a crossing adds 3.1 passes on average and at most 4
 on the test grid. _select picks the candidate with the smallest max-SOP,
-ties going to the smaller alpha; the closed-form solver selects by the
-same rule.
+ties going to the smaller alpha.
 
-High-SNR counterparts have closed forms; targets at exactly zero rate push
-them onto the boundary of the admissible window and are flagged degenerate
-rather than clamped.
+Each user's high-SNR SOP has a closed-form minimizer that depends on its
+target rate only. It is returned unclamped: a zero target rate puts it on
+the window's boundary, 0 for the near user and 1 for the far user.
 """
 from __future__ import annotations
 
@@ -47,19 +46,16 @@ import numpy as np
 
 from .channel import ChannelStats
 from .rates import ALPHA_MAX, ALPHA_MIN
-from .sop import SopValue, TargetRates, asymptotic_sop_far, asymptotic_sop_near, exact_sops
+from .sop import SopValue, TargetRates, exact_sops
 
 __all__ = [
     "XTOL",
     "newton_root",
-    "ClosedFormAlpha",
     "optimal_pa_near_asymptotic",
     "optimal_pa_far_asymptotic",
-    "equal_sop_alpha_asymptotic",
     "Candidate",
     "MinMaxOutcome",
     "minmax_pa",
-    "minmax_pa_asymptotic",
 ]
 
 XTOL = 1e-8  # absolute tolerance on every solved power split
@@ -277,36 +273,25 @@ class Candidate(NamedTuple):
         return max(self.so1, self.so2)
 
 
-class ClosedFormAlpha(NamedTuple):
-    alpha: float
-    degenerate: bool  # True when the formula leaves the admissible open window
-
-
-def optimal_pa_near_asymptotic(targets: TargetRates) -> ClosedFormAlpha:
+def optimal_pa_near_asymptotic(targets: TargetRates) -> float:
     """Closed-form high-SNR minimizer of the near user's SOP.
 
     Independent of the channel statistics and the SNR; depends on the target
-    rate only. A zero target rate collapses it onto alpha = 0.
+    rate only. A zero target rate collapses it onto alpha = 0. The root
+    sqrt(pi*(pi - 1)) - (pi - 1) is rationalized to s/(r + s), with
+    r = sqrt(pi) and s = sqrt(pi - 1), so that it neither cancels nor
+    overflows.
     """
-    pi1 = targets.pi1
-    if pi1 == 1.0:
-        return ClosedFormAlpha(0.0, True)
-    return ClosedFormAlpha(-(pi1 - 1.0) + math.sqrt(pi1 * (pi1 - 1.0)), False)
+    r, s = math.sqrt(targets.pi1), math.sqrt(targets.pi1 - 1.0)
+    return s / (r + s)
 
 
-def optimal_pa_far_asymptotic(targets: TargetRates) -> ClosedFormAlpha:
-    """Closed-form high-SNR minimizer of the far user's SOP."""
-    pi2 = targets.pi2
-    if pi2 == 1.0:
-        return ClosedFormAlpha(1.0, True)
-    return ClosedFormAlpha(pi2 - math.sqrt(pi2 * (pi2 - 1.0)), False)
-
-
-def equal_sop_alpha_asymptotic(stats: ChannelStats, targets: TargetRates) -> ClosedFormAlpha:
-    """Closed-form high-SNR equal-SOP power split; may land outside (0, 1)."""
-    lam1, lam2 = stats.lambda1, stats.lambda2
-    alpha3 = (targets.pi2 * lam1 + lam2 * (1.0 - targets.pi1)) / (lam1 + lam2)
-    return ClosedFormAlpha(alpha3, not (ALPHA_MIN <= alpha3 <= ALPHA_MAX))
+def optimal_pa_far_asymptotic(targets: TargetRates) -> float:
+    """Closed-form high-SNR minimizer of the far user's SOP: the root
+    pi - sqrt(pi*(pi - 1)), rationalized as the near user's to r/(r + s).
+    A zero target rate collapses it onto alpha = 1."""
+    r, s = math.sqrt(targets.pi2), math.sqrt(targets.pi2 - 1.0)
+    return r / (r + s)
 
 
 class MinMaxOutcome(NamedTuple):
@@ -315,17 +300,15 @@ class MinMaxOutcome(NamedTuple):
 
     selected: float
     objective: float
-    near: Optional[Candidate]
-    far: Optional[Candidate]
+    near: Candidate
+    far: Candidate
     crossing: Optional[Candidate]
 
 
-def _select(near: Optional[Candidate], far: Optional[Candidate], crossing: Optional[Candidate]) -> MinMaxOutcome:
+def _select(near: Candidate, far: Candidate, crossing: Optional[Candidate]) -> MinMaxOutcome:
     """The candidate with the smallest max-SOP; ties break toward the smaller
-    alpha so reruns are reproducible. None marks a missing candidate."""
+    alpha so reruns are reproducible. A crossing of None takes no part."""
     pool = [c for c in (near, far, crossing) if c is not None]
-    if not pool:
-        raise RuntimeError("no feasible power-split candidate to select from")
     best = min(pool, key=lambda c: (c.max_sop, c.alpha))
     return MinMaxOutcome(best.alpha, best.max_sop, near, far, crossing)
 
@@ -358,22 +341,3 @@ def minmax_pa(stats: ChannelStats, targets: TargetRates) -> MinMaxOutcome:
                                      lambda sops: gap(sops)[:2], settle=True)
         crossing = Candidate(float(root[0]), *last.value[:, 0].tolist())
     return _select(near, far, crossing)
-
-
-def minmax_pa_asymptotic(stats: ChannelStats, targets: TargetRates) -> MinMaxOutcome:
-    """Min-max fair power split over the high-SNR SOP approximations.
-
-    Degenerate or out-of-window closed forms are dropped before selection;
-    with both target rates zero the crossing candidate always survives.
-    """
-    def admit(form: ClosedFormAlpha) -> Optional[Candidate]:
-        if form.degenerate or not (ALPHA_MIN <= form.alpha <= ALPHA_MAX):
-            return None
-        return Candidate(form.alpha, asymptotic_sop_near(stats, form.alpha, targets),
-                         asymptotic_sop_far(stats, form.alpha, targets))
-
-    return _select(
-        admit(optimal_pa_near_asymptotic(targets)),
-        admit(optimal_pa_far_asymptotic(targets)),
-        admit(equal_sop_alpha_asymptotic(stats, targets)),
-    )

@@ -168,13 +168,13 @@ def _golden_section_minimize(objective, lower=ALPHA_MIN, upper=ALPHA_MAX, tol=1e
 
 def test_criterion_03_closed_form_optima():
     issues = []
-    if abs(optimal_pa_near_asymptotic(RTH).alpha - (math.sqrt(2.0) - 1.0)) > 1e-12:
+    if abs(optimal_pa_near_asymptotic(RTH) - (math.sqrt(2.0) - 1.0)) > 1e-12:
         issues.append("alpha1_hat(pi=2)")
-    if abs(optimal_pa_far_asymptotic(RTH).alpha - (2.0 - math.sqrt(2.0))) > 1e-12:
+    if abs(optimal_pa_far_asymptotic(RTH) - (2.0 - math.sqrt(2.0))) > 1e-12:
         issues.append("alpha2_hat(pi=2)")
     for pi in (1.1, 1.5, 2.0, 4.0, 8.0):
         targets = TargetRates(math.log2(pi), math.log2(pi))
-        total = optimal_pa_near_asymptotic(targets).alpha + optimal_pa_far_asymptotic(targets).alpha
+        total = optimal_pa_near_asymptotic(targets) + optimal_pa_far_asymptotic(targets)
         if abs(total - 1.0) > 1e-12:
             issues.append(f"complement identity at pi={pi:g}")
     stats = RunConfig().stats()

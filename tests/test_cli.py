@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -129,13 +130,24 @@ def test_bad_format_flag_is_rejected_by_parser():
 
 
 def test_optimize_json_reports_degenerate_closed_forms(tmp_path):
-    config = "targets.rth1_bits = 0\ntargets.rth2_bits = 0\n"
-    code, payload = run_to_file(tmp_path, "optimize", config, fmt="json")
-    assert code == 0
-    doc = json.loads(payload)
+    # Closed forms outside the window [1e-6, 1 - 1e-6] are flagged degenerate:
+    # a zero rate puts them on its boundary, a tiny one just inside (0, 1).
+    # At 60 bits both are 0.5 to within 1e-19.
+    for rate, alpha1, alpha2, degenerate in (
+        ("0", 0.0, 1.0, True),
+        ("60", 0.5, 0.5, False),
+        ("1e-13", 2.632e-7, 1.0 - 2.632e-7, True),
+    ):
+        config = f"targets.rth1_bits = {rate}\ntargets.rth2_bits = {rate}\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, payload = run_to_file(tmp_path, "optimize", config, fmt="json")
+        assert code == 0
+        doc = json.loads(payload)
+        summary = doc["summary"]
+        assert summary["alpha1_hat"] == {"alpha": pytest.approx(alpha1, abs=1e-10), "degenerate": degenerate}
+        assert summary["alpha2_hat"] == {"alpha": pytest.approx(alpha2, abs=1e-10), "degenerate": degenerate}
     assert set(doc) == {"rows", "summary"}
-    assert doc["summary"]["alpha1_hat"] == {"alpha": 0.0, "degenerate": True}
-    assert doc["summary"]["alpha2_hat"] == {"alpha": 1.0, "degenerate": True}
     assert len(doc["rows"]) == 99
     assert doc["rows"][0]["alpha"] == pytest.approx(0.01)
 

@@ -9,9 +9,7 @@ from noma_secrecy.optimize import (
     Candidate,
     _hermite_start,
     _select,
-    equal_sop_alpha_asymptotic,
     minmax_pa,
-    minmax_pa_asymptotic,
     newton_root,
     optimal_pa_far_asymptotic,
     optimal_pa_near_asymptotic,
@@ -178,8 +176,8 @@ def test_exact_optima_approach_closed_forms_at_40db():
     stats = ChannelStats(LAM1, LAM2, 10.0 ** 4.0 / LAM2)
     outcome = minmax_pa(stats, RTH1)
     near, far = outcome.near, outcome.far
-    assert abs(near.alpha - optimal_pa_near_asymptotic(RTH1).alpha) <= 0.02
-    assert abs(far.alpha - optimal_pa_far_asymptotic(RTH1).alpha) <= 0.02
+    assert abs(near.alpha - optimal_pa_near_asymptotic(RTH1)) <= 0.02
+    assert abs(far.alpha - optimal_pa_far_asymptotic(RTH1)) <= 0.02
 
 
 def test_symmetric_stats_mirror_the_optima():
@@ -189,28 +187,39 @@ def test_symmetric_stats_mirror_the_optima():
     assert abs(near.alpha - (1.0 - far.alpha)) <= 0.02
 
 
+# Both closed forms at 8 bits (pi = 256) to 25 digits, from
+# sqrt(pi*(pi - 1)) - (pi - 1) and pi - sqrt(pi*(pi - 1)) in 40-digit arithmetic.
+ALPHA1_HAT_8_BITS = 0.4995107627409919851239228
+ALPHA2_HAT_8_BITS = 0.5004892372590080148760772
+
+
 def test_closed_form_near_reference_values():
-    assert optimal_pa_near_asymptotic(RTH1) == pytest.approx((math.sqrt(2.0) - 1.0, False))
-    assert optimal_pa_near_asymptotic(TargetRates(2.0, 2.0)).alpha == pytest.approx(
+    assert optimal_pa_near_asymptotic(RTH1) == pytest.approx(math.sqrt(2.0) - 1.0)
+    assert optimal_pa_near_asymptotic(TargetRates(2.0, 2.0)) == pytest.approx(
         -3.0 + math.sqrt(12.0), rel=1e-12
     )
-    degenerate = optimal_pa_near_asymptotic(TargetRates(0.0, 0.0))
-    assert degenerate.alpha == 0.0 and degenerate.degenerate
+    assert optimal_pa_near_asymptotic(TargetRates(8.0, 8.0)) == pytest.approx(
+        ALPHA1_HAT_8_BITS, rel=1e-15, abs=0.0
+    )
+    assert optimal_pa_near_asymptotic(TargetRates(0.0, 0.0)) == 0.0
 
 
 def test_closed_form_far_reference_values():
-    assert optimal_pa_far_asymptotic(RTH1) == pytest.approx((2.0 - math.sqrt(2.0), False))
-    degenerate = optimal_pa_far_asymptotic(TargetRates(0.0, 0.0))
-    assert degenerate.alpha == 1.0 and degenerate.degenerate
+    assert optimal_pa_far_asymptotic(RTH1) == pytest.approx(2.0 - math.sqrt(2.0))
+    assert optimal_pa_far_asymptotic(TargetRates(8.0, 8.0)) == pytest.approx(
+        ALPHA2_HAT_8_BITS, rel=1e-15, abs=0.0
+    )
+    assert optimal_pa_far_asymptotic(TargetRates(0.0, 0.0)) == 1.0
 
 
-@pytest.mark.parametrize("pi", [1.1, 1.5, 2.0, 4.0, 8.0])
+# 2**60 and up: pi - 1 rounds to pi, and pi*(pi - 1) overflows from 2**512.
+@pytest.mark.parametrize("pi", [1.1, 1.5, 2.0, 4.0, 8.0, 2.0 ** 60, 2.0 ** 600, 2.0 ** 1023])
 def test_closed_forms_are_complementary_for_equal_targets(pi):
     rth = math.log2(pi)
     targets = TargetRates(rth, rth)
     near = optimal_pa_near_asymptotic(targets)
     far = optimal_pa_far_asymptotic(targets)
-    assert near.alpha + far.alpha == pytest.approx(1.0, abs=1e-12)
+    assert near + far == pytest.approx(1.0, abs=1e-12)
 
 
 def _golden_section_minimize(objective, lower=ALPHA_MIN, upper=ALPHA_MAX, tol=1e-9):
@@ -239,8 +248,8 @@ def test_brent_on_asymptotic_curves_recovers_closed_forms(rth):
 
     near = _golden_section_minimize(lambda a: asymptotic_sop_near(STATS_30DB, a, targets))
     far = _golden_section_minimize(lambda a: asymptotic_sop_far(STATS_30DB, a, targets))
-    assert abs(near - optimal_pa_near_asymptotic(targets).alpha) <= 1e-6
-    assert abs(far - optimal_pa_far_asymptotic(targets).alpha) <= 1e-6
+    assert abs(near - optimal_pa_near_asymptotic(targets)) <= 1e-6
+    assert abs(far - optimal_pa_far_asymptotic(targets)) <= 1e-6
 
 
 def _equal_sop_root(stats, targets, tol=1e-12):
@@ -278,16 +287,6 @@ def test_equal_sop_crossing_is_a_true_root():
     flips = np.nonzero(np.sign(g[:-1]) != np.sign(g[1:]))[0]
     spacing = grid[1] - grid[0]
     assert any(grid[i] - spacing <= root <= grid[i + 1] + spacing for i in flips)
-
-
-def test_equal_sop_closed_form_reference_values():
-    stats = ChannelStats(1.0, 1.0, 1e6)
-    form = equal_sop_alpha_asymptotic(stats, TargetRates(1.0, math.log2(1.2)))
-    assert form.alpha == pytest.approx(0.1, rel=1e-12)
-    assert not form.degenerate
-    outside = equal_sop_alpha_asymptotic(STATS_30DB, RTH1)
-    assert outside.alpha == pytest.approx(1.5493, abs=5e-4)
-    assert outside.degenerate
 
 
 def _grid_configs():
@@ -395,23 +394,10 @@ def test_minmax_symmetric_selects_half():
 
 
 def test_minmax_agrees_with_asymptotic_selection():
+    # At 30 dB the high-SNR crossing, 1.549, lies outside the window, so the
+    # asymptotic fair split is the far user's closed-form minimizer.
     exact = minmax_pa(STATS_30DB, RTH1)
-    asym = minmax_pa_asymptotic(STATS_30DB, RTH1)
-    assert abs(exact.selected - asym.selected) <= 0.02
-
-
-def test_asymptotic_minmax_drops_degenerate_candidates():
-    stats = ChannelStats(3e-5, 1e-5, 1e8)
-    outcome = minmax_pa_asymptotic(stats, TargetRates(0.0, 0.0))
-    assert outcome.near is None
-    assert outcome.far is None
-    assert outcome.selected == pytest.approx(0.75, rel=1e-12)
-
-
-def test_asymptotic_minmax_drops_out_of_window_crossing():
-    outcome = minmax_pa_asymptotic(STATS_30DB, RTH1)
-    assert outcome.crossing is None
-    assert outcome.selected == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-12)
+    assert abs(exact.selected - optimal_pa_far_asymptotic(RTH1)) <= 0.02
 
 
 def test_selection_breaks_ties_toward_smaller_alpha():
@@ -421,5 +407,3 @@ def test_selection_breaks_ties_toward_smaller_alpha():
         None,
     )
     assert outcome.selected == 0.3
-    with pytest.raises(RuntimeError):
-        _select(None, None, None)
