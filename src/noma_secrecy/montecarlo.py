@@ -128,7 +128,6 @@ def empirical_sops(
     alpha: float,
     targets_seq: Sequence[TargetRates],
     sim: SimConfig,
-    _chunk: int = _CHUNK,
 ) -> tuple[tuple[EmpiricalSop, ...], ...]:
     """Outage frequencies under the proposed decoding order, one row per entry.
 
@@ -155,14 +154,14 @@ def empirical_sops(
             )
     pis = [(targets.pi1, targets.pi2) for targets in targets_seq]
     total = sim.realizations
-    workers = max(1, min(_usable_cpus(), total // _chunk))
+    workers = max(1, min(_usable_cpus(), total // _CHUNK))
     bounds = [2 * ((total // 2) * index // workers) for index in range(workers)] + [total]
     counts: list = [None] * workers
     errors: list = [None] * workers
 
     def run_slice(index: int) -> None:
         try:
-            counts[index] = _count_slice(stats_seq, a, pis, sim, bounds[index], bounds[index + 1], _chunk)
+            counts[index] = _count_slice(stats_seq, a, pis, sim, bounds[index], bounds[index + 1], _CHUNK)
         except BaseException as exc:  # re-raised in the calling thread
             errors[index] = exc
 

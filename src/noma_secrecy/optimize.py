@@ -6,32 +6,31 @@ order 3, from the quadrature pass that takes both users' SOPs. One order-3
 pass takes both users on a coarse curve; each user's minimizer lies in the
 grid cell beside the argmin of its SOP where phi changes sign. The root of
 the quintic Hermite interpolant of phi on that cell, built from phi, phi'
-and phi'' at its ends, typically lies within 1e-9 of the minimizer; the
-next pass evaluates it. Safeguarded Newton on phi (newton_root) then
-refines the minimizers in lockstep from there, one order-2 pass of both
-users at both minimizers per step, so the last pass also holds each user's
-SOP at the other's minimizer. minmax_pa is the one exact solver: its near
-and far candidates are each user's own optimum. Near a minimizer
-phi' < 0, so Newton converges quadratically, and its first step from the
-interpolant's root is usually already below the tolerance: a solve
-usually takes 2 passes (2.21 on average and at most 6 on the
-432-configuration test grid). phi' > 0 does occur near the window edges,
-and in a low-SNR, high-rate corner the far user's SOP has two local
-minima: the integrand's log-concavity in alpha (criterion 04) does not
-carry over to the integral. The bracket then follows the grid's lowest
-valley, and bisection keeps each step inside it.
+and phi'' at its ends, typically lies within 1e-9 of the minimizer. One
+lockstep loop, _refine, evaluates those start points in the next pass,
+narrows each cell to its start and refines the minimizers by safeguarded
+Newton on phi, one order-2 pass of both users at both minimizers per step,
+so the last pass also holds each user's SOP at the other's minimizer.
+minmax_pa is the one exact solver: its near and far candidates are each
+user's own optimum. Near a minimizer phi' < 0, so Newton converges
+quadratically, and its first step from the interpolant's root is usually
+already below the tolerance: a solve usually takes 2 passes (2.21 on
+average and at most 6 on the 432-configuration test grid). phi' > 0 does
+occur near the window edges, and in a low-SNR, high-rate corner the far
+user's SOP has two local minima: the integrand's log-concavity in alpha
+(criterion 04) does not carry over to the integral. The bracket then
+follows the grid's lowest valley, and bisection keeps each step inside it.
 
 Between the two per-user minimizers one SOP rises and the other falls, so
 they cross at most once there, and the min-max fair split follows without
 any search over the whole window. Each solved split is a Candidate: both
 minimizers, plus the crossing between them when each minimizer leaves its
-own user the better-off one. The crossing is solved as the minimizers are
-(_hermite_newton), on s_o1 - s_o2 over the cell between them: its value,
-slope and curvature at both ends follow from the last minimizer pass's
-values, phi and phi', so its Newton iteration also starts at an
-interpolant's root; a crossing adds 3.1 passes on average and at most 4
-on the test grid. _select picks the candidate with the smallest max-SOP,
-ties going to the smaller alpha.
+own user the better-off one. The crossing is solved by the same loop, on
+s_o1 - s_o2 over the cell between them: its value, slope and curvature at
+both ends follow from the last minimizer pass's values, phi and phi', so
+its Newton iteration also starts at an interpolant's root; a crossing
+adds 3.1 passes on average and at most 4 on the test grid. _select picks
+the candidate with the smallest max-SOP, ties going to the smaller alpha.
 
 Each user's high-SNR SOP has a closed-form minimizer that depends on its
 target rate only. It is returned unclamped: a zero target rate puts it on
@@ -50,7 +49,6 @@ from .sop import SopValue, TargetRates, exact_sops
 
 __all__ = [
     "XTOL",
-    "newton_root",
     "optimal_pa_near_asymptotic",
     "optimal_pa_far_asymptotic",
     "Candidate",
@@ -69,24 +67,32 @@ _START_TTOL = 1e-12
 
 
 class _Bracket:
-    """One column of newton_root: the bracket [lo, hi] on which f changes
-    sign, and the last evaluated point x with f and its slope there."""
+    """One column of _refine: the bracket [lo, hi] on which f changes sign,
+    and the last evaluated point x with f and its slope there. Its first
+    point is its cell's _hermite_start; cell is None from then on."""
 
-    def __init__(self, lo, hi, f_lo, f_hi, df_lo, df_hi, settle):
+    def __init__(self, cell, settle):
+        self.cell, self.settle, self.done = cell, settle, False
+        self._restart(*cell[:6])
+
+    def _restart(self, lo, hi, f_lo, f_hi, df_lo, df_hi):
+        """Newton on [lo, hi] from the end with the smaller |f|."""
         if not all(map(math.isfinite, (lo, hi, f_lo, f_hi, df_lo, df_hi))):
             raise ValueError("root finder got a non-finite bracket end or value")
         if not lo <= hi:
             raise ValueError("need lower <= upper")
         if f_lo * f_hi > 0.0:
             raise ValueError("f must change sign on every [lower, upper]")
-        self.lo, self.hi, self.lo_positive, self.settle = lo, hi, f_lo > 0.0, settle
+        self.lo, self.hi, self.lo_positive = lo, hi, f_lo > 0.0
         self.x, self.f, self.df = (lo, f_lo, df_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi, df_hi)
         # The last two step sizes; the first two Newton steps need only stay in the bracket.
         self.last = self.before = 2.0 * (hi - lo)
-        self.done = False
 
     def advance(self) -> bool:
         """Move x to the next point to evaluate; False once the column has stopped."""
+        if self.cell is not None:  # the start is always evaluated
+            self.x = _hermite_start(*self.cell)
+            return True
         lo, hi = self.lo, self.hi
         if self.done or self.f == 0.0 or hi - lo <= XTOL:
             self.done = True
@@ -114,45 +120,19 @@ class _Bracket:
     def update(self, f: float, df: float) -> None:
         if not (math.isfinite(f) and math.isfinite(df)):
             raise ValueError(f"root finder got a non-finite value at x={self.x!r}")
+        if self.cell is not None:  # the start: narrow the cell to it
+            lo, hi, f_lo, f_hi, df_lo, df_hi = self.cell[:6]
+            self.cell = None
+            if (f > 0.0) == self.lo_positive:
+                self._restart(self.x, hi, f, f_hi, df, df_hi)
+            else:
+                self._restart(lo, self.x, f_lo, f, df_lo, df)
+            return
         self.f, self.df = f, df
         if (f > 0.0) == self.lo_positive:
             self.lo = self.x
         else:
             self.hi = self.x
-
-
-def newton_root(evaluate, lower, upper, f_lower, f_upper, df_lower, df_upper, settle=False) -> np.ndarray:
-    """Roots of one function per column by safeguarded Newton, to XTOL.
-
-    Column j's function is f_lower[j] at lower[j] and f_upper[j] at upper[j],
-    of opposite signs (or one zero), with slopes df_lower/df_upper there.
-    evaluate(x) gives (f, df) at one point per column, so the columns move in
-    lockstep, one call per step; the bookkeeping is per column, in floats.
-    Each column starts from the end with the smaller |f| and keeps the
-    bracket on which f changes sign. A Newton step that leaves the bracket,
-    or is not under half the step two iterations back, is replaced by
-    bisection, so every column converges.
-
-    A column stops at a point whose Newton step is at most XTOL/2, so within
-    XTOL of the root. With ``settle`` it first takes that step and evaluates
-    it: Newton converges quadratically, so the point it returns then lies
-    within rounding of the root, for one more call. It also stops where a
-    step is blocked by the bracket's end, or once its bracket is no wider
-    than XTOL. Every call to evaluate covers all columns, stopped ones at
-    their final point, so the last call was made at the returned points
-    unless there was none.
-    """
-    columns = [
-        _Bracket(*map(float, ends), settle) for ends in zip(lower, upper, f_lower, f_upper, df_lower, df_upper)
-    ]
-    while True:
-        moved = [column.advance() for column in columns]
-        if not any(moved):
-            return np.array([column.x for column in columns])
-        f, df = evaluate(np.array([column.x for column in columns]))
-        for column, move, f_j, df_j in zip(columns, moved, f.tolist(), df.tolist()):
-            if move:
-                column.update(f_j, df_j)
 
 
 def _hermite_start(lo, hi, f_lo, f_hi, df_lo, df_hi, d2f_lo, d2f_hi) -> float:
@@ -196,29 +176,39 @@ def _hermite_start(lo, hi, f_lo, f_hi, df_lo, df_hi, d2f_lo, d2f_hi) -> float:
     return min(max(lo + w * t, lo), hi)
 
 
-def _hermite_newton(cells, evaluate, fields, settle=False):
-    """Roots of one function per cell, and the last pass made.
+def _refine(cells, evaluate, fields, settle=False):
+    """Roots of one function per cell by safeguarded Newton, to XTOL, and
+    the last pass made.
 
-    Each cell is (lo, hi, f_lo, f_hi, df_lo, df_hi, d2f_lo, d2f_hi).
-    evaluate(x) makes one pass at one point per cell, and fields(pass) gives
-    f and its slope at those points. The first pass takes each cell's
-    _hermite_start; the cell narrows to the start on the side where f
-    changes sign, and newton_root refines the roots in lockstep from there.
+    Each cell is (lo, hi, f_lo, f_hi, df_lo, df_hi, d2f_lo, d2f_hi), with f
+    of opposite signs (or one zero) at its ends. evaluate(x) makes one pass
+    at one point per cell, so the columns move in lockstep, and fields(pass)
+    gives f and its slope there; the bookkeeping is per column, in floats.
+    The first pass takes each cell's _hermite_start, and the cell narrows to
+    it on the side where f changes sign. Newton then starts from the
+    narrowed end with the smaller |f|. A step that leaves the bracket, or is
+    not under half the step two iterations back, is replaced by bisection,
+    so every column converges.
+
+    A column stops at a point whose Newton step is at most XTOL/2, so within
+    XTOL of the root. With ``settle`` it first takes that step and evaluates
+    it: Newton converges quadratically, so the point it returns then lies
+    within rounding of the root, for one more pass. It also stops where a
+    step is blocked by the bracket's end, or once its bracket is no wider
+    than XTOL. Every pass covers all columns, stopped ones at their final
+    point, so the last pass was made at the returned points.
     """
+    columns = [_Bracket(cell, settle) for cell in cells]
     last = None
-
-    def step(x):
-        nonlocal last
-        last = evaluate(x)
-        return fields(last)
-
-    start = [_hermite_start(*cell) for cell in cells]
-    f, df = step(np.array(start))
-    brackets = [
-        (x, b, fx, fb, dfx, dfb) if (fx > 0.0) == (fa > 0.0) else (a, x, fa, fx, dfa, dfx)
-        for (a, b, fa, fb, dfa, dfb, _, _), x, fx, dfx in zip(cells, start, f.tolist(), df.tolist())
-    ]
-    return newton_root(step, *zip(*brackets), settle=settle), last
+    while True:
+        moved = [column.advance() for column in columns]
+        if not any(moved):
+            return np.array([column.x for column in columns]), last
+        last = evaluate(np.array([column.x for column in columns]))
+        f, df = fields(last)
+        for column, move, f_j, df_j in zip(columns, moved, f.tolist(), df.tolist()):
+            if move:
+                column.update(f_j, df_j)
 
 
 def _minima(stats: ChannelStats, targets: TargetRates):
@@ -227,8 +217,8 @@ def _minima(stats: ChannelStats, targets: TargetRates):
     One pass takes both users on the bracket grid. Each user's minimizer
     lies beside the grid argmin of its SOP, on the side phi points to, and
     is the root of phi in that cell unless the argmin is a window edge;
-    _hermite_newton refines those roots, and Newton usually stops at their
-    start points. Each pass after the grid's takes both users at both
+    _refine finds those roots, and Newton usually stops at its start
+    points. Each pass after the grid's takes both users at both
     current minimizers, so the last one also holds each user's SOP at the
     other's minimizer. Returns the minimizers and that pass, a SopValue of
     (user, minimizer) arrays.
@@ -255,7 +245,7 @@ def _minima(stats: ChannelStats, targets: TargetRates):
         points[refined] = x
         return exact_sops(stats, points, targets, order=2)
 
-    points[refined], last = _hermite_newton(
+    points[refined], last = _refine(
         cells, evaluate, lambda sops: (sops.phi[refined, refined], sops.dphi[refined, refined])
     )
     return points, last
@@ -337,7 +327,7 @@ def minmax_pa(stats: ChannelStats, targets: TargetRates) -> MinMaxOutcome:
         ends = [0, 1] if near.alpha < far.alpha else [1, 0]
         cell = [float(v) for field in (alpha, *gap(at)) for v in field[ends]]
         # Its objective moves to first order with alpha, so the root is settled.
-        root, last = _hermite_newton([cell], lambda x: exact_sops(stats, x, targets, order=2),
-                                     lambda sops: gap(sops)[:2], settle=True)
+        root, last = _refine([cell], lambda x: exact_sops(stats, x, targets, order=2),
+                             lambda sops: gap(sops)[:2], settle=True)
         crossing = Candidate(float(root[0]), *last.value[:, 0].tolist())
     return _select(near, far, crossing)

@@ -37,11 +37,13 @@ def test_runs_are_deterministic():
     assert first == second
 
 
-def test_totals_do_not_depend_on_chunking():
+def test_totals_do_not_depend_on_chunking(monkeypatch):
     sim = SimConfig(realizations=50_000, seed=3)
     default = empirical_sops((STATS_30DB,), 0.4, (RTH1,), sim)[0][0]
-    tiny_chunks = empirical_sops((STATS_30DB,), 0.4, (RTH1,), sim, _chunk=1000)[0][0]
-    odd_chunks = empirical_sops((STATS_30DB,), 0.4, (RTH1,), sim, _chunk=999)[0][0]
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+    tiny_chunks = empirical_sops((STATS_30DB,), 0.4, (RTH1,), sim)[0][0]
+    monkeypatch.setattr(montecarlo, "_CHUNK", 999)
+    odd_chunks = empirical_sops((STATS_30DB,), 0.4, (RTH1,), sim)[0][0]
     assert default == tiny_chunks == odd_chunks
 
 
@@ -51,7 +53,9 @@ def test_many_targets_match_single_target_calls(conditioned):
     targets_seq = [
         TargetRates(0.5, 3.0), TargetRates(1.0, 1.0), TargetRates(3.0, 0.25), TargetRates(0.0, 0.0)
     ]
-    together = empirical_sops((STATS_30DB,), 0.4, targets_seq, sim, _chunk=10_007)[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_CHUNK", 10_007)
+        together = empirical_sops((STATS_30DB,), 0.4, targets_seq, sim)[0]
     assert len(together) == len(targets_seq)
     for targets, joint in zip(targets_seq, together):
         single = empirical_sops((STATS_30DB,), 0.4, (targets,), sim)[0][0]
@@ -78,7 +82,8 @@ def test_each_entry_counts_like_its_own_call(rho_t_exponents, half, chunk, worke
     stats_seq = [ChannelStats(LAM1, LAM2, 10.0**exponent) for exponent in rho_t_exponents]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(montecarlo, "_usable_cpus", lambda: workers)
-        rows = empirical_sops(stats_seq, 0.4, STREAM_TARGETS, sim, _chunk=chunk)
+        patch.setattr(montecarlo, "_CHUNK", chunk)
+        rows = empirical_sops(stats_seq, 0.4, STREAM_TARGETS, sim)
     assert len(rows) == len(stats_seq)
     for stats, row in zip(stats_seq, rows):
         assert row == empirical_sops((stats,), 0.4, STREAM_TARGETS, sim)[0]
@@ -104,14 +109,15 @@ def test_no_entries_give_no_rows():
 
 @pytest.mark.parametrize("chunk", [999, 1000, 10_007, 1 << 16])
 @UNCONDITIONED
-def test_stream_counts_match_one_sample_gains_window(chunk, conditioned):
+def test_stream_counts_match_one_sample_gains_window(monkeypatch, chunk, conditioned):
     # The kernel reads one generator chunk by chunk; its counts must be those
     # of the single window sample_gains(stats, n, seed), whatever the chunk.
     n, seed, alpha = 30_001, 21, 0.4
     gains = sample_gains(STATS_30DB, n, seed)
     ratio1, ratio2 = _secrecy_ratios(gains.g1, gains.g2, alpha, STATS_30DB.rho_t, np.empty((4, n)))
     sim = SimConfig(realizations=n, seed=seed)
-    results = empirical_sops((STATS_30DB,), alpha, STREAM_TARGETS, sim, _chunk=chunk)[0]
+    monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+    results = empirical_sops((STATS_30DB,), alpha, STREAM_TARGETS, sim)[0]
     for targets, result in zip(STREAM_TARGETS, results):
         assert result.n == n
         assert result.so1_hat == int(np.count_nonzero(ratio1 < targets.pi1)) / n
@@ -182,11 +188,12 @@ def test_estimates_do_not_depend_on_worker_count(monkeypatch, conditioned):
         return _count_slice(*args)
 
     monkeypatch.setattr(montecarlo, "_count_slice", counted_slice)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1_000)
     results = []
     for workers in (1, 2, 3, 4):
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda workers=workers: workers)
         starts.clear()
-        results.append(empirical_sops((STATS_30DB,), 0.4, STREAM_TARGETS, sim, _chunk=1_000)[0])
+        results.append(empirical_sops((STATS_30DB,), 0.4, STREAM_TARGETS, sim)[0])
         assert len(starts) == workers and all(start % 2 == 0 for start in starts)
     assert results[1:] == results[:1] * 3
     n = sim.realizations
@@ -196,7 +203,8 @@ def test_estimates_do_not_depend_on_worker_count(monkeypatch, conditioned):
     assert [result.so2_hat for result in results[0]] == [count / n for count in out2]
     # Every slice holds at least one chunk: two chunks of 20_000 leave room for two slices.
     starts.clear()
-    assert empirical_sops((STATS_30DB,), 0.4, STREAM_TARGETS, sim, _chunk=20_000)[0] == results[0]
+    monkeypatch.setattr(montecarlo, "_CHUNK", 20_000)
+    assert empirical_sops((STATS_30DB,), 0.4, STREAM_TARGETS, sim)[0] == results[0]
     assert len(starts) == 2
 
 
@@ -211,9 +219,10 @@ def test_slice_errors_reach_the_caller_after_every_thread_ends(monkeypatch, fail
 
     monkeypatch.setattr(montecarlo, "_secrecy_ratios", ratios)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1_000)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"{failing} slice failed"):
-        empirical_sops((STATS_30DB,), 0.4, (RTH1,), SimConfig(realizations=30_001, seed=5), _chunk=1_000)
+        empirical_sops((STATS_30DB,), 0.4, (RTH1,), SimConfig(realizations=30_001, seed=5))
     assert threading.active_count() == before
 
 
