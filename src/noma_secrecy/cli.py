@@ -2,10 +2,12 @@
 
 Each subcommand loads a run configuration (all defaults prefilled, overridable
 from a key=value file and a few flags), executes one sweep, writes CSV or JSON
-rows, and exits 0 only if its embedded consistency checks pass. Exit code 1
-flags a failed check, 2 a configuration problem, 3 an outage quadrature that
-missed its error contract. Outputs carry no timestamps or environment detail,
-so identical config and seed give identical bytes.
+rows, and exits 0 only if its embedded consistency checks pass. Each cmd_*
+returns its columns, rows and summary, and main writes them; the checks are
+the summary's true/false entries. Exit code 1 flags a failed check, 2 a
+configuration problem, 3 an outage quadrature that missed its error
+contract. Outputs carry no timestamps or environment detail, so identical
+config and seed give identical bytes.
 """
 from __future__ import annotations
 
@@ -20,19 +22,12 @@ import numpy as np
 from .channel import ChannelStats, mean_gain, with_received_snr
 from .config import ConfigError, RunConfig, SweepSpec, load_config
 from .montecarlo import SimConfig, empirical_sops
-from .optimize import (
-    XTOL,
-    MinMaxOutcome,
-    minmax_pa,
-    optimal_pa_far_asymptotic,
-    optimal_pa_near_asymptotic,
-)
+from .optimize import XTOL, minmax_pa, optimal_pa_asymptotic
 from .rates import ALPHA_MAX, ALPHA_MIN
 from .sop import (
     QuadratureError,
     TargetRates,
-    asymptotic_sop_far,
-    asymptotic_sop_near,
+    asymptotic_sops,
     exact_sop_far,
     exact_sop_near,
     exact_sops,
@@ -95,7 +90,7 @@ def _closed_form_payload(alpha: float) -> dict:
     return {"alpha": alpha, "degenerate": not ALPHA_MIN <= alpha <= ALPHA_MAX}
 
 
-def cmd_validate(cfg: RunConfig) -> bool:
+def cmd_validate(cfg: RunConfig) -> tuple:
     sweep = cfg.sweep_or(SweepSpec("rth1_bits", 0.5, 3.0, 0.5))
     targets_seq = [TargetRates(rth1=float(rth1), rth2=float(rth1)) for rth1 in sweep.values()]
     base = cfg.stats()
@@ -121,12 +116,10 @@ def cmd_validate(cfg: RunConfig) -> bool:
             curve.append((rho_r, targets.rth1, exact, empirical.so1_hat, diff, bound, within))
         rmse = float(np.sqrt(np.mean([row[4] ** 2 for row in curve])))
         rows.extend(row + (rmse,) for row in curve)
-    summary = {"all_within_bound": bool(all_within), "alpha": cfg.alpha, "samples": cfg.realizations}
-    _emit(cfg, columns, rows, summary)
-    return all_within
+    return columns, rows, {"all_within_bound": bool(all_within), "alpha": cfg.alpha, "samples": cfg.realizations}
 
 
-def cmd_distance_sweep(cfg: RunConfig) -> bool:
+def cmd_distance_sweep(cfg: RunConfig) -> tuple:
     sweep = cfg.sweep_or(SweepSpec("d2_m", 60.0, 150.0, 10.0))
     distances = sweep.values()
     base = cfg.stats()  # fixes the transmit power at the configured geometry
@@ -139,19 +132,17 @@ def cmd_distance_sweep(cfg: RunConfig) -> bool:
         rows.append((
             float(d2),
             *exact_sops(stats, cfg.alpha, targets).value.tolist(),
-            asymptotic_sop_near(stats, cfg.alpha, targets),
-            asymptotic_sop_far(stats, cfg.alpha, targets),
+            *asymptotic_sops(stats, cfg.alpha, targets).tolist(),
         ))
     so1 = np.array([row[1] for row in rows])
     so2 = np.array([row[2] for row in rows])
-    near_ok = bool(np.all(np.diff(so1) <= _TREND_SLACK))
-    far_ok = bool(np.all(np.diff(so2) >= -_TREND_SLACK))
-    summary = {"so1_nonincreasing": near_ok, "so2_nondecreasing": far_ok}
-    _emit(cfg, columns, rows, summary)
-    return near_ok and far_ok
+    return columns, rows, {
+        "so1_nonincreasing": bool(np.all(np.diff(so1) <= _TREND_SLACK)),
+        "so2_nondecreasing": bool(np.all(np.diff(so2) >= -_TREND_SLACK)),
+    }
 
 
-def cmd_optimize(cfg: RunConfig) -> bool:
+def cmd_optimize(cfg: RunConfig) -> tuple:
     sweep = cfg.sweep_or(SweepSpec("alpha", 0.01, 0.99, 0.01))
     grid = sweep.values()
     stats = cfg.stats()
@@ -162,8 +153,7 @@ def cmd_optimize(cfg: RunConfig) -> bool:
         grid.tolist(),
         so1_curve.tolist(),
         so2_curve.tolist(),
-        np.asarray(asymptotic_sop_near(stats, grid, targets)).tolist(),
-        np.asarray(asymptotic_sop_far(stats, grid, targets)).tolist(),
+        *asymptotic_sops(stats, grid, targets).tolist(),
     ))
     outcome = minmax_pa(stats, targets)
     near, far = outcome.near, outcome.far
@@ -172,33 +162,22 @@ def cmd_optimize(cfg: RunConfig) -> bool:
     slack = sweep.step + XTOL
     near_ok = abs(grid[int(np.argmin(so1_curve))] - np.clip(near.alpha, grid[0], grid[-1])) <= slack
     far_ok = abs(grid[int(np.argmin(so2_curve))] - np.clip(far.alpha, grid[0], grid[-1])) <= slack
+    alpha1_hat, alpha2_hat = optimal_pa_asymptotic(targets)
     summary = {
         "alpha1_star": near.alpha,
         "so1_at_alpha1_star": near.so1,
         "alpha2_star": far.alpha,
         "so2_at_alpha2_star": far.so2,
-        "alpha1_hat": _closed_form_payload(optimal_pa_near_asymptotic(targets)),
-        "alpha2_hat": _closed_form_payload(optimal_pa_far_asymptotic(targets)),
+        "alpha1_hat": _closed_form_payload(alpha1_hat),
+        "alpha2_hat": _closed_form_payload(alpha2_hat),
         "alpha_sop": outcome.selected,
         "max_sop": outcome.objective,
         "curve_minima_consistent": bool(near_ok and far_ok),
     }
-    _emit(cfg, columns, rows, summary)
-    return bool(near_ok and far_ok)
+    return columns, rows, summary
 
 
-def _minmax_row(outcome: MinMaxOutcome) -> tuple:
-    crossing = outcome.crossing
-    return (
-        outcome.near.alpha,
-        outcome.far.alpha,
-        crossing.alpha if crossing is not None else None,
-        outcome.selected,
-        outcome.objective,
-    )
-
-
-def cmd_minmax(cfg: RunConfig) -> bool:
+def cmd_minmax(cfg: RunConfig) -> tuple:
     sweep = cfg.sweep_or(SweepSpec("rth1_bits", 0.5, 3.0, 0.5))
     stats = cfg.stats()
     columns = ["rth1_bits", "alpha1_star", "alpha2_star", "alpha3_star", "alpha_sop", "max_sop"]
@@ -212,22 +191,20 @@ def cmd_minmax(cfg: RunConfig) -> bool:
                               exact_sop_far(stats, _DOMINANCE_GRID, targets).value)
         grid_min = float(grid_max.min())
         dominance_ok = dominance_ok and outcome.objective <= grid_min * (1.0 + _GRID_REL_SLACK)
-        rows.append((float(rth1),) + _minmax_row(outcome))
+        crossing = outcome.crossing
+        rows.append((float(rth1), outcome.near.alpha, outcome.far.alpha,
+                     crossing.alpha if crossing is not None else None, outcome.selected, outcome.objective))
     alphas = np.array([row[4] for row in rows])
     objectives = np.array([row[5] for row in rows])
-    trend_alpha = bool(np.all(np.diff(alphas) <= _ALPHA_TREND_SLACK))
-    trend_obj = bool(np.all(np.diff(objectives) >= -_TREND_SLACK))
-    summary = {
+    return columns, rows, {
         "grid_dominance": bool(dominance_ok),
-        "alpha_sop_nonincreasing": trend_alpha,
-        "objective_nondecreasing": trend_obj,
+        "alpha_sop_nonincreasing": bool(np.all(np.diff(alphas) <= _ALPHA_TREND_SLACK)),
+        "objective_nondecreasing": bool(np.all(np.diff(objectives) >= -_TREND_SLACK)),
         "rth2_bits": cfg.rth2,
     }
-    _emit(cfg, columns, rows, summary)
-    return bool(dominance_ok and trend_alpha and trend_obj)
 
 
-def cmd_gain_comparison(cfg: RunConfig) -> bool:
+def cmd_gain_comparison(cfg: RunConfig) -> tuple:
     sweep = cfg.sweep_or(SweepSpec("rho_r_db", 10.0, 40.0, 5.0))
     base = cfg.stats()
     targets = cfg.targets()
@@ -258,7 +235,7 @@ def cmd_gain_comparison(cfg: RunConfig) -> bool:
             baselines["fixed"], baselines["near_opt"], baselines["far_opt"],
             gains["fixed"], gains["near_opt"], gains["far_opt"],
         ))
-    summary = {
+    return columns, rows, {
         "dominance_at_every_point": bool(dominance_ok),
         "avg_gain_fixed_pct": float(np.mean([row[6] for row in rows])),
         "avg_gain_near_pct": float(np.mean([row[7] for row in rows])),
@@ -268,8 +245,6 @@ def cmd_gain_comparison(cfg: RunConfig) -> bool:
         "reference_gain_far_pct": REFERENCE_GAINS_PCT["far_opt"],
         "reference_note": "reference averages use an unspecified protocol; side-by-side reading only",
     }
-    _emit(cfg, columns, rows, summary)
-    return bool(dominance_ok)
 
 
 _COMMANDS = {
@@ -324,14 +299,16 @@ def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _configure(args)
-        checks_passed = _COMMANDS[args.command](cfg)
+        columns, rows, summary = _COMMANDS[args.command](cfg)
+        _emit(cfg, columns, rows, summary)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except QuadratureError as exc:
         print(f"quadrature error: {exc}", file=sys.stderr)
         return 3
-    return 0 if checks_passed else 1
+    # A subcommand's checks are its summary's true/false entries.
+    return 0 if all(value for value in summary.values() if isinstance(value, bool)) else 1
 
 
 if __name__ == "__main__":

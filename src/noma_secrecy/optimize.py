@@ -33,8 +33,9 @@ adds 3.1 passes on average and at most 4 on the test grid. _select picks
 the candidate with the smallest max-SOP, ties going to the smaller alpha.
 
 Each user's high-SNR SOP has a closed-form minimizer that depends on its
-target rate only. It is returned unclamped: a zero target rate puts it on
-the window's boundary, 0 for the near user and 1 for the far user.
+target rate only; optimal_pa_asymptotic returns both. They are returned
+unclamped: a zero target rate puts them on the window's boundary, 0 for the
+near user and 1 for the far user.
 """
 from __future__ import annotations
 
@@ -49,8 +50,7 @@ from .sop import SopValue, TargetRates, exact_sops
 
 __all__ = [
     "XTOL",
-    "optimal_pa_near_asymptotic",
-    "optimal_pa_far_asymptotic",
+    "optimal_pa_asymptotic",
     "Candidate",
     "MinMaxOutcome",
     "minmax_pa",
@@ -263,25 +263,20 @@ class Candidate(NamedTuple):
         return max(self.so1, self.so2)
 
 
-def optimal_pa_near_asymptotic(targets: TargetRates) -> float:
-    """Closed-form high-SNR minimizer of the near user's SOP.
+def optimal_pa_asymptotic(targets: TargetRates) -> tuple:
+    """Closed-form high-SNR minimizers (alpha1_hat, alpha2_hat) of the near
+    and far users' SOPs.
 
-    Independent of the channel statistics and the SNR; depends on the target
-    rate only. A zero target rate collapses it onto alpha = 0. The root
-    sqrt(pi*(pi - 1)) - (pi - 1) is rationalized to s/(r + s), with
-    r = sqrt(pi) and s = sqrt(pi - 1), so that it neither cancels nor
-    overflows.
+    Independent of the channel statistics and the SNR; each depends on its
+    user's target rate only. The roots sqrt(pi*(pi - 1)) - (pi - 1) and
+    pi - sqrt(pi*(pi - 1)) are rationalized to s/(r + s) and r/(r + s), with
+    r = sqrt(pi) and s = sqrt(pi - 1), so that they neither cancel nor
+    overflow. A zero target rate collapses the near user's onto alpha = 0
+    and the far user's onto alpha = 1.
     """
-    r, s = math.sqrt(targets.pi1), math.sqrt(targets.pi1 - 1.0)
-    return s / (r + s)
-
-
-def optimal_pa_far_asymptotic(targets: TargetRates) -> float:
-    """Closed-form high-SNR minimizer of the far user's SOP: the root
-    pi - sqrt(pi*(pi - 1)), rationalized as the near user's to r/(r + s).
-    A zero target rate collapses it onto alpha = 1."""
-    r, s = math.sqrt(targets.pi2), math.sqrt(targets.pi2 - 1.0)
-    return r / (r + s)
+    r1, s1 = math.sqrt(targets.pi1), math.sqrt(targets.pi1 - 1.0)
+    r2, s2 = math.sqrt(targets.pi2), math.sqrt(targets.pi2 - 1.0)
+    return s1 / (r1 + s1), r2 / (r2 + s2)
 
 
 class MinMaxOutcome(NamedTuple):

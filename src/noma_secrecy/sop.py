@@ -42,8 +42,9 @@ quadrature errors do not depend on the order it takes.
 
 The asymptotic forms drop the "+1" in the SINR denominators, valid once the
 received SNR is large. They are upper bounds on the exact SOPs, with an
-excess that has a closed-form envelope and vanishes as the SNR grows (see
-asymptotic_sop_near), and they admit closed-form optimal power splits.
+excess that has a closed-form envelope and vanishes as the SNR grows.
+asymptotic_sops takes both users in one call and states the envelope; the
+closed-form optimal power splits are optimize.optimal_pa_asymptotic.
 """
 from __future__ import annotations
 
@@ -62,8 +63,7 @@ __all__ = [
     "exact_sop_near",
     "exact_sop_far",
     "exact_sops",
-    "asymptotic_sop_near",
-    "asymptotic_sop_far",
+    "asymptotic_sops",
 ]
 
 _STEP0 = 0.25        # first trapezoid step in t; each refinement halves it
@@ -279,35 +279,22 @@ def exact_sops(stats: ChannelStats, alpha, targets: TargetRates, order: int = 0)
     return _sop_pass(stats, alpha, targets, (0, 1), order)
 
 
-def asymptotic_sop_near(stats: ChannelStats, alpha, targets: TargetRates):
-    """Near user's high-SNR SOP in closed form; alpha may be a scalar or an array.
+def asymptotic_sops(stats: ChannelStats, alpha, targets: TargetRates) -> np.ndarray:
+    """Both users' high-SNR SOPs in closed form, shaped (2,) + alpha's shape,
+    near user first; alpha may be a scalar or an array.
 
-    It is the exact SOP with y/(c*y + 1) in the integrand replaced by its limit
-    1/c, where c = (1 - alpha)*rho_t, so it is an upper bound on
-    exact_sop_near. By the mean-value theorem the excess lies between
-    exp(-Pi1/(c*lambda1)) * B and B, where
-    B = exp(-A/lambda1) * Pi1/(c*lambda1) * E[1/(1 + c*Y)], A = (Pi1 - 1)/(alpha*rho_t),
-    Y ~ Exponential(lambda2), and E[1/(1 + c*Y)] = exp(1/m) * E1(1/m) / m with
-    m = c*lambda2. B vanishes as rho_t grows.
+    A user's row is its exact SOP with y/(c*y + 1) in the integrand replaced
+    by its limit 1/c, where c = other*rho_t, so it is an upper bound on that
+    user's exact SOP. Here own and other are the user's and the other user's
+    power shares (alpha and 1 - alpha for the near user), lam_e and lam_i
+    the user's and the other user's mean gains, and Pi the user's 2**rth. By
+    the mean-value theorem the excess lies between exp(-Pi/(c*lam_e)) * B
+    and B, where B = exp(-A/lam_e) * Pi/(c*lam_e) * E[1/(1 + c*Y)],
+    A = (Pi - 1)/(own*rho_t), Y ~ Exponential(lam_i), and
+    E[1/(1 + c*Y)] = exp(1/m) * E1(1/m) / m with m = c*lam_i. B vanishes as
+    rho_t grows.
     """
     a = validated_alpha(alpha)
-    value = 1.0 - np.exp((targets.pi1 + a - 1.0) / (a * (a - 1.0) * stats.rho_t * stats.lambda1))
-    if a.ndim == 0:
-        return float(value)
-    return value
-
-
-def asymptotic_sop_far(stats: ChannelStats, alpha, targets: TargetRates):
-    """Far user's high-SNR SOP in closed form; alpha may be a scalar or an array.
-
-    The mirror of asymptotic_sop_near, and likewise an upper bound on
-    exact_sop_far within the envelope [exp(-Pi2/(c*lambda2)) * B, B], now with
-    c = alpha*rho_t, A = (Pi2 - 1)/((1 - alpha)*rho_t),
-    B = exp(-A/lambda2) * Pi2/(c*lambda2) * E[1/(1 + c*Y)], Y ~ Exponential(lambda1)
-    and m = c*lambda1.
-    """
-    a = validated_alpha(alpha)
-    value = 1.0 - np.exp((targets.pi2 - a) / (a * (a - 1.0) * stats.rho_t * stats.lambda2))
-    if a.ndim == 0:
-        return float(value)
-    return value
+    scale = a * (a - 1.0) * stats.rho_t
+    return 1.0 - np.exp(np.array([(targets.pi1 + a - 1.0) / (scale * stats.lambda1),
+                                  (targets.pi2 - a) / (scale * stats.lambda2)]))

@@ -14,16 +14,11 @@ from noma_secrecy.channel import with_received_snr
 from noma_secrecy.cli import main as cli_main
 from noma_secrecy.config import RunConfig
 from noma_secrecy.montecarlo import SimConfig, empirical_sops
-from noma_secrecy.optimize import (
-    minmax_pa,
-    optimal_pa_far_asymptotic,
-    optimal_pa_near_asymptotic,
-)
+from noma_secrecy.optimize import minmax_pa, optimal_pa_asymptotic
 from noma_secrecy.rates import ALPHA_MAX, ALPHA_MIN
 from noma_secrecy.sop import (
     TargetRates,
-    asymptotic_sop_far,
-    asymptotic_sop_near,
+    asymptotic_sops,
     exact_sop_far,
     exact_sop_near,
 )
@@ -126,12 +121,10 @@ def test_criterion_02_asymptotic_accuracy():
     for rho_r in SNR_GRID_DB:
         stats = with_received_snr(base, rho_r)
         worst = 0.0
-        for user, exact_fn, asym_fn in (
-            ("near", exact_sop_near, asymptotic_sop_near),
-            ("far", exact_sop_far, asymptotic_sop_far),
-        ):
+        asymptotic = asymptotic_sops(stats, grid, RTH)
+        for row, (user, exact_fn) in enumerate((("near", exact_sop_near), ("far", exact_sop_far))):
             exact = exact_fn(stats, grid, RTH)
-            gap = asym_fn(stats, grid, RTH) - exact.value
+            gap = asymptotic[row] - exact.value
             lower, upper = _asymptotic_gap_envelope(stats, grid, RTH, user)
             outside = (gap < lower - exact.quad_error) | (gap > upper + exact.quad_error)
             violations += [f"{rho_r:g} dB/{user}/alpha={a:g}" for a in grid[outside]]
@@ -168,18 +161,19 @@ def _golden_section_minimize(objective, lower=ALPHA_MIN, upper=ALPHA_MAX, tol=1e
 
 def test_criterion_03_closed_form_optima():
     issues = []
-    if abs(optimal_pa_near_asymptotic(RTH) - (math.sqrt(2.0) - 1.0)) > 1e-12:
+    alpha1_hat, alpha2_hat = optimal_pa_asymptotic(RTH)
+    if abs(alpha1_hat - (math.sqrt(2.0) - 1.0)) > 1e-12:
         issues.append("alpha1_hat(pi=2)")
-    if abs(optimal_pa_far_asymptotic(RTH) - (2.0 - math.sqrt(2.0))) > 1e-12:
+    if abs(alpha2_hat - (2.0 - math.sqrt(2.0))) > 1e-12:
         issues.append("alpha2_hat(pi=2)")
     for pi in (1.1, 1.5, 2.0, 4.0, 8.0):
         targets = TargetRates(math.log2(pi), math.log2(pi))
-        total = optimal_pa_near_asymptotic(targets) + optimal_pa_far_asymptotic(targets)
+        total = sum(optimal_pa_asymptotic(targets))
         if abs(total - 1.0) > 1e-12:
             issues.append(f"complement identity at pi={pi:g}")
     stats = RunConfig().stats()
-    near = _golden_section_minimize(lambda a: asymptotic_sop_near(stats, a, RTH))
-    far = _golden_section_minimize(lambda a: asymptotic_sop_far(stats, a, RTH))
+    near = _golden_section_minimize(lambda a: asymptotic_sops(stats, a, RTH)[0])
+    far = _golden_section_minimize(lambda a: asymptotic_sops(stats, a, RTH)[1])
     if abs(near - (math.sqrt(2.0) - 1.0)) > 1e-6:
         issues.append("golden-section search vs alpha1_hat")
     if abs(far - (2.0 - math.sqrt(2.0))) > 1e-6:

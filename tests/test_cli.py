@@ -350,39 +350,60 @@ def test_bad_config_input_exits_two(tmp_path, capsys, command, config_text):
     assert len(err) == 1 and err[0].startswith("config error: ")
 
 
-# The ROADMAP's reproducers of known defects. Each command exits 1 because
-# the named summary check reads False. A fix turns its test into an XPASS,
-# which fails the run until the mark comes off.
+# The ROADMAP's reproducers of known defects: the command, its config and
+# the summary check that reads False, so the command exits 1.
+KNOWN_DEFECTS = [
+    pytest.param(
+        "minmax",
+        "system.d2_m = 145\nsystem.rho_r_db = 2.5\ntargets.rth2_bits = 1.73\n" + _sweep("rth1_bits", 3.5, 4, 0.25),
+        "grid_dominance",
+        id="item2-far-user-two-valleys",
+    ),
+    pytest.param(
+        "optimize",
+        "system.d1_m = 0.4961870181617896\nsystem.d2_m = 17.12488324678882\n"
+        "system.path_loss_exp = 5.719339656271105\nsystem.rho_r_db = 50.74322889910188\n"
+        "targets.rth1_bits = 0.1075976790052291\ntargets.rth2_bits = 0.7710038597765054\n",
+        "curve_minima_consistent",
+        id="item6A-small-sop-minima",
+    ),
+    pytest.param(
+        "minmax",
+        "system.d1_m = 1.5261245260890042\nsystem.d2_m = 7.561497725641861\n"
+        "system.path_loss_exp = 5.1130189431829205\nsystem.rho_r_db = 113.77189848549787\n"
+        "targets.rth2_bits = 0.8552254227190663\n",
+        "grid_dominance",
+        id="item6B-small-sop-dominance",
+    ),
+    pytest.param(
+        "minmax",
+        "system.d2_m = 60\nsystem.rho_r_db = 40\ntargets.rth2_bits = 0.25\n",
+        "alpha_sop_nonincreasing",
+        id="item4-rising-alpha-sop",
+    ),
+]
+
+
+# A fix turns its case into an XPASS, which fails the run until the mark
+# comes off.
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="known defect; see the ROADMAP item in the test id")
-@pytest.mark.parametrize(
-    "command,config_text,flag",
-    [
-        (
-            "minmax",
-            "system.d2_m = 145\nsystem.rho_r_db = 2.5\ntargets.rth2_bits = 1.73\n" + _sweep("rth1_bits", 3.5, 4, 0.25),
-            "grid_dominance",
-        ),
-        (
-            "optimize",
-            "system.d1_m = 0.4961870181617896\nsystem.d2_m = 17.12488324678882\n"
-            "system.path_loss_exp = 5.719339656271105\nsystem.rho_r_db = 50.74322889910188\n"
-            "targets.rth1_bits = 0.1075976790052291\ntargets.rth2_bits = 0.7710038597765054\n",
-            "curve_minima_consistent",
-        ),
-        (
-            "minmax",
-            "system.d1_m = 1.5261245260890042\nsystem.d2_m = 7.561497725641861\n"
-            "system.path_loss_exp = 5.1130189431829205\nsystem.rho_r_db = 113.77189848549787\n"
-            "targets.rth2_bits = 0.8552254227190663\n",
-            "grid_dominance",
-        ),
-        ("minmax", "system.d2_m = 60\nsystem.rho_r_db = 40\ntargets.rth2_bits = 0.25\n", "alpha_sop_nonincreasing"),
-    ],
-    ids=["item2-far-user-two-valleys", "item6A-small-sop-minima", "item6B-small-sop-dominance", "item4-rising-alpha-sop"],
-)
+@pytest.mark.parametrize("command,config_text,flag", KNOWN_DEFECTS)
 def test_known_defect_reproducer_passes_its_check(tmp_path, command, config_text, flag):
     code, payload = run_to_file(tmp_path, command, config_text, fmt="json")
     assert json.loads(payload)["summary"][flag] is True
+
+
+@pytest.mark.parametrize(
+    "command,config_text",
+    [pytest.param(*case, id=case[0]) for case in CASES]
+    + [pytest.param(*case.values[:2], id=case.id) for case in KNOWN_DEFECTS],
+)
+def test_exit_code_is_the_conjunction_of_the_summary_checks(tmp_path, command, config_text):
+    # A subcommand's checks are its summary's true/false entries; a nested
+    # flag, such as optimize's closed-form "degenerate", is not one.
+    code, payload = run_to_file(tmp_path, command, config_text, fmt="json")
+    checks = [value for value in json.loads(payload)["summary"].values() if isinstance(value, bool)]
+    assert checks and code == (0 if all(checks) else 1)
 
 
 # ROADMAP item 14: at 80 bits the survival integral underflows to 0, and

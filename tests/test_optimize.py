@@ -13,12 +13,11 @@ from noma_secrecy.optimize import (
     _refine,
     _select,
     minmax_pa,
-    optimal_pa_far_asymptotic,
-    optimal_pa_near_asymptotic,
+    optimal_pa_asymptotic,
 )
 from noma_secrecy.rates import ALPHA_MAX, ALPHA_MIN
 from noma_secrecy import sop
-from noma_secrecy.sop import TargetRates, exact_sop_far, exact_sop_near, exact_sops
+from noma_secrecy.sop import TargetRates, asymptotic_sops, exact_sop_far, exact_sop_near, exact_sops
 from reference import per_halving_survival_integral
 
 LAM1 = 50.0 ** -2.5
@@ -199,8 +198,9 @@ def test_exact_optima_approach_closed_forms_at_40db():
     stats = ChannelStats(LAM1, LAM2, 10.0 ** 4.0 / LAM2)
     outcome = minmax_pa(stats, RTH1)
     near, far = outcome.near, outcome.far
-    assert abs(near.alpha - optimal_pa_near_asymptotic(RTH1)) <= 0.02
-    assert abs(far.alpha - optimal_pa_far_asymptotic(RTH1)) <= 0.02
+    alpha1_hat, alpha2_hat = optimal_pa_asymptotic(RTH1)
+    assert abs(near.alpha - alpha1_hat) <= 0.02
+    assert abs(far.alpha - alpha2_hat) <= 0.02
 
 
 def test_symmetric_stats_mirror_the_optima():
@@ -217,22 +217,22 @@ ALPHA2_HAT_8_BITS = 0.5004892372590080148760772
 
 
 def test_closed_form_near_reference_values():
-    assert optimal_pa_near_asymptotic(RTH1) == pytest.approx(math.sqrt(2.0) - 1.0)
-    assert optimal_pa_near_asymptotic(TargetRates(2.0, 2.0)) == pytest.approx(
+    assert optimal_pa_asymptotic(RTH1)[0] == pytest.approx(math.sqrt(2.0) - 1.0)
+    assert optimal_pa_asymptotic(TargetRates(2.0, 2.0))[0] == pytest.approx(
         -3.0 + math.sqrt(12.0), rel=1e-12
     )
-    assert optimal_pa_near_asymptotic(TargetRates(8.0, 8.0)) == pytest.approx(
+    assert optimal_pa_asymptotic(TargetRates(8.0, 8.0))[0] == pytest.approx(
         ALPHA1_HAT_8_BITS, rel=1e-15, abs=0.0
     )
-    assert optimal_pa_near_asymptotic(TargetRates(0.0, 0.0)) == 0.0
+    assert optimal_pa_asymptotic(TargetRates(0.0, 0.0))[0] == 0.0
 
 
 def test_closed_form_far_reference_values():
-    assert optimal_pa_far_asymptotic(RTH1) == pytest.approx(2.0 - math.sqrt(2.0))
-    assert optimal_pa_far_asymptotic(TargetRates(8.0, 8.0)) == pytest.approx(
+    assert optimal_pa_asymptotic(RTH1)[1] == pytest.approx(2.0 - math.sqrt(2.0))
+    assert optimal_pa_asymptotic(TargetRates(8.0, 8.0))[1] == pytest.approx(
         ALPHA2_HAT_8_BITS, rel=1e-15, abs=0.0
     )
-    assert optimal_pa_far_asymptotic(TargetRates(0.0, 0.0)) == 1.0
+    assert optimal_pa_asymptotic(TargetRates(0.0, 0.0))[1] == 1.0
 
 
 # 2**60 and up: pi - 1 rounds to pi, and pi*(pi - 1) overflows from 2**512.
@@ -240,8 +240,7 @@ def test_closed_form_far_reference_values():
 def test_closed_forms_are_complementary_for_equal_targets(pi):
     rth = math.log2(pi)
     targets = TargetRates(rth, rth)
-    near = optimal_pa_near_asymptotic(targets)
-    far = optimal_pa_far_asymptotic(targets)
+    near, far = optimal_pa_asymptotic(targets)
     assert near + far == pytest.approx(1.0, abs=1e-12)
 
 
@@ -267,12 +266,11 @@ def _golden_section_minimize(objective, lower=ALPHA_MIN, upper=ALPHA_MAX, tol=1e
 def test_brent_on_asymptotic_curves_recovers_closed_forms(rth):
     # Kept under its old name; the minimizer is now a test-local golden-section search.
     targets = TargetRates(rth, rth)
-    from noma_secrecy.sop import asymptotic_sop_far, asymptotic_sop_near
-
-    near = _golden_section_minimize(lambda a: asymptotic_sop_near(STATS_30DB, a, targets))
-    far = _golden_section_minimize(lambda a: asymptotic_sop_far(STATS_30DB, a, targets))
-    assert abs(near - optimal_pa_near_asymptotic(targets)) <= 1e-6
-    assert abs(far - optimal_pa_far_asymptotic(targets)) <= 1e-6
+    near = _golden_section_minimize(lambda a: asymptotic_sops(STATS_30DB, a, targets)[0])
+    far = _golden_section_minimize(lambda a: asymptotic_sops(STATS_30DB, a, targets)[1])
+    alpha1_hat, alpha2_hat = optimal_pa_asymptotic(targets)
+    assert abs(near - alpha1_hat) <= 1e-6
+    assert abs(far - alpha2_hat) <= 1e-6
 
 
 def _equal_sop_root(stats, targets, tol=1e-12):
@@ -446,7 +444,7 @@ def test_minmax_agrees_with_asymptotic_selection():
     # At 30 dB the high-SNR crossing, 1.549, lies outside the window, so the
     # asymptotic fair split is the far user's closed-form minimizer.
     exact = minmax_pa(STATS_30DB, RTH1)
-    assert abs(exact.selected - optimal_pa_far_asymptotic(RTH1)) <= 0.02
+    assert abs(exact.selected - optimal_pa_asymptotic(RTH1)[1]) <= 0.02
 
 
 def test_selection_breaks_ties_toward_smaller_alpha():

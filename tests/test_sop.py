@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from noma_secrecy import sop
 from noma_secrecy.channel import ChannelStats, mean_gain, rho_t_for_received_snr
+from noma_secrecy.config import RunConfig
 from noma_secrecy.montecarlo import SimConfig, empirical_sops
 from noma_secrecy.optimize import minmax_pa
 from noma_secrecy.rates import ALPHA_MAX, ALPHA_MIN
 from noma_secrecy.sop import (
     TargetRates,
-    asymptotic_sop_far,
-    asymptotic_sop_near,
+    asymptotic_sops,
     exact_sop_far,
     exact_sop_near,
     exact_sops,
@@ -133,8 +133,9 @@ ALPHA_ENTRY_POINTS = {
     "exact_sop_far": lambda alpha: exact_sop_far(stats_at(1e6), alpha, RTH1),
     **{f"exact_sops_order_{order}": lambda alpha, order=order: exact_sops(stats_at(1e6), alpha, RTH1, order)
        for order in (0, 2, 3)},
-    "asymptotic_sop_near": lambda alpha: asymptotic_sop_near(stats_at(1e6), alpha, RTH1),
-    "asymptotic_sop_far": lambda alpha: asymptotic_sop_far(stats_at(1e6), alpha, RTH1),
+    # One closed-form call gives both users; each user's row is an entry.
+    "asymptotic_sop_near": lambda alpha: asymptotic_sops(stats_at(1e6), alpha, RTH1)[0],
+    "asymptotic_sop_far": lambda alpha: asymptotic_sops(stats_at(1e6), alpha, RTH1)[1],
     "empirical_sops": lambda alpha: empirical_sops((stats_at(1e6),), alpha, (RTH1,), SimConfig(1000, 1))[0],
 }
 
@@ -150,54 +151,56 @@ def test_every_alpha_entry_point_takes_the_same_window(entry):
 
 
 @pytest.mark.parametrize("shape", [(0,), (0, 3)], ids=("flat", "by_3"))
-@pytest.mark.parametrize("entry", [name for name in ALPHA_ENTRY_POINTS if name.startswith("exact_")])
+@pytest.mark.parametrize("entry", [name for name in ALPHA_ENTRY_POINTS if name != "empirical_sops"])
 def test_an_empty_alpha_gives_empty_fields(entry, shape):
     # Shaped as for any other alpha: both users lead with an axis of 2, and
-    # each order adds that many derivative fields.
-    both = entry.startswith("exact_sops")
-    fields = [field for field in ALPHA_ENTRY_POINTS[entry](np.empty(shape)) if field is not None]
-    assert len(fields) == 2 + (int(entry[-1]) if both else 0)
+    # each order adds that many derivative fields. A closed-form entry is one
+    # user's row of the closed forms' array.
+    result = ALPHA_ENTRY_POINTS[entry](np.empty(shape))
+    if entry.startswith("asymptotic_"):
+        both, fields = False, [result]
+    else:
+        both = entry.startswith("exact_sops")
+        fields = [field for field in result if field is not None]
+        assert len(fields) == 2 + (int(entry[-1]) if both else 0)
     for field in fields:
         assert field.shape == ((2,) if both else ()) + shape
 
 
 def test_asymptotic_near_reference_values():
     stats = ChannelStats(lambda1=1e-4, lambda2=1e-5, rho_t=1e6)  # rho_t * lambda1 = 100
-    assert asymptotic_sop_near(stats, 0.5, TargetRates(1.0, 1.0)) == pytest.approx(
+    assert asymptotic_sops(stats, 0.5, TargetRates(1.0, 1.0))[0] == pytest.approx(
         1.0 - math.exp(-0.06), rel=1e-12
     )
-    assert asymptotic_sop_near(stats, 0.5, TargetRates(0.0, 0.0)) == pytest.approx(
+    assert asymptotic_sops(stats, 0.5, TargetRates(0.0, 0.0))[0] == pytest.approx(
         1.0 - math.exp(-0.02), rel=1e-12
     )
-    assert asymptotic_sop_near(stats, ALPHA_MAX, TargetRates(1.0, 1.0)) >= 0.999
+    assert asymptotic_sops(stats, ALPHA_MAX, TargetRates(1.0, 1.0))[0] >= 0.999
 
 
 def test_asymptotic_far_reference_values():
     stats = ChannelStats(lambda1=1e-3, lambda2=1e-4, rho_t=1e6)  # rho_t * lambda2 = 100
-    assert asymptotic_sop_far(stats, 0.5, TargetRates(1.0, 1.0)) == pytest.approx(
+    assert asymptotic_sops(stats, 0.5, TargetRates(1.0, 1.0))[1] == pytest.approx(
         1.0 - math.exp(-0.06), rel=1e-12
     )
-    assert asymptotic_sop_far(stats, ALPHA_MIN, TargetRates(1.0, 1.0)) >= 0.999
+    assert asymptotic_sops(stats, ALPHA_MIN, TargetRates(1.0, 1.0))[1] >= 0.999
 
 
 def test_asymptotic_symmetry_mirrors_users():
     stats = ChannelStats(lambda1=1e-4, lambda2=1e-4, rho_t=1e7)
     grid = np.linspace(0.05, 0.95, 19)
-    far = asymptotic_sop_far(stats, grid, RTH1)
-    near_mirrored = asymptotic_sop_near(stats, 1.0 - grid, RTH1)
+    far = asymptotic_sops(stats, grid, RTH1)[1]
+    near_mirrored = asymptotic_sops(stats, 1.0 - grid, RTH1)[0]
     assert np.max(np.abs(far - near_mirrored)) <= 1e-12
 
 
 def test_high_snr_convergence_at_40db():
     stats = ChannelStats(LAM1, LAM2, 10.0 ** 4.0 / LAM2)  # rho_r = 40 dB
     grid = np.arange(0.1, 0.91, 0.1)
-    for user_exact, user_asym in (
-        (exact_sop_near, asymptotic_sop_near),
-        (exact_sop_far, asymptotic_sop_far),
-    ):
+    approx = asymptotic_sops(stats, grid, RTH1)
+    for user, user_exact in enumerate((exact_sop_near, exact_sop_far)):
         exact = user_exact(stats, grid, RTH1).value
-        approx = user_asym(stats, grid, RTH1)
-        assert np.max(np.abs(exact - approx) / exact) <= 0.02
+        assert np.max(np.abs(exact - approx[user]) / exact) <= 0.02
 
 
 def test_so1_nondecreasing_in_target_rate():
@@ -268,8 +271,7 @@ def test_probabilities_stay_in_unit_interval(lams, rho_t, alpha, rth):
         result = func(stats, alpha, targets)
         assert 0.0 <= result.value <= 1.0
         assert 0.0 <= result.quad_error <= 1e-9
-    for func in (asymptotic_sop_near, asymptotic_sop_far):
-        value = func(stats, alpha, targets)
+    for value in asymptotic_sops(stats, alpha, targets):
         assert 0.0 <= value <= 1.0
 
 
@@ -480,6 +482,24 @@ def test_sop_slopes_without_the_third_derivative_keep_every_other_bit():
         assert lean.d2phi is None and full.d2phi.shape == (2, 2)
         for got, want in zip(lean[:4], full[:4]):
             assert got.tobytes() == want.tobytes()
+
+
+# ROADMAP item 12: a column's bits depend on how many columns share its
+# pass, through the rounding of the pass's weight products. A fix makes
+# every prefix of a curve give the full curve's bits and turns this test
+# into an XPASS, which fails the run until the mark comes off.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="known defect; see ROADMAP item 12")
+def test_a_curve_prefix_keeps_the_full_curves_bits():
+    stats, targets = RunConfig().stats(), TargetRates(1, 1)
+    grid = np.linspace(ALPHA_MIN, ALPHA_MAX, 333)
+    differ = []
+    for order in (0, 2, 3):
+        full = exact_sops(stats, grid, targets, order)
+        for k in (1, 2, 3, 5, 7, 33):
+            prefix = exact_sops(stats, grid[:k], targets, order)
+            if any(want is not None and got.tobytes() != want[:, :k].tobytes() for got, want in zip(prefix, full)):
+                differ.append((order, k))
+    assert not differ
 
 
 def test_log_survival_is_strictly_concave_at_each_minimizer():
