@@ -147,7 +147,8 @@ def cmd_optimize(cfg: RunConfig) -> tuple:
     grid = sweep.values()
     stats = cfg.stats()
     targets = cfg.targets()
-    so1_curve, so2_curve = exact_sops(stats, grid, targets).value
+    curves = exact_sops(stats, grid, targets)
+    so1_curve, so2_curve = curves.value
     columns = ["alpha", "so1_exact", "so2_exact", "so1_asym", "so2_asym"]
     rows = list(zip(
         grid.tolist(),
@@ -157,11 +158,12 @@ def cmd_optimize(cfg: RunConfig) -> tuple:
     ))
     outcome = minmax_pa(stats, targets)
     near, far = outcome.near, outcome.far
-    # A unimodal curve's grid argmin lies within one step of its minimizer,
-    # or of the swept window's edge when the minimizer lies outside it.
+    # A unimodal curve's grid argmax of psi = log(1 - s_o), the domain the
+    # solver reads, lies within one step of its minimizer, or of the swept
+    # window's edge when the minimizer lies outside it.
     slack = sweep.step + XTOL
-    near_ok = abs(grid[int(np.argmin(so1_curve))] - np.clip(near.alpha, grid[0], grid[-1])) <= slack
-    far_ok = abs(grid[int(np.argmin(so2_curve))] - np.clip(far.alpha, grid[0], grid[-1])) <= slack
+    near_ok, far_ok = (abs(grid[int(np.argmax(psi))] - np.clip(a, grid[0], grid[-1])) <= slack
+                       for psi, a in zip(curves.psi, (near.alpha, far.alpha)))
     alpha1_hat, alpha2_hat = optimal_pa_asymptotic(targets)
     summary = {
         "alpha1_star": near.alpha,

@@ -1,36 +1,37 @@
 """Power-split optimization: per-user minima and the min-max fair point.
 
-A user's SOP is least where phi = d/dalpha log(1 - s_o) crosses zero from
-above, and sop.exact_sops gives phi and phi' at order 2, and phi'' too at
-order 3, from the quadrature pass that takes both users' SOPs. One order-3
-pass takes both users on a coarse curve; each user's minimizer lies in the
-grid cell beside the argmin of its SOP where phi changes sign. The root of
-the quintic Hermite interpolant of phi on that cell, built from phi, phi'
-and phi'' at its ends, typically lies within 1e-9 of the minimizer. One
-lockstep loop, _refine, evaluates those start points in the next pass,
-narrows each cell to its start and refines the minimizers by safeguarded
-Newton on phi, one order-2 pass of both users at both minimizers per step,
-so the last pass also holds each user's SOP at the other's minimizer.
-minmax_pa is the one exact solver: its near and far candidates are each
-user's own optimum. Near a minimizer phi' < 0, so Newton converges
-quadratically, and its first step from the interpolant's root is usually
-already below the tolerance: a solve usually takes 2 passes (2.21 on
-average and at most 6 on the 432-configuration test grid). phi' > 0 does
-occur near the window edges, and in a low-SNR, high-rate corner the far
-user's SOP has two local minima: the integrand's log-concavity in alpha
-(criterion 04) does not carry over to the integral. The bracket then
-follows the grid's lowest valley, and bisection keeps each step inside it.
+Every decision reads psi = log(1 - s_o), which each sop.exact_sops pass
+returns, and its alpha-derivatives phi = psi' and phi' at order 2, and
+phi'' too at order 3. psi keeps its digits where s_o rounds to 1, as it
+does from about 15-bit target rates at default geometry. A user's SOP is
+least where psi is greatest, where phi crosses zero from above.
 
-Between the two per-user minimizers one SOP rises and the other falls, so
-they cross at most once there, and the min-max fair split follows without
+minmax_pa is the one exact solver. One order-3 pass takes both users on a
+coarse grid and gives every cell to refine: each user's minimizer lies in
+the cell beside its grid argmax of psi where phi changes sign, and the
+min-max crossing in a cell where psi1 - psi2 changes sign. The root of the
+quintic Hermite interpolant of f on a cell, built from f, f' and f'' at
+its ends, typically lies within 1e-9 of f's. One lockstep loop, _refine,
+evaluates those start points in the next pass, narrows each cell to its
+start and refines every root by safeguarded Newton, one order-2 pass of
+both users at every column per step, so the last pass holds both users'
+SOPs at every candidate. Near a minimizer phi' < 0, so Newton converges
+quadratically, and its first step from the interpolant's root is usually
+already below the tolerance; a crossing's objective moves to first order
+with alpha, so its root is settled by one more step. A solve takes 2.13
+passes on average and at most 3 on the 432-configuration test grid, and a
+crossing config 3. phi' > 0 does occur near the window edges, and in a
+low-SNR, high-rate corner the far user's SOP has two local minima: the
+integrand's log-concavity in alpha (criterion 04) does not carry over to
+the integral. The bracket then follows the grid's best valley, and
+bisection keeps each step inside it.
+
+Between the two per-user minimizers one psi rises and the other falls, so
+psi1 - psi2 is monotone there, and the min-max fair split follows without
 any search over the whole window. Each solved split is a Candidate: both
-minimizers, plus the crossing between them when each minimizer leaves its
-own user the better-off one. The crossing is solved by the same loop, on
-s_o1 - s_o2 over the cell between them: its value, slope and curvature at
-both ends follow from the last minimizer pass's values, phi and phi', so
-its Newton iteration also starts at an interpolant's root; a crossing
-adds 3.1 passes on average and at most 4 on the test grid. _select picks
-the candidate with the smallest max-SOP, ties going to the smaller alpha.
+minimizers, plus the root of psi1 - psi2 between them if there is one.
+_select picks the candidate with the largest min(psi1, psi2), so the
+smallest max-SOP, ties going to the smaller alpha.
 
 Each user's high-SNR SOP has a closed-form minimizer that depends on its
 target rate only; optimal_pa_asymptotic returns both. They are returned
@@ -46,7 +47,7 @@ import numpy as np
 
 from .channel import ChannelStats
 from .rates import ALPHA_MAX, ALPHA_MIN
-from .sop import SopValue, TargetRates, exact_sops
+from .sop import TargetRates, exact_sops
 
 __all__ = [
     "XTOL",
@@ -176,87 +177,49 @@ def _hermite_start(lo, hi, f_lo, f_hi, df_lo, df_hi, d2f_lo, d2f_hi) -> float:
     return min(max(lo + w * t, lo), hi)
 
 
-def _refine(cells, evaluate, fields, settle=False):
+def _refine(cells, evaluate, fields, settle):
     """Roots of one function per cell by safeguarded Newton, to XTOL, and
     the last pass made.
 
     Each cell is (lo, hi, f_lo, f_hi, df_lo, df_hi, d2f_lo, d2f_hi), with f
-    of opposite signs (or one zero) at its ends. evaluate(x) makes one pass
-    at one point per cell, so the columns move in lockstep, and fields(pass)
-    gives f and its slope there; the bookkeeping is per column, in floats.
-    The first pass takes each cell's _hermite_start, and the cell narrows to
-    it on the side where f changes sign. Newton then starts from the
-    narrowed end with the smaller |f|. A step that leaves the bracket, or is
-    not under half the step two iterations back, is replaced by bisection,
-    so every column converges.
+    of opposite signs (or one zero) at its ends, and settle holds one flag
+    per cell. evaluate(x) makes one pass at the list x of one point per
+    cell, so the columns move in lockstep, and fields(pass) gives f and its
+    slope there, one value per column; the bookkeeping is per column, in
+    floats. The first pass takes each cell's _hermite_start, and the cell
+    narrows to it on the side where f changes sign. Newton then starts from
+    the narrowed end with the smaller |f|. A step that leaves the bracket,
+    or is not under half the step two iterations back, is replaced by
+    bisection, so every column converges.
 
     A column stops at a point whose Newton step is at most XTOL/2, so within
-    XTOL of the root. With ``settle`` it first takes that step and evaluates
+    XTOL of the root. A settled column first takes that step and evaluates
     it: Newton converges quadratically, so the point it returns then lies
     within rounding of the root, for one more pass. It also stops where a
     step is blocked by the bracket's end, or once its bracket is no wider
     than XTOL. Every pass covers all columns, stopped ones at their final
     point, so the last pass was made at the returned points.
     """
-    columns = [_Bracket(cell, settle) for cell in cells]
+    columns = [_Bracket(cell, flag) for cell, flag in zip(cells, settle)]
     last = None
     while True:
         moved = [column.advance() for column in columns]
         if not any(moved):
             return np.array([column.x for column in columns]), last
-        last = evaluate(np.array([column.x for column in columns]))
-        f, df = fields(last)
-        for column, move, f_j, df_j in zip(columns, moved, f.tolist(), df.tolist()):
+        last = evaluate([column.x for column in columns])
+        for column, move, f, df in zip(columns, moved, *fields(last)):
             if move:
-                column.update(f_j, df_j)
-
-
-def _minima(stats: ChannelStats, targets: TargetRates):
-    """Minimizers of both users' SOPs (0 near, 1 far), refined in lockstep.
-
-    One pass takes both users on the bracket grid. Each user's minimizer
-    lies beside the grid argmin of its SOP, on the side phi points to, and
-    is the root of phi in that cell unless the argmin is a window edge;
-    _refine finds those roots, and Newton usually stops at its start
-    points. Each pass after the grid's takes both users at both
-    current minimizers, so the last one also holds each user's SOP at the
-    other's minimizer. Returns the minimizers and that pass, a SopValue of
-    (user, minimizer) arrays.
-    """
-    grid = _BRACKET_GRID
-    on_grid = exact_sops(stats, grid, targets, order=3)
-    i = np.argmin(on_grid.value, axis=1)
-    points = grid[i]
-    alphas = grid.tolist()
-    phi, dphi, d2phi = (v.tolist() for v in on_grid[2:])
-    cells, refined = [], []  # each refined cell's ends, and its user
-    for user, k in enumerate(i.tolist()):
-        f = phi[user]
-        j = min(max(k + 1 if f[k] > 0.0 else k - 1, 0), grid.size - 1)
-        if j != k and f[k] != 0.0 and f[k] * f[j] <= 0.0:
-            lo, hi = min(k, j), max(k, j)
-            cells.append((alphas[lo], alphas[hi], f[lo], f[hi], dphi[user][lo], dphi[user][hi],
-                          d2phi[user][lo], d2phi[user][hi]))
-            refined.append(user)
-    if not cells:  # no pass after the grid's: every minimizer is a grid node
-        return points, SopValue(*(v[:, i] for v in on_grid))
-
-    def evaluate(x):
-        points[refined] = x
-        return exact_sops(stats, points, targets, order=2)
-
-    points[refined], last = _refine(
-        cells, evaluate, lambda sops: (sops.phi[refined, refined], sops.dphi[refined, refined])
-    )
-    return points, last
+                column.update(f, df)
 
 
 class Candidate(NamedTuple):
-    """A solved power split and both users' SOPs there."""
+    """A solved power split, and both users' SOPs and psi = log(1 - s_o) there."""
 
     alpha: float
     so1: float
     so2: float
+    psi1: float
+    psi2: float
 
     @property
     def max_sop(self) -> float:
@@ -291,38 +254,62 @@ class MinMaxOutcome(NamedTuple):
 
 
 def _select(near: Candidate, far: Candidate, crossing: Optional[Candidate]) -> MinMaxOutcome:
-    """The candidate with the smallest max-SOP; ties break toward the smaller
+    """The candidate with the largest min(psi1, psi2), so the smallest
+    max-SOP even where the SOPs round to 1; ties break toward the smaller
     alpha so reruns are reproducible. A crossing of None takes no part."""
     pool = [c for c in (near, far, crossing) if c is not None]
-    best = min(pool, key=lambda c: (c.max_sop, c.alpha))
+    best = min(pool, key=lambda c: (-min(c.psi1, c.psi2), c.alpha))
     return MinMaxOutcome(best.alpha, best.max_sop, near, far, crossing)
 
 
 def minmax_pa(stats: ChannelStats, targets: TargetRates) -> MinMaxOutcome:
     """Global min-max fair power split over the exact SOPs.
 
-    If s_o1 >= s_o2 at the near user's minimizer alpha1, the max there is
-    the least s_o1 of any split, so no split does better; likewise for the
-    far user's minimizer alpha2. Otherwise s_o1 < s_o2 at alpha1 and
-    s_o2 < s_o1 at alpha2, and the optimum is the single crossing between
-    them; only then is the crossing solved and added to the candidates.
+    If psi1 <= psi2 at the near user's maximizer alpha1 of psi1, the min
+    there is the largest psi1 of any split, so no split does better;
+    likewise for the far user's alpha2. Otherwise the optimum is the one
+    root of psi1 - psi2 between them. The crossing cells span one grid node
+    beyond each argmax, so they hold that root; a root outside the
+    minimizers is refined too but takes no part.
     """
-    alpha, at = _minima(stats, targets)
-    near, far = (Candidate(a, *sops) for a, sops in zip(alpha.tolist(), at.value.T.tolist()))
-    crossing = None
-    if near.so1 < near.so2 and far.so2 < far.so1:
-        # Between the minimizers s_o1 - s_o2 is monotone. With
-        # s_o' = -(1 - s_o)*phi and s_o'' = -(1 - s_o)*(phi^2 + phi'), its
-        # slope and curvature follow from each pass's phi and dphi.
-        def gap(sops: SopValue):
-            (so1, so2), (phi1, phi2), (dphi1, dphi2) = sops.value, sops.phi, sops.dphi
-            return (so1 - so2, (1.0 - so2) * phi2 - (1.0 - so1) * phi1,
-                    (1.0 - so2) * (phi2 * phi2 + dphi2) - (1.0 - so1) * (phi1 * phi1 + dphi1))
+    on_grid = exact_sops(stats, _BRACKET_GRID, targets, order=3)
+    alphas = _BRACKET_GRID.tolist()
+    psi, phi, dphi, d2phi = (v.tolist() for v in on_grid[2:])
+    best = [row.index(max(row)) for row in psi]  # each user's grid argmax of psi
 
-        ends = [0, 1] if near.alpha < far.alpha else [1, 0]
-        cell = [float(v) for field in (alpha, *gap(at)) for v in field[ends]]
-        # Its objective moves to first order with alpha, so the root is settled.
-        root, last = _refine([cell], lambda x: exact_sops(stats, x, targets, order=2),
-                             lambda sops: gap(sops)[:2], settle=True)
-        crossing = Candidate(float(root[0]), *last.value[:, 0].tolist())
-    return _select(near, far, crossing)
+    def cell(i, f, df, d2f):  # the cell [alphas[i], alphas[i + 1]]; f, f' and f'' at its ends
+        return alphas[i], alphas[i + 1], f[0], f[1], df[0], df[1], d2f[0], d2f[1]
+
+    points = [alphas[k] for k in best]
+    cells, users = [], []  # users: the user of each minimizer cell
+    for user, k in enumerate(best):
+        f = phi[user]
+        j = min(max(k + 1 if f[k] > 0.0 else k - 1, 0), len(alphas) - 1)
+        if j != k and f[k] != 0.0 and f[k] * f[j] <= 0.0:
+            i = min(k, j)
+            cells.append(cell(i, f[i:i + 2], dphi[user][i:i + 2], d2phi[user][i:i + 2]))
+            users.append(user)
+    psi1, psi2 = psi
+    for i in range(max(min(best) - 1, 0), min(max(best) + 1, len(alphas) - 1)):
+        if (psi1[i] > psi2[i]) != (psi1[i + 1] > psi2[i + 1]):
+            cells.append(cell(i, *([a[i] - b[i], a[i + 1] - b[i + 1]] for a, b in (psi, phi, dphi))))
+    crossings = len(cells) - len(users)
+    if cells:
+        def evaluate(x):
+            for user, a in zip(users, x):
+                points[user] = a
+            return exact_sops(stats, points + x[len(users):], targets, order=2)
+
+        def fields(sops):  # phi at each minimizer column, psi1 - psi2 at each crossing column
+            psi, phi, dphi = (v.tolist() for v in (sops.psi, sops.phi, sops.dphi))
+            columns = range(2, 2 + crossings)
+            return ([phi[u][u] for u in users] + [psi[0][j] - psi[1][j] for j in columns],
+                    [dphi[u][u] for u in users] + [phi[0][j] - phi[1][j] for j in columns])
+
+        roots, last = _refine(cells, evaluate, fields, [False] * len(users) + [True] * crossings)
+        points += roots.tolist()[len(users):]
+    else:  # every minimizer is a grid node, with no crossing beside them
+        last = on_grid._replace(value=on_grid.value[:, best], psi=on_grid.psi[:, best])
+    near, far, *roots = map(Candidate, points, *last.value.tolist(), *last.psi.tolist())
+    lo, hi = sorted((near.alpha, far.alpha))
+    return _select(near, far, next((c for c in roots if lo <= c.alpha <= hi), None))

@@ -30,15 +30,17 @@ nodes in one array from the stored 1/z: add s, divide kappa by the sum,
 take exp.
 
 Every exact SOP goes through one column builder: exact_sop_near and
-exact_sop_far take one user per pass, exact_sops both. exact_sops at order
-2 or 3 also returns that many alpha-derivatives of log(1 - s_o): log of the
-prefactor is closed-form, and the survival integral's derivatives are
-moments of the same integrand on the same nodes and halvings, which need
-only h = s/(s + 1/z), taken from the sum before the divide. Every order sums
-by one rule, two weight-vector products per term: one over halvings 0-2's 93
-nodes, which is halving 2's estimate before the step, and one over halving
-3's own 92 nodes, which halving 3 adds to it. So a pass's values and
-quadrature errors do not depend on the order it takes.
+exact_sop_far take one user per pass, exact_sops both. Every pass also
+returns psi = log(1 - s_o) = -A/lam_e + log I, which keeps its digits where
+s_o rounds to 1. exact_sops at order 2 or 3 also returns that many
+alpha-derivatives of psi: log of the prefactor is closed-form, and the
+survival integral's derivatives are moments of the same integrand on the
+same nodes and halvings, which need only h = s/(s + 1/z), taken from the sum
+before the divide. Every order sums by one rule, two weight-vector products
+per term: one over halvings 0-2's 93 nodes, which is halving 2's estimate
+before the step, and one over halving 3's own 92 nodes, which halving 3 adds
+to it. So a pass's values, psi and quadrature errors do not depend on the
+order it takes.
 
 The asymptotic forms drop the "+1" in the SINR denominators, valid once the
 received SNR is large. They are upper bounds on the exact SOPs, with an
@@ -100,11 +102,13 @@ class QuadratureError(RuntimeError):
 
 
 class SopValue(NamedTuple):
-    """Exact SOPs and their quadrature error; the alpha-derivatives of
-    log(1 - s_o) are None unless the call takes them (see exact_sops)."""
+    """Exact SOPs, their quadrature error and psi = log(1 - s_o); the
+    alpha-derivatives of psi are None unless the call takes them (see
+    exact_sops)."""
 
     value: float | np.ndarray
     quad_error: float | np.ndarray
+    psi: Optional[float | np.ndarray] = None  # log(1 - s_o)
     phi: Optional[np.ndarray] = None    # d/dalpha log(1 - s_o)
     dphi: Optional[np.ndarray] = None   # d^2/dalpha^2 log(1 - s_o)
     d2phi: Optional[np.ndarray] = None  # d^3/dalpha^3 log(1 - s_o)
@@ -220,10 +224,11 @@ def _sop_pass(stats: ChannelStats, alpha, targets: TargetRates, users: tuple, or
     pi, lam, lam_int, sign = rows[0] if len(rows) == 1 else np.array(rows).T.repeat(a.size, axis=1)
     slope = other * stats.rho_t
     shift = (pi - 1.0) / (own * stats.rho_t)
-    prefactor = np.exp(-shift / lam)
+    log_prefactor = -shift / lam
+    prefactor = np.exp(log_prefactor)
     integral, diff, *moments = _survival_integral(pi, slope, lam, lam_int, prefactor, moments=_ORDER_MOMENTS[order])
     value = np.minimum(np.maximum(1.0 - prefactor * integral, 0.0), 1.0)
-    fields = [value, prefactor * diff]
+    fields = [value, prefactor * diff, log_prefactor + np.log(integral)]
     if order:
         m2, m3, m4, *m56 = moments[0]
         # dc/dalpha = -sign*rho_t; the moments carry (c*g)**k, so kappa/c**k scales them.
@@ -241,10 +246,10 @@ def _sop_pass(stats: ChannelStats, alpha, targets: TargetRates, users: tuple, or
 
 
 def _one_user(stats: ChannelStats, alpha, targets: TargetRates, user: int) -> SopValue:
-    value, quad_error = _sop_pass(stats, alpha, targets, (user,))[:2]
-    if value.ndim == 1:  # a scalar alpha
-        return SopValue(float(value[0]), float(quad_error[0]))
-    return SopValue(value[0], quad_error[0])
+    fields = _sop_pass(stats, alpha, targets, (user,))[:3]
+    if fields[0].ndim == 1:  # a scalar alpha
+        return SopValue(*(float(f[0]) for f in fields))
+    return SopValue(*(f[0] for f in fields))
 
 
 def exact_sop_near(stats: ChannelStats, alpha, targets: TargetRates) -> SopValue:
@@ -262,9 +267,9 @@ def exact_sops(stats: ChannelStats, alpha, targets: TargetRates, order: int = 0)
     ``order`` 2 or 3, that many alpha-derivatives of log(1 - s_o).
 
     Each field has shape (2,) + alpha's shape, near user first. Order 0
-    gives value and quad_error, as exact_sop_near/far do; order 2 adds phi
-    and dphi, and order 3 also d2phi, with the same value and quad_error
-    bits. A field the order leaves out is None.
+    gives value, quad_error and psi, as exact_sop_near/far do; order 2 adds
+    phi and dphi, and order 3 also d2phi, with the same value, quad_error
+    and psi bits. A field the order leaves out is None.
 
     With 1 - s_o = P * I, where P = exp(-A/lam_e) and I is the survival
     integral, log P is closed-form in alpha. I depends on alpha only through

@@ -360,14 +360,6 @@ KNOWN_DEFECTS = [
         id="item2-far-user-two-valleys",
     ),
     pytest.param(
-        "optimize",
-        "system.d1_m = 0.4961870181617896\nsystem.d2_m = 17.12488324678882\n"
-        "system.path_loss_exp = 5.719339656271105\nsystem.rho_r_db = 50.74322889910188\n"
-        "targets.rth1_bits = 0.1075976790052291\ntargets.rth2_bits = 0.7710038597765054\n",
-        "curve_minima_consistent",
-        id="item6A-small-sop-minima",
-    ),
-    pytest.param(
         "minmax",
         "system.d1_m = 1.5261245260890042\nsystem.d2_m = 7.561497725641861\n"
         "system.path_loss_exp = 5.1130189431829205\nsystem.rho_r_db = 113.77189848549787\n"
@@ -384,19 +376,44 @@ KNOWN_DEFECTS = [
 ]
 
 
-# A fix turns its case into an XPASS, which fails the run until the mark
-# comes off.
+# Reproducers of defects since mended, in the same form; each check reads True.
+MENDED_DEFECTS = [
+    # The SOPs lie below about 1e-13, where the curves are quantized to ulps
+    # of 1; the check compares the solved minimizers with the curves' grid
+    # argmax of psi = log(1 - s_o), which keeps its digits there.
+    pytest.param(
+        "optimize",
+        "system.d1_m = 0.4961870181617896\nsystem.d2_m = 17.12488324678882\n"
+        "system.path_loss_exp = 5.719339656271105\nsystem.rho_r_db = 50.74322889910188\n"
+        "targets.rth1_bits = 0.1075976790052291\ntargets.rth2_bits = 0.7710038597765054\n",
+        "curve_minima_consistent",
+        id="item6A-small-sop-minima",
+    ),
+]
+
+
+def _reproducer_check(tmp_path, command, config_text, flag):
+    _, payload = run_to_file(tmp_path, command, config_text, fmt="json")
+    return json.loads(payload)["summary"][flag]
+
+
+# A fix turns its case into an XPASS, which fails the run until the case
+# moves to MENDED_DEFECTS.
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="known defect; see the ROADMAP item in the test id")
 @pytest.mark.parametrize("command,config_text,flag", KNOWN_DEFECTS)
 def test_known_defect_reproducer_passes_its_check(tmp_path, command, config_text, flag):
-    code, payload = run_to_file(tmp_path, command, config_text, fmt="json")
-    assert json.loads(payload)["summary"][flag] is True
+    assert _reproducer_check(tmp_path, command, config_text, flag) is True
+
+
+@pytest.mark.parametrize("command,config_text,flag", MENDED_DEFECTS)
+def test_mended_defect_reproducer_passes_its_check(tmp_path, command, config_text, flag):
+    assert _reproducer_check(tmp_path, command, config_text, flag) is True
 
 
 @pytest.mark.parametrize(
     "command,config_text",
     [pytest.param(*case, id=case[0]) for case in CASES]
-    + [pytest.param(*case.values[:2], id=case.id) for case in KNOWN_DEFECTS],
+    + [pytest.param(*case.values[:2], id=case.id) for case in KNOWN_DEFECTS + MENDED_DEFECTS],
 )
 def test_exit_code_is_the_conjunction_of_the_summary_checks(tmp_path, command, config_text):
     # A subcommand's checks are its summary's true/false entries; a nested

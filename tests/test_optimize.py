@@ -27,15 +27,16 @@ RTH1 = TargetRates(1.0, 1.0)
 
 
 def _recorded(values):
-    """An evaluate for _refine whose pass is values(x), the pair (f, df), and
-    the list of the points it was called at. _refine has no pass cap, so a
-    broken safeguard fails here instead of looping."""
+    """An evaluate for _refine whose pass is values(x) on the array of its
+    points, the pair (f, df), and the list of the points it was called at.
+    _refine has no pass cap, so a broken safeguard fails here instead of
+    looping."""
     points = []
 
     def evaluate(x):
         assert len(points) < 100, "no convergence in 100 passes"
-        points.append(x.tolist())
-        return values(x)
+        points.append(list(x))
+        return values(np.array(x))
 
     return evaluate, points
 
@@ -54,7 +55,7 @@ def test_newton_converges_on_monotone_functions_in_lockstep():
         np.array([f(v) for (f, *_), v in zip(columns, x)]),
         np.array([df(v) for (_, df, *_), v in zip(columns, x)]),
     ))
-    roots, last = _refine(cells, evaluate, _same)
+    roots, last = _refine(cells, evaluate, _same, [False, False])
     assert np.all(np.abs(roots - [root for *_, root in columns]) <= XTOL)
     assert points[0] == [_hermite_start(*cell) for cell in cells]  # the first pass is at the starts
     assert points[-1] == roots.tolist()  # the last pass was made at the roots
@@ -70,7 +71,7 @@ def test_newton_bisects_where_a_step_would_leave_the_bracket():
     # the start.
     evaluate, points = _recorded(lambda x: (np.arctan(10.0 * (x - 0.3)), 10.0 / (1.0 + 100.0 * (x - 0.3) ** 2)))
     cell = (0.0, 0.95, math.atan(-3.0), math.atan(6.5), 1.0, 10.0 / 43.25, -100.0, -1300.0 / 43.25 ** 2)
-    root, _ = _refine([cell], evaluate, _same)
+    root, _ = _refine([cell], evaluate, _same, [False])
     assert points[0][0] > 0.6
     assert points[1][0] == 0.5 * points[0][0]
     assert abs(root[0] - 0.3) <= XTOL
@@ -86,7 +87,7 @@ def test_newton_steps_onto_the_bracket_end_when_the_root_lies_just_past_it():
     # bisecting would take more evaluations.
     evaluate, points = _recorded(lambda x: (0.3 + 1e-10 - x, -np.ones_like(x)))
     cell = (0.0, 0.3, 0.3, -1e-3, -1.0, -1.0, 0.0, -10.0)
-    root, _ = _refine([cell], evaluate, _same)
+    root, _ = _refine([cell], evaluate, _same, [False])
     start = _hermite_start(*cell)
     assert start < 0.299
     assert points == [[start], [0.299], [0.3]]
@@ -101,7 +102,7 @@ def test_newton_stops_on_a_sub_xtol_step(settle):
     cell = (0.2, 0.4, 0.1, -0.1, -1.0, -1.0, 0.0, 0.0)
     start = _hermite_start(*cell)
     evaluate, points = _recorded(lambda x: (start - 4e-9 - x, -np.ones_like(x)))
-    root, _ = _refine([cell], evaluate, _same, settle=settle)
+    root, _ = _refine([cell], evaluate, _same, [settle])
     assert abs(start - 0.3) <= 1e-15
     if settle:
         assert points == [[start], root.tolist()]
@@ -111,12 +112,13 @@ def test_newton_stops_on_a_sub_xtol_step(settle):
 
 
 def test_newton_rejects_non_finite_values_and_unbracketed_roots():
+    evaluate, _ = _recorded(lambda x: (x * math.nan, np.ones_like(x)))
     with pytest.raises(ValueError):  # at the start
-        _refine([(0.0, 1.0, -1.0, 1.0, 2.0, 2.0, 0.0, 0.0)], lambda x: (x * math.nan, np.ones_like(x)), _same)
+        _refine([(0.0, 1.0, -1.0, 1.0, 2.0, 2.0, 0.0, 0.0)], evaluate, _same, [False])
     # At a Newton point: the start 0.5 gives f = -0.1, and the step from it to 0.4 gives NaN.
     evaluate, points = _recorded(lambda x: ((0.4 - x) * (1.0 if len(points) == 1 else math.nan), -np.ones_like(x)))
     with pytest.raises(ValueError):
-        _refine([(0.0, 1.0, 0.5, -0.5, -1.0, -1.0, 0.0, 0.0)], evaluate, _same)
+        _refine([(0.0, 1.0, 0.5, -0.5, -1.0, -1.0, 0.0, 0.0)], evaluate, _same, [False])
     assert len(points) == 2
     with pytest.raises(ValueError):
         _Bracket((0.0, 1.0, math.nan, -0.5, -1.0, -1.0, 0.0, 0.0), False)
@@ -163,7 +165,7 @@ def test_hermite_start_stays_in_the_bracket_whatever_the_derivatives():
         x0 = _hermite_start(*cell)
         assert lo <= x0 <= hi
         evaluate, points = _recorded(phi)
-        root, _ = _refine([cell], evaluate, _same)
+        root, _ = _refine([cell], evaluate, _same, [False])
         assert points[0] == [x0]
         assert abs(root[0] - 0.27) <= XTOL
 
@@ -377,14 +379,12 @@ def _count_passes(monkeypatch):
 
 
 def test_solves_take_few_quadrature_passes(monkeypatch):
-    # Each Newton iteration, on a minimizer's phi or on the crossing's
-    # s_o1 - s_o2, starts at the root of the quintic Hermite interpolant on
-    # its cell, so it usually stops soon after the pass that evaluates that
-    # start.
-    # The crossing bound of 6 is tight: config (20 dB, 60 m, rth 0.5/0.25)
-    # takes 6 passes only because its second crossing Newton point gives
-    # s_o1 - s_o2 = 0.0 exactly, which skips the settle pass. A change that
-    # rounds the crossing differently can give it a 7th.
+    # Each Newton iteration, on a minimizer's phi or on a crossing's
+    # psi1 - psi2, starts at the root of the quintic Hermite interpolant on
+    # its bracket-grid cell, so it usually stops soon after the pass that
+    # evaluates that start. Every crossing config takes 3 passes: the grid,
+    # the starts and the crossing's settle step; the bound leaves one pass
+    # for a crossing whose Newton step from its start is not yet below XTOL.
     calls = _count_passes(monkeypatch)
     passes, crossing = [], []
     for stats, targets in _grid_configs():
@@ -395,16 +395,16 @@ def test_solves_take_few_quadrature_passes(monkeypatch):
             crossing.append(len(calls))
     assert max(passes) <= 12
     assert np.mean(passes) <= 2.5
-    assert crossing and max(crossing) <= 6
+    assert crossing and max(crossing) <= 4
 
 
 # ROADMAP item 11: from 15 bits at default geometry both SOPs round to 1 at
-# every split, and the tie-break returns alpha = 1e-6, the worst split in
-# psi = log(1 - s_o) = -shift/lambda_e + log I by orders of magnitude.
-# Measured: the solver returns 1e-6, and the psi max-min lies at 0.14990.
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="known defect; see ROADMAP item 11")
-def test_fair_split_at_20_bit_targets_is_the_log_survival_max_min():
-    stats, targets = RunConfig().stats(), TargetRates(20.0, 20.0)
+# every split, so the solver brackets, crosses and selects in
+# psi = log(1 - s_o) = -shift/lambda_e + log I. Each case's reference alpha
+# is the psi max-min on a 20001-point grid with the 6-halving rule.
+@pytest.mark.parametrize("bits,reference", [(15, 0.13325), (16, 0.14440), (20, 0.14990), (30, 0.15025)])
+def test_fair_split_at_high_targets_is_the_log_survival_max_min(bits, reference):
+    stats, targets = RunConfig().stats(), TargetRates(bits, bits)
     grid = np.linspace(ALPHA_MIN, ALPHA_MAX, 20001)
     users = (
         (targets.pi1, stats.lambda1, stats.lambda2, grid, 1.0 - grid),
@@ -420,8 +420,19 @@ def test_fair_split_at_20_bit_targets_is_the_log_survival_max_min():
         ])
         psi.append(-shift / lam + np.log(integral))
     best = float(grid[np.argmax(np.minimum(*psi))])
-    assert abs(best - 0.1499) <= 1e-4
+    assert abs(best - reference) <= 1e-4
     assert abs(minmax_pa(stats, targets).selected - best) <= 2.0 * (grid[1] - grid[0])
+
+
+def test_fair_split_on_a_flat_sop_set_is_the_log_survival_crossing():
+    # ROADMAP item 11's box config: both SOPs lie within 1e-11 of 1, and
+    # s_o1 - s_o2 reads 0 over alpha +- 1e-4, so only psi1 - psi2 places the
+    # crossing. Selecting by the SOPs picked 0.3404073, 1.07e-4 from it.
+    stats, targets = ChannelStats(2.819e-3, 1.167e-3, 139.26), TargetRates(2.416, 2.117)
+    selected = minmax_pa(stats, targets).selected
+    psi = exact_sops(stats, np.array([selected - XTOL, selected + XTOL]), targets).psi
+    gap = psi[0] - psi[1]
+    assert gap[0] * gap[1] < 0.0
 
 
 def test_minmax_candidate_bookkeeping():
@@ -449,8 +460,8 @@ def test_minmax_agrees_with_asymptotic_selection():
 
 def test_selection_breaks_ties_toward_smaller_alpha():
     outcome = _select(
-        Candidate(alpha=0.7, so1=0.2, so2=0.1),
-        Candidate(alpha=0.3, so1=0.1, so2=0.2),
+        Candidate(alpha=0.7, so1=0.2, so2=0.1, psi1=math.log(0.8), psi2=math.log(0.9)),
+        Candidate(alpha=0.3, so1=0.1, so2=0.2, psi1=math.log(0.9), psi2=math.log(0.8)),
         None,
     )
     assert outcome.selected == 0.3

@@ -153,16 +153,17 @@ def test_every_alpha_entry_point_takes_the_same_window(entry):
 @pytest.mark.parametrize("shape", [(0,), (0, 3)], ids=("flat", "by_3"))
 @pytest.mark.parametrize("entry", [name for name in ALPHA_ENTRY_POINTS if name != "empirical_sops"])
 def test_an_empty_alpha_gives_empty_fields(entry, shape):
-    # Shaped as for any other alpha: both users lead with an axis of 2, and
-    # each order adds that many derivative fields. A closed-form entry is one
-    # user's row of the closed forms' array.
+    # Shaped as for any other alpha: both users lead with an axis of 2, every
+    # exact entry gives value, quad_error and psi, and each order adds that
+    # many derivative fields. A closed-form entry is one user's row of the
+    # closed forms' array.
     result = ALPHA_ENTRY_POINTS[entry](np.empty(shape))
     if entry.startswith("asymptotic_"):
         both, fields = False, [result]
     else:
         both = entry.startswith("exact_sops")
         fields = [field for field in result if field is not None]
-        assert len(fields) == 2 + (int(entry[-1]) if both else 0)
+        assert len(fields) == 3 + (int(entry[-1]) if both else 0)
     for field in fields:
         assert field.shape == ((2,) if both else ()) + shape
 
@@ -311,6 +312,23 @@ def test_exact_sops_order_zero_takes_no_derivatives():
     assert exact_sops(stats, grid, RTH1, order=2).d2phi is None
 
 
+def test_psi_is_the_log_survival_and_keeps_its_digits_where_the_sop_rounds_to_one():
+    # Where 1e-6 <= s_o <= 0.5, log1p(-s_o) loses at most eps/s_o relative,
+    # so it checks psi to 1e-9 there.
+    checked = 0
+    for stats, alpha, targets in _box_sweep(200, seed=21):
+        points = np.append(np.linspace(ALPHA_MIN, ALPHA_MAX, 8), alpha)
+        sops = exact_sops(stats, points, targets)
+        inside = (1e-6 <= sops.value) & (sops.value <= 0.5)
+        checked += int(np.count_nonzero(inside))
+        assert sops.psi[inside] == pytest.approx(np.log1p(-sops.value[inside]), rel=1e-9, abs=0.0)
+    assert checked >= 1000
+    # At 20-bit targets at default geometry every SOP rounds to 1.
+    sops = exact_sops(RunConfig().stats(), np.linspace(ALPHA_MIN, ALPHA_MAX, 101), TargetRates(20.0, 20.0))
+    assert np.all(sops.value == 1.0)
+    assert np.all(np.isfinite(sops.psi)) and np.all(sops.psi < -30.0)
+
+
 @pytest.mark.parametrize("order", [-1, 1, 4, None, "3"])
 def test_exact_sops_rejects_an_unknown_order(order):
     with pytest.raises(ValueError, match="order"):
@@ -364,6 +382,7 @@ def _assert_same_bits(monkeypatch, cases):
             moment = exact_sops(*case, order=order)
             assert moment.value.tobytes() == plain.value.tobytes()
             assert moment.quad_error.tobytes() == plain.quad_error.tobytes()
+            assert moment.psi.tobytes() == plain.psi.tobytes()
 
 
 def test_fused_kernel_matches_per_halving_bits_over_the_box(monkeypatch):
@@ -480,7 +499,7 @@ def test_sop_slopes_without_the_third_derivative_keep_every_other_bit():
         full = exact_sops(stats, points, targets, order=3)
         lean = exact_sops(stats, points, targets, order=2)
         assert lean.d2phi is None and full.d2phi.shape == (2, 2)
-        for got, want in zip(lean[:4], full[:4]):
+        for got, want in zip(lean[:5], full[:5]):
             assert got.tobytes() == want.tobytes()
 
 
