@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -34,7 +33,7 @@ import numpy as np
 
 from .channel import ChannelStats, _gain_stream
 from .rates import validated_alpha
-from .sop import TargetRates
+from .sop import TargetRates, _usable_cpus
 
 __all__ = [
     "SimConfig",
@@ -114,13 +113,6 @@ def _secrecy_ratios(
     np.add(x1, 1.0, out=x1)
     np.divide(product, x1, out=x1)
     return x2, x1
-
-
-def _usable_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def empirical_sops(

@@ -29,6 +29,18 @@ integrand at node z is exp(kappa/(s + 1/z)), so a pass builds it at all 185
 nodes in one array from the stored 1/z: add s, divide kappa by the sum,
 take exp.
 
+A pass of _SPLIT_COLUMNS (512) columns or more, in a process that may run on
+two or more CPUs, is built and summed in two column halves at once: the
+calling thread takes the first half, which ends at a multiple of 4 columns,
+and one persistent daemon worker thread, started at the first such pass,
+takes the second. Each half fills its own array and takes its own weight
+products, which round by groups of 4 columns, so every column keeps the bits
+of the unsplit pass. The worker runs its half in a copy of the caller's
+context, so np.errstate holds in both halves, and an error in it is raised in
+the caller once both halves have ended. A forked child starts its own
+worker. Narrower passes, the fair-split solver's and the scalar ones, run on
+the calling thread alone, as every pass does on one CPU.
+
 Every exact SOP goes through one column builder: exact_sop_near and
 exact_sop_far take one user per pass, exact_sops both. Every pass also
 returns psi = log(1 - s_o) = -A/lam_e + log I, which keeps its digits where
@@ -50,6 +62,10 @@ closed-form optimal power splits are optimize.optimal_pa_asymptotic.
 """
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from _queue import SimpleQueue
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -74,6 +90,7 @@ _HALVINGS = 3        # halvings 0-3 of the step: 185 nodes
 _ACCEPT_TOL = 1e-9   # contract on the reported absolute quadrature error
 _MOMENT_FLOOR = 1e-150  # least integrand value in the derivative moments
 _MAX_RTH = 1024.0  # 2**rth overflows a double from here on
+_SPLIT_COLUMNS = 512  # from this width a pass sums two column halves on two threads
 
 
 @dataclass(frozen=True)
@@ -150,19 +167,52 @@ def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarra
     folds the integral into the outage value with that weight, and the error
     contract applies to the outage value, not the raw integral.
 
-    The integrand is exp(kappa/(s + 1/z)) at y = lam_int*z, with
-    s = slope*lam_int and kappa = -pi*lam_int/lam_exp, built in place in one
-    (nodes, columns) array with the nodes in level order. Two weight
-    products sum it: the rows of the halvings before _HALVINGS give halving
-    _HALVINGS - 1's sum, and halving _HALVINGS's own rows what it adds.
-
     With ``moments`` = m > 0 it also returns E_y[e * h**k] for k = 2..m as
     an (m - 1, n) array, taken on the same nodes and halvings, where e is the
     integrand and h = slope*y/(slope*y + 1) = s/(s + 1/z) lies in [0, 1).
-    The moments are more rows of the same terms array, summed by the same
-    two products, so the estimates and differences keep the plain call's bits.
+    _weighted_sums builds and sums the terms.
+
+    A pass of at least _SPLIT_COLUMNS columns, on two or more CPUs, sums its
+    two column halves at once, the second on the worker thread (see the
+    module docstring); every column keeps the bits of the unsplit pass.
     """
     scaled_slope, kappa = np.atleast_1d(slope) * lam_int, -pi * lam_int / lam_exp
+    columns = scaled_slope.size
+    if columns >= _SPLIT_COLUMNS and _usable_cpus() > 1:
+        half = columns // 8 * 4
+        split_kappa = (kappa[:half], kappa[half:]) if isinstance(kappa, np.ndarray) else (kappa, kappa)
+        wait = _submit(_weighted_sums, scaled_slope[half:], split_kappa[1], moments)
+        try:
+            first = _weighted_sums(scaled_slope[:half], split_kappa[0], moments)
+        finally:
+            second = wait()
+        coarse, last = (np.concatenate(pair, axis=1) for pair in zip(first, second))
+    else:
+        coarse, last = _weighted_sums(scaled_slope, kappa, moments)
+    step = _STEP0 / (1 << _HALVINGS)
+    est = (coarse + last) * step
+    diff = np.abs(est[0] - coarse[0] * (2.0 * step))
+    # initial=0 lets an empty alpha (no columns) pass with empty fields; a nan fails.
+    worst = float(np.max(scale * diff, initial=0.0))
+    if not worst <= _ACCEPT_TOL:
+        raise QuadratureError(
+            f"outage quadrature did not converge: error {worst:.3e} "
+            f"after {len(_INVERSE_NODES)} nodes (tolerance {_ACCEPT_TOL:g})"
+        )
+    return (est[0], diff, est[1:]) if moments else (est[0], diff)
+
+
+def _weighted_sums(scaled_slope: np.ndarray, kappa, moments: int):
+    """The two weight products of these columns' terms, each (terms, columns).
+
+    The integrand is exp(kappa/(s + 1/z)) at y = lam_int*z, with
+    s = slope*lam_int and kappa = -pi*lam_int/lam_exp, built in place in one
+    (nodes, columns) array with the nodes in level order. The rows of the
+    halvings before _HALVINGS give halving _HALVINGS - 1's sum, and halving
+    _HALVINGS's own rows what it adds. The moments are more rows of the same
+    terms array, summed by the same two products, so the estimates and
+    differences keep the plain call's bits.
+    """
     top = max(moments, 1)  # terms per node: e, then e*h**k for k = 2..moments
     terms = np.empty((top, len(_INVERSE_NODES), scaled_slope.size))
     f = terms[0]
@@ -185,19 +235,66 @@ def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarra
     # Folding the step into the weights, or one 185-node product, would
     # round the sums differently.
     coarse_rows = len(_COARSE_WEIGHTS)
-    coarse = _COARSE_WEIGHTS @ terms[:, :coarse_rows]
-    last = _LAST_WEIGHTS @ terms[:, coarse_rows:]
-    step = _STEP0 / (1 << _HALVINGS)
-    est = (coarse + last) * step
-    diff = np.abs(est[0] - coarse[0] * (2.0 * step))
-    # initial=0 lets an empty alpha (no columns) pass with empty fields; a nan fails.
-    worst = float(np.max(scale * diff, initial=0.0))
-    if not worst <= _ACCEPT_TOL:
-        raise QuadratureError(
-            f"outage quadrature did not converge: error {worst:.3e} "
-            f"after {len(_INVERSE_NODES)} nodes (tolerance {_ACCEPT_TOL:g})"
-        )
-    return (est[0], diff, est[1:]) if moments else (est[0], diff)
+    return _COARSE_WEIGHTS @ terms[:, :coarse_rows], _LAST_WEIGHTS @ terms[:, coarse_rows:]
+
+
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The worker thread's job queue, made with the thread at the first split
+# pass; a forked child starts its own, since only the forking thread
+# survives a fork.
+_jobs: Optional[SimpleQueue] = None
+_start_lock = threading.Lock()
+
+
+def _forget_worker() -> None:
+    global _jobs, _start_lock
+    _jobs, _start_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _serve(jobs: SimpleQueue) -> None:
+    while True:
+        context, func, args, outcome, done = jobs.get()
+        try:
+            outcome.append(context.run(func, *args))
+        except BaseException as exc:  # re-raised in the caller's thread
+            outcome.append(exc)
+        done.release()
+
+
+def _submit(func, *args):
+    """Run func(*args) on the worker thread, in a copy of the caller's
+    context, so numpy's error state applies there too. Returns a function
+    that waits for this job alone and returns its result or raises its
+    error."""
+    global _jobs
+    with _start_lock:
+        if _jobs is None:
+            jobs = SimpleQueue()
+            threading.Thread(target=_serve, args=(jobs,), name="noma-secrecy-sop", daemon=True).start()
+            _jobs = jobs
+        jobs = _jobs
+    done = threading.Lock()
+    done.acquire()
+    outcome: list = []
+    jobs.put((contextvars.copy_context(), func, args, outcome, done))
+
+    def wait():
+        done.acquire()
+        if isinstance(outcome[0], BaseException):
+            raise outcome[0]
+        return outcome[0]
+
+    return wait
 
 
 _ORDER_MOMENTS = {0: 0, 2: 4, 3: 6}  # derivative order -> highest moment the kernel takes

@@ -1,4 +1,9 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -533,3 +538,162 @@ def test_log_survival_is_strictly_concave_at_each_minimizer():
                 checked += 1
                 assert exact_sops(stats, alpha, targets, order=3).dphi[user] < 0.0
     assert checked >= 120
+
+
+# Wide passes: two column halves, the second on the worker thread.
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("users", [(1,), (0, 1)], ids=("one_user", "both_users"))
+@pytest.mark.parametrize("points", [256, 257, 999, 1000, 2001])
+def test_a_split_pass_keeps_the_unsplit_bits(monkeypatch, points, users):
+    # Each half is summed by its own weight products, which round by groups
+    # of 4 columns; the first half ends at a multiple of 4, so no column's
+    # group changes.
+    stats, targets = RunConfig().stats(), TargetRates(1, 1)
+    grid = np.linspace(ALPHA_MIN, ALPHA_MAX, points)
+    columns = points * len(users)
+    monkeypatch.setattr(sop, "_SPLIT_COLUMNS", 256)
+    calls, caller, build = [], threading.current_thread(), sop._weighted_sums
+
+    def recording(scaled_slope, kappa, moments):  # who built which half
+        calls.append((threading.current_thread() is caller, scaled_slope.size))
+        return build(scaled_slope, kappa, moments)
+
+    monkeypatch.setattr(sop, "_weighted_sums", recording)
+    for order in (0, 2, 3):
+        monkeypatch.setattr(sop, "_usable_cpus", lambda: 2)
+        calls.clear()
+        split = sop._sop_pass(stats, grid, targets, users, order)
+        half = columns // 8 * 4
+        assert sorted(calls, reverse=True) == [(True, half), (False, columns - half)]
+        monkeypatch.setattr(sop, "_usable_cpus", lambda: 1)
+        calls.clear()
+        whole = sop._sop_pass(stats, grid, targets, users, order)
+        assert calls == [(True, columns)]
+        for got, want in zip(split, whole):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.tobytes() == want.tobytes()
+
+
+def test_a_worker_half_error_reaches_the_caller_and_the_worker_stays_usable(monkeypatch):
+    monkeypatch.setattr(sop, "_usable_cpus", lambda: 2)
+    caller, build = threading.current_thread(), sop._weighted_sums
+    built = []
+
+    def failing(scaled_slope, kappa, moments):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("worker half failed")
+        built.append(scaled_slope.size)
+        return build(scaled_slope, kappa, moments)
+
+    stats, targets = RunConfig().stats(), TargetRates(1, 1)
+    grid = np.linspace(ALPHA_MIN, ALPHA_MAX, 1000)
+    with monkeypatch.context() as patch:
+        patch.setattr(sop, "_weighted_sums", failing)
+        with pytest.raises(RuntimeError, match="worker half failed"):
+            exact_sop_near(stats, grid, targets)
+    assert built == [500]  # the caller's half ran to its end
+    split = exact_sop_near(stats, grid, targets)
+    monkeypatch.setattr(sop, "_usable_cpus", lambda: 1)
+    whole = exact_sop_near(stats, grid, targets)
+    assert split.value.tobytes() == whole.value.tobytes()
+
+
+def test_an_underflow_only_the_worker_half_meets_raises_under_errstate(monkeypatch):
+    # The near user's integrand underflows where its slope (1 - alpha)*rho_t
+    # nears 0: here in the last columns of the grid, all in the second half.
+    stats, targets = ChannelStats(1.0, 1.0, 1.0), TargetRates(4.0, 0.0)
+    grid = np.linspace(0.5, ALPHA_MAX, 1000)
+    for cpus in (2, 1):
+        monkeypatch.setattr(sop, "_usable_cpus", lambda cpus=cpus: cpus)
+        exact_sop_near(stats, grid, targets)  # numpy ignores underflow by default
+        with np.errstate(under="raise"):
+            exact_sop_near(stats, grid[:500], targets)
+            with pytest.raises(FloatingPointError, match="underflow"):
+                exact_sop_near(stats, grid, targets)
+
+
+def test_concurrent_wide_passes_each_get_their_own_halves(monkeypatch):
+    # More callers than cores share the one worker, each waiting for its own
+    # half; a half handed to the wrong caller would change its curve.
+    monkeypatch.setattr(sop, "_usable_cpus", lambda: 2)
+    grid = np.linspace(ALPHA_MIN, ALPHA_MAX, 600)
+    configs = [(stats_at(10.0 ** (6 + k)), TargetRates(0.5 * k, 1.0)) for k in range(4)]
+    expected = [exact_sop_far(stats, grid, targets).value.tobytes() for stats, targets in configs]
+    results = {}
+
+    def run(index):
+        stats, targets = configs[index]
+        results[index] = [exact_sop_far(stats, grid, targets).value.tobytes() for _ in range(10)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(index,)) for index in range(len(configs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == {index: [want] * 10 for index, want in enumerate(expected)}
+
+
+def _run_script(code):
+    return subprocess.run([sys.executable, "-I", "-c", code, str(SRC)], capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_child_forked_after_a_wide_pass_finishes_its_own():
+    # Only the forking thread survives a fork; the child must start its own
+    # worker instead of queueing its half for a thread it does not have. The
+    # alarm ends a child that waits forever.
+    code = """
+import os, signal, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from noma_secrecy import sop
+from noma_secrecy.config import RunConfig
+sop._usable_cpus = lambda: 2
+grid = np.linspace(0.01, 0.99, 1000)
+stats, targets = RunConfig().stats(), sop.TargetRates(1.0, 1.0)
+before = sop.exact_sop_near(stats, grid, targets).value.tobytes()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)
+    os._exit(0 if sop.exact_sop_near(stats, grid, targets).value.tobytes() == before else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+    proc = _run_script(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
+def test_wide_passes_start_one_daemon_worker_and_narrow_ones_none():
+    code = """
+import sys, threading
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from noma_secrecy import sop
+from noma_secrecy.config import RunConfig
+from noma_secrecy.optimize import minmax_pa
+sop._usable_cpus = lambda: 2
+stats, targets = RunConfig().stats(), sop.TargetRates(1.0, 1.0)
+minmax_pa(stats, targets)
+sop.exact_sop_near(stats, 0.3, targets)
+sop.exact_sops(stats, 0.3, targets, order=3)
+print(threading.active_count() - 1)
+grid = np.linspace(0.01, 0.99, 1000)
+for _ in range(5):
+    sop.exact_sop_far(stats, grid, targets)
+    sop.exact_sops(stats, grid, targets, order=2)
+extra = [thread for thread in threading.enumerate() if thread is not threading.main_thread()]
+print(len(extra), all(thread.daemon for thread in extra))
+"""
+    proc = _run_script(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1", "True"]
