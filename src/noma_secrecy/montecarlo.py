@@ -6,26 +6,26 @@ R_s < R_th (strict; ties are non-outage). The count needs no logarithm:
 R_s1 < R_th1 iff (1 + g11) / (1 + g12) < 2**R_th1, and likewise for the far
 user. Each stream is one Philox key, two samples per counter block, so
 sample 2k starts block k and a Philox generator seeded with counter k reads
-the stream from there. `empirical_sops` cuts the stream into contiguous
+the stream from there. `empirical_sops` cuts the stream with
+`sop._run_parts`, the fork-join wide SOP passes share, into contiguous
 slices, one per CPU this process may run on and each at least one chunk
 long, that start at even samples; the calling thread counts the first slice
-and a thread each the others, and the integer counts are summed in slice
-order. A slice is read in order in chunks of whole blocks. So the draws, and
-hence the totals, depend neither on the chunk size nor on the worker or CPU
-count. A slice keeps one set of buffers: the uniforms become gains in place,
-and the ratio algebra and the comparisons run into reused arrays, building
-no array or object per chunk. Each chunk is drawn once and counted for every
-channel entry and target-rate pair of a call (common random numbers). The
-entries share the mean gains and differ only in the transmit SNR, which
-scales the drawn gains, so a sweep over SNRs and target rates costs one
-stream: `noma-secrecy validate` counts its whole grid on the stream keyed
-by its seed.
+and the pool's persistent workers the others, and the integer counts are
+summed in slice order. A slice is read in order in chunks of whole blocks.
+So the draws, and hence the totals, depend neither on the chunk size nor on
+the worker or CPU count. A slice keeps one set of buffers: the uniforms
+become gains in place, and the ratio algebra and the comparisons run into
+reused arrays, building no array or object per chunk. Each chunk is drawn
+once and counted for every channel entry and target-rate pair of a call
+(common random numbers). The entries share the mean gains and differ only
+in the transmit SNR, which scales the drawn gains, so a sweep over SNRs and
+target rates costs one stream: `noma-secrecy validate` counts its whole
+grid on the stream keyed by its seed.
 """
 from __future__ import annotations
 
 import math
 import operator
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from .channel import ChannelStats, _gain_stream
 from .rates import validated_alpha
-from .sop import TargetRates, _usable_cpus
+from .sop import TargetRates, _run_parts
 
 __all__ = [
     "SimConfig",
@@ -128,10 +128,10 @@ def empirical_sops(
     scales the drawn gains; so every entry and every target pair is counted
     on the same draws, and each estimate equals what a separate call with
     that entry and that pair alone gives.
-    The stream is cut into one slice per usable CPU, each at least one chunk
-    long and starting at an even sample; the calling thread counts the
-    first slice and one thread each the others. An error in any slice is
-    raised here once every thread has ended.
+    The stream is cut by sop._run_parts into one slice per usable CPU, each
+    at least one chunk long and starting at an even sample; the calling
+    thread counts the first slice and the pool's workers the others. An
+    error in any slice is raised here once every slice has ended.
     """
     stats_seq = tuple(stats_seq)
     a = float(validated_alpha(alpha))
@@ -146,26 +146,9 @@ def empirical_sops(
             )
     pis = [(targets.pi1, targets.pi2) for targets in targets_seq]
     total = sim.realizations
-    workers = max(1, min(_usable_cpus(), total // _CHUNK))
-    bounds = [2 * ((total // 2) * index // workers) for index in range(workers)] + [total]
-    counts: list = [None] * workers
-    errors: list = [None] * workers
-
-    def run_slice(index: int) -> None:
-        try:
-            counts[index] = _count_slice(stats_seq, a, pis, sim, bounds[index], bounds[index + 1], _CHUNK)
-        except BaseException as exc:  # re-raised in the calling thread
-            errors[index] = exc
-
-    threads = [threading.Thread(target=run_slice, args=(index,)) for index in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    run_slice(0)
-    for thread in threads:
-        thread.join()
-    for error in errors:
-        if error is not None:
-            raise error
+    counts = _run_parts(
+        lambda start, stop: _count_slice(stats_seq, a, pis, sim, start, stop, _CHUNK), total, _CHUNK, 2
+    )
     rows = []
     for entry_counts in zip(*counts):  # one entry's (out1, out2) of every slice
         slice_out1, slice_out2 = zip(*entry_counts)

@@ -29,17 +29,15 @@ integrand at node z is exp(kappa/(s + 1/z)), so a pass builds it at all 185
 nodes in one array from the stored 1/z: add s, divide kappa by the sum,
 take exp.
 
-A pass of _SPLIT_COLUMNS (512) columns or more, in a process that may run on
-two or more CPUs, is built and summed in two column halves at once: the
-calling thread takes the first half, which ends at a multiple of 4 columns,
-and one persistent daemon worker thread, started at the first such pass,
-takes the second. Each half fills its own array and takes its own weight
-products, which round by groups of 4 columns, so every column keeps the bits
-of the unsplit pass. The worker runs its half in a copy of the caller's
-context, so np.errstate holds in both halves, and an error in it is raised in
-the caller once both halves have ended. A forked child starts its own
-worker. Narrower passes, the fair-split solver's and the scalar ones, run on
-the calling thread alone, as every pass does on one CPU.
+A pass of 2*_PART_COLUMNS (512) columns or more is cut by _run_parts, the
+fork-join the Monte Carlo count shares: one part per CPU the process may run
+on, each at least _PART_COLUMNS columns wide and starting at a multiple of 4
+columns. The calling thread builds and sums the first part and the pool's
+persistent daemon workers the others, at once. Each part fills its own array
+and takes its own weight products, which round by groups of 4 columns, so
+every column keeps the bits of the unsplit pass. Narrower passes, the
+fair-split solver's and the scalar ones, run on the calling thread alone
+without asking for the CPU count, as every pass does on one CPU.
 
 Every exact SOP goes through one column builder: exact_sop_near and
 exact_sop_far take one user per pass, exact_sops both. Every pass also
@@ -90,7 +88,7 @@ _HALVINGS = 3        # halvings 0-3 of the step: 185 nodes
 _ACCEPT_TOL = 1e-9   # contract on the reported absolute quadrature error
 _MOMENT_FLOOR = 1e-150  # least integrand value in the derivative moments
 _MAX_RTH = 1024.0  # 2**rth overflows a double from here on
-_SPLIT_COLUMNS = 512  # from this width a pass sums two column halves on two threads
+_PART_COLUMNS = 256  # least columns in each part of a pass split over CPUs
 
 
 @dataclass(frozen=True)
@@ -172,21 +170,19 @@ def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarra
     integrand and h = slope*y/(slope*y + 1) = s/(s + 1/z) lies in [0, 1).
     _weighted_sums builds and sums the terms.
 
-    A pass of at least _SPLIT_COLUMNS columns, on two or more CPUs, sums its
-    two column halves at once, the second on the worker thread (see the
-    module docstring); every column keeps the bits of the unsplit pass.
+    A pass of at least 2*_PART_COLUMNS columns sums its column parts at
+    once, one per usable CPU (see the module docstring); every column keeps
+    the bits of the unsplit pass.
     """
     scaled_slope, kappa = np.atleast_1d(slope) * lam_int, -pi * lam_int / lam_exp
     columns = scaled_slope.size
-    if columns >= _SPLIT_COLUMNS and _usable_cpus() > 1:
-        half = columns // 8 * 4
-        split_kappa = (kappa[:half], kappa[half:]) if isinstance(kappa, np.ndarray) else (kappa, kappa)
-        wait = _submit(_weighted_sums, scaled_slope[half:], split_kappa[1], moments)
-        try:
-            first = _weighted_sums(scaled_slope[:half], split_kappa[0], moments)
-        finally:
-            second = wait()
-        coarse, last = (np.concatenate(pair, axis=1) for pair in zip(first, second))
+    if columns >= 2 * _PART_COLUMNS:
+        def part(start, stop):
+            part_kappa = kappa[start:stop] if isinstance(kappa, np.ndarray) else kappa
+            return _weighted_sums(scaled_slope[start:stop], part_kappa, moments)
+
+        parts = _run_parts(part, columns, _PART_COLUMNS, 4)
+        coarse, last = (np.concatenate(pair, axis=1) for pair in zip(*parts))
     else:
         coarse, last = _weighted_sums(scaled_slope, kappa, moments)
     step = _STEP0 / (1 << _HALVINGS)
@@ -245,56 +241,66 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# The worker thread's job queue, made with the thread at the first split
-# pass; a forked child starts its own, since only the forking thread
-# survives a fork.
-_jobs: Optional[SimpleQueue] = None
-_start_lock = threading.Lock()
+def _run_parts(func, total: int, least: int, multiple: int) -> list:
+    """[func(start, stop) for each part of [0, total)], in part order.
+
+    The range is cut into one contiguous part per usable CPU, but never
+    into parts shorter than ``least``, and every part starts at a multiple
+    of ``multiple``. The calling thread runs the first part and the pool's
+    workers the others, each in a copy of the caller's context, so
+    np.errstate holds in every part. The first error of any part, in part
+    order, is raised once every part has ended.
+    """
+    parts = max(1, min(_usable_cpus(), total // least))
+    bounds = [multiple * ((total // multiple) * index // parts) for index in range(parts)] + [total]
+    jobs, done = _pool(parts - 1), SimpleQueue()
+    for index in range(1, parts):
+        jobs.put((contextvars.copy_context(), func, bounds[index], bounds[index + 1], index, done))
+    outcomes = [_attempt(func, bounds[0], bounds[1])] + [None] * (parts - 1)
+    for _ in range(1, parts):
+        index, outcome = done.get()
+        outcomes[index] = outcome
+    for _, error in outcomes:
+        if error is not None:
+            raise error
+    return [result for result, _ in outcomes]
 
 
-def _forget_worker() -> None:
-    global _jobs, _start_lock
-    _jobs, _start_lock = None, threading.Lock()
+def _attempt(func, start: int, stop: int):
+    try:
+        return func(start, stop), None
+    except BaseException as exc:  # raised in the calling thread once every part has ended
+        return None, exc
 
 
+# The pool: one job queue and the persistent daemon workers that serve it,
+# started as calls need them. A forked child starts with an empty pool of
+# its own, since only the forking thread survives a fork.
+def _empty_pool() -> None:
+    global _jobs, _workers, _pool_lock
+    _jobs, _workers, _pool_lock = SimpleQueue(), 0, threading.Lock()
+
+
+_empty_pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
+    os.register_at_fork(after_in_child=_empty_pool)
+
+
+def _pool(workers: int) -> SimpleQueue:
+    """The job queue, once at least ``workers`` workers serve it."""
+    global _workers
+    while _workers < workers:
+        with _pool_lock:
+            if _workers < workers:
+                threading.Thread(target=_serve, args=(_jobs,), name="noma-secrecy-worker", daemon=True).start()
+                _workers += 1
+    return _jobs
 
 
 def _serve(jobs: SimpleQueue) -> None:
     while True:
-        context, func, args, outcome, done = jobs.get()
-        try:
-            outcome.append(context.run(func, *args))
-        except BaseException as exc:  # re-raised in the caller's thread
-            outcome.append(exc)
-        done.release()
-
-
-def _submit(func, *args):
-    """Run func(*args) on the worker thread, in a copy of the caller's
-    context, so numpy's error state applies there too. Returns a function
-    that waits for this job alone and returns its result or raises its
-    error."""
-    global _jobs
-    with _start_lock:
-        if _jobs is None:
-            jobs = SimpleQueue()
-            threading.Thread(target=_serve, args=(jobs,), name="noma-secrecy-sop", daemon=True).start()
-            _jobs = jobs
-        jobs = _jobs
-    done = threading.Lock()
-    done.acquire()
-    outcome: list = []
-    jobs.put((contextvars.copy_context(), func, args, outcome, done))
-
-    def wait():
-        done.acquire()
-        if isinstance(outcome[0], BaseException):
-            raise outcome[0]
-        return outcome[0]
-
-    return wait
+        context, func, start, stop, index, done = jobs.get()
+        done.put((index, context.run(_attempt, func, start, stop)))
 
 
 _ORDER_MOMENTS = {0: 0, 2: 4, 3: 6}  # derivative order -> highest moment the kernel takes

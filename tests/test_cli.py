@@ -479,9 +479,9 @@ def test_validate_bytes_do_not_depend_on_cpu_count(tmp_path):
 
 
 def test_cli_loads_neither_futures_nor_logging():
-    # Either import costs milliseconds on every invocation; the worker
-    # threads of the Monte Carlo count and of wide SOP passes use plain
-    # threading instead.
+    # Either import costs milliseconds on every invocation; the pool that
+    # the Monte Carlo count and wide SOP passes share uses plain threading
+    # instead.
     code = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -492,10 +492,9 @@ from noma_secrecy.channel import ChannelStats
 from noma_secrecy.sop import TargetRates
 loaded = lambda: sorted(name for name in ("concurrent.futures", "logging") if name in sys.modules)
 print(loaded())
-montecarlo._usable_cpus = lambda: 2
+sop._usable_cpus = lambda: 2
 montecarlo._CHUNK = 1000
 montecarlo.empirical_sops((ChannelStats(1.0, 0.5, 10.0),), 0.5, [TargetRates(1.0, 1.0)], montecarlo.SimConfig(2001))
-sop._usable_cpus = lambda: 2
 sop.exact_sops(ChannelStats(1.0, 0.5, 10.0), np.linspace(0.01, 0.99, 1000), TargetRates(1.0, 1.0))
 print(loaded())
 """

@@ -1,5 +1,7 @@
 import math
-import threading
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from noma_secrecy import montecarlo
+from noma_secrecy import montecarlo, sop
 from noma_secrecy.channel import ChannelStats, with_received_snr
 from noma_secrecy.montecarlo import EmpiricalSop, SimConfig, _count_slice, _secrecy_ratios, empirical_sops
 from noma_secrecy.rates import ALPHA_MIN
@@ -81,7 +83,7 @@ def test_each_entry_counts_like_its_own_call(rho_t_exponents, half, chunk, worke
     sim = SimConfig(realizations=2 * half + 1, seed=9)
     stats_seq = [ChannelStats(LAM1, LAM2, 10.0**exponent) for exponent in rho_t_exponents]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+        patch.setattr(sop, "_usable_cpus", lambda: workers)
         patch.setattr(montecarlo, "_CHUNK", chunk)
         rows = empirical_sops(stats_seq, 0.4, STREAM_TARGETS, sim)
     assert len(rows) == len(stats_seq)
@@ -191,7 +193,7 @@ def test_estimates_do_not_depend_on_worker_count(monkeypatch, conditioned):
     monkeypatch.setattr(montecarlo, "_CHUNK", 1_000)
     results = []
     for workers in (1, 2, 3, 4):
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda workers=workers: workers)
+        monkeypatch.setattr(sop, "_usable_cpus", lambda workers=workers: workers)
         starts.clear()
         results.append(empirical_sops((STATS_30DB,), 0.4, STREAM_TARGETS, sim)[0])
         assert len(starts) == workers and all(start % 2 == 0 for start in starts)
@@ -209,21 +211,55 @@ def test_estimates_do_not_depend_on_worker_count(monkeypatch, conditioned):
 
 
 @pytest.mark.parametrize("failing", ["worker", "caller"])
-def test_slice_errors_reach_the_caller_after_every_thread_ends(monkeypatch, failing):
-    caller = threading.current_thread()
+def test_slice_errors_reach_the_caller_after_every_thread_ends(failing):
+    # In a fresh process, so that no earlier test has started the pool: the
+    # error must come once every slice has ended, leave no thread but the
+    # pool's daemon workers, and leave the pool counting as before.
+    code = """
+import sys, threading
+sys.path.insert(0, sys.argv[1])
+from noma_secrecy import montecarlo, sop
+from noma_secrecy.channel import ChannelStats
+from noma_secrecy.sop import TargetRates
+failing, caller = sys.argv[2], threading.current_thread()
+ratios, count_slice, ended = montecarlo._secrecy_ratios, montecarlo._count_slice, []
 
-    def ratios(*args):
-        if (threading.current_thread() is caller) == (failing == "caller"):
-            raise RuntimeError(f"{failing} slice failed")
-        return _secrecy_ratios(*args)
+def failing_ratios(*args):
+    if (threading.current_thread() is caller) == (failing == "caller"):
+        raise RuntimeError(failing + " slice failed")
+    return ratios(*args)
 
-    monkeypatch.setattr(montecarlo, "_secrecy_ratios", ratios)
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(montecarlo, "_CHUNK", 1_000)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match=f"{failing} slice failed"):
-        empirical_sops((STATS_30DB,), 0.4, (RTH1,), SimConfig(realizations=30_001, seed=5))
-    assert threading.active_count() == before
+def recorded_slice(*args):
+    try:
+        return count_slice(*args)
+    finally:
+        ended.append(args[4])
+
+def count():
+    sim = montecarlo.SimConfig(30_001, 5)
+    return montecarlo.empirical_sops((ChannelStats(1.0, 0.5, 10.0),), 0.4, (TargetRates(1.0, 1.0),), sim)
+
+montecarlo._CHUNK = 1_000
+montecarlo._count_slice = recorded_slice
+sop._usable_cpus = lambda: 1
+serial = count()
+sop._usable_cpus = lambda: 3
+montecarlo._secrecy_ratios = failing_ratios
+ended.clear()
+try:
+    count()
+except RuntimeError as exc:
+    print(exc.args[0].replace(" ", "_"), sorted(ended))
+montecarlo._secrecy_ratios = ratios
+extra = [thread for thread in threading.enumerate() if thread is not threading.main_thread()]
+print(len(extra), all(thread.daemon for thread in extra), count() == serial)
+"""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(src), failing], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [f"{failing}_slice_failed", "[0,", "10000,", "20000]", "2", "True", "True"]
 
 
 # EmpiricalSop tuples of three target pairs at alpha = 0.4 and 200_001

@@ -540,7 +540,8 @@ def test_log_survival_is_strictly_concave_at_each_minimizer():
     assert checked >= 120
 
 
-# Wide passes: two column halves, the second on the worker thread.
+# Wide passes: one column part per usable CPU, the first on the calling
+# thread and the others on the pool's workers.
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -548,34 +549,36 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 @pytest.mark.parametrize("users", [(1,), (0, 1)], ids=("one_user", "both_users"))
 @pytest.mark.parametrize("points", [256, 257, 999, 1000, 2001])
 def test_a_split_pass_keeps_the_unsplit_bits(monkeypatch, points, users):
-    # Each half is summed by its own weight products, which round by groups
-    # of 4 columns; the first half ends at a multiple of 4, so no column's
-    # group changes.
+    # Each part is summed by its own weight products, which round by groups
+    # of 4 columns; every part but the last ends at a multiple of 4, so no
+    # column's group changes, whatever the part count.
     stats, targets = RunConfig().stats(), TargetRates(1, 1)
     grid = np.linspace(ALPHA_MIN, ALPHA_MAX, points)
     columns = points * len(users)
-    monkeypatch.setattr(sop, "_SPLIT_COLUMNS", 256)
+    monkeypatch.setattr(sop, "_PART_COLUMNS", 64)
     calls, caller, build = [], threading.current_thread(), sop._weighted_sums
 
-    def recording(scaled_slope, kappa, moments):  # who built which half
+    def recording(scaled_slope, kappa, moments):  # who built which part
         calls.append((threading.current_thread() is caller, scaled_slope.size))
         return build(scaled_slope, kappa, moments)
 
     monkeypatch.setattr(sop, "_weighted_sums", recording)
     for order in (0, 2, 3):
-        monkeypatch.setattr(sop, "_usable_cpus", lambda: 2)
-        calls.clear()
-        split = sop._sop_pass(stats, grid, targets, users, order)
-        half = columns // 8 * 4
-        assert sorted(calls, reverse=True) == [(True, half), (False, columns - half)]
         monkeypatch.setattr(sop, "_usable_cpus", lambda: 1)
         calls.clear()
         whole = sop._sop_pass(stats, grid, targets, users, order)
         assert calls == [(True, columns)]
-        for got, want in zip(split, whole):
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert got.tobytes() == want.tobytes()
+        for cpus in (2, 3, 4):
+            monkeypatch.setattr(sop, "_usable_cpus", lambda cpus=cpus: cpus)
+            calls.clear()
+            split = sop._sop_pass(stats, grid, targets, users, order)
+            cuts = [4 * (columns // 4 * index // cpus) for index in range(cpus)] + [columns]
+            widths = [stop - start for start, stop in zip(cuts, cuts[1:])]
+            assert sorted(calls) == sorted([(True, widths[0])] + [(False, width) for width in widths[1:]])
+            for got, want in zip(split, whole):
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got.tobytes() == want.tobytes()
 
 
 def test_a_worker_half_error_reaches_the_caller_and_the_worker_stays_usable(monkeypatch):
@@ -617,22 +620,26 @@ def test_an_underflow_only_the_worker_half_meets_raises_under_errstate(monkeypat
 
 
 def test_concurrent_wide_passes_each_get_their_own_halves(monkeypatch):
-    # More callers than cores share the one worker, each waiting for its own
-    # half; a half handed to the wrong caller would change its curve.
+    # More callers than cores share the pool, Monte Carlo counts among wide
+    # passes, each waiting for its own parts; a part handed to the wrong
+    # caller would change its result.
     monkeypatch.setattr(sop, "_usable_cpus", lambda: 2)
-    grid = np.linspace(ALPHA_MIN, ALPHA_MAX, 600)
+    grid, sim = np.linspace(ALPHA_MIN, ALPHA_MAX, 600), SimConfig(realizations=100_001, seed=3)
     configs = [(stats_at(10.0 ** (6 + k)), TargetRates(0.5 * k, 1.0)) for k in range(4)]
-    expected = [exact_sop_far(stats, grid, targets).value.tobytes() for stats, targets in configs]
+    jobs = [lambda stats=stats, targets=targets: exact_sop_far(stats, grid, targets).value.tobytes()
+            for stats, targets in configs]
+    jobs += [lambda stats=stats, targets=targets: empirical_sops((stats,), 0.4, (targets,), sim)
+             for stats, targets in configs[:2]]
+    expected = [job() for job in jobs]
     results = {}
 
     def run(index):
-        stats, targets = configs[index]
-        results[index] = [exact_sop_far(stats, grid, targets).value.tobytes() for _ in range(10)]
+        results[index] = [jobs[index]() for _ in range(10)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threads = [threading.Thread(target=run, args=(index,)) for index in range(len(configs))]
+        threads = [threading.Thread(target=run, args=(index,)) for index in range(len(jobs))]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -650,22 +657,27 @@ def _run_script(code):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_child_forked_after_a_wide_pass_finishes_its_own():
     # Only the forking thread survives a fork; the child must start its own
-    # worker instead of queueing its half for a thread it does not have. The
+    # pool instead of queueing its parts for threads it does not have. The
     # alarm ends a child that waits forever.
     code = """
 import os, signal, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from noma_secrecy import sop
+from noma_secrecy import montecarlo, sop
 from noma_secrecy.config import RunConfig
 sop._usable_cpus = lambda: 2
 grid = np.linspace(0.01, 0.99, 1000)
 stats, targets = RunConfig().stats(), sop.TargetRates(1.0, 1.0)
-before = sop.exact_sop_near(stats, grid, targets).value.tobytes()
+sim = montecarlo.SimConfig(100_001)  # two slices of at least one chunk
+def run():
+    curve = sop.exact_sop_near(stats, grid, targets).value.tobytes()
+    return curve, montecarlo.empirical_sops((stats,), 0.4, (targets,), sim)
+
+before = run()
 pid = os.fork()
 if pid == 0:
     signal.alarm(30)
-    os._exit(0 if sop.exact_sop_near(stats, grid, targets).value.tobytes() == before else 1)
+    os._exit(0 if run() == before else 1)
 print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
     proc = _run_script(code)
@@ -674,11 +686,13 @@ print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 
 
 def test_wide_passes_start_one_daemon_worker_and_narrow_ones_none():
+    # A two-slice Monte Carlo count and the wide passes after it share the
+    # one worker that two CPUs need.
     code = """
 import sys, threading
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from noma_secrecy import sop
+from noma_secrecy import montecarlo, sop
 from noma_secrecy.config import RunConfig
 from noma_secrecy.optimize import minmax_pa
 sop._usable_cpus = lambda: 2
@@ -687,6 +701,7 @@ minmax_pa(stats, targets)
 sop.exact_sop_near(stats, 0.3, targets)
 sop.exact_sops(stats, 0.3, targets, order=3)
 print(threading.active_count() - 1)
+montecarlo.empirical_sops((stats,), 0.4, (targets,), montecarlo.SimConfig(100_001))  # two slices
 grid = np.linspace(0.01, 0.99, 1000)
 for _ in range(5):
     sop.exact_sop_far(stats, grid, targets)
