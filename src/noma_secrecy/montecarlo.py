@@ -9,18 +9,19 @@ sample 2k starts block k and a Philox generator seeded with counter k reads
 the stream from there. `empirical_sops` cuts the stream with
 `sop._run_parts`, the fork-join wide SOP passes share, into contiguous
 slices, one per CPU this process may run on and each at least one chunk
-long, that start at even samples; the calling thread counts the first slice
-and the pool's persistent workers the others, and the integer counts are
-summed in slice order. A slice is read in order in chunks of whole blocks.
-So the draws, and hence the totals, depend neither on the chunk size nor on
-the worker or CPU count. A slice keeps one set of buffers: the uniforms
-become gains in place, and the ratio algebra and the comparisons run into
-reused arrays, building no array or object per chunk. Each chunk is drawn
-once and counted for every channel entry and target-rate pair of a call
-(common random numbers). The entries share the mean gains and differ only
-in the transmit SNR, which scales the drawn gains, so a sweep over SNRs and
-target rates costs one stream: `noma-secrecy validate` counts its whole
-grid on the stream keyed by its seed.
+long, that start at multiples of 4 samples, so at even ones; the calling
+thread counts the first slice and the pool's persistent workers the
+others, and the integer counts are summed in slice order. A slice is
+read in order in chunks of whole blocks. So the draws, and hence the
+totals, depend neither on the chunk size nor on the worker or CPU count.
+A slice keeps one set of buffers: the uniforms become gains in place, and
+the ratio algebra and the comparisons run into reused arrays, building no
+array or object per chunk. Each chunk is drawn once and counted for every
+channel entry and target-rate pair of a call (common random numbers). The
+entries share the mean gains and differ only in the transmit SNR, which
+scales the drawn gains, so a sweep over SNRs and target rates costs one
+stream: `noma-secrecy validate` counts its whole grid on the stream keyed
+by its seed.
 """
 from __future__ import annotations
 
@@ -129,9 +130,9 @@ def empirical_sops(
     on the same draws, and each estimate equals what a separate call with
     that entry and that pair alone gives.
     The stream is cut by sop._run_parts into one slice per usable CPU, each
-    at least one chunk long and starting at an even sample; the calling
-    thread counts the first slice and the pool's workers the others. An
-    error in any slice is raised here once every slice has ended.
+    at least one chunk long and starting at a multiple of 4 samples; the
+    calling thread counts the first slice and the pool's workers the others.
+    An error in any slice is raised here once every slice has ended.
     """
     stats_seq = tuple(stats_seq)
     a = float(validated_alpha(alpha))
@@ -146,9 +147,7 @@ def empirical_sops(
             )
     pis = [(targets.pi1, targets.pi2) for targets in targets_seq]
     total = sim.realizations
-    counts = _run_parts(
-        lambda start, stop: _count_slice(stats_seq, a, pis, sim, start, stop, _CHUNK), total, _CHUNK, 2
-    )
+    counts = _run_parts(lambda start, stop: _count_slice(stats_seq, a, pis, sim, start, stop, _CHUNK), total, _CHUNK)
     rows = []
     for entry_counts in zip(*counts):  # one entry's (out1, out2) of every slice
         slice_out1, slice_out2 = zip(*entry_counts)

@@ -30,14 +30,14 @@ nodes in one array from the stored 1/z: add s, divide kappa by the sum,
 take exp.
 
 A pass of 2*_PART_COLUMNS (512) columns or more is cut by _run_parts, the
-fork-join the Monte Carlo count shares: one part per CPU the process may run
-on, each at least _PART_COLUMNS columns wide and starting at a multiple of 4
-columns. The calling thread builds and sums the first part and the pool's
-persistent daemon workers the others, at once. Each part fills its own array
-and takes its own weight products, which round by groups of 4 columns, so
-every column keeps the bits of the unsplit pass. Narrower passes, the
-fair-split solver's and the scalar ones, run on the calling thread alone
-without asking for the CPU count, as every pass does on one CPU.
+fork-join the Monte Carlo count shares, into two column halves, or one part
+on one CPU; the first half ends at a multiple of 4 columns. The calling
+thread builds and sums the first half and a persistent daemon worker of the
+pool the second, at once. Each half fills its own array and takes its own
+weight products, which round by groups of 4 columns, so every column keeps
+the bits of the unsplit pass. Narrower passes, the fair-split solver's and
+the scalar ones, run on the calling thread alone without asking for the CPU
+count, as every pass does on one CPU.
 
 Every exact SOP goes through one column builder: exact_sop_near and
 exact_sop_far take one user per pass, exact_sops both. Every pass also
@@ -88,7 +88,7 @@ _HALVINGS = 3        # halvings 0-3 of the step: 185 nodes
 _ACCEPT_TOL = 1e-9   # contract on the reported absolute quadrature error
 _MOMENT_FLOOR = 1e-150  # least integrand value in the derivative moments
 _MAX_RTH = 1024.0  # 2**rth overflows a double from here on
-_PART_COLUMNS = 256  # least columns in each part of a pass split over CPUs
+_PART_COLUMNS = 256  # least columns in each half of a pass split over two CPUs
 
 
 @dataclass(frozen=True)
@@ -170,9 +170,9 @@ def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarra
     integrand and h = slope*y/(slope*y + 1) = s/(s + 1/z) lies in [0, 1).
     _weighted_sums builds and sums the terms.
 
-    A pass of at least 2*_PART_COLUMNS columns sums its column parts at
-    once, one per usable CPU (see the module docstring); every column keeps
-    the bits of the unsplit pass.
+    A pass of at least 2*_PART_COLUMNS columns sums its two column halves
+    at once on two CPUs (see the module docstring); every column keeps the
+    bits of the unsplit pass.
     """
     scaled_slope, kappa = np.atleast_1d(slope) * lam_int, -pi * lam_int / lam_exp
     columns = scaled_slope.size
@@ -181,7 +181,8 @@ def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarra
             part_kappa = kappa[start:stop] if isinstance(kappa, np.ndarray) else kappa
             return _weighted_sums(scaled_slope[start:stop], part_kappa, moments)
 
-        parts = _run_parts(part, columns, _PART_COLUMNS, 4)
+        # Two halves at most, even on more CPUs: the split was timed on two.
+        parts = _run_parts(part, columns, columns // 2)
         coarse, last = (np.concatenate(pair, axis=1) for pair in zip(*parts))
     else:
         coarse, last = _weighted_sums(scaled_slope, kappa, moments)
@@ -241,18 +242,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_parts(func, total: int, least: int, multiple: int) -> list:
+def _run_parts(func, total: int, least: int) -> list:
     """[func(start, stop) for each part of [0, total)], in part order.
 
     The range is cut into one contiguous part per usable CPU, but never
     into parts shorter than ``least``, and every part starts at a multiple
-    of ``multiple``. The calling thread runs the first part and the pool's
+    of 4: a Monte Carlo slice must start at an even sample (two samples per
+    Philox block), and the BLAS weight products of a pass round by groups of
+    4 columns. The calling thread runs the first part and the pool's
     workers the others, each in a copy of the caller's context, so
     np.errstate holds in every part. The first error of any part, in part
     order, is raised once every part has ended.
     """
     parts = max(1, min(_usable_cpus(), total // least))
-    bounds = [multiple * ((total // multiple) * index // parts) for index in range(parts)] + [total]
+    bounds = [4 * ((total // 4) * index // parts) for index in range(parts)] + [total]
     jobs, done = _pool(parts - 1), SimpleQueue()
     for index in range(1, parts):
         jobs.put((contextvars.copy_context(), func, bounds[index], bounds[index + 1], index, done))

@@ -540,8 +540,8 @@ def test_log_survival_is_strictly_concave_at_each_minimizer():
     assert checked >= 120
 
 
-# Wide passes: one column part per usable CPU, the first on the calling
-# thread and the others on the pool's workers.
+# Wide passes: two column halves on two or more usable CPUs, the first on
+# the calling thread and the second on a pool worker.
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -549,9 +549,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 @pytest.mark.parametrize("users", [(1,), (0, 1)], ids=("one_user", "both_users"))
 @pytest.mark.parametrize("points", [256, 257, 999, 1000, 2001])
 def test_a_split_pass_keeps_the_unsplit_bits(monkeypatch, points, users):
-    # Each part is summed by its own weight products, which round by groups
-    # of 4 columns; every part but the last ends at a multiple of 4, so no
-    # column's group changes, whatever the part count.
+    # Each half is summed by its own weight products, which round by groups
+    # of 4 columns; the first half ends at a multiple of 4, so no column's
+    # group changes. More than two CPUs still cut two halves.
     stats, targets = RunConfig().stats(), TargetRates(1, 1)
     grid = np.linspace(ALPHA_MIN, ALPHA_MAX, points)
     columns = points * len(users)
@@ -572,9 +572,8 @@ def test_a_split_pass_keeps_the_unsplit_bits(monkeypatch, points, users):
             monkeypatch.setattr(sop, "_usable_cpus", lambda cpus=cpus: cpus)
             calls.clear()
             split = sop._sop_pass(stats, grid, targets, users, order)
-            cuts = [4 * (columns // 4 * index // cpus) for index in range(cpus)] + [columns]
-            widths = [stop - start for start, stop in zip(cuts, cuts[1:])]
-            assert sorted(calls) == sorted([(True, widths[0])] + [(False, width) for width in widths[1:]])
+            half = columns // 8 * 4
+            assert sorted(calls) == [(False, columns - half), (True, half)]
             for got, want in zip(split, whole):
                 assert (got is None) == (want is None)
                 if got is not None:
