@@ -5,6 +5,8 @@ mean lambda_i = d_i**-n at distance d_i meters, and rho_t is the transmit
 SNR. A run sets the mean received SNR at the far user, rho_t * lambda2, so
 every outage probability depends only on rho_t * lambda1 and rho_t * lambda2:
 a path-loss constant or a noise power would cancel out, and neither appears.
+So the Monte Carlo stream draws unit-mean exponentials, whatever the
+channel, and each entry scales them by its own mean SNRs rho_t * lambda_i.
 """
 from __future__ import annotations
 
@@ -59,31 +61,21 @@ def with_received_snr(stats: ChannelStats, rho_r_db: float) -> ChannelStats:
     return dataclasses.replace(stats, rho_t=rho_t_for_received_snr(rho_r_db, stats.lambda2))
 
 
-def _exponential_gains(words: np.ndarray, stats: ChannelStats) -> None:
-    """Turn a (blocks, 4) array of uniforms into gains in place.
-
-    Words (0, 1) of a block are one sample's (g1, g2) and words (2, 3) the
-    next one's; each becomes -lambda * log1p(-u) for its user.
-    """
-    np.negative(words, out=words)
-    np.log1p(words, out=words)
-    flat = words.reshape(-1)
-    flat[0::2] *= -stats.lambda1
-    flat[1::2] *= -stats.lambda2
-
-
-def _gain_stream(stats: ChannelStats, total: int, seed: int, chunk: int, start: int = 0):
-    """Yield (g1, g2) views of `total` samples of one stream, from sample `start`.
+def _unit_draws(total: int, seed: int, chunk: int, start: int = 0):
+    """Yield (e1, e2) views of `total` unit-mean exponential draws, from sample `start`.
 
     The stream is Generator(Philox(key=seed)) read in order, two samples per
-    counter block, into one reused buffer. Philox is counter-based: with
-    counter=k its first block is block k of the stream, so seeding
-    Philox(key=seed, counter=start // 2) starts exactly at the even sample
-    `start`, and slices of one stream can be read independently. A chunk is
-    rounded up to whole Philox blocks (an even sample count), so the
-    generator never holds a partly used block between chunks; the last chunk
-    drops its odd sample. The samples therefore do not depend on `chunk`.
-    Each yielded view is overwritten by the next chunk.
+    counter block, into one reused buffer: words (0, 1) of a block are one
+    sample's (e1, e2) and words (2, 3) the next one's, and each uniform u
+    becomes e = -log1p(-u) in place. A user's gain is its mean gain times
+    e, so each caller scales the draws by its own mean SNRs. Philox is
+    counter-based: with counter=k its first block is block k of the stream,
+    so seeding Philox(key=seed, counter=start // 2) starts exactly at the
+    even sample `start`, and slices of one stream can be read independently.
+    A chunk is rounded up to whole Philox blocks (an even sample count), so
+    the generator never holds a partly used block between chunks; the last
+    chunk drops its odd sample. The draws therefore do not depend on
+    `chunk`. Each yielded view is overwritten by the next chunk.
     """
     if start % 2:
         raise ValueError(f"a stream slice must start at an even sample, got {start}")
@@ -93,7 +85,9 @@ def _gain_stream(stats: ChannelStats, total: int, seed: int, chunk: int, start: 
         count = min(2 * len(words), total)
         block = words[:(count + 1) // 2]
         generator.random(out=block)
-        _exponential_gains(block, stats)
+        np.negative(block, out=block)
+        np.log1p(block, out=block)
+        np.negative(block, out=block)
         pairs = block.reshape(-1, 2)[:count]
         yield pairs[:, 0], pairs[:, 1]
         total -= count

@@ -1,11 +1,13 @@
 """Independent model of both decoding orders, which the tests check the library against.
 
 The library counts outages of the proposed order with the log-free ratio
-test of `montecarlo._secrecy_ratios`, on gains drawn chunk by chunk by
-`channel._gain_stream`. This module restates that from the definitions:
-`sample_gains` draws a window of one Philox stream in one call and applies
-the exponential transform itself, and the SINRs and signed secrecy rates of
-both orders are taken with logarithms.
+test of `montecarlo._secrecy_ratios`, on unit-mean exponential draws read
+chunk by chunk from `channel._unit_draws` and scaled by each entry's mean
+SNRs. This module restates that from the definitions: `sample_gains` draws
+a window of one Philox stream in one call and applies the exponential
+transform itself (with unit mean gains, ChannelStats(1.0, 1.0, 1.0), it
+gives the library's unit-mean draws), and the SINRs and signed secrecy
+rates of both orders are taken with logarithms.
 
 Conventional order: the far user's signal is decoded first everywhere, so the
 near user treats it as known and the far user decodes under interference.
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from noma_secrecy.channel import ChannelStats, _gain_stream
+from noma_secrecy.channel import ChannelStats, _unit_draws
 from noma_secrecy.montecarlo import _CHUNK, SimConfig
 from noma_secrecy import sop
 from noma_secrecy.sop import TargetRates
@@ -47,10 +49,11 @@ def sample_gains(stats: ChannelStats, count: int, seed: int, start: int = 0) -> 
     """Draw exponential gain pairs from a counter-based stream.
 
     Two samples per Philox counter block: words (0, 1) of each block give one
-    sample and words (2, 3) the next, and each word u becomes
-    -lambda * log1p(-u) for its user. A window (start, count) advances by
-    start // 2 blocks and drops one leading sample when start is odd, so it
-    always reproduces the corresponding slice of the single-stream sequence.
+    sample and words (2, 3) the next, and each word u becomes lambda * e for
+    its user, with e = -log1p(-u) a unit-mean draw. A window (start, count)
+    advances by start // 2 blocks and drops one leading sample when start is
+    odd, so it always reproduces the corresponding slice of the single-stream
+    sequence.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -60,11 +63,8 @@ def sample_gains(stats: ChannelStats, count: int, seed: int, start: int = 0) -> 
     skip = start % 2
     blocks = (skip + count + 1) // 2
     words = np.random.Generator(bitgen).random((blocks, 4))
-    pairs = words.reshape(-1, 2)[skip:skip + count]
-    return GainSample(
-        g1=-stats.lambda1 * np.log1p(-pairs[:, 0]),
-        g2=-stats.lambda2 * np.log1p(-pairs[:, 1]),
-    )
+    draws = -np.log1p(-words.reshape(-1, 2)[skip:skip + count])
+    return GainSample(g1=stats.lambda1 * draws[:, 0], g2=stats.lambda2 * draws[:, 1])
 
 
 def _alpha_value(alpha: float) -> float:
@@ -181,7 +181,8 @@ def empirical_conventional_violation_rate(
     """
     violations = 0
     ordered = 0
-    for g1, g2 in _gain_stream(stats, sim.realizations, sim.seed, _chunk):
+    for e1, e2 in _unit_draws(sim.realizations, sim.seed, _chunk):
+        g1, g2 = stats.lambda1 * e1, stats.lambda2 * e2
         mask = g1 > g2
         gains = GainSample(g1=g1[mask], g2=g2[mask])
         # rs2 = log2(1 + g22) - log2(1 + g21) > 0 iff g22 > g21.

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noma_secrecy.channel import ChannelStats, mean_gain, rho_t_for_received_snr, with_received_snr
+from noma_secrecy.channel import ChannelStats, _unit_draws, mean_gain, rho_t_for_received_snr, with_received_snr
 from noma_secrecy.config import RunConfig
 from reference import GainSample, sample_gains
 
@@ -136,6 +136,18 @@ def test_two_samples_per_philox_block():
     gains = sample_gains(STATS, 4, seed=7)
     assert np.array_equal(gains.g1, -STATS.lambda1 * np.log1p(-words[:, [0, 2]].ravel()))
     assert np.array_equal(gains.g2, -STATS.lambda2 * np.log1p(-words[:, [1, 3]].ravel()))
+
+
+@pytest.mark.parametrize("start", [0, 2, 1_000, 65_538])
+@pytest.mark.parametrize("chunk", [1, 999, 1_000, 1 << 15])
+def test_stream_yields_the_unit_mean_draws_of_one_window(start, chunk):
+    # The library's stream, read chunk by chunk from an even sample, gives
+    # the reference's unit-mean draws bit for bit, apart from any counting.
+    n, seed = 5_001, 31
+    chunks = [(e1.copy(), e2.copy()) for e1, e2 in _unit_draws(n, seed, chunk, start)]
+    expected = sample_gains(ChannelStats(1.0, 1.0, 1.0), n, seed, start)
+    assert np.array_equal(np.concatenate([e1 for e1, _ in chunks]), expected.g1)
+    assert np.array_equal(np.concatenate([e2 for _, e2 in chunks]), expected.g2)
 
 
 def test_sample_gains_rejects_empty():

@@ -26,6 +26,9 @@ from reference import (
 LAM1 = 50.0 ** -2.5
 LAM2 = 100.0 ** -2.5
 STATS_30DB = ChannelStats(LAM1, LAM2, 1e8)
+# The library draws unit-mean exponentials and scales them by each user's mean SNR.
+UNIT = ChannelStats(1.0, 1.0, 1.0)
+SNRS_30DB = (STATS_30DB.rho_t * LAM1, STATS_30DB.rho_t * LAM2)
 RTH1 = TargetRates(1.0, 1.0)
 # Every draw is counted (no conditioning on g1 > g2). The constant False
 # parameter only keeps these cases' test ids stable; its value is unused.
@@ -78,8 +81,8 @@ STREAM_TARGETS = (TargetRates(0.5, 3.0), TargetRates(1.0, 1.0), TargetRates(3.0,
 )
 @example(rho_t_exponents=[8.0, 9.0, 10.0], half=3_000, chunk=999, workers=3)
 def test_each_entry_counts_like_its_own_call(rho_t_exponents, half, chunk, workers):
-    # Entries that differ only in rho_t share one stream; each row must be
-    # bit-identical to a call with that entry alone, at any worker count.
+    # Every entry is counted on one stream; each row must be bit-identical
+    # to a call with that entry alone, at any worker count.
     sim = SimConfig(realizations=2 * half + 1, seed=9)
     stats_seq = [ChannelStats(LAM1, LAM2, 10.0**exponent) for exponent in rho_t_exponents]
     with pytest.MonkeyPatch.context() as patch:
@@ -91,18 +94,36 @@ def test_each_entry_counts_like_its_own_call(rho_t_exponents, half, chunk, worke
         assert row == empirical_sops((stats,), 0.4, STREAM_TARGETS, sim)[0]
 
 
-@pytest.mark.parametrize(
-    "other",
-    [ChannelStats(2 * LAM1, LAM2, 1e8), ChannelStats(LAM1, LAM2 / 2, 1e8)],
-    ids=["lambda1-differs", "lambda2-differs"],
+# EmpiricalSop rows of STREAM_TARGETS at alpha = 0.4, 200_001 realizations and
+# seed 9, each from a call with that entry alone, when every entry's stream
+# was drawn with its own mean gains.
+FROZEN_MIXED_ROWS = (
+    (
+        (0.0006199969000154999, 0.031154844225778872, 5.566010266844834e-05, 0.000388484677861955, 200001),
+        (0.0010749946250268748, 0.006869965650171749, 7.327460823555544e-05, 0.00018469887802124933, 200001),
+        (0.005404972975135125, 0.0034149829250853746, 0.00016394713116751032, 0.00013044738019959905, 200001),
+    ),
+    (
+        (0.00029499852500737496, 0.031184844075779622, 3.839987150548077e-05, 0.0003886656565401448, 200001),
+        (0.000519997400013, 0.006879965600171999, 5.097668114417411e-05, 0.00018483232280265397, 200001),
+        (0.0026049869750651247, 0.0034199829000854994, 0.00011397780544879628, 0.00013054251368233922, 200001),
+    ),
+    (
+        (0.00060999695001525, 0.061119694401527994, 5.5209682376698826e-05, 0.00053564816082406, 200001),
+        (0.0010749946250268748, 0.013464932675336624, 7.327460823555544e-05, 0.0002577165288216498, 200001),
+        (0.005359973200133999, 0.006774966125169374, 0.00016326691690819801, 0.00018342617471356985, 200001),
+    ),
 )
-def test_entries_must_share_mean_gains(monkeypatch, other):
-    def no_philox(*args, **kwargs):
-        raise AssertionError("a Philox generator was built")
 
-    monkeypatch.setattr(np.random, "Philox", no_philox)
-    with pytest.raises(ValueError, match="must share lambda1 and lambda2"):
-        empirical_sops((STATS_30DB, other), 0.4, STREAM_TARGETS, SimConfig(realizations=1_000))
+
+def test_entries_with_other_mean_gains_match_their_own_calls(monkeypatch):
+    # Entries with other lambda1 or lambda2 share the one stream too, across
+    # slice and chunk boundaries, and keep their one-entry rows.
+    stats_seq = (STATS_30DB, ChannelStats(2 * LAM1, LAM2, 1e8), ChannelStats(LAM1, LAM2 / 2, 1e8))
+    monkeypatch.setattr(sop, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 10_007)
+    rows = empirical_sops(stats_seq, 0.4, STREAM_TARGETS, SimConfig(realizations=200_001, seed=9))
+    assert tuple(tuple(tuple(estimate) for estimate in row) for row in rows) == FROZEN_MIXED_ROWS
 
 
 def test_no_entries_give_no_rows():
@@ -113,10 +134,10 @@ def test_no_entries_give_no_rows():
 @UNCONDITIONED
 def test_stream_counts_match_one_sample_gains_window(monkeypatch, chunk, conditioned):
     # The kernel reads one generator chunk by chunk; its counts must be those
-    # of the single window sample_gains(stats, n, seed), whatever the chunk.
+    # of the single window sample_gains(UNIT, n, seed), whatever the chunk.
     n, seed, alpha = 30_001, 21, 0.4
-    gains = sample_gains(STATS_30DB, n, seed)
-    ratio1, ratio2 = _secrecy_ratios(gains.g1, gains.g2, alpha, STATS_30DB.rho_t, np.empty((4, n)))
+    draws = sample_gains(UNIT, n, seed)
+    ratio1, ratio2 = _secrecy_ratios(draws.g1, draws.g2, alpha, *SNRS_30DB, np.empty((4, n)))
     sim = SimConfig(realizations=n, seed=seed)
     monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
     results = empirical_sops((STATS_30DB,), alpha, STREAM_TARGETS, sim)[0]
@@ -143,8 +164,8 @@ def test_violation_stream_matches_one_sample_gains_window(monkeypatch, chunk, si
 
 def _window_counts(n, seed, alpha):
     """Per-pair outage counts of one sample_gains window of n samples."""
-    gains = sample_gains(STATS_30DB, n, seed)
-    ratio1, ratio2 = _secrecy_ratios(gains.g1, gains.g2, alpha, STATS_30DB.rho_t, np.empty((4, n)))
+    draws = sample_gains(UNIT, n, seed)
+    ratio1, ratio2 = _secrecy_ratios(draws.g1, draws.g2, alpha, *SNRS_30DB, np.empty((4, n)))
     out1 = [int(np.count_nonzero(ratio1 < targets.pi1)) for targets in STREAM_TARGETS]
     out2 = [int(np.count_nonzero(ratio2 < targets.pi2)) for targets in STREAM_TARGETS]
     return out1, out2
@@ -166,11 +187,8 @@ def test_even_aligned_slices_count_like_one_sequential_read(n, cuts, chunk):
     bounds = sorted({0, n, *(2 * cut for cut in cuts if 2 * cut < n)})
     sim = SimConfig(realizations=n, seed=seed)
     pis = [(targets.pi1, targets.pi2) for targets in STREAM_TARGETS]
-    out1, out2 = [0] * len(pis), [0] * len(pis)
-    for start, stop in zip(bounds, bounds[1:]):
-        slice_out1, slice_out2 = _count_slice((STATS_30DB,), alpha, pis, sim, start, stop, chunk)[0]
-        out1 = [total + part for total, part in zip(out1, slice_out1)]
-        out2 = [total + part for total, part in zip(out2, slice_out2)]
+    slices = [_count_slice((STATS_30DB,), alpha, pis, sim, *bound, chunk) for bound in zip(bounds, bounds[1:])]
+    out1, out2 = sum(slices)[0].tolist()
     assert (out1, out2) == _window_counts(n, seed, alpha)
 
 
@@ -302,12 +320,12 @@ def test_log_free_outage_test_matches_log2_rates():
     g2 = np.concatenate([gains.g2, [0.0, 2.0]])
     for rho_t in (STATS_30DB.rho_t, 1.0):
         for alpha in (0.1, 0.5, 0.9):
-            ratio1, ratio2 = _secrecy_ratios(g1, g2, alpha, rho_t, np.empty((4, g1.size)))
+            ratio1, ratio2 = _secrecy_ratios(g1, g2, alpha, rho_t, rho_t, np.empty((4, g1.size)))
             rates = rates_from_sinrs(sinr_proposed(type(gains)(g1=g1, g2=g2), alpha, rho_t))
             for rth in (0.0, 0.5, 1.0, 3.0):
                 assert np.array_equal(ratio1 < 2.0**rth, rates.rs1 < rth)
                 assert np.array_equal(ratio2 < 2.0**rth, rates.rs2 < rth)
-    ratio1, ratio2 = _secrecy_ratios(g1[-2:], g2[-2:], 0.5, 1.0, np.empty((4, 2)))
+    ratio1, ratio2 = _secrecy_ratios(g1[-2:], g2[-2:], 0.5, 1.0, 1.0, np.empty((4, 2)))
     assert (ratio1[0], ratio2[1]) == (2.0, 2.0)
     assert not (ratio1[0] < 2.0 or ratio2[1] < 2.0)
 
