@@ -116,14 +116,20 @@ FROZEN_MIXED_ROWS = (
 )
 
 
-def test_entries_with_other_mean_gains_match_their_own_calls(monkeypatch):
-    # Entries with other lambda1 or lambda2 share the one stream too, across
-    # slice and chunk boundaries, and keep their one-entry rows.
-    stats_seq = (STATS_30DB, ChannelStats(2 * LAM1, LAM2, 1e8), ChannelStats(LAM1, LAM2 / 2, 1e8))
+@pytest.mark.parametrize(
+    ("other", "frozen_row"),
+    [(ChannelStats(2 * LAM1, LAM2, 1e8), 1), (ChannelStats(LAM1, LAM2 / 2, 1e8), 2)],
+    ids=["lambda1-differs", "lambda2-differs"],
+)
+def test_entries_must_share_mean_gains(monkeypatch, other, frozen_row):
+    # An entry with another lambda1 or lambda2 shares the one stream of
+    # unit-mean draws with STATS_30DB, across slice and chunk boundaries,
+    # and both keep their one-entry rows.
     monkeypatch.setattr(sop, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(montecarlo, "_CHUNK", 10_007)
-    rows = empirical_sops(stats_seq, 0.4, STREAM_TARGETS, SimConfig(realizations=200_001, seed=9))
-    assert tuple(tuple(tuple(estimate) for estimate in row) for row in rows) == FROZEN_MIXED_ROWS
+    rows = empirical_sops((STATS_30DB, other), 0.4, STREAM_TARGETS, SimConfig(realizations=200_001, seed=9))
+    expected = (FROZEN_MIXED_ROWS[0], FROZEN_MIXED_ROWS[frozen_row])
+    assert tuple(tuple(tuple(estimate) for estimate in row) for row in rows) == expected
 
 
 def test_no_entries_give_no_rows():
