@@ -8,7 +8,16 @@ lambda_i = d_i**-n and rho_t = 10**(rho_r_db / 10) / lambda2.
 
 RunConfig checks every value that comes from outside, once, when it is
 built: unknown keys and malformed values are reported with their line
-number, out-of-domain values with their key, all as ConfigError.
+number, out-of-domain values with their key, all as ConfigError. Each
+domain rule has one owner, the library code that takes the value:
+rates.validated_alpha for the power splits, sop.TargetRates for the target
+rates, montecarlo.SimConfig for the seed and sample count, and the channel
+statistics (mean_gain, rho_t_for_received_snr, ChannelStats) for the
+geometry, the path-loss exponent and every SNR of the run. RunConfig calls
+the owner and raises its error as a ConfigError that names each key and
+value. It checks on its own only what no owner does: the output format,
+d1 < d2 (ChannelStats admits ties), a nonempty SNR grid, and a sweep's axis
+and point count.
 """
 from __future__ import annotations
 
@@ -18,14 +27,15 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import ChannelStats, mean_gain, rho_t_for_received_snr
-from .rates import ALPHA_MAX, ALPHA_MIN
-from .sop import _MAX_RTH, TargetRates
+from .channel import ChannelStats, mean_gain, rho_t_for_received_snr, with_received_snr
+from .montecarlo import SimConfig
+from .rates import validated_alpha
+from .sop import TargetRates
 
 __all__ = ["ConfigError", "SweepSpec", "RunConfig", "parse_config", "load_config"]
 
-SWEEP_AXES = ("alpha", "rho_r_db", "d2_m", "rth1_bits")
-_MAX_SEED = 2**128 - 1  # Philox keys are 128-bit
+# sweep axis -> the RunConfig field it sets
+_SWEPT_FIELDS = {"alpha": "alpha", "rho_r_db": "rho_r_db", "d2_m": "d2_m", "rth1_bits": "rth1"}
 _MAX_SWEEP_POINTS = 100_000  # default sweeps have at most 99 points
 
 
@@ -38,6 +48,18 @@ def _require(ok, message: str) -> None:
         raise ConfigError(message)
 
 
+def _owned(given: dict, owner, *args):
+    """owner(*args), whose error is raised as a ConfigError naming each given key and value."""
+    try:
+        return owner(*args)
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        named = ", ".join(f"{key} = {value!r}" for key, value in given.items())
+        reason = str(exc)
+        if isinstance(exc, ArithmeticError):  # a float ** beyond the range raises OverflowError
+            reason = "a mean gain or transmit SNR overflows the floating-point range"
+        raise ConfigError(f"{named}: {reason}") from exc
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     axis: str
@@ -46,20 +68,16 @@ class SweepSpec:
     step: float
 
     def __post_init__(self) -> None:
-        _require(self.axis in SWEEP_AXES, f"sweep axis must be one of {SWEEP_AXES}, got {self.axis!r}")
         _require(
-            all(math.isfinite(x) for x in (self.start, self.stop, self.step)),
-            "sweep start, stop and step must be finite",
+            self.axis in _SWEPT_FIELDS,
+            f"sweep.axis = {self.axis!r}: sweep axis must be one of {tuple(_SWEPT_FIELDS)}",
         )
-        _require(self.step > 0.0, "sweep step must be positive")
-        _require(self.stop >= self.start, "sweep range is empty (stop < start)")
+        named = f"sweep.start = {self.start!r}, sweep.stop = {self.stop!r}, sweep.step = {self.step!r}"
+        _require(all(math.isfinite(x) for x in (self.start, self.stop, self.step)), f"{named}: each must be finite")
+        _require(self.step > 0.0, f"{named}: the step must be positive")
+        _require(self.stop >= self.start, f"{named}: the range is empty (stop < start)")
         # The point count is floor(span) + 1, so span < limit caps it at the limit.
-        span = self._span()
-        _require(
-            span < _MAX_SWEEP_POINTS,
-            f"sweep from {self.start!r} to {self.stop!r} by {self.step!r} gives more than "
-            f"{_MAX_SWEEP_POINTS} points",
-        )
+        _require(self._span() < _MAX_SWEEP_POINTS, f"{named}: gives more than {_MAX_SWEEP_POINTS} points")
 
     def _span(self) -> float:
         return (self.stop - self.start) / self.step + 1e-9
@@ -86,63 +104,32 @@ class RunConfig:
     fixed_alpha: float = 0.33        # fixed-split baseline for gain comparison
 
     def __post_init__(self) -> None:
-        _require(self.out_format in ("csv", "json"), f"output format must be csv or json, got {self.out_format!r}")
         _require(
-            0.0 < self.d1_m < self.d2_m < math.inf,
-            f"system.d1_m and system.d2_m must satisfy 0 < d1_m < d2_m < inf, got {self.d1_m!r} and {self.d2_m!r}",
+            self.out_format in ("csv", "json"),
+            f"output.format = {self.out_format!r}: output format must be csv or json",
         )
         _require(
-            0.0 < self.path_loss_exp < math.inf,
-            f"system.path_loss_exp must be finite and positive, got {self.path_loss_exp!r}",
+            self.d1_m < self.d2_m,
+            f"system.d1_m = {self.d1_m!r}, system.d2_m = {self.d2_m!r}: the near user must be nearer, d1_m < d2_m",
         )
-        _require(math.isfinite(self.rho_r_db), f"system.rho_r_db must be finite, got {self.rho_r_db!r}")
         grid = self.validate_rho_r_grid_db
-        _require(
-            len(grid) > 0 and all(math.isfinite(x) for x in grid),
-            f"validate.rho_r_grid_db must be a nonempty list of finite values, got {grid!r}",
-        )
-        for key, value in (("targets.rth1_bits", self.rth1), ("targets.rth2_bits", self.rth2)):
-            _require(0.0 <= value < _MAX_RTH, f"{key} must lie within [0, {_MAX_RTH:g}), got {value!r}")
+        _require(len(grid) > 0, f"validate.rho_r_grid_db = {grid!r}: need at least one SNR")
         for key, value in (("system.alpha", self.alpha), ("fixed.alpha", self.fixed_alpha)):
-            _require(
-                ALPHA_MIN <= value <= ALPHA_MAX,
-                f"{key} must lie within [{ALPHA_MIN:g}, {ALPHA_MAX:g}], got {value!r}",
-            )
-        # Slicing a stream and keying Philox both need true integers; a float
-        # or bool would be truncated or fail later inside the Monte Carlo kernel.
-        for key, value in (("sim.realizations", self.realizations), ("sim.seed", self.seed)):
-            _require(
-                isinstance(value, (int, np.integer)) and not isinstance(value, bool),
-                f"{key} must be an integer, got {value!r}",
-            )
-        _require(self.realizations >= 1, f"sim.realizations must be at least 1, got {self.realizations!r}")
-        _require(0 <= self.seed <= _MAX_SEED, f"sim.seed must lie within [0, 2**128), got {self.seed!r}")
-        distances, snrs = [self.d1_m, self.d2_m], [self.rho_r_db, *grid]
+            _owned({key: value}, validated_alpha, value)
+        _owned({"targets.rth1_bits": self.rth1, "targets.rth2_bits": self.rth2}, self.targets)
+        _owned({"sim.realizations": self.realizations, "sim.seed": self.seed}, SimConfig, self.realizations, self.seed)
+        geometry = {"system.d1_m": self.d1_m, "system.d2_m": self.d2_m, "system.path_loss_exp": self.path_loss_exp}
+        stats = _owned({**geometry, "system.rho_r_db": self.rho_r_db}, self.stats)
+        for snr in grid:
+            _owned({**geometry, "validate.rho_r_grid_db": snr}, with_received_snr, stats, snr)
+        # Each axis's domain is an interval and a sweep increases, so its first
+        # and last values cover every point between.
         if self.sweep is not None:
-            values = self.sweep.values()
-            inside, need = {
-                "alpha": ((values >= ALPHA_MIN) & (values <= ALPHA_MAX), f"lie within [{ALPHA_MIN:g}, {ALPHA_MAX:g}]"),
-                "rho_r_db": (np.isfinite(values), "be finite"),
-                "d2_m": (values > self.d1_m, f"exceed system.d1_m = {self.d1_m!r}"),
-                "rth1_bits": ((values >= 0.0) & (values < _MAX_RTH), f"lie within [0, {_MAX_RTH:g})"),
-            }[self.sweep.axis]
-            _require(
-                inside.all(),
-                f"sweep values over {self.sweep.axis} must {need}, got {values[0]:g} to {values[-1]:g}",
-            )
-            if self.sweep.axis == "d2_m":
-                distances.extend(values)
-            elif self.sweep.axis == "rho_r_db":
-                snrs.extend(values)
-        # Every distance and SNR a run reaches must give a normal mean gain and rho_t.
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            gains = np.array(distances) ** -self.path_loss_exp
-            rho_t = 10.0 ** (np.array(snrs) / 10.0) / gains[1]
-        _require(
-            all(np.isfinite(x).all() and x.min() > 0.0 for x in (gains, rho_t)),
-            "the distances, path-loss exponent and SNRs give a mean gain or transmit SNR "
-            "outside the floating-point range",
-        )
+            for end in self.sweep.values()[[0, -1]].tolist():
+                try:
+                    replace(self, sweep=None, **{_SWEPT_FIELDS[self.sweep.axis]: end})
+                except ConfigError as exc:
+                    raise ConfigError(f"sweep over {self.sweep.axis} reaches {end!r}: {exc}") from exc
 
     def stats(self) -> ChannelStats:
         lam1 = mean_gain(self.d1_m, self.path_loss_exp)

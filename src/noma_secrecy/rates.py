@@ -2,9 +2,9 @@
 
 Every library entry point that takes a power split alpha (the near user's
 share of the transmit power) checks it here, so the SOP quadratures, the
-closed forms and the Monte Carlo oracle accept the same alphas; the
-optimizers search, and the config layer checks its inputs, within the same
-bounds.
+closed forms and the Monte Carlo oracle accept the same alphas, and so does
+the run configuration, which checks its power splits here too; the
+optimizers search within the same bounds.
 """
 from __future__ import annotations
 
@@ -20,5 +20,5 @@ ALPHA_MAX = 1.0 - 1e-6
 def validated_alpha(alpha) -> np.ndarray:
     a = np.asarray(alpha, dtype=float)
     if not ((a >= ALPHA_MIN) & (a <= ALPHA_MAX)).all():
-        raise ValueError(f"power split must lie within [{ALPHA_MIN:g}, {ALPHA_MAX:g}]")
+        raise ValueError(f"power split alpha must lie within [{ALPHA_MIN:g}, {ALPHA_MAX:g}]")
     return a
