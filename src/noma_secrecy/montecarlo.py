@@ -15,14 +15,15 @@ others, and the integer counts are summed in slice order. A slice is
 read in order in chunks of whole blocks. So the draws, and hence the
 totals, depend neither on the chunk size nor on the worker or CPU count.
 A slice keeps one set of buffers: the uniforms become unit-mean
-exponential draws in place, and the ratio algebra and the comparisons run
-into reused arrays, building no array or object per chunk. Each chunk is
-drawn once and counted for every channel entry and target-rate pair of a
-call (common random numbers). The draws depend only on the seed and the
-sample index; each entry scales them by its own mean SNRs rho_t * lambda1
-and rho_t * lambda2, so any set of entries and target rates costs one
-stream: `noma-secrecy validate` counts its whole grid on the stream keyed
-by its seed.
+exponential draws in place, and the ratio algebra runs into reused arrays.
+Each chunk is drawn once and counted for every channel entry and target
+pair of a call (common random numbers): per entry, one comparison fills a
+bool block of both users and every pair, and the popcounts of its uint64
+words count all its rows at once. The draws depend only on the seed and
+the sample index; each entry scales them by its own mean SNRs
+rho_t * lambda1 and rho_t * lambda2, so any set of entries and target rates
+costs one stream: `noma-secrecy validate` counts its whole grid on the
+stream keyed by its seed.
 """
 from __future__ import annotations
 
@@ -56,8 +57,9 @@ class SimConfig:
         # Streams are cut into slices by index, so the count must be a true integer,
         # and Philox truncates a float or bool key to another seed's stream.
         for name in ("realizations", "seed"):
-            if isinstance(getattr(self, name), bool):
-                raise TypeError(f"{name} must be an integer, not a bool")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise TypeError(f"{name} must be an integer, not {value!r}")
         if operator.index(self.realizations) < 1:
             raise ValueError("need at least one realization")
         if not 0 <= operator.index(self.seed) < 2**128:
@@ -69,14 +71,13 @@ class EmpiricalSop(NamedTuple):
     so2_hat: float
     stderr1: float
     stderr2: float
-    n: int  # samples counted, always sim.realizations
 
 
 def _estimate(out1: int, out2: int, n: int) -> EmpiricalSop:
     """Outage frequencies of n samples and their binomial standard errors."""
     so1 = out1 / n
     so2 = out2 / n
-    return EmpiricalSop(so1, so2, math.sqrt(so1 * (1.0 - so1) / n), math.sqrt(so2 * (1.0 - so2) / n), n)
+    return EmpiricalSop(so1, so2, math.sqrt(so1 * (1.0 - so1) / n), math.sqrt(so2 * (1.0 - so2) / n))
 
 
 def _secrecy_ratios(
@@ -86,14 +87,15 @@ def _secrecy_ratios(
     snr1: float,
     snr2: float,
     out: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """(1 + g11) / (1 + g12) and (1 + g22) / (1 + g21) under the proposed order.
 
     User i's received SNR is x_i = e_i * snr_i, a unit-mean draw times its
     mean SNR snr_i = rho_t * lambda_i, and the SINRs give 1 + g11 = 1 + a x1,
     1 + g12 = (1 + x2) / (1 + (1 - a) x2), 1 + g22 = 1 + (1 - a) x2 and
     1 + g21 = (1 + x1) / (1 + a x1), so both ratios share one product.
-    `out` is scratch of shape (4,) + e1.shape; the ratios are views of it.
+    `out` is scratch of shape (4,) + e1.shape; the two ratios, near user
+    first, are returned as its view out[1::-1].
     """
     x1, x2, product, term = out
     np.multiply(e1, snr1, out=x1)
@@ -107,7 +109,7 @@ def _secrecy_ratios(
     np.divide(product, x2, out=x2)
     np.add(x1, 1.0, out=x1)
     np.divide(product, x1, out=x1)
-    return x2, x1
+    return out[1::-1]
 
 
 def empirical_sops(
@@ -153,27 +155,25 @@ def _count_slice(
 
     `start` must be even. counts[i, u, j] is user u + 1's count for entry i
     and target pair j. Each entry scales the unit-mean draws by its own mean
-    SNRs. The slice keeps its own buffers: its first chunk is its largest,
-    and later chunks reuse views of it. The counts add up in Python lists,
-    which take an int several times faster than an array's items do.
+    SNRs and compares both users' ratios with every pair's limits in one
+    (2, pairs, samples) bool block, whose width is rounded up to 8 so that
+    its rows are whole uint64 words; each flag byte is 0 or 1, so a row's
+    count is the sum of its words' popcounts. The slice keeps its own
+    buffers: its first chunk is its largest, later chunks reuse views of
+    it, and a shorter chunk clears the flags past its end.
     """
-    counts = [([0] * len(pis), [0] * len(pis)) for _ in stats_seq]
+    limits = np.array(pis, float).reshape(-1, 2).T[:, :, None]  # (2, pairs, 1), also at zero pairs
+    counts = np.zeros((len(stats_seq), 2, len(pis)), np.int64)
     snrs = [(stats.rho_t * stats.lambda1, stats.rho_t * stats.lambda2) for stats in stats_seq]
-    scratch = flags = None
+    scratch = flags = words = None
     for e1, e2 in _unit_draws(stop - start, sim.seed, chunk, start):
         count = e1.size
         if scratch is None:  # the first chunk is the largest
-            scratch, flags = np.empty((4, count)), np.empty(count, bool)
-        below = flags[:count]
-        for (snr1, snr2), (out1, out2) in zip(snrs, counts):
-            ratio1, ratio2 = _secrecy_ratios(e1, e2, a, snr1, snr2, scratch[:, :count])
-            for index, (pi1, pi2) in enumerate(pis):
-                out1[index] += _count_below(ratio1, pi1, below)
-                out2[index] += _count_below(ratio2, pi2, below)
-    return np.array(counts, dtype=np.int64)
-
-
-def _count_below(values: np.ndarray, limit: float, below: np.ndarray) -> int:
-    """Number of values < limit; `below` is bool scratch of the values' shape."""
-    np.less(values, limit, out=below)
-    return int(np.count_nonzero(below))
+            scratch, flags = np.empty((4, count)), np.zeros((2, len(pis), -(-count // 8) * 8), bool)
+            words = flags.view(np.uint64)
+        flags[..., count:] = False  # a shorter last chunk leaves no stale flag
+        for (snr1, snr2), entry in zip(snrs, counts):
+            ratios = _secrecy_ratios(e1, e2, a, snr1, snr2, scratch[:, :count])
+            np.less(ratios[:, None], limits, out=flags[..., :count])
+            entry += np.bitwise_count(words).sum(axis=2, dtype=np.int64)
+    return counts

@@ -203,8 +203,10 @@ def test_out_of_domain_values_are_config_errors(tmp_path, capsys, text, match):
 def test_seed_and_realizations_must_be_integers(key, attr):
     # Philox truncates a float or bool key (seed 1.5 or True would draw seed 1's
     # stream), and a float sample count would fail inside the Monte Carlo kernel.
+    # Both keys are shown with their values; the reason names the one at fault.
     for value in (1.5, 2000.0, True):
-        with pytest.raises(ConfigError, match=re.escape(f"{key} = {value!r}") + r"[,:] .*integer"):
+        reason = re.escape(f": {attr} must be an integer, not {value!r}") + "$"
+        with pytest.raises(ConfigError, match=re.escape(f"{key} = {value!r}") + "(, .*)?" + reason):
             RunConfig(**{attr: value})
     assert getattr(RunConfig(**{attr: np.int64(5)}), attr) == 5
 

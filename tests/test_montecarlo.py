@@ -1,5 +1,6 @@
 import math
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -99,19 +100,19 @@ def test_each_entry_counts_like_its_own_call(rho_t_exponents, half, chunk, worke
 # was drawn with its own mean gains.
 FROZEN_MIXED_ROWS = (
     (
-        (0.0006199969000154999, 0.031154844225778872, 5.566010266844834e-05, 0.000388484677861955, 200001),
-        (0.0010749946250268748, 0.006869965650171749, 7.327460823555544e-05, 0.00018469887802124933, 200001),
-        (0.005404972975135125, 0.0034149829250853746, 0.00016394713116751032, 0.00013044738019959905, 200001),
+        (0.0006199969000154999, 0.031154844225778872, 5.566010266844834e-05, 0.000388484677861955),
+        (0.0010749946250268748, 0.006869965650171749, 7.327460823555544e-05, 0.00018469887802124933),
+        (0.005404972975135125, 0.0034149829250853746, 0.00016394713116751032, 0.00013044738019959905),
     ),
     (
-        (0.00029499852500737496, 0.031184844075779622, 3.839987150548077e-05, 0.0003886656565401448, 200001),
-        (0.000519997400013, 0.006879965600171999, 5.097668114417411e-05, 0.00018483232280265397, 200001),
-        (0.0026049869750651247, 0.0034199829000854994, 0.00011397780544879628, 0.00013054251368233922, 200001),
+        (0.00029499852500737496, 0.031184844075779622, 3.839987150548077e-05, 0.0003886656565401448),
+        (0.000519997400013, 0.006879965600171999, 5.097668114417411e-05, 0.00018483232280265397),
+        (0.0026049869750651247, 0.0034199829000854994, 0.00011397780544879628, 0.00013054251368233922),
     ),
     (
-        (0.00060999695001525, 0.061119694401527994, 5.5209682376698826e-05, 0.00053564816082406, 200001),
-        (0.0010749946250268748, 0.013464932675336624, 7.327460823555544e-05, 0.0002577165288216498, 200001),
-        (0.005359973200133999, 0.006774966125169374, 0.00016326691690819801, 0.00018342617471356985, 200001),
+        (0.00060999695001525, 0.061119694401527994, 5.5209682376698826e-05, 0.00053564816082406),
+        (0.0010749946250268748, 0.013464932675336624, 7.327460823555544e-05, 0.0002577165288216498),
+        (0.005359973200133999, 0.006774966125169374, 0.00016326691690819801, 0.00018342617471356985),
     ),
 )
 
@@ -148,7 +149,6 @@ def test_stream_counts_match_one_sample_gains_window(monkeypatch, chunk, conditi
     monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
     results = empirical_sops((STATS_30DB,), alpha, STREAM_TARGETS, sim)[0]
     for targets, result in zip(STREAM_TARGETS, results):
-        assert result.n == n
         assert result.so1_hat == int(np.count_nonzero(ratio1 < targets.pi1)) / n
         assert result.so2_hat == int(np.count_nonzero(ratio2 < targets.pi2)) / n
 
@@ -198,6 +198,40 @@ def test_even_aligned_slices_count_like_one_sequential_read(n, cuts, chunk):
     assert (out1, out2) == _window_counts(n, seed, alpha)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5_001),
+    chunk=st.integers(1, 1_500),
+    cpus=st.integers(1, 4),
+    rho_t_exponents=st.lists(st.floats(6.0, 10.0), min_size=1, max_size=3),
+    ties=st.lists(st.tuples(st.integers(0, 5_000), st.integers(0, 5_000)), max_size=4),
+)
+@example(n=5_001, chunk=1_001, cpus=3, rho_t_exponents=[8.0, 9.0], ties=[])  # no target pairs
+@example(n=4_099, chunk=1_203, cpus=4, rho_t_exponents=[8.0], ties=[(0, 4_098), (17, 17)])
+def test_block_counts_match_per_pair_counts(n, chunk, cpus, rho_t_exponents, ties):
+    # Each target pair's limits are ratios of samples of the stream, so every
+    # pair holds a tie, which is not an outage. Slices cut by the fork-join
+    # and chunks of any length, most not multiples of 8, must count like
+    # one np.count_nonzero per entry, user and pair over the whole window.
+    seed, alpha = 24, 0.4
+    snrs = [(10.0**exponent * LAM1, 10.0**exponent * LAM2) for exponent in rho_t_exponents]
+    draws = sample_gains(UNIT, n, seed)
+    ratios = [_secrecy_ratios(draws.g1, draws.g2, alpha, *pair, np.empty((4, n))) for pair in snrs]
+    pis = [(float(ratios[0][0][i % n]), float(ratios[-1][1][j % n])) for i, j in ties]
+    expected = [
+        [[int(np.count_nonzero(ratio < pi[user])) for pi in pis] for user, ratio in enumerate(entry)]
+        for entry in ratios
+    ]
+    stats_seq = [ChannelStats(LAM1, LAM2, 10.0**exponent) for exponent in rho_t_exponents]
+    sim = SimConfig(realizations=n, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sop, "_usable_cpus", lambda: cpus)
+        parts = sop._run_parts(lambda start, stop: _count_slice(stats_seq, alpha, pis, sim, start, stop, chunk), n, 1)
+    counts = sum(parts)
+    assert counts.dtype == np.int64 and counts.shape == (len(snrs), 2, len(pis))
+    assert counts.tolist() == expected
+
+
 def test_slices_start_at_even_samples():
     sim = SimConfig(realizations=11, seed=1)
     with pytest.raises(ValueError, match="even"):
@@ -224,7 +258,6 @@ def test_estimates_do_not_depend_on_worker_count(monkeypatch, conditioned):
     assert results[1:] == results[:1] * 3
     n = sim.realizations
     out1, out2 = _window_counts(n, sim.seed, 0.4)
-    assert [result.n for result in results[0]] == [n] * len(STREAM_TARGETS)
     assert [result.so1_hat for result in results[0]] == [count / n for count in out1]
     assert [result.so2_hat for result in results[0]] == [count / n for count in out2]
     # Every slice holds at least one chunk: two chunks of 20_000 leave room for two slices.
@@ -291,19 +324,19 @@ print(len(extra), all(thread.daemon for thread in extra), count() == serial)
 # chunk-by-chunk kernel with one Philox instance per chunk produced them.
 FROZEN_SOPS = {
     (1, 20.0): (
-        (0.005804970975145124, 0.04038479807600962, 0.00016987119283299172, 0.0004401912788323253, 200001),
-        (0.0100199499002505, 0.06314968425157874, 0.00022270497195552724, 0.0005438819073244463, 200001),
-        (0.051899740501297496, 0.03166484167579162, 0.0004960136661808747, 0.0003915483761127598, 200001),
+        (0.005804970975145124, 0.04038479807600962, 0.00016987119283299172, 0.0004401912788323253),
+        (0.0100199499002505, 0.06314968425157874, 0.00022270497195552724, 0.0005438819073244463),
+        (0.051899740501297496, 0.03166484167579162, 0.0004960136661808747, 0.0003915483761127598),
     ),
     (2, 30.0): (
-        (0.000559997200014, 0.004254978725106375, 5.2899943513483674e-05, 0.00014554814833744507, 200001),
-        (0.001039994800026, 0.006604966975165124, 7.207315784332741e-05, 0.00018112576542114603, 200001),
-        (0.005409972950135249, 0.003314983425082875, 0.00016402253258962406, 0.00012852972010561118, 200001),
+        (0.000559997200014, 0.004254978725106375, 5.2899943513483674e-05, 0.00014554814833744507),
+        (0.001039994800026, 0.006604966975165124, 7.207315784332741e-05, 0.00018112576542114603),
+        (0.005409972950135249, 0.003314983425082875, 0.00016402253258962406, 0.00012852972010561118),
     ),
     (2024, 10.0): (
-        (0.04784476077619612, 0.31429342853285736, 0.0004772599494269625, 0.0010380558553227284, 200001),
-        (0.08359958200208999, 0.45231773841130796, 0.0006189115802746852, 0.001112935674924591, 200001),
-        (0.3827030864845676, 0.25149874250628745, 0.0010868308352234232, 0.0009701705617908756, 200001),
+        (0.04784476077619612, 0.31429342853285736, 0.0004772599494269625, 0.0010380558553227284),
+        (0.08359958200208999, 0.45231773841130796, 0.0006189115802746852, 0.001112935674924591),
+        (0.3827030864845676, 0.25149874250628745, 0.0010868308352234232, 0.0009701705617908756),
     ),
 }
 
@@ -339,8 +372,8 @@ def test_log_free_outage_test_matches_log2_rates():
 def test_counts_stay_python_ints():
     sim = SimConfig(realizations=2_000, seed=3)
     result = empirical_sops((STATS_30DB,), 0.5, (RTH1,), sim)[0][0]
-    assert type(result.n) is int
-    assert all(type(value) is float for value in result[:4])
+    # An int64 count would make every frequency and standard error an np.float64.
+    assert all(type(value) is float for value in result)
 
 
 def test_near_outage_is_certain_without_power():
@@ -389,7 +422,7 @@ def test_stderr_follows_binomial_formula():
     sim = SimConfig(realizations=10_000, seed=6)
     result = empirical_sops((STATS_30DB,), 0.5, (RTH1,), sim)[0][0]
     assert result.stderr1 == pytest.approx(
-        math.sqrt(result.so1_hat * (1.0 - result.so1_hat) / result.n), rel=1e-12
+        math.sqrt(result.so1_hat * (1.0 - result.so1_hat) / sim.realizations), rel=1e-12
     )
 
 
@@ -397,12 +430,12 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(realizations=0)
     # Slicing a stream needs an integer count; floats and bools fail before any draw.
-    for realizations in (1e6, 1.0, True, "10"):
-        with pytest.raises(TypeError):
+    for realizations in (1e6, 1.0, True, np.True_, "10"):
+        with pytest.raises(TypeError, match=f"^realizations must be an integer, not {re.escape(repr(realizations))}$"):
             SimConfig(realizations=realizations)
     # Philox would truncate a float or bool key: seed 1.9 and True would draw seed 1's stream.
-    for seed in (1.9, 1.0, True, "1"):
-        with pytest.raises(TypeError):
+    for seed in (1.9, 1.0, True, np.True_, "1"):
+        with pytest.raises(TypeError, match=f"^seed must be an integer, not {re.escape(repr(seed))}$"):
             SimConfig(seed=seed)
     for seed in (-1, 2**128):
         with pytest.raises(ValueError, match="seed must lie within"):

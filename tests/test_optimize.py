@@ -398,6 +398,35 @@ def test_solves_take_few_quadrature_passes(monkeypatch):
     assert crossing and max(crossing) <= 4
 
 
+def _box_configs(count=600):
+    # Seeded draws over the wider box: lambda2 log-uniform on [1e-6, 1],
+    # lambda1 / lambda2 log-uniform on [1, 100], rho_t log-uniform on
+    # [1, 1e10], both target rates uniform on [0, 4] bits.
+    rng = np.random.default_rng(5)
+    lam2 = 10.0 ** rng.uniform(-6.0, 0.0, count)
+    lam1 = lam2 * 10.0 ** rng.uniform(0.0, 2.0, count)
+    rho_t = 10.0 ** rng.uniform(0.0, 10.0, count)
+    rth = rng.uniform(0.0, 4.0, (count, 2))
+    for index in range(count):
+        yield ChannelStats(lam1[index], lam2[index], rho_t[index]), TargetRates(*rth[index])
+
+
+def test_box_solves_take_no_more_passes(monkeypatch):
+    # The 432-config grid above misses the box's slow solves: a minimizer
+    # or crossing in a window-end cell, where psi1 - psi2 and phi have
+    # poles, bisects several times before Newton takes over. The bounds are
+    # the counts of this solver, mean 3.50 (2098 passes) and max 17, so a
+    # change that adds passes anywhere in the box fails here.
+    calls = _count_passes(monkeypatch)
+    passes = []
+    for stats, targets in _box_configs():
+        calls.clear()
+        minmax_pa(stats, targets)
+        passes.append(len(calls))
+    assert sum(passes) <= 2098
+    assert max(passes) <= 17
+
+
 # ROADMAP item 11: from 15 bits at default geometry both SOPs round to 1 at
 # every split, so the solver brackets, crosses and selects in
 # psi = log(1 - s_o) = -shift/lambda_e + log I. Each case's reference alpha
