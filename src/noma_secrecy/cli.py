@@ -185,12 +185,12 @@ def cmd_minmax(cfg: RunConfig) -> tuple:
     columns = ["rth1_bits", "alpha1_star", "alpha2_star", "alpha3_star", "alpha_sop", "max_sop"]
     rows = []
     dominance_ok = True
+    # The far user's SOP depends on rth2, not on rth1, so one curve serves every row.
+    far = exact_sop_far(stats, _DOMINANCE_GRID, cfg.targets()).value
     for rth1 in sweep.values():
         targets = TargetRates(rth1=float(rth1), rth2=cfg.rth2)
         outcome = minmax_pa(stats, targets)
-        # Two one-user passes take less time than one two-user pass of twice the width.
-        grid_max = np.maximum(exact_sop_near(stats, _DOMINANCE_GRID, targets).value,
-                              exact_sop_far(stats, _DOMINANCE_GRID, targets).value)
+        grid_max = np.maximum(exact_sop_near(stats, _DOMINANCE_GRID, targets).value, far)
         grid_min = float(grid_max.min())
         dominance_ok = dominance_ok and outcome.objective <= grid_min * (1.0 + _GRID_REL_SLACK)
         crossing = outcome.crossing

@@ -7,17 +7,17 @@ SNR at the far user, the channel statistics follow from the geometry alone:
 lambda_i = d_i**-n and rho_t = 10**(rho_r_db / 10) / lambda2.
 
 RunConfig checks every value that comes from outside, once, when it is
-built: unknown keys and malformed values are reported with their line
-number, out-of-domain values with their key, all as ConfigError. Each
-domain rule has one owner, the library code that takes the value:
-rates.validated_alpha for the power splits, sop.TargetRates for the target
-rates, montecarlo.SimConfig for the seed and sample count, and the channel
-statistics (mean_gain, rho_t_for_received_snr, ChannelStats) for the
-geometry, the path-loss exponent and every SNR of the run. RunConfig calls
-the owner and raises its error as a ConfigError that names each key and
-value. It checks on its own only what no owner does: the output format,
-d1 < d2 (ChannelStats admits ties), a nonempty SNR grid, and a sweep's axis
-and point count.
+built: unknown keys, repeated keys and malformed values are reported
+with their line numbers, out-of-domain values with their key, all as
+ConfigError. Each domain rule has one owner, the library code that takes
+the value: rates.validated_alpha for the power splits, sop.TargetRates
+for the target rates, montecarlo.SimConfig for the seed and sample
+count, and the channel statistics (mean_gain, rho_t_for_received_snr,
+ChannelStats) for the geometry, the path-loss exponent and every SNR of
+the run. RunConfig calls the owner and raises its error as a ConfigError
+that names each key and value. It checks on its own only what no owner
+does: the output format, d1 < d2 (ChannelStats admits ties), a nonempty
+SNR grid, and a sweep's axis and point count.
 """
 from __future__ import annotations
 
@@ -186,6 +186,7 @@ _KEYS = {
 def parse_config(text: str) -> RunConfig:
     overrides = {}
     sweep_parts = {}
+    seen = {}  # key -> the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -197,6 +198,9 @@ def parse_config(text: str) -> RunConfig:
         raw = raw.strip()
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         attr, parser = _KEYS[key]
         try:
             value = parser(raw)

@@ -9,13 +9,14 @@ least where psi is greatest, where phi crosses zero from above.
 minmax_pa is the one exact solver. One order-3 pass takes both users on a
 coarse grid and gives every cell to refine: each user's minimizer lies in
 the cell beside its grid argmax of psi where phi changes sign, and the
-min-max crossing in a cell where psi1 - psi2 changes sign. The root of the
-quintic Hermite interpolant of f on a cell, built from f, f' and f'' at
-its ends, typically lies within 1e-9 of f's. One lockstep loop, _refine,
-evaluates those start points in the next pass, narrows each cell to its
-start and refines every root by safeguarded Newton, one order-2 pass of
-both users at every column per step, so the last pass holds both users'
-SOPs at every candidate. Near a minimizer phi' < 0, so Newton converges
+min-max crossing in a cell where psi1 - psi2 changes sign. One safeguarded
+Newton, _newton, does every root search. It first finds the root of the
+quintic Hermite interpolant of f on each cell, built from f, f' and f'' at
+its ends, which typically lies within 1e-9 of f's. One lockstep loop,
+_refine, evaluates those start points in the next pass, narrows each cell
+to its start and runs _newton again on f itself, one order-2 pass of both
+users at every column per step, so the last pass holds both users' SOPs
+at every candidate. Near a minimizer phi' < 0, so Newton converges
 quadratically, and its first step from the interpolant's root is usually
 already below the tolerance; a crossing's objective moves to first order
 with alpha, so its root is settled by one more step. A solve takes 2.13
@@ -61,79 +62,66 @@ XTOL = 1e-8  # absolute tolerance on every solved power split
 # Coarse curve that brackets each minimizer. Any size works for a unimodal
 # curve; 33 points keep the Newton brackets short without a costly pass.
 _BRACKET_GRID = np.linspace(ALPHA_MIN, ALPHA_MAX, 33)
-# The start point's root search: at most this many steps, stopping once a
-# step moves less than this fraction of the cell.
-_START_STEPS = 12
+# The start point's root search stops once a step moves less than this
+# fraction of the cell.
 _START_TTOL = 1e-12
 
 
-class _Bracket:
-    """One column of _refine: the bracket [lo, hi] on which f changes sign,
-    and the last evaluated point x with f and its slope there. Its first
-    point is its cell's _hermite_start; cell is None from then on."""
+def _check(lo, hi, f_lo, f_hi, df_lo, df_hi):
+    if not all(map(math.isfinite, (lo, hi, f_lo, f_hi, df_lo, df_hi))):
+        raise ValueError("root finder got a non-finite bracket end or value")
+    if not lo <= hi:
+        raise ValueError("need lower <= upper")
+    if f_lo * f_hi > 0.0:
+        raise ValueError("f must change sign on every [lower, upper]")
 
-    def __init__(self, cell, settle):
-        self.cell, self.settle, self.done = cell, settle, False
-        self._restart(*cell[:6])
 
-    def _restart(self, lo, hi, f_lo, f_hi, df_lo, df_hi):
-        """Newton on [lo, hi] from the end with the smaller |f|."""
-        if not all(map(math.isfinite, (lo, hi, f_lo, f_hi, df_lo, df_hi))):
-            raise ValueError("root finder got a non-finite bracket end or value")
-        if not lo <= hi:
-            raise ValueError("need lower <= upper")
-        if f_lo * f_hi > 0.0:
-            raise ValueError("f must change sign on every [lower, upper]")
-        self.lo, self.hi, self.lo_positive = lo, hi, f_lo > 0.0
-        self.x, self.f, self.df = (lo, f_lo, df_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi, df_hi)
-        # The last two step sizes; the first two Newton steps need only stay in the bracket.
-        self.last = self.before = 2.0 * (hi - lo)
+def _newton(lo, hi, f_lo, f_hi, df_lo, df_hi, tol, settle=False):
+    """Safeguarded Newton (rtsafe) for the root of f on [lo, hi], where f
+    changes sign: a generator that yields each point to evaluate, is sent
+    (f, f') there, and returns its last point.
 
-    def advance(self) -> bool:
-        """Move x to the next point to evaluate; False once the column has stopped."""
-        if self.cell is not None:  # the start is always evaluated
-            self.x = _hermite_start(*self.cell)
-            return True
-        lo, hi = self.lo, self.hi
-        if self.done or self.f == 0.0 or hi - lo <= XTOL:
-            self.done = True
-            return False
-        d = -self.f / self.df if self.df != 0.0 else math.inf
-        target = self.x + d
-        # The end values may come from a pass with other columns, so a target
-        # a hair outside the bracket is clipped onto its end.
-        if lo - XTOL <= target <= hi + XTOL and abs(d) < 0.5 * self.before:
-            if abs(d) <= 0.5 * XTOL:
-                self.done = True
-                if not self.settle:
-                    return False
+    Newton starts from the end with the smaller |f|. The end values may come
+    from another evaluation of f, so a target within tol of the bracket is
+    clipped onto its end. A step that leaves the bracket, or is not under
+    half the step two iterations back, is replaced by bisection, so the
+    search converges whatever the slopes say.
+
+    It stops at a point whose Newton step is at most tol/2, so within tol of
+    the root. With settle it first takes that step and evaluates it: Newton
+    converges quadratically, so the point it returns then lies within
+    rounding of the root. It also stops where a step is blocked by the
+    bracket's end, or once its bracket is no wider than tol.
+    """
+    lo_positive = f_lo > 0.0
+    x, f, df = (lo, f_lo, df_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi, df_hi)
+    # The last two step sizes; the first two Newton steps need only stay in the bracket.
+    last = before = 2.0 * (hi - lo)
+    done = False
+    while not done and f != 0.0 and hi - lo > tol:
+        d = -f / df if df != 0.0 else math.inf
+        target = x + d
+        if lo - tol <= target <= hi + tol and abs(d) < 0.5 * before:
+            if abs(d) <= 0.5 * tol:
+                if not settle:
+                    break
+                done = True
             step = min(max(target, lo), hi)
-            self.last, self.before = abs(d), self.last
+            last, before = abs(d), last
         else:
             step = 0.5 * (lo + hi)
-            self.last, self.before = 0.5 * (hi - lo), self.last
-        if step == self.x:  # a sub-XTOL step blocked by the bracket's end
-            self.done = True
-            return False
-        self.x = step
-        return True
-
-    def update(self, f: float, df: float) -> None:
+            last, before = 0.5 * (hi - lo), last
+        if step == x:  # a sub-tol step blocked by the bracket's end
+            break
+        x = step
+        f, df = yield x
         if not (math.isfinite(f) and math.isfinite(df)):
-            raise ValueError(f"root finder got a non-finite value at x={self.x!r}")
-        if self.cell is not None:  # the start: narrow the cell to it
-            lo, hi, f_lo, f_hi, df_lo, df_hi = self.cell[:6]
-            self.cell = None
-            if (f > 0.0) == self.lo_positive:
-                self._restart(self.x, hi, f, f_hi, df, df_hi)
-            else:
-                self._restart(lo, self.x, f_lo, f, df_lo, df)
-            return
-        self.f, self.df = f, df
-        if (f > 0.0) == self.lo_positive:
-            self.lo = self.x
+            raise ValueError(f"root finder got a non-finite value at x={x!r}")
+        if (f > 0.0) == lo_positive:
+            lo = x
         else:
-            self.hi = self.x
+            hi = x
+    return x
 
 
 def _hermite_start(lo, hi, f_lo, f_hi, df_lo, df_hi, d2f_lo, d2f_hi) -> float:
@@ -141,10 +129,9 @@ def _hermite_start(lo, hi, f_lo, f_hi, df_lo, df_hi, d2f_lo, d2f_hi) -> float:
 
     The interpolant matches f, f' and f'' at both ends, so where f is smooth
     its root lies O((hi - lo)**6) from f's. f_lo and f_hi have opposite signs
-    (or one is zero). A few safeguarded Newton steps from the secant point,
-    in cell units t = (x - lo)/(hi - lo), keep the bracket on which the
-    interpolant changes sign and bisect it where a step would leave it, so
-    the point returned lies in [lo, hi] whatever the derivatives say.
+    (or one is zero). _newton finds it in cell units t = (x - lo)/(hi - lo),
+    to _START_TTOL, so the point returned lies in [lo, hi] whatever the
+    derivatives say.
     """
     w = hi - lo
     d0, s0 = w * df_lo, w * w * d2f_lo
@@ -157,59 +144,61 @@ def _hermite_start(lo, hi, f_lo, f_hi, df_lo, df_hi, d2f_lo, d2f_hi) -> float:
     c4 = -15.0 * a + 7.0 * b - c
     c5 = 6.0 * a - 3.0 * b + 0.5 * c
     c2 = 0.5 * s0
-    t_lo, t_hi, lo_positive = 0.0, 1.0, f_lo > 0.0
-    t = f_lo / (f_lo - f_hi)
-    for _ in range(_START_STEPS):
-        p = ((((c5 * t + c4) * t + c3) * t + c2) * t + d0) * t + f_lo
-        dp = (((5.0 * c5 * t + 4.0 * c4) * t + 3.0 * c3) * t + 2.0 * c2) * t + d0
-        if p == 0.0:
-            break
-        if (p > 0.0) == lo_positive:
-            t_lo = t
-        else:
-            t_hi = t
-        step = t - p / dp if dp != 0.0 else math.inf
-        if not t_lo < step < t_hi:
-            step = 0.5 * (t_lo + t_hi)
-        moved, t = abs(step - t), step
-        if moved <= _START_TTOL:
-            break
+    search = _newton(0.0, 1.0, f_lo, f_hi, d0, w * df_hi, _START_TTOL)
+    try:
+        t = next(search)
+        while True:
+            p = ((((c5 * t + c4) * t + c3) * t + c2) * t + d0) * t + f_lo
+            dp = (((5.0 * c5 * t + 4.0 * c4) * t + 3.0 * c3) * t + 2.0 * c2) * t + d0
+            t = search.send((p, dp))
+    except StopIteration as stop:
+        t = stop.value
     return min(max(lo + w * t, lo), hi)
 
 
+def _column(cell, settle):
+    """One column of _refine, as a generator like _newton: the cell's
+    _hermite_start, then _newton to XTOL on the piece of the cell beside it
+    where f changes sign."""
+    lo, hi, f_lo, f_hi, df_lo, df_hi = cell[:6]
+    _check(lo, hi, f_lo, f_hi, df_lo, df_hi)
+    x = _hermite_start(*cell)
+    f, df = yield x
+    if (f > 0.0) == (f_lo > 0.0):
+        lo, f_lo, df_lo = x, f, df
+    else:
+        hi, f_hi, df_hi = x, f, df
+    _check(lo, hi, f_lo, f_hi, df_lo, df_hi)
+    return (yield from _newton(lo, hi, f_lo, f_hi, df_lo, df_hi, XTOL, settle))
+
+
 def _refine(cells, evaluate, fields, settle):
-    """Roots of one function per cell by safeguarded Newton, to XTOL, and
-    the last pass made.
+    """Roots of one function per cell by _column, to XTOL, and the last
+    pass made.
 
     Each cell is (lo, hi, f_lo, f_hi, df_lo, df_hi, d2f_lo, d2f_hi), with f
     of opposite signs (or one zero) at its ends, and settle holds one flag
     per cell. evaluate(x) makes one pass at the list x of one point per
     cell, so the columns move in lockstep, and fields(pass) gives f and its
     slope there, one value per column; the bookkeeping is per column, in
-    floats. The first pass takes each cell's _hermite_start, and the cell
-    narrows to it on the side where f changes sign. Newton then starts from
-    the narrowed end with the smaller |f|. A step that leaves the bracket,
-    or is not under half the step two iterations back, is replaced by
-    bisection, so every column converges.
-
-    A column stops at a point whose Newton step is at most XTOL/2, so within
-    XTOL of the root. A settled column first takes that step and evaluates
-    it: Newton converges quadratically, so the point it returns then lies
-    within rounding of the root, for one more pass. It also stops where a
-    step is blocked by the bracket's end, or once its bracket is no wider
-    than XTOL. Every pass covers all columns, stopped ones at their final
-    point, so the last pass was made at the returned points.
+    floats. The first pass takes each cell's _hermite_start. Every pass
+    covers all columns, stopped ones at their final point, so the last pass
+    was made at the returned points.
     """
-    columns = [_Bracket(cell, flag) for cell, flag in zip(cells, settle)]
+    columns = [_column(cell, flag) for cell, flag in zip(cells, settle)]
+    x = [next(column) for column in columns]  # the starts are always evaluated
+    moving = dict(enumerate(columns))
     last = None
-    while True:
-        moved = [column.advance() for column in columns]
-        if not any(moved):
-            return np.array([column.x for column in columns]), last
-        last = evaluate([column.x for column in columns])
-        for column, move, f, df in zip(columns, moved, *fields(last)):
-            if move:
-                column.update(f, df)
+    while moving:
+        last = evaluate(x)
+        f, df = fields(last)
+        for i, column in list(moving.items()):
+            try:
+                x[i] = column.send((f[i], df[i]))
+            except StopIteration as stop:
+                x[i] = stop.value
+                del moving[i]
+    return np.array(x), last
 
 
 class Candidate(NamedTuple):

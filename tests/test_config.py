@@ -79,6 +79,20 @@ def test_unknown_key_reports_line_number():
         parse_config("sim.condition_on_ordering = false\n")
 
 
+def test_repeated_key_reports_both_lines(tmp_path, capsys):
+    # A repeated key is refused, not silently set to its last value.
+    text = "system.d2_m = 120\n# far user\nsystem.d2_m = 80\n"
+    with pytest.raises(ConfigError, match=r"^line 3: key 'system\.d2_m' repeats line 1$"):
+        parse_config(text)
+    with pytest.raises(ConfigError, match=r"^line 5: key 'sweep\.step' repeats line 4$"):
+        parse_config(_sweep("alpha", 0.1, 0.9, 0.1) + "sweep.step = 0.2\n")
+    path = tmp_path / "repeated.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["optimize", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: line 3: key 'system.d2_m' repeats line 1"]
+
+
 def test_bad_value_reports_line_number():
     with pytest.raises(ConfigError, match="line 1: bad value for system.d1_m"):
         parse_config("system.d1_m = fifty\n")

@@ -8,15 +8,16 @@ from noma_secrecy.config import RunConfig
 from noma_secrecy.optimize import (
     XTOL,
     Candidate,
-    _Bracket,
+    _column,
     _hermite_start,
+    _newton,
     _refine,
     _select,
     minmax_pa,
     optimal_pa_asymptotic,
 )
 from noma_secrecy.rates import ALPHA_MAX, ALPHA_MIN
-from noma_secrecy import sop
+from noma_secrecy import optimize, sop
 from noma_secrecy.sop import TargetRates, asymptotic_sops, exact_sop_far, exact_sop_near, exact_sops
 from reference import per_halving_survival_integral
 
@@ -111,6 +112,30 @@ def test_newton_stops_on_a_sub_xtol_step(settle):
         assert points == [[start]] and root[0] == start
 
 
+def test_newton_bisects_where_steps_stop_halving():
+    # f = sign(x - 0.3) * sqrt(|x - 0.3|): each Newton step lands on the
+    # mirror image of its point, so from 0.4 the iterates would swap between
+    # 0.2 and 0.4, both inside the bracket, which would never narrow. The
+    # third step is not under half the first and bisects instead.
+    def f(x):
+        root = math.sqrt(abs(x - 0.3))
+        return math.copysign(root, x - 0.3), 0.5 / max(root, 1e-300)
+
+    (f_lo, df_lo), (f_hi, df_hi) = f(0.1), f(0.4)
+    search = _newton(0.1, 0.4, f_lo, f_hi, df_lo, df_hi, XTOL)
+    points = []
+    try:
+        x = next(search)
+        while True:
+            assert len(points) < 100, "no convergence in 100 evaluations"
+            points.append(x)
+            x = search.send(f(x))
+    except StopIteration as stop:
+        root = stop.value
+    assert points[:3] == pytest.approx([0.2, 0.4, 0.3], abs=1e-12)
+    assert abs(root - 0.3) <= XTOL
+
+
 def test_newton_rejects_non_finite_values_and_unbracketed_roots():
     evaluate, _ = _recorded(lambda x: (x * math.nan, np.ones_like(x)))
     with pytest.raises(ValueError):  # at the start
@@ -120,18 +145,19 @@ def test_newton_rejects_non_finite_values_and_unbracketed_roots():
     with pytest.raises(ValueError):
         _refine([(0.0, 1.0, 0.5, -0.5, -1.0, -1.0, 0.0, 0.0)], evaluate, _same, [False])
     assert len(points) == 2
-    with pytest.raises(ValueError):
-        _Bracket((0.0, 1.0, math.nan, -0.5, -1.0, -1.0, 0.0, 0.0), False)
-    with pytest.raises(ValueError):
-        _Bracket((0.6, 1.0, -0.1, -0.5, -1.0, -1.0, 0.0, 0.0), False)
-    with pytest.raises(ValueError):
-        _Bracket((1.0, 0.0, -0.5, 0.5, -1.0, -1.0, 0.0, 0.0), False)
+    for cell in (
+        (0.0, 1.0, math.nan, -0.5, -1.0, -1.0, 0.0, 0.0),
+        (0.6, 1.0, -0.1, -0.5, -1.0, -1.0, 0.0, 0.0),
+        (1.0, 0.0, -0.5, 0.5, -1.0, -1.0, 0.0, 0.0),
+    ):
+        with pytest.raises(ValueError):
+            next(_column(cell, False))
     # A cell with a zero end starts there, and a start value of the other
     # end's sign leaves a piece without a sign change.
-    column = _Bracket((0.0, 1.0, 0.0, -0.5, -1.0, -1.0, 0.0, 0.0), False)
-    assert column.advance() and column.x == 0.0
+    column = _column((0.0, 1.0, 0.0, -0.5, -1.0, -1.0, 0.0, 0.0), False)
+    assert next(column) == 0.0
     with pytest.raises(ValueError):
-        column.update(-1e-17, -1.0)
+        column.send((-1e-17, -1.0))
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.3, 0.8])
@@ -425,6 +451,36 @@ def test_box_solves_take_no_more_passes(monkeypatch):
         passes.append(len(calls))
     assert sum(passes) <= 2098
     assert max(passes) <= 17
+
+
+def test_box_start_searches_take_few_quintic_evaluations(monkeypatch):
+    # The start search on each cell's quintic interpolant has no step cap:
+    # _newton stops there by its own rules alone. Over the box's 1026
+    # starts it takes 6.3 evaluations per start on average and at most 52,
+    # so a broken safeguard fails here, at 100 evaluations, instead of
+    # looping.
+    newton = optimize._newton
+    starts = []
+
+    def counted(lo, hi, f_lo, f_hi, df_lo, df_hi, tol, settle=False):
+        search = newton(lo, hi, f_lo, f_hi, df_lo, df_hi, tol, settle)
+        if tol != optimize._START_TTOL:
+            return (yield from search)
+        starts.append(0)
+        try:
+            x = next(search)
+            while True:
+                reply = yield x
+                starts[-1] += 1
+                assert starts[-1] < 100, "no convergence in 100 evaluations"
+                x = search.send(reply)
+        except StopIteration as stop:
+            return stop.value
+
+    monkeypatch.setattr(optimize, "_newton", counted)
+    for stats, targets in _box_configs():
+        minmax_pa(stats, targets)
+    assert starts and max(starts) <= 64
 
 
 # ROADMAP item 11: from 15 bits at default geometry both SOPs round to 1 at
