@@ -9,7 +9,7 @@ sample 2k starts block k and a Philox generator seeded with counter k reads
 the stream from there. `empirical_sops` cuts the stream with
 `sop._run_parts`, the fork-join wide SOP passes share, into contiguous
 slices, one per CPU this process may run on and each at least one chunk
-long, that start at multiples of 4 samples, so at even ones; the calling
+long, that start at even samples, so at whole blocks; the calling
 thread counts the first slice and the pool's persistent workers the
 others, and the integer counts are summed in slice order. A slice is
 read in order in chunks of whole blocks. So the draws, and hence the
@@ -125,7 +125,7 @@ def empirical_sops(
     every target pair is counted on the same draws, and each estimate equals
     what a separate call with that entry and that pair alone gives.
     The stream is cut by sop._run_parts into one slice per usable CPU, each
-    at least one chunk long and starting at a multiple of 4 samples; the
+    at least one chunk long and starting at an even sample; the
     calling thread counts the first slice and the pool's workers the others.
     An error in any slice is raised here once every slice has ended.
     """

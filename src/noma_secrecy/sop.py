@@ -29,15 +29,18 @@ integrand at node z is exp(kappa/(s + 1/z)), so a pass builds it at all 185
 nodes in one array from the stored 1/z: add s, divide kappa by the sum,
 take exp.
 
+A column's bits are its own: _weighted_sums pads every pass to whole
+groups of 4 columns, which the BLAS weight products sum alike, so any
+subset of a call's columns gives the same bits as the whole call.
+
 A pass of 2*_PART_COLUMNS (512) columns or more is cut by _run_parts, the
 fork-join the Monte Carlo count shares, into two column halves, or one part
-on one CPU; the first half ends at a multiple of 4 columns. The calling
-thread builds and sums the first half and a persistent daemon worker of the
-pool the second, at once. Each half fills its own array and takes its own
-weight products, which round by groups of 4 columns, so every column keeps
-the bits of the unsplit pass. Narrower passes, the fair-split solver's and
-the scalar ones, run on the calling thread alone without asking for the CPU
-count, as every pass does on one CPU.
+on one CPU. The calling thread builds and sums the first half and a
+persistent daemon worker of the pool the second, at once. Each half fills
+its own array and pads itself, so every column keeps the bits of the
+unsplit pass. Narrower passes, the fair-split solver's and the scalar ones,
+run on the calling thread alone without asking for the CPU count, as every
+pass does on one CPU.
 
 Every exact SOP goes through one column builder: exact_sop_near and
 exact_sop_far take one user per pass, exact_sops both. Every pass also
@@ -209,7 +212,19 @@ def _weighted_sums(scaled_slope: np.ndarray, kappa, moments: int):
     _HALVINGS's own rows what it adds. The moments are more rows of the same
     terms array, summed by the same two products, so the estimates and
     differences keep the plain call's bits.
+
+    The BLAS products sum whole groups of 4 columns by one code path and
+    the last 1-3 columns by another, which rounds differently. So the
+    columns are padded to a multiple of 4 with copies of the last one, and
+    the pads dropped from both sums: every column is then summed in a full
+    group, and its bits do not depend on the other columns of the pass.
     """
+    columns = scaled_slope.size
+    pad = -columns % 4
+    if pad:
+        scaled_slope = np.concatenate((scaled_slope, scaled_slope[-1:].repeat(pad)))
+        if isinstance(kappa, np.ndarray):
+            kappa = np.concatenate((kappa, kappa[-1:].repeat(pad)))
     top = max(moments, 1)  # terms per node: e, then e*h**k for k = 2..moments
     terms = np.empty((top, len(_INVERSE_NODES), scaled_slope.size))
     f = terms[0]
@@ -232,7 +247,9 @@ def _weighted_sums(scaled_slope: np.ndarray, kappa, moments: int):
     # Folding the step into the weights, or one 185-node product, would
     # round the sums differently.
     coarse_rows = len(_COARSE_WEIGHTS)
-    return _COARSE_WEIGHTS @ terms[:, :coarse_rows], _LAST_WEIGHTS @ terms[:, coarse_rows:]
+    coarse = _COARSE_WEIGHTS @ terms[:, :coarse_rows]
+    last = _LAST_WEIGHTS @ terms[:, coarse_rows:]
+    return coarse[:, :columns], last[:, :columns]
 
 
 def _usable_cpus() -> int:
@@ -246,16 +263,15 @@ def _run_parts(func, total: int, least: int) -> list:
     """[func(start, stop) for each part of [0, total)], in part order.
 
     The range is cut into one contiguous part per usable CPU, but never
-    into parts shorter than ``least``, and every part starts at a multiple
-    of 4: a Monte Carlo slice must start at an even sample (two samples per
-    Philox block), and the BLAS weight products of a pass round by groups of
-    4 columns. The calling thread runs the first part and the pool's
+    into parts shorter than ``least``, and every part starts at an even
+    index: a Monte Carlo slice must start at an even sample (two samples per
+    Philox block). The calling thread runs the first part and the pool's
     workers the others, each in a copy of the caller's context, so
     np.errstate holds in every part. The first error of any part, in part
     order, is raised once every part has ended.
     """
     parts = max(1, min(_usable_cpus(), total // least))
-    bounds = [4 * ((total // 4) * index // parts) for index in range(parts)] + [total]
+    bounds = [2 * ((total // 2) * index // parts) for index in range(parts)] + [total]
     jobs, done = _pool(parts - 1), SimpleQueue()
     for index in range(1, parts):
         jobs.put((contextvars.copy_context(), func, bounds[index], bounds[index + 1], index, done))

@@ -19,7 +19,8 @@ propagate (clamping at zero would change Pr{R_s < R_th}).
 
 `per_halving_survival_integral` is the reference for the SOP kernel,
 `sop._survival_integral`: the same exp-sinh rule and the same two weight
-products, to any number of halvings.
+products, over the same columns padded to a multiple of 4, to any number of
+halvings.
 """
 from __future__ import annotations
 
@@ -246,11 +247,19 @@ def per_halving_survival_integral(pi, slope, lam_exp, lam_int, scale,
     estimate and its change from the halving before, and raises
     QuadratureError unless scale times that change is at most
     sop._ACCEPT_TOL in every column. At the default ``halvings``, with the
-    kernel's integrand, sop._survival_integral must return the same bits.
-    With ``moments`` it also sums e*h**k, k = 2..moments, with
+    kernel's integrand, sop._survival_integral must return the same bits:
+    so that integrand is summed as the kernel sums it, over the columns
+    padded to a multiple of 4 with copies of the last one, whose sums are
+    then dropped. With ``moments`` it also sums e*h**k, k = 2..moments, with
     h = slope*y/(slope*y + 1).
     """
     slope = np.atleast_1d(slope)
+    columns = slope.size
+    pad = -columns % 4 if integrand is kernel_integrand else 0
+    if pad:
+        pi, slope, lam_exp, lam_int = (
+            np.concatenate((x, x[-1:].repeat(pad))) if np.ndim(x) else x for x in (pi, slope, lam_exp, lam_int)
+        )
     levels = _HALVING_NODES[:halvings + 1]
     groups = [[np.concatenate(col) for col in zip(*levels[:-1])], levels[-1]]
     sums = []
@@ -261,7 +270,7 @@ def per_halving_survival_integral(pi, slope, lam_exp, lam_int, scale,
             y = lam_int * z[:, None]
             h = slope * y / (slope * y + 1.0)
             terms += [np.maximum(e, sop._MOMENT_FLOOR) * h ** k for k in range(2, moments + 1)]
-        sums.append(np.array([w @ term for term in terms]))
+        sums.append(np.array([w @ term for term in terms])[:, :columns])
     coarse, last = sums
     step = sop._STEP0 / (1 << halvings)
     est = (coarse + last) * step

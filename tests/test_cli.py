@@ -121,6 +121,14 @@ def test_missing_config_file_exits_two(tmp_path):
     assert main(["optimize", "--config", str(tmp_path / "absent.cfg")]) == 2
 
 
+def test_undecodable_config_file_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"system.alpha = 0.4\n# caf\xe9\n")
+    assert main(["optimize", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: {cfg}: not UTF-8: byte 0xe9 at offset 24"]
+
+
 def test_bad_format_flag_is_rejected_by_parser():
     # --conditioned is gone with the ordering-conditioned Monte Carlo mode.
     for argv in (["optimize", "--format", "yaml"], ["validate", "--conditioned"]):

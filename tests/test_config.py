@@ -136,6 +136,11 @@ def test_bool_and_list_parsing():
     assert parse_config("validate.rho_r_grid_db = 10\n").validate_rho_r_grid_db == (10.0,)
     with pytest.raises(ConfigError, match="empty list"):
         parse_config("validate.rho_r_grid_db = ,\n")
+    # An empty item is refused, not dropped.
+    with pytest.raises(ConfigError, match=r"line 2: bad value for validate\.rho_r_grid_db: empty item 2 of 3$"):
+        parse_config("sim.seed = 3\nvalidate.rho_r_grid_db = 20,,30\n")
+    with pytest.raises(ConfigError, match=r"line 1: bad value for validate\.rho_r_grid_db: empty item 3 of 3$"):
+        parse_config("validate.rho_r_grid_db = 20, 30,\n")
 
 
 def test_bad_output_format_is_rejected():
@@ -272,6 +277,13 @@ def test_load_config_reads_files(tmp_path):
     path.write_text("system.rho_r_db = 20\nsim.seed = 3\n", encoding="utf-8")
     cfg = load_config(str(path))
     assert cfg.rho_r_db == 20.0 and cfg.seed == 3
+
+
+def test_load_config_refuses_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("system.rho_r_db = 20\n# café\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: not UTF-8: byte 0xe9 at offset 26")):
+        load_config(str(path))
 
 
 def _refuses(call) -> bool:

@@ -508,22 +508,45 @@ def test_sop_slopes_without_the_third_derivative_keep_every_other_bit():
             assert got.tobytes() == want.tobytes()
 
 
-# ROADMAP item 12: a column's bits depend on how many columns share its
-# pass, through the rounding of the pass's weight products. A fix makes
-# every prefix of a curve give the full curve's bits and turns this test
-# into an XPASS, which fails the run until the mark comes off.
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="known defect; see ROADMAP item 12")
-def test_a_curve_prefix_keeps_the_full_curves_bits():
-    stats, targets = RunConfig().stats(), TargetRates(1, 1)
-    grid = np.linspace(ALPHA_MIN, ALPHA_MAX, 333)
-    differ = []
-    for order in (0, 2, 3):
-        full = exact_sops(stats, grid, targets, order)
-        for k in (1, 2, 3, 5, 7, 33):
-            prefix = exact_sops(stats, grid[:k], targets, order)
-            if any(want is not None and got.tobytes() != want[:, :k].tobytes() for got, want in zip(prefix, full)):
-                differ.append((order, k))
-    assert not differ
+# A column's bits are its own: the kernel pads every pass to whole groups
+# of 4 columns, which its BLAS products sum alike, so any subset of a call's
+# columns, in any order, gives the full call's bits for those columns.
+_SUBSET_CONFIGS = [(RunConfig().stats(), TargetRates(1.0, 1.0))]
+_SUBSET_CONFIGS += [(stats, targets) for stats, _, targets in _box_sweep(40, seed=7)]
+_SUBSET_CALLS = {
+    "near": exact_sop_near,
+    "far": exact_sop_far,
+    **{f"order{order}": lambda *args, order=order: exact_sops(*args, order=order) for order in (0, 2, 3)},
+}
+
+
+@st.composite
+def _column_subsets(draw):
+    """A call's column count and a nonempty index set of its columns, in drawn order."""
+    points = draw(st.integers(1, 100))
+    return points, draw(st.lists(st.integers(0, points - 1), min_size=1, max_size=points, unique=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=st.integers(0, len(_SUBSET_CONFIGS) - 1), call=st.sampled_from(sorted(_SUBSET_CALLS)),
+       subset=_column_subsets())
+@example(config=0, call="order3", subset=(333, list(range(33))))
+@example(config=0, call="order2", subset=(333, [0, 1, 2, 4, 5, 6, 7]))
+@example(config=0, call="near", subset=(66, [65]))
+def test_any_column_subset_keeps_the_full_calls_bits(config, call, subset):
+    stats, targets = _SUBSET_CONFIGS[config]
+    points, index = subset
+    grid = np.sort(np.random.default_rng([config, points]).uniform(ALPHA_MIN, ALPHA_MAX, points))
+    func = _SUBSET_CALLS[call]
+    full = func(stats, grid, targets)
+    part = func(stats, grid[index], targets)
+    for got, want in zip(part, full):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.tobytes() == want[..., index].tobytes()
+    if len(index) == 1 and call in ("near", "far"):  # a scalar alpha takes the same pass
+        scalar = func(stats, float(grid[index[0]]), targets)
+        assert all(np.float64(got).tobytes() == want[index[0]].tobytes() for got, want in zip(scalar[:3], full))
 
 
 def test_log_survival_is_strictly_concave_at_each_minimizer():
@@ -549,9 +572,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 @pytest.mark.parametrize("users", [(1,), (0, 1)], ids=("one_user", "both_users"))
 @pytest.mark.parametrize("points", [256, 257, 999, 1000, 2001])
 def test_a_split_pass_keeps_the_unsplit_bits(monkeypatch, points, users):
-    # Each half is summed by its own weight products, which round by groups
-    # of 4 columns; the first half ends at a multiple of 4, so no column's
-    # group changes. More than two CPUs still cut two halves.
+    # Each half pads its own columns to whole groups of 4, so a column's
+    # bits do not depend on where the cut falls; the cut is at an even
+    # column. More than two CPUs still cut two halves.
     stats, targets = RunConfig().stats(), TargetRates(1, 1)
     grid = np.linspace(ALPHA_MIN, ALPHA_MAX, points)
     columns = points * len(users)
@@ -572,7 +595,7 @@ def test_a_split_pass_keeps_the_unsplit_bits(monkeypatch, points, users):
             monkeypatch.setattr(sop, "_usable_cpus", lambda cpus=cpus: cpus)
             calls.clear()
             split = sop._sop_pass(stats, grid, targets, users, order)
-            half = columns // 8 * 4
+            half = columns // 4 * 2
             assert sorted(calls) == [(False, columns - half), (True, half)]
             for got, want in zip(split, whole):
                 assert (got is None) == (want is None)
