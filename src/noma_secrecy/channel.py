@@ -31,22 +31,27 @@ def mean_gain(d: float, n: float = 2.5) -> float:
     return d ** (-n)
 
 
+def _every(ok) -> bool:  # a check on floats, or on arrays at every element
+    return ok is True or bool(np.all(ok))
+
+
 @dataclass(frozen=True)
 class ChannelStats:
-    """Mean gains of both links and the transmit SNR, all linear."""
+    """Mean gains of both links and the transmit SNR, all linear: floats, or arrays of one value per config."""
 
-    lambda1: float
-    lambda2: float
-    rho_t: float
+    lambda1: float | np.ndarray
+    lambda2: float | np.ndarray
+    rho_t: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.lambda1, self.lambda2, self.rho_t))):
+        lam1, lam2, rho_t = self.lambda1, self.lambda2, self.rho_t
+        if not _every((abs(lam1) < math.inf) & (abs(lam2) < math.inf) & (abs(rho_t) < math.inf)):
             raise ValueError("mean gains and transmit SNR must be finite")
         # Ties lambda1 == lambda2 are admitted for symmetric diagnostics;
         # RunConfig requires d1 < d2 of every configured geometry.
-        if not (self.lambda1 >= self.lambda2 > 0.0):
+        if not _every((lam1 >= lam2) & (lam2 > 0.0)):
             raise ValueError("mean gains must satisfy lambda1 >= lambda2 > 0")
-        if self.rho_t <= 0.0:
+        if not _every(rho_t > 0.0):
             raise ValueError("transmit SNR must be positive")
 
 

@@ -6,19 +6,19 @@ reproduces the reference setup. Because the configuration fixes the received
 SNR at the far user, the channel statistics follow from the geometry alone:
 lambda_i = d_i**-n and rho_t = 10**(rho_r_db / 10) / lambda2.
 
-RunConfig checks every value that comes from outside, once, when it is
-built: unknown keys, repeated keys and malformed values (an empty list
-item among them) are reported with their line numbers, out-of-domain
-values with their key, all as ConfigError; load_config reports a file
-that is not UTF-8 with the offset of its first bad byte. Each domain rule
-has one owner, the library code that takes the value: rates.validated_alpha
-for the power splits, sop.TargetRates for the target rates,
-montecarlo.SimConfig for the seed and sample count, and the channel
-statistics (mean_gain, rho_t_for_received_snr, ChannelStats) for the
-geometry, the path-loss exponent and every SNR of the run. RunConfig calls the owner and raises its error as a ConfigError
-that names each key and value. It checks on its own only what no owner
-does: the output format, d1 < d2 (ChannelStats admits ties), a nonempty
-SNR grid, and a sweep's axis and point count.
+RunConfig checks every value that comes from outside, once, when it is built:
+unknown keys, repeated keys and malformed values (an empty list item among
+them) are reported with their line numbers, out-of-domain values with their
+key, all as ConfigError; load_config drops a leading byte-order mark and
+reports a file that is not UTF-8 with the offset of its first bad byte. Each
+domain rule has one owner, the library code that takes the value:
+rates.validated_alpha for the power splits, sop.TargetRates for the target
+rates, montecarlo.SimConfig for the seed and sample count, and the channel
+statistics (mean_gain, rho_t_for_received_snr, ChannelStats) for the geometry,
+the path-loss exponent and every SNR of the run. RunConfig calls the owner and
+raises its error as a ConfigError that names each key and value. It checks on
+its own only what no owner does: the output format, d1 < d2 (ChannelStats
+admits ties), a nonempty SNR grid, and a sweep's axis and point count.
 """
 from __future__ import annotations
 
@@ -224,8 +224,8 @@ def parse_config(text: str) -> RunConfig:
 def load_config(path: str) -> RunConfig:
     with open(path, "rb") as handle:
         data = handle.read()
-    try:
-        text = data.decode("utf-8")
+    try:  # Windows editors save UTF-8 with a leading byte-order mark
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}") from exc
     return parse_config(text)

@@ -29,25 +29,23 @@ integrand at node z is exp(kappa/(s + 1/z)), so a pass builds it at all 185
 nodes in one array from the stored 1/z: add s, divide kappa by the sum,
 take exp.
 
-A column's bits are its own: _weighted_sums pads every pass to whole
-groups of 4 columns, which the BLAS weight products sum alike, so any
-subset of a call's columns gives the same bits as the whole call.
+Every exact SOP goes through one column builder, _sop_pass: exact_sop_near
+and exact_sop_far take one user per pass, exact_sops both. A field of
+ChannelStats or TargetRates may be an array of one value per config, which
+broadcasts against alpha: a column per point and config, with the bits of
+its own config's call at its own alpha, since _weighted_sums pads every
+pass to whole groups of 4 columns, which the BLAS products sum alike.
 
-A pass of 2*_PART_COLUMNS (512) columns or more is cut by _run_parts, the
-fork-join the Monte Carlo count shares, into two column halves, or one part
-on one CPU. The calling thread builds and sums the first half and a
-persistent daemon worker of the pool the second, at once. Each half fills
-its own array and pads itself, so every column keeps the bits of the
-unsplit pass. Narrower passes, the fair-split solver's and the scalar ones,
-run on the calling thread alone without asking for the CPU count, as every
-pass does on one CPU.
+Every pass goes through _run_parts, the fork-join the Monte Carlo count
+shares. A pass narrower than 2*_PART_COLUMNS (512) columns runs on the
+calling thread without asking for the CPU count. A wider one is cut into
+two column halves, or one part on one CPU: the calling thread sums the
+first half and a persistent daemon worker of the pool the second, at once.
 
-Every exact SOP goes through one column builder: exact_sop_near and
-exact_sop_far take one user per pass, exact_sops both. Every pass also
-returns psi = log(1 - s_o) = -A/lam_e + log I, which keeps its digits where
-s_o rounds to 1. exact_sops at order 2 or 3 also returns that many
-alpha-derivatives of psi: log of the prefactor is closed-form, and the
-survival integral's derivatives are moments of the same integrand on the
+Every pass also returns psi = log(1 - s_o) = -A/lam_e + log I, which keeps
+its digits where s_o rounds to 1. exact_sops at order 2 or 3 also returns
+that many alpha-derivatives of psi: log of the prefactor is closed-form, and
+the survival integral's derivatives are moments of the same integrand on the
 same nodes and halvings, which need only h = s/(s + 1/z), taken from the sum
 before the divide. Every order sums by one rule, two weight-vector products
 per term: one over halvings 0-2's 93 nodes, which is halving 2's estimate
@@ -66,13 +64,13 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
-from _queue import SimpleQueue
 from dataclasses import dataclass
+from queue import SimpleQueue
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .channel import ChannelStats
+from .channel import ChannelStats, _every
 from .rates import validated_alpha
 
 __all__ = [
@@ -96,23 +94,27 @@ _PART_COLUMNS = 256  # least columns in each half of a pass split over two CPUs
 
 @dataclass(frozen=True)
 class TargetRates:
-    """Per-user target secrecy rates (bits/s/Hz) and their exponentials."""
+    """Per-user target secrecy rates (bits/s/Hz), floats or arrays of one value per config, and their exponentials."""
 
-    rth1: float
-    rth2: float
+    rth1: float | np.ndarray
+    rth2: float | np.ndarray
 
     def __post_init__(self) -> None:
         # Also rejects nan and inf, which would reach the kernel as a nan or zero SOP.
-        if not (0.0 <= self.rth1 < _MAX_RTH and 0.0 <= self.rth2 < _MAX_RTH):
+        if not _every((0.0 <= self.rth1) & (self.rth1 < _MAX_RTH) & (0.0 <= self.rth2) & (self.rth2 < _MAX_RTH)):
             raise ValueError(f"target secrecy rates must lie within [0, {_MAX_RTH:g})")
 
     @property
-    def pi1(self) -> float:
-        return 2.0 ** self.rth1
+    def pi1(self) -> float | np.ndarray:
+        return _exp2(self.rth1)
 
     @property
-    def pi2(self) -> float:
-        return 2.0 ** self.rth2
+    def pi2(self) -> float | np.ndarray:
+        return _exp2(self.rth2)
+
+
+def _exp2(rth):  # Python's float ** per element of an array: numpy's ** rounds some rates differently
+    return np.asarray(2.0 ** rth.astype(object), dtype=float) if isinstance(rth, np.ndarray) else 2.0 ** rth
 
 
 class QuadratureError(RuntimeError):
@@ -171,24 +173,17 @@ def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarra
     With ``moments`` = m > 0 it also returns E_y[e * h**k] for k = 2..m as
     an (m - 1, n) array, taken on the same nodes and halvings, where e is the
     integrand and h = slope*y/(slope*y + 1) = s/(s + 1/z) lies in [0, 1).
-    _weighted_sums builds and sums the terms.
-
-    A pass of at least 2*_PART_COLUMNS columns sums its two column halves
-    at once on two CPUs (see the module docstring); every column keeps the
-    bits of the unsplit pass.
+    _weighted_sums builds and sums the terms, in two halves for a wide pass.
     """
-    scaled_slope, kappa = np.atleast_1d(slope) * lam_int, -pi * lam_int / lam_exp
-    columns = scaled_slope.size
-    if columns >= 2 * _PART_COLUMNS:
-        def part(start, stop):
-            part_kappa = kappa[start:stop] if isinstance(kappa, np.ndarray) else kappa
-            return _weighted_sums(scaled_slope[start:stop], part_kappa, moments)
+    scaled_slope, kappa = slope * lam_int, -pi * lam_int / lam_exp
 
-        # Two halves at most, even on more CPUs: the split was timed on two.
-        parts = _run_parts(part, columns, columns // 2)
-        coarse, last = (np.concatenate(pair, axis=1) for pair in zip(*parts))
-    else:
-        coarse, last = _weighted_sums(scaled_slope, kappa, moments)
+    def part(start, stop):
+        part_kappa = kappa[start:stop] if isinstance(kappa, np.ndarray) else kappa
+        return _weighted_sums(scaled_slope[start:stop], part_kappa, moments)
+
+    # Two halves at most, even on more CPUs: the split was timed on two.
+    parts = _run_parts(part, scaled_slope.size, max(_PART_COLUMNS, scaled_slope.size // 2))
+    coarse, last = parts[0] if len(parts) == 1 else (np.concatenate(pair, axis=1) for pair in zip(*parts))
     step = _STEP0 / (1 << _HALVINGS)
     est = (coarse + last) * step
     diff = np.abs(est[0] - coarse[0] * (2.0 * step))
@@ -270,7 +265,9 @@ def _run_parts(func, total: int, least: int) -> list:
     np.errstate holds in every part. The first error of any part, in part
     order, is raised once every part has ended.
     """
-    parts = max(1, min(_usable_cpus(), total // least))
+    if total < 2 * least:  # one part: no CPU count and no pool
+        return [func(0, total)]
+    parts = min(_usable_cpus(), total // least)
     bounds = [2 * ((total // 2) * index // parts) for index in range(parts)] + [total]
     jobs, done = _pool(parts - 1), SimpleQueue()
     for index in range(1, parts):
@@ -294,7 +291,10 @@ def _attempt(func, start: int, stop: int):
 
 # The pool: one job queue and the persistent daemon workers that serve it,
 # started as calls need them. A forked child starts with an empty pool of
-# its own, since only the forking thread survives a fork.
+# its own, since only the forking thread survives a fork. Not an executor:
+# a ThreadPoolExecutor's workers are not daemon threads, and on a 2-CPU Xeon
+# its two-part fork-join of a trivial function took 25-28 us (submit/result)
+# or 47 us (wait), this pool's 19-21 us.
 def _empty_pool() -> None:
     global _jobs, _workers, _pool_lock
     _jobs, _workers, _pool_lock = SimpleQueue(), 0, threading.Lock()
@@ -328,24 +328,31 @@ _ORDER_MOMENTS = {0: 0, 2: 4, 3: 6}  # derivative order -> highest moment the ke
 def _sop_pass(stats: ChannelStats, alpha, targets: TargetRates, users: tuple, order: int = 0) -> SopValue:
     """The listed users' (0 near, 1 far) exact SOPs at each alpha in one kernel pass.
 
-    Every field has shape (len(users),) + alpha's shape. A column's own power
-    share sets A = (Pi - 1)/(own*rho_t), the other user's the slope
-    c = other*rho_t. exact_sops describes ``order``.
+    Every field has shape (len(users),) + the broadcast shape of alpha and
+    the config fields. A column's own power share sets A = (Pi - 1)/(own*rho_t),
+    the other user's the slope c = other*rho_t. exact_sops describes ``order``.
     """
     a = validated_alpha(alpha)
+    pi1, pi2, lam1, lam2, rho_t = config = (targets.pi1, targets.pi2, stats.lambda1, stats.lambda2, stats.rho_t)
+    batched = np.ndarray in map(type, config)  # any array field
+    if batched:  # one column per alpha and config
+        a, pi1, pi2, lam1, lam2, rho_t = np.broadcast_arrays(a, *config)
     shape = (len(users),) + a.shape
     flat = a.ravel()
     shares = (flat, 1.0 - flat)  # each user's own power share
     own = np.concatenate([shares[u] for u in users])
     other = np.concatenate([shares[1 - u] for u in users])
-    # Each column's Pi, lam_e, lam_i and d(own share)/dalpha, from its user's
-    # row. One user's stay scalars: the kernel divides by a scalar kappa
-    # about a third faster than by a row of them.
-    per_user = ((targets.pi1, stats.lambda1, stats.lambda2, 1.0), (targets.pi2, stats.lambda2, stats.lambda1, -1.0))
+    # Each column's Pi, lam_e, lam_i, d(own share)/dalpha and rho_t, from its
+    # user's row. One user's float config stays scalars: the kernel divides by
+    # a scalar kappa about a third faster than by a row of them.
+    per_user = ((pi1, lam1, lam2, 1.0, rho_t), (pi2, lam2, lam1, -1.0, rho_t))
     rows = [per_user[u] for u in users]
-    pi, lam, lam_int, sign = rows[0] if len(rows) == 1 else np.array(rows).T.repeat(a.size, axis=1)
-    slope = other * stats.rho_t
-    shift = (pi - 1.0) / (own * stats.rho_t)
+    if batched:  # each field flat (a sign repeated), user after user
+        pi, lam, lam_int, sign, rho_t = (np.concatenate([np.resize(v, a.size) for v in f]) for f in zip(*rows))
+    else:
+        pi, lam, lam_int, sign, rho_t = rows[0] if len(rows) == 1 else np.array(rows).T.repeat(a.size, axis=1)
+    slope = other * rho_t
+    shift = (pi - 1.0) / (own * rho_t)
     log_prefactor = -shift / lam
     prefactor = np.exp(log_prefactor)
     integral, diff, *moments = _survival_integral(pi, slope, lam, lam_int, prefactor, moments=_ORDER_MOMENTS[order])
@@ -388,10 +395,11 @@ def exact_sops(stats: ChannelStats, alpha, targets: TargetRates, order: int = 0)
     """Both users' exact SOPs at each alpha in one quadrature pass and, at
     ``order`` 2 or 3, that many alpha-derivatives of log(1 - s_o).
 
-    Each field has shape (2,) + alpha's shape, near user first. Order 0
-    gives value, quad_error and psi, as exact_sop_near/far do; order 2 adds
-    phi and dphi, and order 3 also d2phi, with the same value, quad_error
-    and psi bits. A field the order leaves out is None.
+    Each field has shape (2,) + the broadcast shape of alpha and any array
+    config fields, near user first. Order 0 gives value, quad_error and psi,
+    as exact_sop_near/far do; order 2 adds phi and dphi, and order 3 also
+    d2phi, with the same value, quad_error and psi bits. A field the order
+    leaves out is None.
 
     With 1 - s_o = P * I, where P = exp(-A/lam_e) and I is the survival
     integral, log P is closed-form in alpha. I depends on alpha only through
@@ -407,8 +415,8 @@ def exact_sops(stats: ChannelStats, alpha, targets: TargetRates, order: int = 0)
 
 
 def asymptotic_sops(stats: ChannelStats, alpha, targets: TargetRates) -> np.ndarray:
-    """Both users' high-SNR SOPs in closed form, shaped (2,) + alpha's shape,
-    near user first; alpha may be a scalar or an array.
+    """Both users' high-SNR SOPs in closed form, shaped as exact_sops's
+    fields, near user first; alpha may be a scalar or an array.
 
     A user's row is its exact SOP with y/(c*y + 1) in the integrand replaced
     by its limit 1/c, where c = other*rho_t, so it is an upper bound on that
@@ -423,5 +431,5 @@ def asymptotic_sops(stats: ChannelStats, alpha, targets: TargetRates) -> np.ndar
     """
     a = validated_alpha(alpha)
     scale = a * (a - 1.0) * stats.rho_t
-    return 1.0 - np.exp(np.array([(targets.pi1 + a - 1.0) / (scale * stats.lambda1),
-                                  (targets.pi2 - a) / (scale * stats.lambda2)]))
+    rows = ((targets.pi1 + a - 1.0) / (scale * stats.lambda1), (targets.pi2 - a) / (scale * stats.lambda2))
+    return 1.0 - np.exp(np.array(np.broadcast_arrays(*rows)))

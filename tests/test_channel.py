@@ -90,6 +90,24 @@ def test_channel_stats_rejects_non_finite_fields(field, bad):
         ChannelStats(**values)
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("lambda1", math.nan), ("lambda2", math.inf), ("rho_t", math.nan),  # not finite
+    ("lambda2", 2e-4),  # lambda1 < lambda2
+    ("lambda2", 0.0), ("rho_t", 0.0), ("rho_t", -1.0),  # not positive
+])
+def test_channel_stats_reject_an_array_with_one_bad_element_as_its_float_config(field, bad):
+    # An array field holds one config per element; each meets the float rules.
+    values = {"lambda1": np.full(3, 1e-4), "lambda2": np.full(3, 1e-5), "rho_t": np.full(3, 1e6)}
+    values[field][1] = bad
+    with pytest.raises(ValueError) as from_floats:
+        ChannelStats(**{key: float(value[1]) for key, value in values.items()})
+    with pytest.raises(ValueError) as from_arrays:
+        ChannelStats(**values)
+    assert str(from_arrays.value) == str(from_floats.value)
+    values[field][1] = values[field][0]
+    assert ChannelStats(**values).lambda2.shape == (3,)
+
+
 def test_gain_sample_rejects_negative():
     with pytest.raises(ValueError):
         GainSample(g1=-1.0, g2=1.0)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from noma_secrecy import cli, sop
@@ -66,9 +67,9 @@ def test_csv_headers(tmp_path, command, config_text):
 
 
 def test_validate_detects_broken_analytics(tmp_path, monkeypatch):
-    def skewed(stats, alpha, targets):
+    def skewed(stats, alpha, targets):  # validate's one call takes its whole grid as arrays
         real = exact_sop_near(stats, alpha, targets)
-        return SopValue(min(real.value + 0.05, 1.0), real.quad_error)
+        return SopValue(np.minimum(real.value + 0.05, 1.0), real.quad_error)
 
     monkeypatch.setattr(cli, "exact_sop_near", skewed)
     code, payload = run_to_file(tmp_path, "validate", FAST_SIM)
@@ -127,6 +128,15 @@ def test_undecodable_config_file_exits_two(tmp_path, capsys):
     assert main(["optimize", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"config error: {cfg}: not UTF-8: byte 0xe9 at offset 24"]
+
+
+def test_config_file_with_a_byte_order_mark_runs(tmp_path):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_text("sim.realizations = 5000\n", encoding="utf-8-sig")
+    out = tmp_path / "validate.csv"
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["validate", "--samples", "5000", "--out", str(tmp_path / "plain.csv")]) == 0
+    assert out.read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 def test_bad_format_flag_is_rejected_by_parser():
@@ -207,12 +217,17 @@ def _count_kernel_passes(monkeypatch) -> list:
     return calls
 
 
-def test_distance_sweep_takes_one_kernel_pass_per_distance(monkeypatch, capsys):
+# Kernel passes at defaults. validate and distance-sweep take their whole
+# grid in one pass, a column per point and config; minmax (one per rth1 and
+# its dominance curves) and gain-comparison (one per SNR) loop over configs.
+@pytest.mark.parametrize("command,passes", [
+    ("validate", 1), ("distance-sweep", 1), ("optimize", 3), ("minmax", 19), ("gain-comparison", 21),
+])
+def test_kernel_passes_at_defaults(monkeypatch, capsys, command, passes):
     calls = _count_kernel_passes(monkeypatch)
-    assert main(["distance-sweep"]) == 0
-    rows = [line for line in capsys.readouterr().out.splitlines()[1:] if not line.startswith("#")]
-    assert len(rows) == 10
-    assert len(calls) == len(rows)
+    assert main([command]) == 0
+    capsys.readouterr()
+    assert len(calls) == passes
 
 
 def test_optimize_solves_both_minimizers_in_one_bracket_pass(monkeypatch, capsys):

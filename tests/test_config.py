@@ -286,6 +286,19 @@ def test_load_config_refuses_a_file_that_is_not_utf8(tmp_path):
         load_config(str(path))
 
 
+def test_load_config_drops_a_byte_order_mark(tmp_path):
+    # Windows editors save UTF-8 with a byte-order mark (utf-8-sig).
+    text = "sim.realizations = 5000\nsystem.rho_r_db = 20\n"
+    path = tmp_path / "bom.cfg"
+    path.write_text(text, encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_config(str(path)) == parse_config(text)
+    # A bad byte after the mark is reported at its offset in the file.
+    path.write_bytes(b"\xef\xbb\xbf" + "system.rho_r_db = 20\n# café\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: not UTF-8: byte 0xe9 at offset 29")):
+        load_config(str(path))
+
+
 def _refuses(call) -> bool:
     try:
         call()

@@ -302,6 +302,18 @@ def test_target_rates_reject_non_finite_and_overflowing_rates(field, bad):
     assert math.isfinite(getattr(TargetRates(**values), "pi" + field[-1]))
 
 
+@pytest.mark.parametrize("field", ["rth1", "rth2"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 1024.0])
+def test_target_rates_reject_an_array_with_one_bad_element_as_its_float_config(field, bad):
+    values = {"rth1": np.full(3, 1.0), "rth2": np.full(3, 1.0)}
+    values[field][1] = bad
+    with pytest.raises(ValueError) as from_floats:
+        TargetRates(**{key: float(value[1]) for key, value in values.items()})
+    with pytest.raises(ValueError) as from_arrays:
+        TargetRates(**values)
+    assert str(from_arrays.value) == str(from_floats.value)
+
+
 def test_exact_sops_order_zero_takes_no_derivatives():
     stats = stats_at(1e7)
     scalar = exact_sops(stats, 0.3, RTH1)
@@ -549,6 +561,50 @@ def test_any_column_subset_keeps_the_full_calls_bits(config, call, subset):
         assert all(np.float64(got).tobytes() == want[index[0]].tobytes() for got, want in zip(scalar[:3], full))
 
 
+# Configs as columns: ChannelStats and TargetRates fields given as arrays
+# broadcast against alpha, and each column keeps the bits of the float call
+# at its own config. Python's and numpy's array 2**rth differ on some rates
+# (2.631 and 0.793 with numpy's AVX-512 power); the pass takes Python's.
+_BATCHED_CALLS = {**_SUBSET_CALLS, "asymptotic": asymptotic_sops}
+
+
+@st.composite
+def _config_columns(draw):
+    """(log10 d2, path-loss exponent, received SNR dB, rth1, rth2) per config
+    over _config_sweep's domain (d1 = 1 m), and whether all share one rate pair."""
+    config = st.tuples(st.floats(0.0, 1.5), st.floats(1.5, 6.0), st.floats(-20.0, 120.0),
+                       st.floats(0.0, 4.0), st.floats(0.0, 4.0))
+    return draw(st.lists(config, min_size=1, max_size=8)), draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(call=st.sampled_from(sorted(_BATCHED_CALLS)), configs=_config_columns(),
+       alphas=st.lists(st.floats(ALPHA_MIN, ALPHA_MAX), min_size=1, max_size=3))
+@example(call="order3", configs=([(1.0, 2.5, 30.0, 2.631, 0.793), (0.3, 2.5, 20.0, 0.5, 3.0)], False), alphas=[0.5])
+@example(call="near", configs=([(1.0, 2.5, 30.0, 2.631, 0.793), (0.3, 2.5, 20.0, 0.5, 3.0)], False), alphas=[0.3, 0.6])
+@example(call="asymptotic", configs=([(1.0, 2.5, 30.0, 2.631, 0.793), (0.3, 2.5, 20.0, 0.5, 3.0)], True), alphas=[0.5])
+def test_configs_as_columns_keep_their_own_calls_bits(call, configs, alphas):
+    configs, shared_rates = configs
+    stats_seq, targets_seq = [], []
+    for log_d2, exponent, rho_r, rth1, rth2 in configs:
+        lam2 = mean_gain(10.0 ** log_d2, exponent)
+        stats_seq.append(ChannelStats(1.0, lam2, rho_t_for_received_snr(rho_r, lam2)))
+        targets_seq.append(TargetRates(*configs[0][3:]) if shared_rates else TargetRates(rth1, rth2))
+    stats = ChannelStats(1.0, *(np.array([getattr(s, f) for s in stats_seq]) for f in ("lambda2", "rho_t")))
+    targets = targets_seq[0] if shared_rates else TargetRates(
+        *(np.array([getattr(t, f) for t in targets_seq]) for f in ("rth1", "rth2")))
+    func = _BATCHED_CALLS[call]
+    batched = func(stats, np.array(alphas)[:, None], targets)  # (points, 1) against (configs,)
+    batched = batched if isinstance(batched, tuple) else (batched,)
+    for j, (own_stats, own_targets) in enumerate(zip(stats_seq, targets_seq)):
+        for i, alpha in enumerate(alphas):
+            own = func(own_stats, alpha, own_targets)
+            for got, want in zip(batched, own if isinstance(own, tuple) else (own,)):
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got[..., i, j].tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
 def test_log_survival_is_strictly_concave_at_each_minimizer():
     # phi' < 0 at an interior root of phi makes it a strict minimum of s_o,
     # where Newton on phi converges quadratically. Away from the minimizer
@@ -601,6 +657,20 @@ def test_a_split_pass_keeps_the_unsplit_bits(monkeypatch, points, users):
                 assert (got is None) == (want is None)
                 if got is not None:
                     assert got.tobytes() == want.tobytes()
+
+
+def test_every_pass_takes_the_fork_join_and_a_narrow_one_asks_no_cpu_count(monkeypatch):
+    # One route: a pass narrower than two parts runs whole on the calling
+    # thread, before the fork-join asks for the CPU count.
+    asked, parts, run_parts = [], [], sop._run_parts
+    monkeypatch.setattr(sop, "_usable_cpus", lambda: asked.append(1) or 2)
+    monkeypatch.setattr(sop, "_run_parts", lambda *args: parts.append(args[1:]) or run_parts(*args))
+    stats, targets = RunConfig().stats(), TargetRates(1, 1)
+    exact_sops(stats, np.linspace(0.1, 0.9, 255), targets)  # 510 columns
+    exact_sop_near(stats, 0.4, targets)
+    assert parts == [(510, 256), (1, 256)] and asked == []
+    exact_sops(stats, np.linspace(0.1, 0.9, 256), targets)
+    assert parts[-1] == (512, 256) and asked == [1]
 
 
 def test_a_worker_half_error_reaches_the_caller_and_the_worker_stays_usable(monkeypatch):
