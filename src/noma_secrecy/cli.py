@@ -204,11 +204,15 @@ def cmd_gain_comparison(cfg: RunConfig) -> tuple:
     ]
     rows = []
     dominance_ok = True
-    for rho_r in sweep.values():
-        stats = with_received_snr(base, float(rho_r))
+    snrs_db = sweep.values().tolist()
+    stats_seq = [with_received_snr(base, rho_r) for rho_r in snrs_db]
+    # Every SNR's fixed-split baseline in one pass: a column per SNR.
+    snrs = dataclasses.replace(base, rho_t=np.array([stats.rho_t for stats in stats_seq]))
+    fixed = exact_sops(snrs, cfg.fixed_alpha, targets).value.max(axis=0).tolist()
+    for rho_r, stats, fixed_max in zip(snrs_db, stats_seq, fixed):
         outcome = minmax_pa(stats, targets)
         baselines = {
-            "fixed": exact_sops(stats, cfg.fixed_alpha, targets).value.max(axis=0),
+            "fixed": fixed_max,
             "near_opt": outcome.near.max_sop,
             "far_opt": outcome.far.max_sop,
         }
@@ -220,7 +224,7 @@ def cmd_gain_comparison(cfg: RunConfig) -> tuple:
             for key, value in baselines.items()
         }
         rows.append((
-            float(rho_r), outcome.selected, outcome.objective,
+            rho_r, outcome.selected, outcome.objective,
             baselines["fixed"], baselines["near_opt"], baselines["far_opt"],
             gains["fixed"], gains["near_opt"], gains["far_opt"],
         ))

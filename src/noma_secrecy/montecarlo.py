@@ -12,8 +12,10 @@ slices, one per CPU this process may run on and each at least one chunk
 long, that start at even samples, so at whole blocks; the calling
 thread counts the first slice and the pool's persistent workers the
 others, and the integer counts are summed in slice order. A slice is
-read in order in chunks of whole blocks. So the draws, and hence the
-totals, depend neither on the chunk size nor on the worker or CPU count.
+read in order in chunks of whole blocks, 2**15 samples or, for a call with
+more than 64 target pairs, as few as keep its flag block within 4 MiB. So
+the draws, and hence the totals, depend neither on the chunk size nor on
+the worker or CPU count.
 A slice keeps one set of buffers: the uniforms become unit-mean
 exponential draws in place, and the ratio algebra runs into reused arrays.
 Each chunk is drawn once and counted for every channel entry and target
@@ -46,6 +48,9 @@ __all__ = [
 
 # 2**15 samples per chunk keep a slice's buffers near cache; totals do not depend on it.
 _CHUNK = 1 << 15
+# A slice's flag block takes 2 bytes per target pair and sample of a chunk;
+# with many pairs the chunk shrinks to keep the block within this size.
+_FLAG_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -135,7 +140,9 @@ def empirical_sops(
         return ()
     pis = [(targets.pi1, targets.pi2) for targets in targets_seq]
     total = sim.realizations
-    parts = _run_parts(lambda start, stop: _count_slice(stats_seq, a, pis, sim, start, stop, _CHUNK), total, _CHUNK)
+    # Whole uint64 words of flags per row; validate's 6 pairs keep the full chunk.
+    chunk = min(_CHUNK, max(_FLAG_BYTES // (2 * max(len(pis), 1)) // 8 * 8, 8))
+    parts = _run_parts(lambda start, stop: _count_slice(stats_seq, a, pis, sim, start, stop, chunk), total, _CHUNK)
     # sum(parts) adds the slices' counts in slice order; tolist() makes them Python ints.
     return tuple(
         tuple(_estimate(out1, out2, total) for out1, out2 in zip(*entry)) for entry in sum(parts).tolist()

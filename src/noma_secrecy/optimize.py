@@ -1,22 +1,25 @@
 """Power-split optimization: per-user minima and the min-max fair point.
 
-Every decision reads psi = log(1 - s_o), which each sop.exact_sops pass
-returns, and its alpha-derivatives phi = psi' and phi' at order 2, and
-phi'' too at order 3. psi keeps its digits where s_o rounds to 1, as it
+Every decision reads psi = log(1 - s_o), which each SOP pass returns, and
+its alpha-derivatives phi = psi', phi' and phi'': sop.exact_sops returns
+phi and phi' at order 2. psi keeps its digits where s_o rounds to 1, as it
 does from about 15-bit target rates at default geometry. A user's SOP is
 least where psi is greatest, where phi crosses zero from above.
 
-minmax_pa is the one exact solver. One order-3 pass takes both users on a
+minmax_pa is the one exact solver. One order-0 pass takes both users on a
 coarse grid and gives every cell to refine: each user's minimizer lies in
 the cell beside its grid argmax of psi where phi changes sign, and the
-min-max crossing in a cell where psi1 - psi2 changes sign. One safeguarded
-Newton, _newton, does every root search. It first finds the root of the
-quintic Hermite interpolant of f on each cell, built from f, f' and f'' at
-its ends, which typically lies within 1e-9 of f's. One lockstep loop,
-_refine, evaluates those start points in the next pass, narrows each cell
-to its start and runs _newton again on f itself, one order-2 pass of both
-users at every column per step, so the last pass holds both users' SOPs
-at every candidate. Near a minimizer phi' < 0, so Newton converges
+min-max crossing in a cell where psi1 - psi2 changes sign. The pass's psi
+picks those cells; phi, phi' and phi'' come from moments the pass then
+takes at the nodes they can use alone, 6 of its 66 columns at defaults,
+with the bits an order-3 pass gives them. One safeguarded Newton, _newton,
+does every root search. It first finds the root of the quintic Hermite
+interpolant of f on each cell, built from f, f' and f'' at its ends, which
+typically lies within 1e-9 of f's. One lockstep loop, _refine, evaluates
+those start points in the next pass, narrows each cell to its start and
+runs _newton again on f itself, one order-2 pass of both users at every
+column per step, so the last pass holds both users' SOPs at every
+candidate. Near a minimizer phi' < 0, so Newton converges
 quadratically, and its first step from the interpolant's root is usually
 already below the tolerance; a crossing's objective moves to first order
 with alpha, so its root is settled by one more step. A solve takes 2.13
@@ -48,7 +51,7 @@ import numpy as np
 
 from .channel import ChannelStats
 from .rates import ALPHA_MAX, ALPHA_MIN
-from .sop import TargetRates, exact_sops
+from .sop import TargetRates, _sops_and_slopes, exact_sops
 
 __all__ = [
     "XTOL",
@@ -261,10 +264,20 @@ def minmax_pa(stats: ChannelStats, targets: TargetRates) -> MinMaxOutcome:
     beyond each argmax, so they hold that root; a root outside the
     minimizers is refined too but takes no part.
     """
-    on_grid = exact_sops(stats, _BRACKET_GRID, targets, order=3)
+    on_grid, slopes = _sops_and_slopes(stats, _BRACKET_GRID, targets, (0, 1))
     alphas = _BRACKET_GRID.tolist()
-    psi, phi, dphi, d2phi = (v.tolist() for v in on_grid[2:])
+    n = len(alphas)
+    psi = on_grid.psi.tolist()
     best = [row.index(max(row)) for row in psi]  # each user's grid argmax of psi
+    psi1, psi2 = psi
+    crossing = [i for i in range(max(min(best) - 1, 0), min(max(best) + 1, n - 1))
+                if (psi1[i] > psi2[i]) != (psi1[i + 1] > psi2[i + 1])]
+    # phi, phi' and phi'' only at the columns, user * n + node, a cell can
+    # take: each user's argmax and the nodes beside it, and both users at
+    # each crossing cell's ends. at maps each to its (phi, phi', phi'').
+    columns = sorted({*(u * n + j for u, k in enumerate(best) for j in range(max(k - 1, 0), min(k + 2, n))),
+                      *(u * n + j for i in crossing for j in (i, i + 1) for u in (0, 1))})
+    at = dict(zip(columns, zip(*(v.tolist() for v in slopes(columns, 3)))))
 
     def cell(i, f, df, d2f):  # the cell [alphas[i], alphas[i + 1]]; f, f' and f'' at its ends
         return alphas[i], alphas[i + 1], f[0], f[1], df[0], df[1], d2f[0], d2f[1]
@@ -272,16 +285,15 @@ def minmax_pa(stats: ChannelStats, targets: TargetRates) -> MinMaxOutcome:
     points = [alphas[k] for k in best]
     cells, users = [], []  # users: the user of each minimizer cell
     for user, k in enumerate(best):
-        f = phi[user]
-        j = min(max(k + 1 if f[k] > 0.0 else k - 1, 0), len(alphas) - 1)
-        if j != k and f[k] != 0.0 and f[k] * f[j] <= 0.0:
+        phi_k = at[user * n + k][0]
+        j = min(max(k + 1 if phi_k > 0.0 else k - 1, 0), n - 1)
+        if j != k and phi_k != 0.0 and phi_k * at[user * n + j][0] <= 0.0:
             i = min(k, j)
-            cells.append(cell(i, f[i:i + 2], dphi[user][i:i + 2], d2phi[user][i:i + 2]))
+            cells.append(cell(i, *zip(at[user * n + i], at[user * n + i + 1])))
             users.append(user)
-    psi1, psi2 = psi
-    for i in range(max(min(best) - 1, 0), min(max(best) + 1, len(alphas) - 1)):
-        if (psi1[i] > psi2[i]) != (psi1[i + 1] > psi2[i + 1]):
-            cells.append(cell(i, *([a[i] - b[i], a[i + 1] - b[i + 1]] for a, b in (psi, phi, dphi))))
+    for i in crossing:  # psi1 - psi2 and its two slopes at both ends
+        ends = [(psi1[j] - psi2[j], at[j][0] - at[n + j][0], at[j][1] - at[n + j][1]) for j in (i, i + 1)]
+        cells.append(cell(i, *zip(*ends)))
     crossings = len(cells) - len(users)
     if cells:
         def evaluate(x):

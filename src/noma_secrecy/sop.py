@@ -29,8 +29,9 @@ integrand at node z is exp(kappa/(s + 1/z)), so a pass builds it at all 185
 nodes in one array from the stored 1/z: add s, divide kappa by the sum,
 take exp.
 
-Every exact SOP goes through one column builder, _sop_pass: exact_sop_near
-and exact_sop_far take one user per pass, exact_sops both. A field of
+Every exact SOP goes through one column builder, _sops_and_slopes:
+exact_sop_near and exact_sop_far take one user per pass, exact_sops and
+the fair-split bracket (optimize.minmax_pa) both. A field of
 ChannelStats or TargetRates may be an array of one value per config, which
 broadcasts against alpha: a column per point and config, with the bits of
 its own config's call at its own alpha, since _weighted_sums pads every
@@ -46,12 +47,21 @@ Every pass also returns psi = log(1 - s_o) = -A/lam_e + log I, which keeps
 its digits where s_o rounds to 1. exact_sops at order 2 or 3 also returns
 that many alpha-derivatives of psi: log of the prefactor is closed-form, and
 the survival integral's derivatives are moments of the same integrand on the
-same nodes and halvings, which need only h = s/(s + 1/z), taken from the sum
-before the divide. Every order sums by one rule, two weight-vector products
-per term: one over halvings 0-2's 93 nodes, which is halving 2's estimate
-before the step, and one over halving 3's own 92 nodes, which halving 3 adds
-to it. So a pass's values, psi and quadrature errors do not depend on the
-order it takes.
+same nodes and halvings, which need only h = s/(s + 1/z) besides. Every
+order sums by one rule, two weight-vector products per term: one over
+halvings 0-2's 93 nodes, which is halving 2's estimate before the step, and
+one over halving 3's own 92 nodes, which halving 3 adds to it. So a pass's
+values, psi and quadrature errors do not depend on the order it takes.
+
+A pass can keep its integrand and take the derivatives later at a list of
+its columns alone: one moments routine, _moment_terms, builds the terms
+for a whole pass of exact_sops and for such a list, and one derivative
+routine, _slopes, turns the moments into phi, phi' and phi''. Only h is
+taken again for the listed columns, padded to whole groups of 4, so each
+keeps the bits exact_sops gives it. The fair-split bracket reads psi from
+an order-0 pass of its grid and takes slopes at the few columns its cells
+use, instead of every column's moments; every other pass frees its
+integrand as soon as it is summed.
 
 The asymptotic forms drop the "+1" in the SINR denominators, valid once the
 received SNR is large. They are upper bounds on the exact SOPs, with an
@@ -164,16 +174,23 @@ def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarra
     """E_y[exp(-pi*y/((slope*y+1)*lam_exp))] for y ~ Exponential(lam_int).
 
     Vectorized over slope; pi, lam_exp and lam_int are scalars or one value
-    per slope column. Returns the halving-_HALVINGS estimates and their
-    differences from halving _HALVINGS - 1. It raises QuadratureError unless
-    scale * |difference| is at most _ACCEPT_TOL in every column: the caller
-    folds the integral into the outage value with that weight, and the error
-    contract applies to the outage value, not the raw integral.
+    per slope column. Returns the halving-_HALVINGS estimates, their
+    differences from halving _HALVINGS - 1, the moments and take. It raises
+    QuadratureError unless scale * |difference| is at most _ACCEPT_TOL in
+    every column: the caller folds the integral into the outage value with
+    that weight, and the error contract applies to the outage value, not the
+    raw integral.
 
-    With ``moments`` = m > 0 it also returns E_y[e * h**k] for k = 2..m as
-    an (m - 1, n) array, taken on the same nodes and halvings, where e is the
-    integrand and h = slope*y/(slope*y + 1) = s/(s + 1/z) lies in [0, 1).
-    _weighted_sums builds and sums the terms, in two halves for a wide pass.
+    The moments are E_y[e * h**k] for k = 2..``moments``, an
+    (moments - 1, n) array (empty at ``moments`` 0), taken on the same nodes
+    and halvings, where e is the integrand and
+    h = slope*y/(slope*y + 1) = s/(s + 1/z) lies in [0, 1).
+    take(columns, top) gives them for k = 2..top at a list of this pass's
+    columns instead, from the integrand the pass built: it takes only h
+    again, and by _weighted_sums's padding each column gets the bits of a
+    pass that takes every column's moments. take holds that integrand, so a
+    caller that takes no slopes drops it. _weighted_sums builds and sums the
+    terms, in two halves for a wide pass.
     """
     scaled_slope, kappa = slope * lam_int, -pi * lam_int / lam_exp
 
@@ -183,29 +200,47 @@ def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarra
 
     # Two halves at most, even on more CPUs: the split was timed on two.
     parts = _run_parts(part, scaled_slope.size, max(_PART_COLUMNS, scaled_slope.size // 2))
-    coarse, last = parts[0] if len(parts) == 1 else (np.concatenate(pair, axis=1) for pair in zip(*parts))
+    sums = [part[:2] for part in parts]
+    coarse, last = sums[0] if len(sums) == 1 else (np.concatenate(pair, axis=1) for pair in zip(*sums))
     step = _STEP0 / (1 << _HALVINGS)
     est = (coarse + last) * step
     diff = np.abs(est[0] - coarse[0] * (2.0 * step))
     # initial=0 lets an empty alpha (no columns) pass with empty fields; a nan fails.
-    worst = float(np.max(scale * diff, initial=0.0))
+    worst = float(np.maximum.reduce(scale * diff, initial=0.0))
     if not worst <= _ACCEPT_TOL:
         raise QuadratureError(
             f"outage quadrature did not converge: error {worst:.3e} "
             f"after {len(_INVERSE_NODES)} nodes (tolerance {_ACCEPT_TOL:g})"
         )
-    return (est[0], diff, est[1:]) if moments else (est[0], diff)
+
+    def take(columns, top):
+        # Each half's integrand without its pads, side by side: the pass's columns in order.
+        integrand = np.concatenate([e[:, :c.shape[1]] for c, _, e in parts], axis=1) if len(parts) > 1 else parts[0][2]
+        index = _padded(columns)
+        rows = np.empty((top - 1, len(_INVERSE_NODES), index.size))
+        column_slope = scaled_slope[index]
+        _moment_terms(integrand[:, index], column_slope / (_INVERSE_NODES + column_slope), rows)
+        moment_coarse, moment_last = _halving_sums(rows)
+        return ((moment_coarse + moment_last) * step)[:, :len(columns)]
+
+    return est[0], diff, est[1:], take
+
+
+def _padded(columns: np.ndarray) -> np.ndarray:
+    """The columns, then copies of the last one up to a multiple of 4 (see _weighted_sums)."""
+    pad = -columns.size % 4
+    return columns.take(np.arange(columns.size + pad), mode="clip") if pad else columns
 
 
 def _weighted_sums(scaled_slope: np.ndarray, kappa, moments: int):
-    """The two weight products of these columns' terms, each (terms, columns).
+    """The two weight products of these columns' terms, each (terms, columns),
+    and the integrand, (nodes, padded columns).
 
     The integrand is exp(kappa/(s + 1/z)) at y = lam_int*z, with
     s = slope*lam_int and kappa = -pi*lam_int/lam_exp, built in place in one
-    (nodes, columns) array with the nodes in level order. The rows of the
-    halvings before _HALVINGS give halving _HALVINGS - 1's sum, and halving
-    _HALVINGS's own rows what it adds. The moments are more rows of the same
-    terms array, summed by the same two products, so the estimates and
+    (nodes, columns) array with the nodes in level order. With ``moments``
+    its moments are more rows of the same terms array, built by
+    _moment_terms and summed by the same two products, so the estimates and
     differences keep the plain call's bits.
 
     The BLAS products sum whole groups of 4 columns by one code path and
@@ -215,13 +250,11 @@ def _weighted_sums(scaled_slope: np.ndarray, kappa, moments: int):
     group, and its bits do not depend on the other columns of the pass.
     """
     columns = scaled_slope.size
-    pad = -columns % 4
-    if pad:
-        scaled_slope = np.concatenate((scaled_slope, scaled_slope[-1:].repeat(pad)))
-        if isinstance(kappa, np.ndarray):
-            kappa = np.concatenate((kappa, kappa[-1:].repeat(pad)))
-    top = max(moments, 1)  # terms per node: e, then e*h**k for k = 2..moments
-    terms = np.empty((top, len(_INVERSE_NODES), scaled_slope.size))
+    scaled_slope = _padded(scaled_slope)
+    if isinstance(kappa, np.ndarray):
+        kappa = _padded(kappa)
+    # terms per node: e, then e*h**k for k = 2..moments
+    terms = np.empty((max(moments, 1), len(_INVERSE_NODES), scaled_slope.size))
     f = terms[0]
     # 1/z then + s: numpy fills and adds faster than it takes an outer sum
     f[...] = _INVERSE_NODES
@@ -231,20 +264,34 @@ def _weighted_sums(scaled_slope: np.ndarray, kappa, moments: int):
     np.divide(kappa, f, out=f)
     np.exp(f, out=f)
     if moments:
-        # Integrand values below _MOMENT_FLOOR are raised to it in the
-        # moments: this moves them by a negligible amount and keeps them
-        # out of subnormal numbers, which are slow to compute with.
-        eh = np.maximum(f, _MOMENT_FLOOR, out=terms[1])
-        eh *= h
-        for k in range(1, top):
-            eh = np.multiply(eh, h, out=terms[k])
+        _moment_terms(f, h, terms[1:])
+    coarse, last = _halving_sums(terms)
+    return coarse[:, :columns], last[:, :columns], f
+
+
+def _moment_terms(e: np.ndarray, h: np.ndarray, rows: np.ndarray) -> None:
+    """Fill rows with e*h**k for k = 2..len(rows) + 1, from the integrand e
+    and h = s/(s + 1/z), each (nodes, columns).
+
+    Integrand values below _MOMENT_FLOOR are raised to it in the moments:
+    this moves them by a negligible amount and keeps them out of subnormal
+    numbers, which are slow to compute with.
+    """
+    eh = np.maximum(e, _MOMENT_FLOOR, out=rows[0])
+    eh *= h
+    for row in rows:
+        eh = np.multiply(eh, h, out=row)
+
+
+def _halving_sums(terms: np.ndarray):
+    """Each (nodes, columns) row of terms summed with the weights of the
+    halvings before _HALVINGS, which gives halving _HALVINGS - 1's
+    estimate, and with halving _HALVINGS's own, which it adds to that."""
     # Halving 2's estimate sums its 93 nodes, halving 3's adds its own 92.
     # Folding the step into the weights, or one 185-node product, would
     # round the sums differently.
     coarse_rows = len(_COARSE_WEIGHTS)
-    coarse = _COARSE_WEIGHTS @ terms[:, :coarse_rows]
-    last = _LAST_WEIGHTS @ terms[:, coarse_rows:]
-    return coarse[:, :columns], last[:, :columns]
+    return _COARSE_WEIGHTS @ terms[:, :coarse_rows], _LAST_WEIGHTS @ terms[:, coarse_rows:]
 
 
 def _usable_cpus() -> int:
@@ -325,12 +372,18 @@ def _serve(jobs: SimpleQueue) -> None:
 _ORDER_MOMENTS = {0: 0, 2: 4, 3: 6}  # derivative order -> highest moment the kernel takes
 
 
-def _sop_pass(stats: ChannelStats, alpha, targets: TargetRates, users: tuple, order: int = 0) -> SopValue:
-    """The listed users' (0 near, 1 far) exact SOPs at each alpha in one kernel pass.
+def _sops_and_slopes(stats: ChannelStats, alpha, targets: TargetRates, users: tuple, order: int = 0, keep: bool = True):
+    """The listed users' exact SOPs at each alpha in one kernel pass and,
+    with ``keep``, slopes(columns, order) of that pass (else None).
 
-    Every field has shape (len(users),) + the broadcast shape of alpha and
-    the config fields. A column's own power share sets A = (Pi - 1)/(own*rho_t),
-    the other user's the slope c = other*rho_t. exact_sops describes ``order``.
+    users is (0,) for the near user, (1,) for the far one or (0, 1). Every
+    field has shape (len(users),) + the broadcast shape of alpha and the
+    config fields. A column's own power share sets A = (Pi - 1)/(own*rho_t),
+    the other user's the slope c = other*rho_t. exact_sops describes
+    ``order``. slopes gives phi and dphi, and at order 3 d2phi, at a list of
+    the pass's columns, numbered in the fields' flat order, from moments
+    taken at those columns alone: each with the bits the pass gives it at
+    that order. Without ``keep`` the pass's integrand is freed at once.
     """
     a = validated_alpha(alpha)
     pi1, pi2, lam1, lam2, rho_t = config = (targets.pi1, targets.pi2, stats.lambda1, stats.lambda2, stats.rho_t)
@@ -339,9 +392,10 @@ def _sop_pass(stats: ChannelStats, alpha, targets: TargetRates, users: tuple, or
         a, pi1, pi2, lam1, lam2, rho_t = np.broadcast_arrays(a, *config)
     shape = (len(users),) + a.shape
     flat = a.ravel()
-    shares = (flat, 1.0 - flat)  # each user's own power share
-    own = np.concatenate([shares[u] for u in users])
-    other = np.concatenate([shares[1 - u] for u in users])
+    # Each user's own power share, near, far, then near again: the listed
+    # users' own shares are one run of it, their other users' the next run.
+    shares, first, last = np.concatenate((flat, 1.0 - flat, flat)), users[0] * a.size, (users[-1] + 1) * a.size
+    own, other = shares[first:last], shares[first + a.size:last + a.size]
     # Each column's Pi, lam_e, lam_i, d(own share)/dalpha and rho_t, from its
     # user's row. One user's float config stays scalars: the kernel divides by
     # a scalar kappa about a third faster than by a row of them.
@@ -355,23 +409,47 @@ def _sop_pass(stats: ChannelStats, alpha, targets: TargetRates, users: tuple, or
     shift = (pi - 1.0) / (own * rho_t)
     log_prefactor = -shift / lam
     prefactor = np.exp(log_prefactor)
-    integral, diff, *moments = _survival_integral(pi, slope, lam, lam_int, prefactor, moments=_ORDER_MOMENTS[order])
-    value = np.minimum(np.maximum(1.0 - prefactor * integral, 0.0), 1.0)
+    integral, diff, moments, take = _survival_integral(pi, slope, lam, lam_int, prefactor, moments=_ORDER_MOMENTS[order])
+    if not keep:
+        take = None  # the integrand goes before the fields are allocated
+    value = np.maximum(1.0 - prefactor * integral, 0.0)  # prefactor * integral >= 0: at most 1
     fields = [value, prefactor * diff, log_prefactor + np.log(integral)]
+    per_column = (pi, lam, slope, own, other, sign, shift, integral)
     if order:
-        m2, m3, m4, *m56 = moments[0]
-        # dc/dalpha = -sign*rho_t; the moments carry (c*g)**k, so kappa/c**k scales them.
-        u = pi / (lam * slope)
-        q = u / (other * integral)
-        r = q * m2                             # -sign * I'/I
-        d2i = q * (u * m4 - 2.0 * m3) / other  # I''/I
-        dlogp = shift / (own * lam)            # sign * (log P)'
-        fields += [sign * (dlogp - r), d2i - r * r - 2.0 * dlogp / own]
-        if order == 3:
-            m5, m6 = m56
-            d3i = q * (u * (u * m6 - 6.0 * m5) + 6.0 * m4) / (other * other)  # -sign * I'''/I
-            fields.append(sign * (6.0 * dlogp / (own * own) - d3i + r * (3.0 * d2i - 2.0 * r * r)))
-    return SopValue(*(f.reshape(shape) for f in fields))
+        fields += _slopes(order, moments, *per_column)
+    sops = SopValue(*(f.reshape(shape) for f in fields))
+    if not keep:
+        return sops, None
+
+    def slopes(columns, order):
+        columns = np.asarray(columns)
+        at = (v[columns] if isinstance(v, np.ndarray) else v for v in per_column)
+        return _slopes(order, take(columns, _ORDER_MOMENTS[order]), *at)
+
+    return sops, slopes
+
+
+def _slopes(order: int, moments, pi, lam, slope, own, other, sign, shift, integral) -> list:
+    """phi and dphi, and at order 3 d2phi, of each column from the survival
+    integral's moments (see exact_sops) and the column's config."""
+    m2, m3, m4, *m56 = moments
+    # dc/dalpha = -sign*rho_t; the moments carry (c*g)**k, so kappa/c**k scales them.
+    u = pi / (lam * slope)
+    q = u / (other * integral)
+    r = q * m2                             # -sign * I'/I
+    d2i = q * (u * m4 - 2.0 * m3) / other  # I''/I
+    dlogp = shift / (own * lam)            # sign * (log P)'
+    fields = [sign * (dlogp - r), d2i - r * r - 2.0 * dlogp / own]
+    if order == 3:
+        m5, m6 = m56
+        d3i = q * (u * (u * m6 - 6.0 * m5) + 6.0 * m4) / (other * other)  # -sign * I'''/I
+        fields.append(sign * (6.0 * dlogp / (own * own) - d3i + r * (3.0 * d2i - 2.0 * r * r)))
+    return fields
+
+
+def _sop_pass(stats: ChannelStats, alpha, targets: TargetRates, users: tuple, order: int = 0) -> SopValue:
+    """The SOPs of _sops_and_slopes's pass, without its integrand."""
+    return _sops_and_slopes(stats, alpha, targets, users, order, keep=False)[0]
 
 
 def _one_user(stats: ChannelStats, alpha, targets: TargetRates, user: int) -> SopValue:

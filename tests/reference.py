@@ -251,7 +251,10 @@ def per_halving_survival_integral(pi, slope, lam_exp, lam_int, scale,
     so that integrand is summed as the kernel sums it, over the columns
     padded to a multiple of 4 with copies of the last one, whose sums are
     then dropped. With ``moments`` it also sums e*h**k, k = 2..moments, with
-    h = slope*y/(slope*y + 1).
+    h = slope*y/(slope*y + 1). Like the kernel it returns those moments, an
+    empty array without ``moments``, and take(columns, top), the moments for
+    k = 2..top at a list of its columns, here summed by the same rule over
+    those columns alone.
     """
     slope = np.atleast_1d(slope)
     columns = slope.size
@@ -281,4 +284,9 @@ def per_halving_survival_integral(pi, slope, lam_exp, lam_int, scale,
             f"outage quadrature did not converge: error {worst:.3e} "
             f"after {sum(len(z) for z, _ in levels)} nodes (tolerance {sop._ACCEPT_TOL:g})"
         )
-    return (est[0], diff, est[1:]) if moments else (est[0], diff)
+
+    def take(columns, top):
+        subset = (x[columns] if np.ndim(x) else x for x in (pi, slope, lam_exp, lam_int, scale))
+        return per_halving_survival_integral(*subset, integrand=integrand, moments=top, halvings=halvings)[2]
+
+    return est[0], diff, est[1:], take

@@ -218,10 +218,11 @@ def _count_kernel_passes(monkeypatch) -> list:
 
 
 # Kernel passes at defaults. validate and distance-sweep take their whole
-# grid in one pass, a column per point and config; minmax (one per rth1 and
-# its dominance curves) and gain-comparison (one per SNR) loop over configs.
+# grid in one pass, a column per point and config, and gain-comparison its
+# fixed-split baselines, a column per SNR; minmax (one per rth1 and its
+# dominance curves) and gain-comparison's solves loop over configs.
 @pytest.mark.parametrize("command,passes", [
-    ("validate", 1), ("distance-sweep", 1), ("optimize", 3), ("minmax", 19), ("gain-comparison", 21),
+    ("validate", 1), ("distance-sweep", 1), ("optimize", 3), ("minmax", 19), ("gain-comparison", 15),
 ])
 def test_kernel_passes_at_defaults(monkeypatch, capsys, command, passes):
     calls = _count_kernel_passes(monkeypatch)
@@ -231,11 +232,27 @@ def test_kernel_passes_at_defaults(monkeypatch, capsys, command, passes):
 
 
 def test_optimize_solves_both_minimizers_in_one_bracket_pass(monkeypatch, capsys):
-    # One order-3 pass (6 moments) brackets both users' minimizers at once.
-    calls = _count_kernel_passes(monkeypatch)
+    # One order-0 pass of 33 alphas and both users brackets both minimizers
+    # at once; phi, phi' and phi'' come from moments at no more than 8 of its
+    # 66 columns, padded to whole groups of 4, before the next pass.
+    passes, moments = [], []
+    kernel, terms = sop._survival_integral, sop._moment_terms
+
+    def counted(pi, slope, *args, **kwargs):
+        passes.append((slope.size, kwargs.get("moments", 0)))
+        return kernel(pi, slope, *args, **kwargs)
+
+    def recorded(e, h, rows):  # the columns of each moment build, after which pass
+        moments.append((len(passes), e.shape[1]))
+        return terms(e, h, rows)
+
+    monkeypatch.setattr(sop, "_survival_integral", counted)
+    monkeypatch.setattr(sop, "_moment_terms", recorded)
     assert main(["optimize"]) == 0
     capsys.readouterr()
-    assert calls.count(6) == 1
+    assert passes.count((66, 0)) == 1 and not any(top == 6 for _, top in passes)
+    bracket = passes.index((66, 0)) + 1
+    assert 0 < sum(columns for after, columns in moments if after == bracket) <= 8
 
 
 def test_gain_comparison_summary_carries_reference_numbers(tmp_path):

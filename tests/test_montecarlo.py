@@ -3,6 +3,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,25 @@ def test_many_targets_match_single_target_calls(conditioned):
         for field in EmpiricalSop._fields:
             assert getattr(joint, field) == getattr(single, field), field
     assert empirical_sops((STATS_30DB,), 0.4, (), sim)[0] == ()
+
+
+def test_a_thousand_target_pairs_keep_the_flag_block_within_its_budget():
+    # A call's comparison flags take 2 bytes per pair and sample of a chunk:
+    # a full chunk at 1000 pairs would be 65.5 MB, and 40 MB here, where the
+    # whole stream is one chunk. The chunk shrinks so the block stays within
+    # _FLAG_BYTES (4 MiB); the draws, ratio scratch, popcounts and the 1000
+    # estimates fit in as much again. The counts do not move.
+    sim = SimConfig(realizations=20_000, seed=5)
+    targets_seq = [TargetRates(rth, 3.0 - rth) for rth in np.linspace(0.0, 3.0, 1000).tolist()]
+    empirical_sops((STATS_30DB,), 0.4, targets_seq[:2], sim)  # numpy.random loads outside the trace
+    tracemalloc.start()
+    try:
+        together = empirical_sops((STATS_30DB,), 0.4, targets_seq, sim)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * montecarlo._FLAG_BYTES
+    assert together == tuple(empirical_sops((STATS_30DB,), 0.4, (targets,), sim)[0][0] for targets in targets_seq)
 
 
 STREAM_TARGETS = (TargetRates(0.5, 3.0), TargetRates(1.0, 1.0), TargetRates(3.0, 0.25))

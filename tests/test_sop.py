@@ -400,6 +400,17 @@ def _assert_same_bits(monkeypatch, cases):
             assert moment.value.tobytes() == plain.value.tobytes()
             assert moment.quad_error.tobytes() == plain.quad_error.tobytes()
             assert moment.psi.tobytes() == plain.psi.tobytes()
+    # Under either kernel, slopes at a list of an order-0 pass's columns
+    # keep the bits exact_sops gives those columns.
+    for kernel in (sop._survival_integral, reference):
+        with monkeypatch.context() as patch:
+            patch.setattr(sop, "_survival_integral", kernel)
+            for case in cases:
+                full = exact_sops(*case, order=3)
+                columns = [0, full.phi.size - 1]
+                taken = sop._sops_and_slopes(*case, (0, 1))[1](columns, 3)
+                for got, want in zip(taken, full[3:]):
+                    assert got.tobytes() == want.ravel()[columns].tobytes()
 
 
 def test_fused_kernel_matches_per_halving_bits_over_the_box(monkeypatch):
@@ -559,6 +570,35 @@ def test_any_column_subset_keeps_the_full_calls_bits(config, call, subset):
     if len(index) == 1 and call in ("near", "far"):  # a scalar alpha takes the same pass
         scalar = func(stats, float(grid[index[0]]), targets)
         assert all(np.float64(got).tobytes() == want[index[0]].tobytes() for got, want in zip(scalar[:3], full))
+
+
+@st.composite
+def _slope_columns(draw):
+    """A pass's alpha count and users, and a nonempty list of its columns, in drawn order."""
+    points, users = draw(st.integers(1, 100)), draw(st.sampled_from([(0,), (1,), (0, 1)]))
+    return points, users, draw(st.lists(st.integers(0, points * len(users) - 1), min_size=1, max_size=12))
+
+
+# The bracket's route: an order-0 pass, then slopes at the columns it picks
+# from moments taken at those columns alone. Each column must keep the bits
+# of a pass that takes every column's slopes.
+@settings(max_examples=100, deadline=None)
+@given(config=st.integers(0, len(_SUBSET_CONFIGS) - 1), order=st.sampled_from((2, 3)), columns=_slope_columns())
+@example(config=0, order=3, columns=(33, (0, 1), [16, 15, 17, 48, 49, 47]))
+@example(config=0, order=3, columns=(306, (0, 1), [0, 305, 306, 307, 611, 306]))  # two halves of 306 columns
+@example(config=0, order=2, columns=(5, (1,), [4]))
+def test_slopes_at_any_columns_of_a_pass_keep_the_every_column_bits(config, order, columns):
+    stats, targets = _SUBSET_CONFIGS[config]
+    points, users, index = columns
+    grid = np.sort(np.random.default_rng([config, points]).uniform(ALPHA_MIN, ALPHA_MAX, points))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sop, "_usable_cpus", lambda: 2)  # a pass of 512 columns or more in two halves
+        full = exact_sops(stats, grid, targets, order=order)
+        _, slopes = sop._sops_and_slopes(stats, grid, targets, users)
+        taken = slopes(index, order)
+    assert len(taken) == order
+    for got, want in zip(taken, full[3:]):
+        assert got.tobytes() == want[list(users)].ravel()[index].tobytes()
 
 
 # Configs as columns: ChannelStats and TargetRates fields given as arrays
