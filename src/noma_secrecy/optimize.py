@@ -218,6 +218,14 @@ class Candidate(NamedTuple):
         return max(self.so1, self.so2)
 
 
+def _one_config(*configs) -> None:
+    """Each solve takes one configuration: every field of these ChannelStats
+    and TargetRates must be a float or a 0-d array, not one value per config."""
+    if any(np.ndim(value) for config in configs for value in vars(config).values()):
+        raise ValueError("a power-split solve takes one configuration: "
+                         "ChannelStats and TargetRates fields must be scalars, not arrays")
+
+
 def optimal_pa_asymptotic(targets: TargetRates) -> tuple:
     """Closed-form high-SNR minimizers (alpha1_hat, alpha2_hat) of the near
     and far users' SOPs.
@@ -229,6 +237,7 @@ def optimal_pa_asymptotic(targets: TargetRates) -> tuple:
     overflow. A zero target rate collapses the near user's onto alpha = 0
     and the far user's onto alpha = 1.
     """
+    _one_config(targets)
     r1, s1 = math.sqrt(targets.pi1), math.sqrt(targets.pi1 - 1.0)
     r2, s2 = math.sqrt(targets.pi2), math.sqrt(targets.pi2 - 1.0)
     return s1 / (r1 + s1), r2 / (r2 + s2)
@@ -264,6 +273,7 @@ def minmax_pa(stats: ChannelStats, targets: TargetRates) -> MinMaxOutcome:
     beyond each argmax, so they hold that root; a root outside the
     minimizers is refined too but takes no part.
     """
+    _one_config(stats, targets)
     on_grid, slopes = _sops_and_slopes(stats, _BRACKET_GRID, targets, (0, 1))
     alphas = _BRACKET_GRID.tolist()
     n = len(alphas)

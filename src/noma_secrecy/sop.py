@@ -44,24 +44,21 @@ two column halves, or one part on one CPU: the calling thread sums the
 first half and a persistent daemon worker of the pool the second, at once.
 
 Every pass also returns psi = log(1 - s_o) = -A/lam_e + log I, which keeps
-its digits where s_o rounds to 1. exact_sops at order 2 or 3 also returns
-that many alpha-derivatives of psi: log of the prefactor is closed-form, and
-the survival integral's derivatives are moments of the same integrand on the
-same nodes and halvings, which need only h = s/(s + 1/z) besides. Every
-order sums by one rule, two weight-vector products per term: one over
-halvings 0-2's 93 nodes, which is halving 2's estimate before the step, and
-one over halving 3's own 92 nodes, which halving 3 adds to it. So a pass's
-values, psi and quadrature errors do not depend on the order it takes.
-
-A pass can keep its integrand and take the derivatives later at a list of
-its columns alone: one moments routine, _moment_terms, builds the terms
-for a whole pass of exact_sops and for such a list, and one derivative
-routine, _slopes, turns the moments into phi, phi' and phi''. Only h is
-taken again for the listed columns, padded to whole groups of 4, so each
-keeps the bits exact_sops gives it. The fair-split bracket reads psi from
-an order-0 pass of its grid and takes slopes at the few columns its cells
-use, instead of every column's moments; every other pass frees its
-integrand as soon as it is summed.
+its digits where s_o rounds to 1. Its alpha-derivatives come by one route:
+log of the prefactor is closed-form, and the survival integral's
+derivatives are moments of the integrand the pass built, on the same nodes
+and halvings, which need only h = s/(s + 1/z) besides. The pass keeps its
+integrand in take, and take builds the moments at a list of its columns,
+padded to whole groups of 4 as the pass was, so each column gets the same
+bits whichever columns are listed with it; _slopes turns the moments into
+phi, phi' and phi''. exact_sops at order 2 or 3 takes them at every column
+before the integrand is freed, and the fair-split bracket reads psi from
+an order-0 pass of its grid and takes them at the few columns its cells
+use. Moments and integrand are summed by one rule, two weight-vector
+products per term: one over halvings 0-2's 93 nodes, which is halving 2's
+estimate before the step, and one over halving 3's own 92 nodes, which
+halving 3 adds to it. A pass's values, psi and quadrature errors are
+summed before any moment is taken, so they do not depend on the order.
 
 The asymptotic forms drop the "+1" in the SINR denominators, valid once the
 received SNR is large. They are upper bounds on the exact SOPs, with an
@@ -170,41 +167,39 @@ def _rule():
 _INVERSE_NODES, _COARSE_WEIGHTS, _LAST_WEIGHTS = _rule()
 
 
-def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarray, moments: int = 0):
+def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarray):
     """E_y[exp(-pi*y/((slope*y+1)*lam_exp))] for y ~ Exponential(lam_int).
 
     Vectorized over slope; pi, lam_exp and lam_int are scalars or one value
     per slope column. Returns the halving-_HALVINGS estimates, their
-    differences from halving _HALVINGS - 1, the moments and take. It raises
+    differences from halving _HALVINGS - 1, and take. It raises
     QuadratureError unless scale * |difference| is at most _ACCEPT_TOL in
     every column: the caller folds the integral into the outage value with
     that weight, and the error contract applies to the outage value, not the
-    raw integral.
+    raw integral. _weighted_sums builds and sums the integrand, in two
+    halves for a wide pass.
 
-    The moments are E_y[e * h**k] for k = 2..``moments``, an
-    (moments - 1, n) array (empty at ``moments`` 0), taken on the same nodes
-    and halvings, where e is the integrand and
-    h = slope*y/(slope*y + 1) = s/(s + 1/z) lies in [0, 1).
-    take(columns, top) gives them for k = 2..top at a list of this pass's
-    columns instead, from the integrand the pass built: it takes only h
-    again, and by _weighted_sums's padding each column gets the bits of a
-    pass that takes every column's moments. take holds that integrand, so a
-    caller that takes no slopes drops it. _weighted_sums builds and sums the
-    terms, in two halves for a wide pass.
+    take(columns, top) gives the moments E_y[e * h**k], k = 2..top, at a
+    list of the pass's columns, a (top - 1, len(columns)) array taken on the
+    same nodes and halvings from the integrand e the pass built, where
+    h = slope*y/(slope*y + 1) = s/(s + 1/z) lies in [0, 1). It builds h for
+    the listed columns alone, padded to whole groups of 4 as the pass was,
+    so each column's moments do not depend on the others listed. take holds
+    the integrand, so a caller that takes no moments drops it.
     """
     scaled_slope, kappa = slope * lam_int, -pi * lam_int / lam_exp
 
     def part(start, stop):
         part_kappa = kappa[start:stop] if isinstance(kappa, np.ndarray) else kappa
-        return _weighted_sums(scaled_slope[start:stop], part_kappa, moments)
+        return _weighted_sums(scaled_slope[start:stop], part_kappa)
 
     # Two halves at most, even on more CPUs: the split was timed on two.
     parts = _run_parts(part, scaled_slope.size, max(_PART_COLUMNS, scaled_slope.size // 2))
     sums = [part[:2] for part in parts]
-    coarse, last = sums[0] if len(sums) == 1 else (np.concatenate(pair, axis=1) for pair in zip(*sums))
+    coarse, last = sums[0] if len(sums) == 1 else (np.concatenate(pair) for pair in zip(*sums))
     step = _STEP0 / (1 << _HALVINGS)
     est = (coarse + last) * step
-    diff = np.abs(est[0] - coarse[0] * (2.0 * step))
+    diff = np.abs(est - coarse * (2.0 * step))
     # initial=0 lets an empty alpha (no columns) pass with empty fields; a nan fails.
     worst = float(np.maximum.reduce(scale * diff, initial=0.0))
     if not worst <= _ACCEPT_TOL:
@@ -215,15 +210,16 @@ def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarra
 
     def take(columns, top):
         # Each half's integrand without its pads, side by side: the pass's columns in order.
-        integrand = np.concatenate([e[:, :c.shape[1]] for c, _, e in parts], axis=1) if len(parts) > 1 else parts[0][2]
+        integrand = np.concatenate([e[:, :c.size] for c, _, e in parts], axis=1) if len(parts) > 1 else parts[0][2]
         index = _padded(columns)
         rows = np.empty((top - 1, len(_INVERSE_NODES), index.size))
         column_slope = scaled_slope[index]
-        _moment_terms(integrand[:, index], column_slope / (_INVERSE_NODES + column_slope), rows)
+        h = _INVERSE_NODES + column_slope
+        _moment_terms(integrand[:, index], np.divide(column_slope, h, out=h), rows)
         moment_coarse, moment_last = _halving_sums(rows)
         return ((moment_coarse + moment_last) * step)[:, :len(columns)]
 
-    return est[0], diff, est[1:], take
+    return est, diff, take
 
 
 def _padded(columns: np.ndarray) -> np.ndarray:
@@ -232,16 +228,13 @@ def _padded(columns: np.ndarray) -> np.ndarray:
     return columns.take(np.arange(columns.size + pad), mode="clip") if pad else columns
 
 
-def _weighted_sums(scaled_slope: np.ndarray, kappa, moments: int):
-    """The two weight products of these columns' terms, each (terms, columns),
-    and the integrand, (nodes, padded columns).
+def _weighted_sums(scaled_slope: np.ndarray, kappa):
+    """The two weight products of these columns' integrand, each
+    (columns,), and the integrand, (nodes, padded columns).
 
     The integrand is exp(kappa/(s + 1/z)) at y = lam_int*z, with
     s = slope*lam_int and kappa = -pi*lam_int/lam_exp, built in place in one
-    (nodes, columns) array with the nodes in level order. With ``moments``
-    its moments are more rows of the same terms array, built by
-    _moment_terms and summed by the same two products, so the estimates and
-    differences keep the plain call's bits.
+    (nodes, columns) array with the nodes in level order.
 
     The BLAS products sum whole groups of 4 columns by one code path and
     the last 1-3 columns by another, which rounds differently. So the
@@ -253,20 +246,14 @@ def _weighted_sums(scaled_slope: np.ndarray, kappa, moments: int):
     scaled_slope = _padded(scaled_slope)
     if isinstance(kappa, np.ndarray):
         kappa = _padded(kappa)
-    # terms per node: e, then e*h**k for k = 2..moments
-    terms = np.empty((max(moments, 1), len(_INVERSE_NODES), scaled_slope.size))
-    f = terms[0]
+    f = np.empty((len(_INVERSE_NODES), scaled_slope.size))
     # 1/z then + s: numpy fills and adds faster than it takes an outer sum
     f[...] = _INVERSE_NODES
     f += scaled_slope
-    if moments:
-        h = scaled_slope / f
     np.divide(kappa, f, out=f)
     np.exp(f, out=f)
-    if moments:
-        _moment_terms(f, h, terms[1:])
-    coarse, last = _halving_sums(terms)
-    return coarse[:, :columns], last[:, :columns], f
+    coarse, last = _halving_sums(f[None])
+    return coarse[0, :columns], last[0, :columns], f
 
 
 def _moment_terms(e: np.ndarray, h: np.ndarray, rows: np.ndarray) -> None:
@@ -369,7 +356,7 @@ def _serve(jobs: SimpleQueue) -> None:
         done.put((index, context.run(_attempt, func, start, stop)))
 
 
-_ORDER_MOMENTS = {0: 0, 2: 4, 3: 6}  # derivative order -> highest moment the kernel takes
+_ORDER_MOMENTS = {0: 0, 2: 4, 3: 6}  # derivative order -> highest moment take builds
 
 
 def _sops_and_slopes(stats: ChannelStats, alpha, targets: TargetRates, users: tuple, order: int = 0, keep: bool = True):
@@ -380,10 +367,12 @@ def _sops_and_slopes(stats: ChannelStats, alpha, targets: TargetRates, users: tu
     field has shape (len(users),) + the broadcast shape of alpha and the
     config fields. A column's own power share sets A = (Pi - 1)/(own*rho_t),
     the other user's the slope c = other*rho_t. exact_sops describes
-    ``order``. slopes gives phi and dphi, and at order 3 d2phi, at a list of
-    the pass's columns, numbered in the fields' flat order, from moments
-    taken at those columns alone: each with the bits the pass gives it at
-    that order. Without ``keep`` the pass's integrand is freed at once.
+    ``order``: at order 2 or 3 the pass takes every column's moments from
+    its integrand. slopes gives phi and dphi, and at order 3 d2phi, at a
+    list of the pass's columns, numbered in the fields' flat order, from
+    moments taken at those columns alone by the same route: each with the
+    bits a pass at that order gives it. Without ``keep`` the pass's
+    integrand is freed once its order's moments are taken.
     """
     a = validated_alpha(alpha)
     pi1, pi2, lam1, lam2, rho_t = config = (targets.pi1, targets.pi2, stats.lambda1, stats.lambda2, stats.rho_t)
@@ -409,24 +398,21 @@ def _sops_and_slopes(stats: ChannelStats, alpha, targets: TargetRates, users: tu
     shift = (pi - 1.0) / (own * rho_t)
     log_prefactor = -shift / lam
     prefactor = np.exp(log_prefactor)
-    integral, diff, moments, take = _survival_integral(pi, slope, lam, lam_int, prefactor, moments=_ORDER_MOMENTS[order])
-    if not keep:
-        take = None  # the integrand goes before the fields are allocated
-    value = np.maximum(1.0 - prefactor * integral, 0.0)  # prefactor * integral >= 0: at most 1
-    fields = [value, prefactor * diff, log_prefactor + np.log(integral)]
+    integral, diff, take = _survival_integral(pi, slope, lam, lam_int, prefactor)
     per_column = (pi, lam, slope, own, other, sign, shift, integral)
-    if order:
-        fields += _slopes(order, moments, *per_column)
-    sops = SopValue(*(f.reshape(shape) for f in fields))
-    if not keep:
-        return sops, None
 
     def slopes(columns, order):
         columns = np.asarray(columns)
         at = (v[columns] if isinstance(v, np.ndarray) else v for v in per_column)
         return _slopes(order, take(columns, _ORDER_MOMENTS[order]), *at)
 
-    return sops, slopes
+    derivatives = _slopes(order, take(np.arange(integral.size), _ORDER_MOMENTS[order]), *per_column) if order else []
+    if not keep:
+        take = None  # the integrand goes before value, quad_error and psi are allocated
+    value = np.maximum(1.0 - prefactor * integral, 0.0)  # prefactor * integral >= 0: at most 1
+    fields = [value, prefactor * diff, log_prefactor + np.log(integral)] + derivatives
+    sops = SopValue(*(f.reshape(shape) for f in fields))
+    return sops, slopes if keep else None
 
 
 def _slopes(order: int, moments, pi, lam, slope, own, other, sign, shift, integral) -> list:
@@ -485,7 +471,7 @@ def exact_sops(stats: ChannelStats, alpha, targets: TargetRates, order: int = 0)
     d2I/dc2 = kappa*E[e*(kappa*g^4 - 2*g^3)],
     d3I/dc3 = kappa*E[e*(kappa^2*g^6 - 6*kappa*g^5 + 6*g^4)], with
     g = y/(c*y + 1) and kappa = Pi/lam_e. Order 2 skips the two moments
-    only d2phi needs: a 4-column pass is then about a fifth cheaper.
+    only d2phi needs: a 4-column pass is then about a seventh cheaper.
     """
     if order not in _ORDER_MOMENTS:
         raise ValueError(f"order must be 0, 2 or 3, got {order!r}")

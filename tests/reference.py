@@ -20,7 +20,8 @@ propagate (clamping at zero would change Pr{R_s < R_th}).
 `per_halving_survival_integral` is the reference for the SOP kernel,
 `sop._survival_integral`: the same exp-sinh rule and the same two weight
 products, over the same columns padded to a multiple of 4, to any number of
-halvings.
+halvings; its take gives the moments behind the SOP slopes at a list of
+columns, as the kernel's take does.
 """
 from __future__ import annotations
 
@@ -228,6 +229,26 @@ def kernel_integrand(pi, slope, lam_exp, lam_int, z):
     return np.exp((-pi * lam_int / lam_exp) / np.add.outer(1.0 / z, slope * lam_int))
 
 
+def kernel_moments(e, slope, lam_int, z, top):
+    """The kernel's build of e*h**k for k = 2..top: h = s/(s + 1/z), s = slope*lam_int,
+    one power at a time from max(e, sop._MOMENT_FLOOR)*h."""
+    s = slope * lam_int
+    h = s / np.add.outer(1.0 / z, s)
+    eh = np.maximum(e, sop._MOMENT_FLOOR) * h
+    terms = []
+    for _ in range(2, top + 1):
+        eh = eh * h
+        terms.append(eh)
+    return terms
+
+
+def written_moments(e, slope, lam_int, z, top):
+    """e*h**k for k = 2..top as written, with h = slope*y/(slope*y + 1)."""
+    y = lam_int * z[:, None]
+    h = slope * y / (slope * y + 1.0)
+    return [np.maximum(e, sop._MOMENT_FLOOR) * h ** k for k in range(2, top + 1)]
+
+
 def written_integrand(pi, slope, lam_exp, lam_int, z):
     """The integrand as the SOP integral writes it, exp(-pi*y/((slope*y + 1)*lam_exp))."""
     y = lam_int * z[:, None]
@@ -238,55 +259,60 @@ _HALVING_NODES = tuple(sop._de_nodes(level) for level in range(7))  # halvings 0
 
 
 def per_halving_survival_integral(pi, slope, lam_exp, lam_int, scale,
-                                  integrand=kernel_integrand, moments=0, halvings=sop._HALVINGS):
+                                  integrand=kernel_integrand, halvings=sop._HALVINGS):
     """The exp-sinh rule through halving ``halvings`` (1 to 6), summed in two groups.
 
     The nodes of the halvings before the last, in level order, give one
     weight product and the last halving's own nodes another, as the kernel
     sums halvings 0-2 and then halving 3. Returns the last halving's
-    estimate and its change from the halving before, and raises
-    QuadratureError unless scale times that change is at most
-    sop._ACCEPT_TOL in every column. At the default ``halvings``, with the
-    kernel's integrand, sop._survival_integral must return the same bits:
-    so that integrand is summed as the kernel sums it, over the columns
-    padded to a multiple of 4 with copies of the last one, whose sums are
-    then dropped. With ``moments`` it also sums e*h**k, k = 2..moments, with
-    h = slope*y/(slope*y + 1). Like the kernel it returns those moments, an
-    empty array without ``moments``, and take(columns, top), the moments for
-    k = 2..top at a list of its columns, here summed by the same rule over
-    those columns alone.
+    estimate, its change from the halving before, and take(columns, top):
+    the moments E[e*h**k] for k = 2..top at a list of the columns, with
+    h = slope*y/(slope*y + 1), summed by the same rule over those columns
+    alone. It raises QuadratureError unless scale times that change is at
+    most sop._ACCEPT_TOL in every column. At the default ``halvings``, with
+    the kernel's integrand, sop._survival_integral and its take must return
+    the same bits: so the integrand and the moments are built as the kernel
+    builds them (kernel_integrand, kernel_moments) and summed as it sums
+    them, over the columns padded to a multiple of 4 with copies of the last
+    one, whose sums are then dropped.
     """
-    slope = np.atleast_1d(slope)
+    args = (pi, np.atleast_1d(slope), lam_exp, lam_int)
+    est, before = _halving_estimates(args, integrand, halvings)
+    est, diff = est[0], np.abs(est[0] - before[0])
+    worst = float(np.max(scale * diff, initial=0.0))
+    if not worst <= sop._ACCEPT_TOL:
+        nodes = sum(len(z) for z, _ in _HALVING_NODES[:halvings + 1])
+        raise sop.QuadratureError(
+            f"outage quadrature did not converge: error {worst:.3e} "
+            f"after {nodes} nodes (tolerance {sop._ACCEPT_TOL:g})"
+        )
+
+    def take(columns, top):
+        subset = tuple(x[columns] if np.ndim(x) else x for x in args)
+        return _halving_estimates(subset, integrand, halvings, top)[0]
+
+    return est, diff, take
+
+
+def _halving_estimates(args, integrand, halvings, top=0):
+    """Each term's estimate at halving ``halvings`` and at the halving
+    before, one row per term: the integrand e, or with ``top`` the moments
+    e*h**k for k = 2..top."""
+    pi, slope, lam_exp, lam_int = args
     columns = slope.size
     pad = -columns % 4 if integrand is kernel_integrand else 0
     if pad:
         pi, slope, lam_exp, lam_int = (
-            np.concatenate((x, x[-1:].repeat(pad))) if np.ndim(x) else x for x in (pi, slope, lam_exp, lam_int)
+            np.concatenate((x, x[-1:].repeat(pad))) if np.ndim(x) else x for x in args
         )
     levels = _HALVING_NODES[:halvings + 1]
-    groups = [[np.concatenate(col) for col in zip(*levels[:-1])], levels[-1]]
     sums = []
-    for z, w in groups:
-        e = integrand(pi, slope, lam_exp, lam_int, z)
-        terms = [e]
-        if moments:
-            y = lam_int * z[:, None]
-            h = slope * y / (slope * y + 1.0)
-            terms += [np.maximum(e, sop._MOMENT_FLOOR) * h ** k for k in range(2, moments + 1)]
+    for z, w in [[np.concatenate(col) for col in zip(*levels[:-1])], levels[-1]]:
+        terms = [integrand(pi, slope, lam_exp, lam_int, z)]
+        if top:
+            moments = kernel_moments if integrand is kernel_integrand else written_moments
+            terms = moments(terms[0], slope, lam_int, z, top)
         sums.append(np.array([w @ term for term in terms])[:, :columns])
     coarse, last = sums
     step = sop._STEP0 / (1 << halvings)
-    est = (coarse + last) * step
-    diff = np.abs(est[0] - coarse[0] * (2.0 * step))
-    worst = float(np.max(scale * diff, initial=0.0))
-    if not worst <= sop._ACCEPT_TOL:
-        raise sop.QuadratureError(
-            f"outage quadrature did not converge: error {worst:.3e} "
-            f"after {sum(len(z) for z, _ in levels)} nodes (tolerance {sop._ACCEPT_TOL:g})"
-        )
-
-    def take(columns, top):
-        subset = (x[columns] if np.ndim(x) else x for x in (pi, slope, lam_exp, lam_int, scale))
-        return per_halving_survival_integral(*subset, integrand=integrand, moments=top, halvings=halvings)[2]
-
-    return est[0], diff, est[1:], take
+    return (coarse + last) * step, coarse * (2.0 * step)

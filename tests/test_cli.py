@@ -205,13 +205,13 @@ def test_optimize_sweep_that_misses_the_minimizers_passes_its_check(tmp_path):
 
 
 def _count_kernel_passes(monkeypatch) -> list:
-    """Wrap the quadrature kernel; the list gets each pass's moment count."""
+    """Wrap the quadrature kernel; the list gets each pass's column count."""
     calls = []
     kernel = sop._survival_integral
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("moments", 0))
-        return kernel(*args, **kwargs)
+    def counted(pi, slope, *args):
+        calls.append(slope.size)
+        return kernel(pi, slope, *args)
 
     monkeypatch.setattr(sop, "_survival_integral", counted)
     return calls
@@ -234,25 +234,22 @@ def test_kernel_passes_at_defaults(monkeypatch, capsys, command, passes):
 def test_optimize_solves_both_minimizers_in_one_bracket_pass(monkeypatch, capsys):
     # One order-0 pass of 33 alphas and both users brackets both minimizers
     # at once; phi, phi' and phi'' come from moments at no more than 8 of its
-    # 66 columns, padded to whole groups of 4, before the next pass.
-    passes, moments = [], []
-    kernel, terms = sop._survival_integral, sop._moment_terms
+    # 66 columns, padded to whole groups of 4, before the next pass. Every
+    # later pass is an order-2 refine pass, whose moments stop at the fourth.
+    passes = _count_kernel_passes(monkeypatch)
+    moments, terms = [], sop._moment_terms
 
-    def counted(pi, slope, *args, **kwargs):
-        passes.append((slope.size, kwargs.get("moments", 0)))
-        return kernel(pi, slope, *args, **kwargs)
-
-    def recorded(e, h, rows):  # the columns of each moment build, after which pass
-        moments.append((len(passes), e.shape[1]))
+    def recorded(e, h, rows):  # after which pass, at how many columns and up to which moment
+        moments.append((len(passes), e.shape[1], len(rows) + 1))
         return terms(e, h, rows)
 
-    monkeypatch.setattr(sop, "_survival_integral", counted)
     monkeypatch.setattr(sop, "_moment_terms", recorded)
     assert main(["optimize"]) == 0
     capsys.readouterr()
-    assert passes.count((66, 0)) == 1 and not any(top == 6 for _, top in passes)
-    bracket = passes.index((66, 0)) + 1
-    assert 0 < sum(columns for after, columns in moments if after == bracket) <= 8
+    assert passes.count(66) == 1
+    bracket = passes.index(66) + 1
+    assert 0 < sum(columns for after, columns, _ in moments if after == bracket) <= 8
+    assert all(top == 4 for after, _, top in moments if after != bracket)
 
 
 def test_gain_comparison_summary_carries_reference_numbers(tmp_path):
@@ -544,14 +541,18 @@ print(loaded())
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
-    # numpy.random loads at the first Philox draw and costs milliseconds; the
-    # subcommands that draw nothing must not pay for it at import.
+    # numpy.random loads at the first Philox draw and costs 10-14 ms; the
+    # subcommands that draw nothing must not pay for it at import, and a
+    # run that draws pays for it inside its first count, not at start-up.
     code = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import noma_secrecy.cli
+from noma_secrecy import channel, config, montecarlo, optimize, rates, sop
+print("numpy.random" in sys.modules)
+next(channel._unit_draws(2, 1, 2))
 print("numpy.random" in sys.modules)
 """
     proc = run_python(["-I", "-c", code, str(SRC)])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.split() == ["False", "True"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -374,9 +375,7 @@ def test_solved_splits_meet_their_tolerances(monkeypatch):
     assert crossings
     assert all(abs(c.so1 - c.so2) <= 1e-11 * c.max_sop for c in crossings)
     # 1473 nodes, about eight times the kernel's, so the check does not rest on the kernel.
-    monkeypatch.setattr(
-        sop, "_survival_integral", lambda *a, moments=0: per_halving_survival_integral(*a, moments=moments, halvings=6)
-    )
+    monkeypatch.setattr(sop, "_survival_integral", lambda *a: per_halving_survival_integral(*a, halvings=6))
     missed = []
     checked = 0
     for stats, targets, outcome in solved:
@@ -550,3 +549,24 @@ def test_selection_breaks_ties_toward_smaller_alpha():
         None,
     )
     assert outcome.selected == 0.3
+
+
+@pytest.mark.parametrize("field", ["lambda2", "rho_t", "rth1", "rth2"])
+def test_a_solve_takes_one_configuration(field):
+    # Array fields batch configs as columns of an SOP pass, but each solve
+    # refuses them by one rule, whichever field holds the array; 0-d arrays
+    # are scalars and solve as floats do.
+    stats, targets = RunConfig().stats(), TargetRates(1.0, 1.0)
+    if field in ("rth1", "rth2"):
+        several = (stats, dataclasses.replace(targets, **{field: np.array([1.0, 2.0])}))
+    else:
+        several = (dataclasses.replace(stats, **{field: np.array([1.0, 0.5]) * getattr(stats, field)}), targets)
+    with pytest.raises(ValueError, match="one configuration"):
+        minmax_pa(*several)
+    if field in ("rth1", "rth2"):
+        with pytest.raises(ValueError, match="one configuration"):
+            optimal_pa_asymptotic(several[1])
+    scalar = (ChannelStats(*(np.array(v) for v in vars(stats).values())),
+              TargetRates(*(np.array(v) for v in vars(targets).values())))
+    assert minmax_pa(*scalar) == minmax_pa(stats, targets)
+    assert optimal_pa_asymptotic(scalar[1]) == optimal_pa_asymptotic(targets)

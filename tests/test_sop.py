@@ -374,11 +374,11 @@ def _config_sweep(count, seed):
 
 
 def _assert_same_bits(monkeypatch, cases):
-    """Every case gives the same value and quad_error bits from both kernels,
-    one user at a time and both users at orders 0, 2 and 3 alike."""
+    """Every case gives the same bits in every field from both kernels, one
+    user at a time and both users at orders 0, 2 and 3 alike."""
 
-    def reference(*args, moments=0):
-        return per_halving_survival_integral(*args, moments=moments, halvings=sop._HALVINGS)
+    def reference(*args):
+        return per_halving_survival_integral(*args, halvings=sop._HALVINGS)
 
     entries = [exact_sop_near, exact_sop_far]
     entries += [lambda *case, order=order: exact_sops(*case, order=order) for order in (0, 2, 3)]
@@ -389,8 +389,9 @@ def _assert_same_bits(monkeypatch, cases):
             expected = [func(*case) for case in cases]
         for got, want in zip(fused, expected):
             assert type(got.value) is type(want.value)
-            assert np.asarray(got.value).tobytes() == np.asarray(want.value).tobytes()
-            assert np.asarray(got.quad_error).tobytes() == np.asarray(want.quad_error).tobytes()
+            for g, w in zip(got, want):
+                assert (g is None) == (w is None)
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
     # Every order sums the integrand by the same rule, so the derivatives
     # come with the bits of the plain values.
     for case in cases:
@@ -400,17 +401,16 @@ def _assert_same_bits(monkeypatch, cases):
             assert moment.value.tobytes() == plain.value.tobytes()
             assert moment.quad_error.tobytes() == plain.quad_error.tobytes()
             assert moment.psi.tobytes() == plain.psi.tobytes()
-    # Under either kernel, slopes at a list of an order-0 pass's columns
-    # keep the bits exact_sops gives those columns.
-    for kernel in (sop._survival_integral, reference):
-        with monkeypatch.context() as patch:
-            patch.setattr(sop, "_survival_integral", kernel)
-            for case in cases:
-                full = exact_sops(*case, order=3)
-                columns = [0, full.phi.size - 1]
-                taken = sop._sops_and_slopes(*case, (0, 1))[1](columns, 3)
-                for got, want in zip(taken, full[3:]):
-                    assert got.tobytes() == want.ravel()[columns].tobytes()
+    # Slopes at a list of an order-0 pass's columns keep the bits the
+    # reference's order-3 pass gives those columns.
+    with monkeypatch.context() as patch:
+        patch.setattr(sop, "_survival_integral", reference)
+        full = [exact_sops(*case, order=3) for case in cases]
+    for case, want in zip(cases, full):
+        columns = [0, want.phi.size - 1]
+        taken = sop._sops_and_slopes(*case, (0, 1))[1](columns, 3)
+        for got, field in zip(taken, want[3:]):
+            assert got.tobytes() == field.ravel()[columns].tobytes()
 
 
 def test_fused_kernel_matches_per_halving_bits_over_the_box(monkeypatch):
@@ -432,7 +432,7 @@ def test_reported_error_bounds_the_change_from_three_more_halvings(monkeypatch):
     for stats, targets in configs:
         minmax_pa(stats, targets)  # a QuadratureError fails the test
     with monkeypatch.context() as patch:
-        patch.setattr(sop, "_survival_integral", lambda *a, moments=0: per_halving_survival_integral(*a, halvings=6))
+        patch.setattr(sop, "_survival_integral", lambda *a: per_halving_survival_integral(*a, halvings=6))
         fine = [exact_sops(stats, grid, targets).value for stats, targets in configs]
     for curve, value in zip(curves, fine):
         assert np.all(np.abs(curve.value - value) <= curve.quad_error + 1e-15)
@@ -441,8 +441,8 @@ def test_reported_error_bounds_the_change_from_three_more_halvings(monkeypatch):
 def test_kernel_build_matches_the_written_integrand(monkeypatch):
     # The kernel builds the integrand as exp(kappa/(s + 1/z)), which rounds
     # differently from the integral as written; the two stay within a few ulps.
-    def reference(*args, moments=0):
-        return per_halving_survival_integral(*args, integrand=written_integrand, moments=moments)
+    def reference(*args):
+        return per_halving_survival_integral(*args, integrand=written_integrand)
 
     cases = list(_box_sweep(2000, seed=41))
     grid = np.linspace(ALPHA_MIN, ALPHA_MAX, 1000)
@@ -485,7 +485,7 @@ def test_quadrature_error_reports_the_nodes_it_reached(monkeypatch):
     args = (stats_at(1e7), 0.5, RTH1)
     with pytest.raises(sop.QuadratureError) as fused:
         exact_sop_near(*args)
-    monkeypatch.setattr(sop, "_survival_integral", lambda *a, moments=0: per_halving_survival_integral(*a))
+    monkeypatch.setattr(sop, "_survival_integral", per_halving_survival_integral)
     with pytest.raises(sop.QuadratureError) as expected:
         exact_sop_near(*args)
     assert str(fused.value) == str(expected.value)
@@ -580,25 +580,27 @@ def _slope_columns(draw):
 
 
 # The bracket's route: an order-0 pass, then slopes at the columns it picks
-# from moments taken at those columns alone. Each column must keep the bits
-# of a pass that takes every column's slopes.
+# from moments taken at those columns alone, as every order-2 or order-3
+# pass takes its own. The reference builds the moments at the same columns
+# from its own per-halving sums over just those columns, padded to whole
+# groups of 4, and never splits a pass: each column must get its bits.
 @settings(max_examples=100, deadline=None)
 @given(config=st.integers(0, len(_SUBSET_CONFIGS) - 1), order=st.sampled_from((2, 3)), columns=_slope_columns())
 @example(config=0, order=3, columns=(33, (0, 1), [16, 15, 17, 48, 49, 47]))
 @example(config=0, order=3, columns=(306, (0, 1), [0, 305, 306, 307, 611, 306]))  # two halves of 306 columns
 @example(config=0, order=2, columns=(5, (1,), [4]))
-def test_slopes_at_any_columns_of_a_pass_keep_the_every_column_bits(config, order, columns):
+def test_slopes_at_any_columns_of_a_pass_keep_the_reference_bits(config, order, columns):
     stats, targets = _SUBSET_CONFIGS[config]
     points, users, index = columns
     grid = np.sort(np.random.default_rng([config, points]).uniform(ALPHA_MIN, ALPHA_MAX, points))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sop, "_usable_cpus", lambda: 2)  # a pass of 512 columns or more in two halves
-        full = exact_sops(stats, grid, targets, order=order)
-        _, slopes = sop._sops_and_slopes(stats, grid, targets, users)
-        taken = slopes(index, order)
-    assert len(taken) == order
-    for got, want in zip(taken, full[3:]):
-        assert got.tobytes() == want[list(users)].ravel()[index].tobytes()
+        taken = sop._sops_and_slopes(stats, grid, targets, users)[1](index, order)
+        patch.setattr(sop, "_survival_integral", per_halving_survival_integral)
+        want = sop._sops_and_slopes(stats, grid, targets, users)[1](index, order)
+    assert len(taken) == len(want) == order
+    for got, field in zip(taken, want):
+        assert got.tobytes() == field.tobytes()
 
 
 # Configs as columns: ChannelStats and TargetRates fields given as arrays
@@ -677,9 +679,9 @@ def test_a_split_pass_keeps_the_unsplit_bits(monkeypatch, points, users):
     monkeypatch.setattr(sop, "_PART_COLUMNS", 64)
     calls, caller, build = [], threading.current_thread(), sop._weighted_sums
 
-    def recording(scaled_slope, kappa, moments):  # who built which part
+    def recording(scaled_slope, kappa):  # who built which part
         calls.append((threading.current_thread() is caller, scaled_slope.size))
-        return build(scaled_slope, kappa, moments)
+        return build(scaled_slope, kappa)
 
     monkeypatch.setattr(sop, "_weighted_sums", recording)
     for order in (0, 2, 3):
@@ -718,11 +720,11 @@ def test_a_worker_half_error_reaches_the_caller_and_the_worker_stays_usable(monk
     caller, build = threading.current_thread(), sop._weighted_sums
     built = []
 
-    def failing(scaled_slope, kappa, moments):
+    def failing(scaled_slope, kappa):
         if threading.current_thread() is not caller:
             raise RuntimeError("worker half failed")
         built.append(scaled_slope.size)
-        return build(scaled_slope, kappa, moments)
+        return build(scaled_slope, kappa)
 
     stats, targets = RunConfig().stats(), TargetRates(1, 1)
     grid = np.linspace(ALPHA_MIN, ALPHA_MAX, 1000)
