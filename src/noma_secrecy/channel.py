@@ -66,25 +66,20 @@ def with_received_snr(stats: ChannelStats, rho_r_db: float) -> ChannelStats:
     return dataclasses.replace(stats, rho_t=rho_t_for_received_snr(rho_r_db, stats.lambda2))
 
 
-def _unit_draws(total: int, seed: int, chunk: int, start: int = 0):
-    """Yield (e1, e2) views of `total` unit-mean exponential draws, from sample `start`.
+def _unit_draws(total: int, seed: int, chunk: int):
+    """Yield (e1, e2) views of the first `total` unit-mean exponential draws of a stream.
 
     The stream is Generator(Philox(key=seed)) read in order, two samples per
     counter block, into one reused buffer: words (0, 1) of a block are one
     sample's (e1, e2) and words (2, 3) the next one's, and each uniform u
     becomes e = -log1p(-u) in place. A user's gain is its mean gain times
-    e, so each caller scales the draws by its own mean SNRs. Philox is
-    counter-based: with counter=k its first block is block k of the stream,
-    so seeding Philox(key=seed, counter=start // 2) starts exactly at the
-    even sample `start`, and slices of one stream can be read independently.
-    A chunk is rounded up to whole Philox blocks (an even sample count), so
-    the generator never holds a partly used block between chunks; the last
+    e, so each caller scales the draws by its own mean SNRs. A chunk is
+    rounded up to whole Philox blocks (an even sample count), so the
+    generator never holds a partly used block between chunks; the last
     chunk drops its odd sample. The draws therefore do not depend on
     `chunk`. Each yielded view is overwritten by the next chunk.
     """
-    if start % 2:
-        raise ValueError(f"a stream slice must start at an even sample, got {start}")
-    generator = np.random.Generator(np.random.Philox(key=seed, counter=start // 2))
+    generator = np.random.Generator(np.random.Philox(key=seed))
     words = np.empty(((min(chunk, total) + 1) // 2, 4))
     while total > 0:
         count = min(2 * len(words), total)

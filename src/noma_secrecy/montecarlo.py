@@ -4,19 +4,12 @@ The estimator is the empirical oracle every analytical expression is checked
 against: draw gain pairs, apply the proposed decoding order, count outages
 R_s < R_th (strict; ties are non-outage). The count needs no logarithm:
 R_s1 < R_th1 iff (1 + g11) / (1 + g12) < 2**R_th1, and likewise for the far
-user. Each stream is one Philox key, two samples per counter block, so
-sample 2k starts block k and a Philox generator seeded with counter k reads
-the stream from there. `empirical_sops` cuts the stream with
-`sop._run_parts`, the fork-join wide SOP passes share, into contiguous
-slices, one per CPU this process may run on and each at least one chunk
-long, that start at even samples, so at whole blocks; the calling
-thread counts the first slice and the pool's persistent workers the
-others, and the integer counts are summed in slice order. A slice is
-read in order in chunks of whole blocks, 2**15 samples or, for a call with
-more than 64 target pairs, as few as keep its flag block within 4 MiB. So
-the draws, and hence the totals, depend neither on the chunk size nor on
-the worker or CPU count.
-A slice keeps one set of buffers: the uniforms become unit-mean
+user. Each stream is one Philox key, two samples per counter block.
+`empirical_sops` reads the stream in order on the calling thread, in chunks
+of whole blocks: 2**15 samples or, for a call with more than 64 target
+pairs, as few as keep its flag block within 4 MiB. So the draws, and hence
+the totals, do not depend on the chunk size.
+The count keeps one set of buffers: the uniforms become unit-mean
 exponential draws in place, and the ratio algebra runs into reused arrays.
 Each chunk is drawn once and counted for every channel entry and target
 pair of a call (common random numbers): per entry, one comparison fills a
@@ -38,7 +31,7 @@ import numpy as np
 
 from .channel import ChannelStats, _unit_draws
 from .rates import validated_alpha
-from .sop import TargetRates, _run_parts
+from .sop import TargetRates
 
 __all__ = [
     "SimConfig",
@@ -46,9 +39,9 @@ __all__ = [
     "empirical_sops",
 ]
 
-# 2**15 samples per chunk keep a slice's buffers near cache; totals do not depend on it.
+# 2**15 samples per chunk keep the count's buffers near cache; totals do not depend on it.
 _CHUNK = 1 << 15
-# A slice's flag block takes 2 bytes per target pair and sample of a chunk;
+# The flag block takes 2 bytes per target pair and sample of a chunk;
 # with many pairs the chunk shrinks to keep the block within this size.
 _FLAG_BYTES = 1 << 22
 
@@ -59,7 +52,7 @@ class SimConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        # Streams are cut into slices by index, so the count must be a true integer,
+        # The stream is read by sample count, so the count must be a true integer,
         # and Philox truncates a float or bool key to another seed's stream.
         for name in ("realizations", "seed"):
             value = getattr(self, name)
@@ -129,10 +122,6 @@ def empirical_sops(
     scales the same unit-mean draws by its own mean SNRs, so every entry and
     every target pair is counted on the same draws, and each estimate equals
     what a separate call with that entry and that pair alone gives.
-    The stream is cut by sop._run_parts into one slice per usable CPU, each
-    at least one chunk long and starting at an even sample; the
-    calling thread counts the first slice and the pool's workers the others.
-    An error in any slice is raised here once every slice has ended.
     """
     stats_seq = tuple(stats_seq)
     a = float(validated_alpha(alpha))
@@ -142,38 +131,34 @@ def empirical_sops(
     total = sim.realizations
     # Whole uint64 words of flags per row; validate's 6 pairs keep the full chunk.
     chunk = min(_CHUNK, max(_FLAG_BYTES // (2 * max(len(pis), 1)) // 8 * 8, 8))
-    parts = _run_parts(lambda start, stop: _count_slice(stats_seq, a, pis, sim, start, stop, chunk), total, _CHUNK)
-    # sum(parts) adds the slices' counts in slice order; tolist() makes them Python ints.
-    return tuple(
-        tuple(_estimate(out1, out2, total) for out1, out2 in zip(*entry)) for entry in sum(parts).tolist()
-    )
+    counts = _count_stream(stats_seq, a, pis, sim, chunk)
+    # tolist() makes the counts Python ints.
+    return tuple(tuple(_estimate(out1, out2, total) for out1, out2 in zip(*entry)) for entry in counts.tolist())
 
 
-def _count_slice(
+def _count_stream(
     stats_seq: Sequence[ChannelStats],
     a: float,
     pis: Sequence[tuple[float, float]],
     sim: SimConfig,
-    start: int,
-    stop: int,
     chunk: int,
 ) -> np.ndarray:
-    """Outage counts of samples [start, stop) of one stream, (entries, 2, pairs).
+    """Outage counts of the whole stream, (entries, 2, pairs).
 
-    `start` must be even. counts[i, u, j] is user u + 1's count for entry i
+    counts[i, u, j] is user u + 1's count for entry i
     and target pair j. Each entry scales the unit-mean draws by its own mean
     SNRs and compares both users' ratios with every pair's limits in one
     (2, pairs, samples) bool block, whose width is rounded up to 8 so that
     its rows are whole uint64 words; each flag byte is 0 or 1, so a row's
-    count is the sum of its words' popcounts. The slice keeps its own
-    buffers: its first chunk is its largest, later chunks reuse views of
+    count is the sum of its words' popcounts. The count keeps one set of
+    buffers: the first chunk is the largest, later chunks reuse views of
     it, and a shorter chunk clears the flags past its end.
     """
     limits = np.array(pis, float).reshape(-1, 2).T[:, :, None]  # (2, pairs, 1), also at zero pairs
     counts = np.zeros((len(stats_seq), 2, len(pis)), np.int64)
     snrs = [(stats.rho_t * stats.lambda1, stats.rho_t * stats.lambda2) for stats in stats_seq]
     scratch = flags = words = None
-    for e1, e2 in _unit_draws(stop - start, sim.seed, chunk, start):
+    for e1, e2 in _unit_draws(sim.realizations, sim.seed, chunk):
         count = e1.size
         if scratch is None:  # the first chunk is the largest
             scratch, flags = np.empty((4, count)), np.zeros((2, len(pis), -(-count // 8) * 8), bool)

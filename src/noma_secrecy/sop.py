@@ -37,11 +37,10 @@ broadcasts against alpha: a column per point and config, with the bits of
 its own config's call at its own alpha, since _weighted_sums pads every
 pass to whole groups of 4 columns, which the BLAS products sum alike.
 
-Every pass goes through _run_parts, the fork-join the Monte Carlo count
-shares. A pass narrower than 2*_PART_COLUMNS (512) columns runs on the
-calling thread without asking for the CPU count. A wider one is cut into
-two column halves, or one part on one CPU: the calling thread sums the
-first half and a persistent daemon worker of the pool the second, at once.
+Every pass runs whole on the calling thread: the package starts no thread
+of its own. To run configs in parallel, run them in separate processes;
+since a column's bits do not depend on the other columns of its pass, any
+cut of a grid or a config batch across processes gives the bits of one call.
 
 Every pass also returns psi = log(1 - s_o) = -A/lam_e + log I, which keeps
 its digits where s_o rounds to 1. Its alpha-derivatives come by one route:
@@ -68,11 +67,7 @@ closed-form optimal power splits are optimize.optimal_pa_asymptotic.
 """
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
 from dataclasses import dataclass
-from queue import SimpleQueue
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -96,7 +91,6 @@ _HALVINGS = 3        # halvings 0-3 of the step: 185 nodes
 _ACCEPT_TOL = 1e-9   # contract on the reported absolute quadrature error
 _MOMENT_FLOOR = 1e-150  # least integrand value in the derivative moments
 _MAX_RTH = 1024.0  # 2**rth overflows a double from here on
-_PART_COLUMNS = 256  # least columns in each half of a pass split over two CPUs
 
 
 @dataclass(frozen=True)
@@ -176,8 +170,7 @@ def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarra
     QuadratureError unless scale * |difference| is at most _ACCEPT_TOL in
     every column: the caller folds the integral into the outage value with
     that weight, and the error contract applies to the outage value, not the
-    raw integral. _weighted_sums builds and sums the integrand, in two
-    halves for a wide pass.
+    raw integral. _weighted_sums builds and sums the integrand.
 
     take(columns, top) gives the moments E_y[e * h**k], k = 2..top, at a
     list of the pass's columns, a (top - 1, len(columns)) array taken on the
@@ -187,16 +180,8 @@ def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarra
     so each column's moments do not depend on the others listed. take holds
     the integrand, so a caller that takes no moments drops it.
     """
-    scaled_slope, kappa = slope * lam_int, -pi * lam_int / lam_exp
-
-    def part(start, stop):
-        part_kappa = kappa[start:stop] if isinstance(kappa, np.ndarray) else kappa
-        return _weighted_sums(scaled_slope[start:stop], part_kappa)
-
-    # Two halves at most, even on more CPUs: the split was timed on two.
-    parts = _run_parts(part, scaled_slope.size, max(_PART_COLUMNS, scaled_slope.size // 2))
-    sums = [part[:2] for part in parts]
-    coarse, last = sums[0] if len(sums) == 1 else (np.concatenate(pair) for pair in zip(*sums))
+    scaled_slope = slope * lam_int
+    coarse, last, integrand = _weighted_sums(scaled_slope, -pi * lam_int / lam_exp)
     step = _STEP0 / (1 << _HALVINGS)
     est = (coarse + last) * step
     diff = np.abs(est - coarse * (2.0 * step))
@@ -209,8 +194,6 @@ def _survival_integral(pi, slope: np.ndarray, lam_exp, lam_int, scale: np.ndarra
         )
 
     def take(columns, top):
-        # Each half's integrand without its pads, side by side: the pass's columns in order.
-        integrand = np.concatenate([e[:, :c.size] for c, _, e in parts], axis=1) if len(parts) > 1 else parts[0][2]
         index = _padded(columns)
         rows = np.empty((top - 1, len(_INVERSE_NODES), index.size))
         column_slope = scaled_slope[index]
@@ -279,81 +262,6 @@ def _halving_sums(terms: np.ndarray):
     # round the sums differently.
     coarse_rows = len(_COARSE_WEIGHTS)
     return _COARSE_WEIGHTS @ terms[:, :coarse_rows], _LAST_WEIGHTS @ terms[:, coarse_rows:]
-
-
-def _usable_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_parts(func, total: int, least: int) -> list:
-    """[func(start, stop) for each part of [0, total)], in part order.
-
-    The range is cut into one contiguous part per usable CPU, but never
-    into parts shorter than ``least``, and every part starts at an even
-    index: a Monte Carlo slice must start at an even sample (two samples per
-    Philox block). The calling thread runs the first part and the pool's
-    workers the others, each in a copy of the caller's context, so
-    np.errstate holds in every part. The first error of any part, in part
-    order, is raised once every part has ended.
-    """
-    if total < 2 * least:  # one part: no CPU count and no pool
-        return [func(0, total)]
-    parts = min(_usable_cpus(), total // least)
-    bounds = [2 * ((total // 2) * index // parts) for index in range(parts)] + [total]
-    jobs, done = _pool(parts - 1), SimpleQueue()
-    for index in range(1, parts):
-        jobs.put((contextvars.copy_context(), func, bounds[index], bounds[index + 1], index, done))
-    outcomes = [_attempt(func, bounds[0], bounds[1])] + [None] * (parts - 1)
-    for _ in range(1, parts):
-        index, outcome = done.get()
-        outcomes[index] = outcome
-    for _, error in outcomes:
-        if error is not None:
-            raise error
-    return [result for result, _ in outcomes]
-
-
-def _attempt(func, start: int, stop: int):
-    try:
-        return func(start, stop), None
-    except BaseException as exc:  # raised in the calling thread once every part has ended
-        return None, exc
-
-
-# The pool: one job queue and the persistent daemon workers that serve it,
-# started as calls need them. A forked child starts with an empty pool of
-# its own, since only the forking thread survives a fork. Not an executor:
-# a ThreadPoolExecutor's workers are not daemon threads, and on a 2-CPU Xeon
-# its two-part fork-join of a trivial function took 25-28 us (submit/result)
-# or 47 us (wait), this pool's 19-21 us.
-def _empty_pool() -> None:
-    global _jobs, _workers, _pool_lock
-    _jobs, _workers, _pool_lock = SimpleQueue(), 0, threading.Lock()
-
-
-_empty_pool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_empty_pool)
-
-
-def _pool(workers: int) -> SimpleQueue:
-    """The job queue, once at least ``workers`` workers serve it."""
-    global _workers
-    while _workers < workers:
-        with _pool_lock:
-            if _workers < workers:
-                threading.Thread(target=_serve, args=(_jobs,), name="noma-secrecy-worker", daemon=True).start()
-                _workers += 1
-    return _jobs
-
-
-def _serve(jobs: SimpleQueue) -> None:
-    while True:
-        context, func, start, stop, index, done = jobs.get()
-        done.put((index, context.run(_attempt, func, start, stop)))
 
 
 _ORDER_MOMENTS = {0: 0, 2: 4, 3: 6}  # derivative order -> highest moment take builds

@@ -1,8 +1,9 @@
 """numpy's OpenBLAS thread pool under `import noma_secrecy`.
 
-The package's only thread pool is `sop._run_parts`. If no BLAS thread
-variable is set, `import noma_secrecy` loads numpy with one OpenBLAS thread,
-so no BLAS worker busy-waits beside its parts, and leaves the environment as
+The package runs on the calling thread alone, and each of its BLAS calls is
+one vector-matrix product of 92 or 93 rows. If no BLAS thread variable is
+set, `import noma_secrecy` loads numpy with one OpenBLAS thread, so no BLAS
+worker busy-waits beside the calling thread, and leaves the environment as
 it found it. OpenBLAS reads its thread count only when it loads, so each case
 runs in a fresh interpreter.
 """

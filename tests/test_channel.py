@@ -159,13 +159,14 @@ def test_two_samples_per_philox_block():
 @pytest.mark.parametrize("start", [0, 2, 1_000, 65_538])
 @pytest.mark.parametrize("chunk", [1, 999, 1_000, 1 << 15])
 def test_stream_yields_the_unit_mean_draws_of_one_window(start, chunk):
-    # The library's stream, read chunk by chunk from an even sample, gives
-    # the reference's unit-mean draws bit for bit, apart from any counting.
+    # The library's stream, read chunk by chunk from its first sample, gives
+    # the reference's unit-mean draws of the window at `start` bit for bit,
+    # apart from any counting, however many chunks lie before the window.
     n, seed = 5_001, 31
-    chunks = [(e1.copy(), e2.copy()) for e1, e2 in _unit_draws(n, seed, chunk, start)]
+    chunks = [(e1.copy(), e2.copy()) for e1, e2 in _unit_draws(start + n, seed, chunk)]
     expected = sample_gains(ChannelStats(1.0, 1.0, 1.0), n, seed, start)
-    assert np.array_equal(np.concatenate([e1 for e1, _ in chunks]), expected.g1)
-    assert np.array_equal(np.concatenate([e2 for _, e2 in chunks]), expected.g2)
+    assert np.array_equal(np.concatenate([e1 for e1, _ in chunks])[start:], expected.g1)
+    assert np.array_equal(np.concatenate([e2 for _, e2 in chunks])[start:], expected.g2)
 
 
 def test_sample_gains_rejects_empty():

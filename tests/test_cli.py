@@ -501,24 +501,9 @@ def run_python(args, **kwargs):
     )
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
-def test_validate_bytes_do_not_depend_on_cpu_count(tmp_path):
-    # Pinned to one CPU the Monte Carlo stream is counted in one slice;
-    # unpinned, in one slice per usable CPU. The tables must agree byte for byte.
-    def validate(name, **kwargs):
-        out = tmp_path / f"{name}.csv"
-        proc = run_python(["-m", "noma_secrecy.cli", "validate", "--samples", "300001", "--out", str(out)], **kwargs)
-        assert proc.returncode in (0, 1), proc.stdout + proc.stderr
-        return proc.returncode, out.read_bytes()
-
-    pinned = validate("pinned", preexec_fn=lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}))
-    assert validate("unpinned") == pinned
-
-
 def test_cli_loads_neither_futures_nor_logging():
-    # Either import costs milliseconds on every invocation; the pool that
-    # the Monte Carlo count and wide SOP passes share uses plain threading
-    # instead.
+    # Either import costs milliseconds on every invocation, and neither the
+    # Monte Carlo count nor a wide SOP pass needs them.
     code = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -529,8 +514,6 @@ from noma_secrecy.channel import ChannelStats
 from noma_secrecy.sop import TargetRates
 loaded = lambda: sorted(name for name in ("concurrent.futures", "logging") if name in sys.modules)
 print(loaded())
-sop._usable_cpus = lambda: 2
-montecarlo._CHUNK = 1000
 montecarlo.empirical_sops((ChannelStats(1.0, 0.5, 10.0),), 0.5, [TargetRates(1.0, 1.0)], montecarlo.SimConfig(2001))
 sop.exact_sops(ChannelStats(1.0, 0.5, 10.0), np.linspace(0.01, 0.99, 1000), TargetRates(1.0, 1.0))
 print(loaded())
@@ -538,6 +521,24 @@ print(loaded())
     proc = run_python(["-I", "-c", code, str(SRC)])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]", "[]"]
+
+
+def test_validate_and_a_wide_pass_start_no_thread(tmp_path):
+    # The package runs on the calling thread alone: after a validate run
+    # and a 1000-point pass the main thread is still the only one.
+    code = """
+import sys, threading
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from noma_secrecy import cli, sop
+from noma_secrecy.config import RunConfig
+cli.main(["validate", "--samples", "2001", "--out", sys.argv[2]])
+sop.exact_sops(RunConfig().stats(), np.linspace(0.01, 0.99, 1000), sop.TargetRates(1.0, 1.0))
+print("threads", threading.active_count())
+"""
+    proc = run_python(["-I", "-c", code, str(SRC), str(tmp_path / "validate.csv")])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["threads", "1"]
 
 
 def test_cli_import_leaves_numpy_random_unloaded():

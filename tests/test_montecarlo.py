@@ -1,8 +1,5 @@
 import math
-import pathlib
 import re
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -11,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from noma_secrecy import montecarlo, sop
+from noma_secrecy import montecarlo
 from noma_secrecy.channel import ChannelStats, with_received_snr
-from noma_secrecy.montecarlo import EmpiricalSop, SimConfig, _count_slice, _secrecy_ratios, empirical_sops
+from noma_secrecy.montecarlo import EmpiricalSop, SimConfig, _count_stream, _secrecy_ratios, empirical_sops
 from noma_secrecy.rates import ALPHA_MIN
 from noma_secrecy.sop import TargetRates, exact_sop_far, exact_sop_near
 from reference import (
@@ -98,16 +95,14 @@ STREAM_TARGETS = (TargetRates(0.5, 3.0), TargetRates(1.0, 1.0), TargetRates(3.0,
     rho_t_exponents=st.lists(st.floats(-2.0, 10.0), min_size=1, max_size=4),
     half=st.integers(0, 3_000),
     chunk=st.integers(1, 2_500),
-    workers=st.integers(1, 3),
 )
-@example(rho_t_exponents=[8.0, 9.0, 10.0], half=3_000, chunk=999, workers=3)
-def test_each_entry_counts_like_its_own_call(rho_t_exponents, half, chunk, workers):
+@example(rho_t_exponents=[8.0, 9.0, 10.0], half=3_000, chunk=999)
+def test_each_entry_counts_like_its_own_call(rho_t_exponents, half, chunk):
     # Every entry is counted on one stream; each row must be bit-identical
-    # to a call with that entry alone, at any worker count.
+    # to a call with that entry alone, at any chunk size.
     sim = SimConfig(realizations=2 * half + 1, seed=9)
     stats_seq = [ChannelStats(LAM1, LAM2, 10.0**exponent) for exponent in rho_t_exponents]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sop, "_usable_cpus", lambda: workers)
         patch.setattr(montecarlo, "_CHUNK", chunk)
         rows = empirical_sops(stats_seq, 0.4, STREAM_TARGETS, sim)
     assert len(rows) == len(stats_seq)
@@ -144,9 +139,8 @@ FROZEN_MIXED_ROWS = (
 )
 def test_entries_must_share_mean_gains(monkeypatch, other, frozen_row):
     # An entry with another lambda1 or lambda2 shares the one stream of
-    # unit-mean draws with STATS_30DB, across slice and chunk boundaries,
-    # and both keep their one-entry rows.
-    monkeypatch.setattr(sop, "_usable_cpus", lambda: 3)
+    # unit-mean draws with STATS_30DB, across chunk boundaries, and both
+    # keep their one-entry rows.
     monkeypatch.setattr(montecarlo, "_CHUNK", 10_007)
     rows = empirical_sops((STATS_30DB, other), 0.4, STREAM_TARGETS, SimConfig(realizations=200_001, seed=9))
     expected = (FROZEN_MIXED_ROWS[0], FROZEN_MIXED_ROWS[frozen_row])
@@ -188,51 +182,20 @@ def test_violation_stream_matches_one_sample_gains_window(monkeypatch, chunk, si
     assert (expected > 0.0) == (sinr is sinr_proposed)
 
 
-def _window_counts(n, seed, alpha):
-    """Per-pair outage counts of one sample_gains window of n samples."""
-    draws = sample_gains(UNIT, n, seed)
-    ratio1, ratio2 = _secrecy_ratios(draws.g1, draws.g2, alpha, *SNRS_30DB, np.empty((4, n)))
-    out1 = [int(np.count_nonzero(ratio1 < targets.pi1)) for targets in STREAM_TARGETS]
-    out2 = [int(np.count_nonzero(ratio2 < targets.pi2)) for targets in STREAM_TARGETS]
-    return out1, out2
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(1, 6_001),
-    cuts=st.lists(st.integers(1, 3_000), max_size=4),
-    chunk=st.integers(1, 2_500),
-)
-@example(n=6_001, cuts=[1, 1_000], chunk=999)  # a 2-sample slice, odd total
-@example(n=6_001, cuts=[1_000, 2_000], chunk=999)
-@example(n=6_000, cuts=[1_500], chunk=1 << 15)
-def test_even_aligned_slices_count_like_one_sequential_read(n, cuts, chunk):
-    # Slices of one stream, cut at even samples and counted apart, must sum
-    # to the counts of the whole stream read in order.
-    seed, alpha = 23, 0.4
-    bounds = sorted({0, n, *(2 * cut for cut in cuts if 2 * cut < n)})
-    sim = SimConfig(realizations=n, seed=seed)
-    pis = [(targets.pi1, targets.pi2) for targets in STREAM_TARGETS]
-    slices = [_count_slice((STATS_30DB,), alpha, pis, sim, *bound, chunk) for bound in zip(bounds, bounds[1:])]
-    out1, out2 = sum(slices)[0].tolist()
-    assert (out1, out2) == _window_counts(n, seed, alpha)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 5_001),
     chunk=st.integers(1, 1_500),
-    cpus=st.integers(1, 4),
     rho_t_exponents=st.lists(st.floats(6.0, 10.0), min_size=1, max_size=3),
     ties=st.lists(st.tuples(st.integers(0, 5_000), st.integers(0, 5_000)), max_size=4),
 )
-@example(n=5_001, chunk=1_001, cpus=3, rho_t_exponents=[8.0, 9.0], ties=[])  # no target pairs
-@example(n=4_099, chunk=1_203, cpus=4, rho_t_exponents=[8.0], ties=[(0, 4_098), (17, 17)])
-def test_block_counts_match_per_pair_counts(n, chunk, cpus, rho_t_exponents, ties):
+@example(n=5_001, chunk=1_001, rho_t_exponents=[8.0, 9.0], ties=[])  # no target pairs
+@example(n=4_099, chunk=1_203, rho_t_exponents=[8.0], ties=[(0, 4_098), (17, 17)])
+def test_block_counts_match_per_pair_counts(n, chunk, rho_t_exponents, ties):
     # Each target pair's limits are ratios of samples of the stream, so every
-    # pair holds a tie, which is not an outage. Slices cut by the fork-join
-    # and chunks of any length, most not multiples of 8, must count like
-    # one np.count_nonzero per entry, user and pair over the whole window.
+    # pair holds a tie, which is not an outage. Chunks of any length, most
+    # not multiples of 8, must count like one np.count_nonzero per entry,
+    # user and pair over the whole window.
     seed, alpha = 24, 0.4
     snrs = [(10.0**exponent * LAM1, 10.0**exponent * LAM2) for exponent in rho_t_exponents]
     draws = sample_gains(UNIT, n, seed)
@@ -244,99 +207,9 @@ def test_block_counts_match_per_pair_counts(n, chunk, cpus, rho_t_exponents, tie
     ]
     stats_seq = [ChannelStats(LAM1, LAM2, 10.0**exponent) for exponent in rho_t_exponents]
     sim = SimConfig(realizations=n, seed=seed)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sop, "_usable_cpus", lambda: cpus)
-        parts = sop._run_parts(lambda start, stop: _count_slice(stats_seq, alpha, pis, sim, start, stop, chunk), n, 1)
-    counts = sum(parts)
+    counts = _count_stream(stats_seq, alpha, pis, sim, chunk)
     assert counts.dtype == np.int64 and counts.shape == (len(snrs), 2, len(pis))
     assert counts.tolist() == expected
-
-
-def test_slices_start_at_even_samples():
-    sim = SimConfig(realizations=11, seed=1)
-    with pytest.raises(ValueError, match="even"):
-        _count_slice((STATS_30DB,), 0.4, [(2.0, 2.0)], sim, 3, 11, 1000)
-
-
-@UNCONDITIONED
-def test_estimates_do_not_depend_on_worker_count(monkeypatch, conditioned):
-    sim = SimConfig(realizations=50_001, seed=8)
-    starts = []
-
-    def counted_slice(*args):
-        starts.append(args[4])
-        return _count_slice(*args)
-
-    monkeypatch.setattr(montecarlo, "_count_slice", counted_slice)
-    monkeypatch.setattr(montecarlo, "_CHUNK", 1_000)
-    results = []
-    for workers in (1, 2, 3, 4):
-        monkeypatch.setattr(sop, "_usable_cpus", lambda workers=workers: workers)
-        starts.clear()
-        results.append(empirical_sops((STATS_30DB,), 0.4, STREAM_TARGETS, sim)[0])
-        assert len(starts) == workers and all(start % 2 == 0 for start in starts)
-    assert results[1:] == results[:1] * 3
-    n = sim.realizations
-    out1, out2 = _window_counts(n, sim.seed, 0.4)
-    assert [result.so1_hat for result in results[0]] == [count / n for count in out1]
-    assert [result.so2_hat for result in results[0]] == [count / n for count in out2]
-    # Every slice holds at least one chunk: two chunks of 20_000 leave room for two slices.
-    starts.clear()
-    monkeypatch.setattr(montecarlo, "_CHUNK", 20_000)
-    assert empirical_sops((STATS_30DB,), 0.4, STREAM_TARGETS, sim)[0] == results[0]
-    assert len(starts) == 2
-
-
-@pytest.mark.parametrize("failing", ["worker", "caller"])
-def test_slice_errors_reach_the_caller_after_every_thread_ends(failing):
-    # In a fresh process, so that no earlier test has started the pool: the
-    # error must come once every slice has ended, leave no thread but the
-    # pool's daemon workers, and leave the pool counting as before.
-    code = """
-import sys, threading
-sys.path.insert(0, sys.argv[1])
-from noma_secrecy import montecarlo, sop
-from noma_secrecy.channel import ChannelStats
-from noma_secrecy.sop import TargetRates
-failing, caller = sys.argv[2], threading.current_thread()
-ratios, count_slice, ended = montecarlo._secrecy_ratios, montecarlo._count_slice, []
-
-def failing_ratios(*args):
-    if (threading.current_thread() is caller) == (failing == "caller"):
-        raise RuntimeError(failing + " slice failed")
-    return ratios(*args)
-
-def recorded_slice(*args):
-    try:
-        return count_slice(*args)
-    finally:
-        ended.append(args[4])
-
-def count():
-    sim = montecarlo.SimConfig(30_001, 5)
-    return montecarlo.empirical_sops((ChannelStats(1.0, 0.5, 10.0),), 0.4, (TargetRates(1.0, 1.0),), sim)
-
-montecarlo._CHUNK = 1_000
-montecarlo._count_slice = recorded_slice
-sop._usable_cpus = lambda: 1
-serial = count()
-sop._usable_cpus = lambda: 3
-montecarlo._secrecy_ratios = failing_ratios
-ended.clear()
-try:
-    count()
-except RuntimeError as exc:
-    print(exc.args[0].replace(" ", "_"), sorted(ended))
-montecarlo._secrecy_ratios = ratios
-extra = [thread for thread in threading.enumerate() if thread is not threading.main_thread()]
-print(len(extra), all(thread.daemon for thread in extra), count() == serial)
-"""
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-I", "-c", code, str(src), failing], capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [f"{failing}_slice_failed", "[0,", "10000,", "20000]", "2", "True", "True"]
 
 
 # EmpiricalSop tuples of three target pairs at alpha = 0.4 and 200_001
@@ -449,7 +322,7 @@ def test_stderr_follows_binomial_formula():
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(realizations=0)
-    # Slicing a stream needs an integer count; floats and bools fail before any draw.
+    # The stream is read by sample count, an integer; floats and bools fail before any draw.
     for realizations in (1e6, 1.0, True, np.True_, "10"):
         with pytest.raises(TypeError, match=f"^realizations must be an integer, not {re.escape(repr(realizations))}$"):
             SimConfig(realizations=realizations)

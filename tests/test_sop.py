@@ -1,9 +1,4 @@
 import math
-import os
-import pathlib
-import subprocess
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -583,19 +578,17 @@ def _slope_columns(draw):
 # from moments taken at those columns alone, as every order-2 or order-3
 # pass takes its own. The reference builds the moments at the same columns
 # from its own per-halving sums over just those columns, padded to whole
-# groups of 4, and never splits a pass: each column must get its bits.
+# groups of 4: each column must get its bits.
 @settings(max_examples=100, deadline=None)
 @given(config=st.integers(0, len(_SUBSET_CONFIGS) - 1), order=st.sampled_from((2, 3)), columns=_slope_columns())
 @example(config=0, order=3, columns=(33, (0, 1), [16, 15, 17, 48, 49, 47]))
-@example(config=0, order=3, columns=(306, (0, 1), [0, 305, 306, 307, 611, 306]))  # two halves of 306 columns
 @example(config=0, order=2, columns=(5, (1,), [4]))
 def test_slopes_at_any_columns_of_a_pass_keep_the_reference_bits(config, order, columns):
     stats, targets = _SUBSET_CONFIGS[config]
     points, users, index = columns
     grid = np.sort(np.random.default_rng([config, points]).uniform(ALPHA_MIN, ALPHA_MAX, points))
+    taken = sop._sops_and_slopes(stats, grid, targets, users)[1](index, order)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sop, "_usable_cpus", lambda: 2)  # a pass of 512 columns or more in two halves
-        taken = sop._sops_and_slopes(stats, grid, targets, users)[1](index, order)
         patch.setattr(sop, "_survival_integral", per_halving_survival_integral)
         want = sop._sops_and_slopes(stats, grid, targets, users)[1](index, order)
     assert len(taken) == len(want) == order
@@ -661,188 +654,24 @@ def test_log_survival_is_strictly_concave_at_each_minimizer():
     assert checked >= 120
 
 
-# Wide passes: two column halves on two or more usable CPUs, the first on
-# the calling thread and the second on a pool worker.
-
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+# Wide passes: a grid cut across two calls, as configs run in separate
+# processes are, keeps the bits of one call.
 
 
 @pytest.mark.parametrize("users", [(1,), (0, 1)], ids=("one_user", "both_users"))
 @pytest.mark.parametrize("points", [256, 257, 999, 1000, 2001])
-def test_a_split_pass_keeps_the_unsplit_bits(monkeypatch, points, users):
-    # Each half pads its own columns to whole groups of 4, so a column's
-    # bits do not depend on where the cut falls; the cut is at an even
-    # column. More than two CPUs still cut two halves.
+def test_a_split_pass_keeps_the_unsplit_bits(points, users):
+    # Each call pads its own columns to whole groups of 4, so a column's
+    # bits do not depend on where the cut falls: here at a third of the
+    # grid, which puts neither part's width at a multiple of 4.
     stats, targets = RunConfig().stats(), TargetRates(1, 1)
     grid = np.linspace(ALPHA_MIN, ALPHA_MAX, points)
-    columns = points * len(users)
-    monkeypatch.setattr(sop, "_PART_COLUMNS", 64)
-    calls, caller, build = [], threading.current_thread(), sop._weighted_sums
-
-    def recording(scaled_slope, kappa):  # who built which part
-        calls.append((threading.current_thread() is caller, scaled_slope.size))
-        return build(scaled_slope, kappa)
-
-    monkeypatch.setattr(sop, "_weighted_sums", recording)
+    cut = points // 3
     for order in (0, 2, 3):
-        monkeypatch.setattr(sop, "_usable_cpus", lambda: 1)
-        calls.clear()
         whole = sop._sop_pass(stats, grid, targets, users, order)
-        assert calls == [(True, columns)]
-        for cpus in (2, 3, 4):
-            monkeypatch.setattr(sop, "_usable_cpus", lambda cpus=cpus: cpus)
-            calls.clear()
-            split = sop._sop_pass(stats, grid, targets, users, order)
-            half = columns // 4 * 2
-            assert sorted(calls) == [(False, columns - half), (True, half)]
-            for got, want in zip(split, whole):
-                assert (got is None) == (want is None)
-                if got is not None:
-                    assert got.tobytes() == want.tobytes()
-
-
-def test_every_pass_takes_the_fork_join_and_a_narrow_one_asks_no_cpu_count(monkeypatch):
-    # One route: a pass narrower than two parts runs whole on the calling
-    # thread, before the fork-join asks for the CPU count.
-    asked, parts, run_parts = [], [], sop._run_parts
-    monkeypatch.setattr(sop, "_usable_cpus", lambda: asked.append(1) or 2)
-    monkeypatch.setattr(sop, "_run_parts", lambda *args: parts.append(args[1:]) or run_parts(*args))
-    stats, targets = RunConfig().stats(), TargetRates(1, 1)
-    exact_sops(stats, np.linspace(0.1, 0.9, 255), targets)  # 510 columns
-    exact_sop_near(stats, 0.4, targets)
-    assert parts == [(510, 256), (1, 256)] and asked == []
-    exact_sops(stats, np.linspace(0.1, 0.9, 256), targets)
-    assert parts[-1] == (512, 256) and asked == [1]
-
-
-def test_a_worker_half_error_reaches_the_caller_and_the_worker_stays_usable(monkeypatch):
-    monkeypatch.setattr(sop, "_usable_cpus", lambda: 2)
-    caller, build = threading.current_thread(), sop._weighted_sums
-    built = []
-
-    def failing(scaled_slope, kappa):
-        if threading.current_thread() is not caller:
-            raise RuntimeError("worker half failed")
-        built.append(scaled_slope.size)
-        return build(scaled_slope, kappa)
-
-    stats, targets = RunConfig().stats(), TargetRates(1, 1)
-    grid = np.linspace(ALPHA_MIN, ALPHA_MAX, 1000)
-    with monkeypatch.context() as patch:
-        patch.setattr(sop, "_weighted_sums", failing)
-        with pytest.raises(RuntimeError, match="worker half failed"):
-            exact_sop_near(stats, grid, targets)
-    assert built == [500]  # the caller's half ran to its end
-    split = exact_sop_near(stats, grid, targets)
-    monkeypatch.setattr(sop, "_usable_cpus", lambda: 1)
-    whole = exact_sop_near(stats, grid, targets)
-    assert split.value.tobytes() == whole.value.tobytes()
-
-
-def test_an_underflow_only_the_worker_half_meets_raises_under_errstate(monkeypatch):
-    # The near user's integrand underflows where its slope (1 - alpha)*rho_t
-    # nears 0: here in the last columns of the grid, all in the second half.
-    stats, targets = ChannelStats(1.0, 1.0, 1.0), TargetRates(4.0, 0.0)
-    grid = np.linspace(0.5, ALPHA_MAX, 1000)
-    for cpus in (2, 1):
-        monkeypatch.setattr(sop, "_usable_cpus", lambda cpus=cpus: cpus)
-        exact_sop_near(stats, grid, targets)  # numpy ignores underflow by default
-        with np.errstate(under="raise"):
-            exact_sop_near(stats, grid[:500], targets)
-            with pytest.raises(FloatingPointError, match="underflow"):
-                exact_sop_near(stats, grid, targets)
-
-
-def test_concurrent_wide_passes_each_get_their_own_halves(monkeypatch):
-    # More callers than cores share the pool, Monte Carlo counts among wide
-    # passes, each waiting for its own parts; a part handed to the wrong
-    # caller would change its result.
-    monkeypatch.setattr(sop, "_usable_cpus", lambda: 2)
-    grid, sim = np.linspace(ALPHA_MIN, ALPHA_MAX, 600), SimConfig(realizations=100_001, seed=3)
-    configs = [(stats_at(10.0 ** (6 + k)), TargetRates(0.5 * k, 1.0)) for k in range(4)]
-    jobs = [lambda stats=stats, targets=targets: exact_sop_far(stats, grid, targets).value.tobytes()
-            for stats, targets in configs]
-    jobs += [lambda stats=stats, targets=targets: empirical_sops((stats,), 0.4, (targets,), sim)
-             for stats, targets in configs[:2]]
-    expected = [job() for job in jobs]
-    results = {}
-
-    def run(index):
-        results[index] = [jobs[index]() for _ in range(10)]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=run, args=(index,)) for index in range(len(jobs))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-            assert not thread.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    assert results == {index: [want] * 10 for index, want in enumerate(expected)}
-
-
-def _run_script(code):
-    return subprocess.run([sys.executable, "-I", "-c", code, str(SRC)], capture_output=True, text=True, timeout=120)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_child_forked_after_a_wide_pass_finishes_its_own():
-    # Only the forking thread survives a fork; the child must start its own
-    # pool instead of queueing its parts for threads it does not have. The
-    # alarm ends a child that waits forever.
-    code = """
-import os, signal, sys
-sys.path.insert(0, sys.argv[1])
-import numpy as np
-from noma_secrecy import montecarlo, sop
-from noma_secrecy.config import RunConfig
-sop._usable_cpus = lambda: 2
-grid = np.linspace(0.01, 0.99, 1000)
-stats, targets = RunConfig().stats(), sop.TargetRates(1.0, 1.0)
-sim = montecarlo.SimConfig(100_001)  # two slices of at least one chunk
-def run():
-    curve = sop.exact_sop_near(stats, grid, targets).value.tobytes()
-    return curve, montecarlo.empirical_sops((stats,), 0.4, (targets,), sim)
-
-before = run()
-pid = os.fork()
-if pid == 0:
-    signal.alarm(30)
-    os._exit(0 if run() == before else 1)
-print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-"""
-    proc = _run_script(code)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0"]
-
-
-def test_wide_passes_start_one_daemon_worker_and_narrow_ones_none():
-    # A two-slice Monte Carlo count and the wide passes after it share the
-    # one worker that two CPUs need.
-    code = """
-import sys, threading
-sys.path.insert(0, sys.argv[1])
-import numpy as np
-from noma_secrecy import montecarlo, sop
-from noma_secrecy.config import RunConfig
-from noma_secrecy.optimize import minmax_pa
-sop._usable_cpus = lambda: 2
-stats, targets = RunConfig().stats(), sop.TargetRates(1.0, 1.0)
-minmax_pa(stats, targets)
-sop.exact_sop_near(stats, 0.3, targets)
-sop.exact_sops(stats, 0.3, targets, order=3)
-print(threading.active_count() - 1)
-montecarlo.empirical_sops((stats,), 0.4, (targets,), montecarlo.SimConfig(100_001))  # two slices
-grid = np.linspace(0.01, 0.99, 1000)
-for _ in range(5):
-    sop.exact_sop_far(stats, grid, targets)
-    sop.exact_sops(stats, grid, targets, order=2)
-extra = [thread for thread in threading.enumerate() if thread is not threading.main_thread()]
-print(len(extra), all(thread.daemon for thread in extra))
-"""
-    proc = _run_script(code)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "1", "True"]
+        parts = zip(sop._sop_pass(stats, grid[:cut], targets, users, order),
+                    sop._sop_pass(stats, grid[cut:], targets, users, order))
+        for (first, second), want in zip(parts, whole):
+            assert (first is None) == (want is None)
+            if first is not None:
+                assert np.concatenate((first, second), axis=-1).tobytes() == want.tobytes()
