@@ -37,10 +37,10 @@ broadcasts against alpha: a column per point and config, with the bits of
 its own config's call at its own alpha, since _weighted_sums pads every
 pass to whole groups of 4 columns, which the BLAS products sum alike.
 
-Every pass runs whole on the calling thread: the package starts no thread
-of its own. To run configs in parallel, run them in separate processes;
-since a column's bits do not depend on the other columns of its pass, any
-cut of a grid or a config batch across processes gives the bits of one call.
+The package starts no thread; numpy's OpenBLAS may split a wide pass's two
+weight products over its own pool, and no column's bits depend on that or
+on the other columns of its pass. So a grid or config batch cut across
+separate processes, the way to run configs in parallel, gives one call's bits.
 
 Every pass also returns psi = log(1 - s_o) = -A/lam_e + log I, which keeps
 its digits where s_o rounds to 1. Its alpha-derivatives come by one route:
