@@ -5,8 +5,9 @@ mean lambda_i = d_i**-n at distance d_i meters, and rho_t is the transmit
 SNR. A run sets the mean received SNR at the far user, rho_t * lambda2, so
 every outage probability depends only on rho_t * lambda1 and rho_t * lambda2:
 a path-loss constant or a noise power would cancel out, and neither appears.
-So the Monte Carlo stream draws unit-mean exponentials, whatever the
-channel, and each entry scales them by its own mean SNRs rho_t * lambda_i.
+So the Monte Carlo stream draws the uniforms of unit-mean exponentials,
+whatever the channel, and each entry scales the draws by its own mean SNRs
+rho_t * lambda_i.
 """
 from __future__ import annotations
 
@@ -66,17 +67,18 @@ def with_received_snr(stats: ChannelStats, rho_r_db: float) -> ChannelStats:
     return dataclasses.replace(stats, rho_t=rho_t_for_received_snr(rho_r_db, stats.lambda2))
 
 
-def _unit_draws(total: int, seed: int, chunk: int):
-    """Yield (e1, e2) views of the first `total` unit-mean exponential draws of a stream.
+def _uniform_pairs(total: int, seed: int, chunk: int):
+    """Yield (count, 2) views of the first `total` uniform pairs of a stream.
 
     The stream is Generator(Philox(key=seed)) read in order, two samples per
     counter block, into one reused buffer: words (0, 1) of a block are one
-    sample's (e1, e2) and words (2, 3) the next one's, and each uniform u
-    becomes e = -log1p(-u) in place. A user's gain is its mean gain times
-    e, so each caller scales the draws by its own mean SNRs. A chunk is
+    sample's (u1, u2) row and words (2, 3) the next one's. Each uniform u in
+    [0, 1) gives the unit-mean exponential draw e = -log1p(-u), which rises
+    with u; a user's gain is its mean gain times e. The caller applies that
+    transform, so it can skip the samples it has no use for. A chunk is
     rounded up to whole Philox blocks (an even sample count), so the
     generator never holds a partly used block between chunks; the last
-    chunk drops its odd sample. The draws therefore do not depend on
+    chunk drops its odd sample. The uniforms therefore do not depend on
     `chunk`. Each yielded view is overwritten by the next chunk.
     """
     generator = np.random.Generator(np.random.Philox(key=seed))
@@ -85,9 +87,5 @@ def _unit_draws(total: int, seed: int, chunk: int):
         count = min(2 * len(words), total)
         block = words[:(count + 1) // 2]
         generator.random(out=block)
-        np.negative(block, out=block)
-        np.log1p(block, out=block)
-        np.negative(block, out=block)
-        pairs = block.reshape(-1, 2)[:count]
-        yield pairs[:, 0], pairs[:, 1]
+        yield block.reshape(-1, 2)[:count]
         total -= count

@@ -9,8 +9,19 @@ user. Each stream is one Philox key, two samples per counter block.
 of whole blocks: 2**15 samples or, for a call with more than 64 target
 pairs, as few as keep its flag block within 4 MiB. So the draws, and hence
 the totals, do not depend on the chunk size.
-The count keeps one set of buffers: the uniforms become unit-mean
-exponential draws in place, and the ratio algebra runs into reused arrays.
+Each chunk is screened before any per-sample work. With c = 1 - alpha and
+x_i a user's received SNR, the near user's ratio is at least c (1 + alpha x1)
+and the far user's at least alpha (1 + c x2), whatever the other draw. So a
+sample whose uniforms both lie at or above the levels where these bounds
+reach the call's largest limits, at its lowest mean SNRs, is in outage at
+no entry and pair, and is dropped; the limits are widened by a relative
+1e-9, far above the roundings of log1p and the ratio algebra, so every
+count keeps its value. Only the kept samples become unit-mean draws and
+take the ratio algebra, so the cost follows the share of samples that can
+be in outage: 29.7% of them at `validate`'s 20/30/40 dB grid, where the
+count takes about 24 ms against 40 ms unscreened on a shared 2-vCPU x86
+box. Where nearly every sample is kept, at low SNR, the screen's compare
+and gather make it 11-14% slower (10/20/30 and 0/5/10 dB).
 Each chunk is drawn once and counted for every channel entry and target
 pair of a call (common random numbers): per entry, one comparison fills a
 bool block of both users and every pair, and the popcounts of its uint64
@@ -29,7 +40,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelStats, _unit_draws
+from .channel import ChannelStats, _uniform_pairs
 from .rates import validated_alpha
 from .sop import TargetRates
 
@@ -44,6 +55,9 @@ _CHUNK = 1 << 15
 # The flag block takes 2 bytes per target pair and sample of a chunk;
 # with many pairs the chunk shrinks to keep the block within this size.
 _FLAG_BYTES = 1 << 22
+# Relative widening of the screen's limits: far above the few roundings of
+# log1p and the ratio algebra, so a screened-out sample never counts.
+_SCREEN_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -136,6 +150,24 @@ def empirical_sops(
     return tuple(tuple(_estimate(out1, out2, total) for out1, out2 in zip(*entry)) for entry in counts.tolist())
 
 
+def _screen_bound(pi: float, scale: float, slope: float) -> float:
+    """The uniform u from which on a user's draw can no longer be in outage.
+
+    The user's ratio is at least scale * (1 + slope * e) for its unit-mean
+    draw e: scale = 1 - a and slope = a * snr1 for the near user, and
+    scale = a and slope = (1 - a) * snr2 for the far user. So no draw with
+    e >= t = (pi / scale - 1) / slope is in outage at limit `pi`. The limit
+    is widened by _SCREEN_MARGIN, and since e = -log1p(-u) rises with u, the
+    bound is -expm1(-t), one step up to cover the rounding of expm1. A nan
+    or infinite t, or a slope that underflows to 0, keeps every sample; a
+    t <= 0 keeps none.
+    """
+    t = (pi * (1.0 + _SCREEN_MARGIN) / scale - 1.0) / slope if slope > 0.0 else math.inf
+    if math.isnan(t):
+        return 1.0
+    return math.nextafter(-math.expm1(-t), 1.0) if t > 0.0 else 0.0
+
+
 def _count_stream(
     stats_seq: Sequence[ChannelStats],
     a: float,
@@ -145,27 +177,49 @@ def _count_stream(
 ) -> np.ndarray:
     """Outage counts of the whole stream, (entries, 2, pairs).
 
-    counts[i, u, j] is user u + 1's count for entry i
-    and target pair j. Each entry scales the unit-mean draws by its own mean
-    SNRs and compares both users' ratios with every pair's limits in one
-    (2, pairs, samples) bool block, whose width is rounded up to 8 so that
-    its rows are whole uint64 words; each flag byte is 0 or 1, so a row's
-    count is the sum of its words' popcounts. The count keeps one set of
-    buffers: the first chunk is the largest, later chunks reuse views of
-    it, and a shorter chunk clears the flags past its end.
+    counts[i, u, j] is user u + 1's count for entry i and target pair j.
+    Each chunk is screened first: a sample is kept if either user's uniform
+    lies below its `_screen_bound` at that user's largest limit, the
+    loosest over the call's entries; no other sample is in outage at any
+    entry and pair. The kept samples become unit-mean draws; each entry
+    scales them by its own mean SNRs and compares both users' ratios with
+    every pair's limits in one (2, pairs, kept) bool block, whose width is
+    rounded up to 8 so that its rows are whole uint64 words; each flag byte
+    is 0 or 1, so a row's count is the sum of its words' popcounts. The
+    count keeps one set of buffers, sized by the first chunk, the largest,
+    and clears the flags between a chunk's last kept sample and the end of
+    its block.
     """
     limits = np.array(pis, float).reshape(-1, 2).T[:, :, None]  # (2, pairs, 1), also at zero pairs
     counts = np.zeros((len(stats_seq), 2, len(pis)), np.int64)
     snrs = [(stats.rho_t * stats.lambda1, stats.rho_t * stats.lambda2) for stats in stats_seq]
-    scratch = flags = words = None
-    for e1, e2 in _unit_draws(sim.realizations, sim.seed, chunk):
-        count = e1.size
-        if scratch is None:  # the first chunk is the largest
-            scratch, flags = np.empty((4, count)), np.zeros((2, len(pis), -(-count // 8) * 8), bool)
+    # The loosest bound of the call, at each user's largest limit: -inf at zero pairs keeps none.
+    pi1, pi2 = np.max(limits, axis=(1, 2), initial=-math.inf).tolist()
+    bound1 = max((_screen_bound(pi1, 1.0 - a, a * snr1) for snr1, _ in snrs), default=0.0)
+    bound2 = max((_screen_bound(pi2, a, (1.0 - a) * snr2) for _, snr2 in snrs), default=0.0)
+    screen = kept = draws = scratch = flags = words = None
+    for pairs in _uniform_pairs(sim.realizations, sim.seed, chunk):
+        if screen is None:  # the first chunk is the largest
+            size = len(pairs)
+            screen, kept = np.empty((2, size), bool), np.empty((size, 2))
+            draws, scratch = np.empty((2, size)), np.empty((4, size))
+            flags = np.zeros((2, len(pis), -(-size // 8) * 8), bool)
             words = flags.view(np.uint64)
-        flags[..., count:] = False  # a shorter last chunk leaves no stale flag
+        near, far = screen[:, :len(pairs)]
+        np.less(pairs[:, 0], bound1, out=near)
+        np.less(pairs[:, 1], bound2, out=far)
+        index = np.flatnonzero(np.logical_or(near, far, out=near))
+        count = index.size
+        # The indices are in range; mode "raise" would take through a temporary copy.
+        np.take(pairs, index, axis=0, out=kept[:count], mode="clip")
+        e1, e2 = e = draws[:, :count]
+        np.negative(kept[:count].T, out=e)
+        np.log1p(e, out=e)
+        np.negative(e, out=e)
+        width = -(-count // 8) * 8
+        flags[..., count:width] = False  # no stale flag past the kept samples
         for (snr1, snr2), entry in zip(snrs, counts):
             ratios = _secrecy_ratios(e1, e2, a, snr1, snr2, scratch[:, :count])
             np.less(ratios[:, None], limits, out=flags[..., :count])
-            entry += np.bitwise_count(words).sum(axis=2, dtype=np.int64)
+            entry += np.bitwise_count(words[..., :width // 8]).sum(axis=2, dtype=np.int64)
     return counts

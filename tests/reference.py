@@ -1,13 +1,14 @@
 """Independent model of both decoding orders, which the tests check the library against.
 
 The library counts outages of the proposed order with the log-free ratio
-test of `montecarlo._secrecy_ratios`, on unit-mean exponential draws read
-chunk by chunk from `channel._unit_draws` and scaled by each entry's mean
-SNRs. This module restates that from the definitions: `sample_gains` draws
-a window of one Philox stream in one call and applies the exponential
-transform itself (with unit mean gains, ChannelStats(1.0, 1.0, 1.0), it
-gives the library's unit-mean draws), and the SINRs and signed secrecy
-rates of both orders are taken with logarithms.
+test of `montecarlo._secrecy_ratios`, on unit-mean exponential draws made
+from the uniform pairs read chunk by chunk from `channel._uniform_pairs`
+and scaled by each entry's mean SNRs. This module restates that from the
+definitions: `sample_gains` draws a window of one Philox stream in one call
+and applies the exponential transform itself (with unit mean gains,
+ChannelStats(1.0, 1.0, 1.0), it gives the library's unit-mean draws), and
+the SINRs and signed secrecy rates of both orders are taken with
+logarithms.
 
 Conventional order: the far user's signal is decoded first everywhere, so the
 near user treats it as known and the far user decodes under interference.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from noma_secrecy.channel import ChannelStats, _unit_draws
+from noma_secrecy.channel import ChannelStats, _uniform_pairs
 from noma_secrecy.montecarlo import _CHUNK, SimConfig
 from noma_secrecy import sop
 from noma_secrecy.sop import TargetRates
@@ -178,13 +179,14 @@ def empirical_conventional_violation_rate(
     the better copy of it. Under the conventional order g22 > g21 iff
     g2 > g1 for every alpha < 1, so on the g1 > g2 draws kept here the count
     tests that identity, and it can fail only by rounding. It reads the
-    library's chunked stream, which the tests compare with one
-    `sample_gains` window.
+    library's chunked stream of uniforms and applies the exponential
+    transform itself; the tests compare that with one `sample_gains` window.
     """
     violations = 0
     ordered = 0
-    for e1, e2 in _unit_draws(sim.realizations, sim.seed, _chunk):
-        g1, g2 = stats.lambda1 * e1, stats.lambda2 * e2
+    for pairs in _uniform_pairs(sim.realizations, sim.seed, _chunk):
+        draws = -np.log1p(-pairs)
+        g1, g2 = stats.lambda1 * draws[:, 0], stats.lambda2 * draws[:, 1]
         mask = g1 > g2
         gains = GainSample(g1=g1[mask], g2=g2[mask])
         # rs2 = log2(1 + g22) - log2(1 + g21) > 0 iff g22 > g21.

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from noma_secrecy import cli, sop
+from noma_secrecy import cli, montecarlo, sop
 from noma_secrecy.channel import ChannelStats
 from noma_secrecy.cli import main
 from noma_secrecy.optimize import minmax_pa
@@ -229,6 +229,25 @@ def test_kernel_passes_at_defaults(monkeypatch, capsys, command, passes):
     assert main([command]) == 0
     capsys.readouterr()
     assert len(calls) == passes
+
+
+def test_ratio_samples_at_validate_defaults(monkeypatch, capsys):
+    # The Monte Carlo count's work: the samples each entry takes through the
+    # ratio algebra. validate's 3 SNRs count one stream of 10**6 samples,
+    # in 31 chunks, and the screen passes on only the 297 152 samples (29.7%)
+    # that can be in outage at the 20 dB entry; without it each entry would
+    # take all 10**6.
+    samples = []
+    ratios = montecarlo._secrecy_ratios
+
+    def counted(e1, e2, *args):
+        samples.append(e1.size)
+        return ratios(e1, e2, *args)
+
+    monkeypatch.setattr(montecarlo, "_secrecy_ratios", counted)
+    assert main(["validate"]) == 0
+    capsys.readouterr()
+    assert len(samples) == 3 * 31 and sum(samples) == 3 * 297_152
 
 
 def test_optimize_solves_both_minimizers_in_one_bracket_pass(monkeypatch, capsys):
@@ -551,7 +570,7 @@ sys.path.insert(0, sys.argv[1])
 import noma_secrecy.cli
 from noma_secrecy import channel, config, montecarlo, optimize, rates, sop
 print("numpy.random" in sys.modules)
-next(channel._unit_draws(2, 1, 2))
+next(channel._uniform_pairs(2, 1, 2))
 print("numpy.random" in sys.modules)
 """
     proc = run_python(["-I", "-c", code, str(SRC)])

@@ -11,7 +11,7 @@ import reference
 from noma_secrecy import montecarlo
 from noma_secrecy.channel import ChannelStats, with_received_snr
 from noma_secrecy.montecarlo import EmpiricalSop, SimConfig, _count_stream, _secrecy_ratios, empirical_sops
-from noma_secrecy.rates import ALPHA_MIN
+from noma_secrecy.rates import ALPHA_MAX, ALPHA_MIN
 from noma_secrecy.sop import TargetRates, exact_sop_far, exact_sop_near
 from reference import (
     GainSample,
@@ -182,25 +182,55 @@ def test_violation_stream_matches_one_sample_gains_window(monkeypatch, chunk, si
     assert (expected > 0.0) == (sinr is sinr_proposed)
 
 
+# Limits of target pairs, each from sample indices (i, j) of the window:
+# "tie" takes the ratios (R1 of sample i at the first entry, R2 of sample j
+# at the last), so the pair holds a tie, which is not an outage; "bound"
+# sits exactly on the screen's bounds c (1 + a x1) and a (1 + c x2) of
+# samples i and j at the entry of lowest mean SNR, with c = 1 - a; "below"
+# lies under c and a, where no sample is in outage.
+LIMIT_KINDS = ("tie", "bound", "below")
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 5_001),
     chunk=st.integers(1, 1_500),
-    rho_t_exponents=st.lists(st.floats(6.0, 10.0), min_size=1, max_size=3),
-    ties=st.lists(st.tuples(st.integers(0, 5_000), st.integers(0, 5_000)), max_size=4),
+    alpha=st.floats(ALPHA_MIN, ALPHA_MAX),
+    rho_t_exponents=st.lists(st.floats(-4.0, 16.0), min_size=1, max_size=3),
+    limits=st.lists(
+        st.tuples(st.sampled_from(LIMIT_KINDS), st.integers(0, 5_000), st.integers(0, 5_000)), max_size=4
+    ),
 )
-@example(n=5_001, chunk=1_001, rho_t_exponents=[8.0, 9.0], ties=[])  # no target pairs
-@example(n=4_099, chunk=1_203, rho_t_exponents=[8.0], ties=[(0, 4_098), (17, 17)])
-def test_block_counts_match_per_pair_counts(n, chunk, rho_t_exponents, ties):
-    # Each target pair's limits are ratios of samples of the stream, so every
-    # pair holds a tie, which is not an outage. Chunks of any length, most
-    # not multiples of 8, must count like one np.count_nonzero per entry,
+@example(n=5_001, chunk=1_001, alpha=0.4, rho_t_exponents=[8.0, 9.0], limits=[])  # no target pairs
+@example(n=4_099, chunk=1_203, alpha=0.4, rho_t_exponents=[8.0], limits=[("tie", 0, 4_098), ("tie", 17, 17)])
+@example(n=4_099, chunk=1_203, alpha=ALPHA_MIN, rho_t_exponents=[8.0, 9.0], limits=[("tie", 5, 9), ("bound", 5, 9)])
+@example(n=4_099, chunk=1_203, alpha=ALPHA_MAX, rho_t_exponents=[8.0, 9.0], limits=[("tie", 5, 9), ("bound", 5, 9)])
+@example(n=4_099, chunk=1_203, alpha=0.4, rho_t_exponents=[-4.0, 16.0], limits=[("bound", 3, 4_000), ("tie", 8, 8)])
+@example(n=4_099, chunk=1_203, alpha=0.4, rho_t_exponents=[8.0, 16.0], limits=[("below", 4_999, 0)])
+# A mean SNR that underflows to 0 leaves the screen no slope; it keeps every sample.
+@example(n=4_099, chunk=1_203, alpha=0.4, rho_t_exponents=[-320.0, 8.0], limits=[("tie", 3, 3), ("bound", 3, 3)])
+# Samples whose computed ratio rounds below their own bound: they count
+# only if the screen's margin keeps them.
+@example(n=4_099, chunk=1_203, alpha=ALPHA_MIN, rho_t_exponents=[16.0], limits=[("bound", 14, 14)])
+@example(n=4_099, chunk=1_203, alpha=ALPHA_MAX, rho_t_exponents=[16.0], limits=[("bound", 16, 16)])
+def test_block_counts_match_per_pair_counts(n, chunk, alpha, rho_t_exponents, limits):
+    # The screen drops samples before any ratio is taken; chunks of any
+    # length, most not multiples of 8, at any alpha of the window, at mean
+    # SNRs where the screen keeps every sample or none, and at limits on
+    # the screen's bounds must count like one np.count_nonzero per entry,
     # user and pair over the whole window.
-    seed, alpha = 24, 0.4
+    seed = 24
     snrs = [(10.0**exponent * LAM1, 10.0**exponent * LAM2) for exponent in rho_t_exponents]
     draws = sample_gains(UNIT, n, seed)
     ratios = [_secrecy_ratios(draws.g1, draws.g2, alpha, *pair, np.empty((4, n))) for pair in snrs]
-    pis = [(float(ratios[0][0][i % n]), float(ratios[-1][1][j % n])) for i, j in ties]
+    c = 1.0 - alpha
+    low1, low2 = min(snrs)
+    limit_of = {
+        "tie": lambda i, j: (float(ratios[0][0][i]), float(ratios[-1][1][j])),
+        "bound": lambda i, j: (c * (1.0 + alpha * (draws.g1[i] * low1)), alpha * (1.0 + c * (draws.g2[j] * low2))),
+        "below": lambda i, j: (c * i / 5_001, alpha * j / 5_001),
+    }
+    pis = [tuple(map(float, limit_of[kind](i % n, j % n))) for kind, i, j in limits]
     expected = [
         [[int(np.count_nonzero(ratio < pi[user])) for pi in pis] for user, ratio in enumerate(entry)]
         for entry in ratios
