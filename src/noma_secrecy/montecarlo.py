@@ -202,7 +202,7 @@ def _count_stream(
         if screen is None:  # the first chunk is the largest
             size = len(pairs)
             screen, kept = np.empty((2, size), bool), np.empty((size, 2))
-            draws, scratch = np.empty((2, size)), np.empty((4, size))
+            draws, scratch = np.empty(2 * size), np.empty((4, size))
             flags = np.zeros((2, len(pis), -(-size // 8) * 8), bool)
             words = flags.view(np.uint64)
         near, far = screen[:, :len(pairs)]
@@ -212,7 +212,9 @@ def _count_stream(
         count = index.size
         # The indices are in range; mode "raise" would take through a temporary copy.
         np.take(pairs, index, axis=0, out=kept[:count], mode="clip")
-        e1, e2 = e = draws[:, :count]
+        # Contiguous (2, count): numpy 2.4's in-place negative skips a row of
+        # a (2, 1) column view of a (2, 8) buffer.
+        e1, e2 = e = draws[:2 * count].reshape(2, count)
         np.negative(kept[:count].T, out=e)
         np.log1p(e, out=e)
         np.negative(e, out=e)

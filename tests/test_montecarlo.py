@@ -97,6 +97,8 @@ STREAM_TARGETS = (TargetRates(0.5, 3.0), TargetRates(1.0, 1.0), TargetRates(3.0,
     chunk=st.integers(1, 2_500),
 )
 @example(rho_t_exponents=[8.0, 9.0, 10.0], half=3_000, chunk=999)
+# One kept sample in an 8-sample chunk: its draws fill 2 of the buffer's 16 slots.
+@example(rho_t_exponents=[9.0], half=4, chunk=7)
 def test_each_entry_counts_like_its_own_call(rho_t_exponents, half, chunk):
     # Every entry is counted on one stream; each row must be bit-identical
     # to a call with that entry alone, at any chunk size.
