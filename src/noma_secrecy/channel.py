@@ -36,6 +36,14 @@ def _every(ok) -> bool:  # a check on floats, or on arrays at every element
     return ok is True or bool(np.all(ok))
 
 
+def _one_config(*configs) -> None:
+    """Each of these ChannelStats and TargetRates is one configuration: every
+    field must be a float or a 0-d array, not one value per config."""
+    if any(np.ndim(value) for config in configs for value in vars(config).values()):
+        raise ValueError("this call takes one configuration per ChannelStats and TargetRates: "
+                         "their fields must be scalars, not arrays")
+
+
 @dataclass(frozen=True)
 class ChannelStats:
     """Mean gains of both links and the transmit SNR, all linear: floats, or arrays of one value per config."""

@@ -40,7 +40,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelStats, _uniform_pairs
+from .channel import ChannelStats, _one_config, _uniform_pairs
 from .rates import validated_alpha
 from .sop import TargetRates
 
@@ -135,9 +135,11 @@ def empirical_sops(
     Row i holds one estimate per target pair for `stats_seq[i]`. Every entry
     scales the same unit-mean draws by its own mean SNRs, so every entry and
     every target pair is counted on the same draws, and each estimate equals
-    what a separate call with that entry and that pair alone gives.
+    what a separate call with that entry and that pair alone gives. Each
+    entry and target pair is one configuration, with scalar fields.
     """
-    stats_seq = tuple(stats_seq)
+    stats_seq, targets_seq = tuple(stats_seq), tuple(targets_seq)
+    _one_config(*stats_seq, *targets_seq)
     a = float(validated_alpha(alpha))
     if not stats_seq:
         return ()

@@ -1,34 +1,33 @@
 """Power-split optimization: per-user minima and the min-max fair point.
 
 Every decision reads psi = log(1 - s_o), which each SOP pass returns, and
-its alpha-derivatives phi = psi', phi' and phi'': sop.exact_sops returns
-phi and phi' at order 2. psi keeps its digits where s_o rounds to 1, as it
-does from about 15-bit target rates at default geometry. A user's SOP is
-least where psi is greatest, where phi crosses zero from above.
+its alpha-derivatives phi = psi', phi' and phi'', which the pass's slopes
+give at any list of its columns. psi keeps its digits where s_o rounds to
+1, as it does from about 15-bit target rates at default geometry. A user's
+SOP is least where psi is greatest, where phi crosses zero from above.
 
-minmax_pa is the one exact solver. One order-0 pass takes both users on a
-coarse grid and gives every cell to refine: each user's minimizer lies in
-the cell beside its grid argmax of psi where phi changes sign, and the
-min-max crossing in a cell where psi1 - psi2 changes sign. The pass's psi
-picks those cells; phi, phi' and phi'' come from moments the pass then
-takes at the nodes they can use alone, 6 of its 66 columns at defaults,
-with the bits an order-3 pass gives them. One safeguarded Newton, _newton,
-does every root search. It first finds the root of the quintic Hermite
-interpolant of f on each cell, built from f, f' and f'' at its ends, which
-typically lies within 1e-9 of f's. One lockstep loop, _refine, evaluates
-those start points in the next pass, narrows each cell to its start and
-runs _newton again on f itself, one order-2 pass of both users at every
-column per step, so the last pass holds both users' SOPs at every
-candidate. Near a minimizer phi' < 0, so Newton converges
-quadratically, and its first step from the interpolant's root is usually
-already below the tolerance; a crossing's objective moves to first order
-with alpha, so its root is settled by one more step. A solve takes 2.13
-passes on average and at most 3 on the 432-configuration test grid, and a
-crossing config 3. phi' > 0 does occur near the window edges, and in a
-low-SNR, high-rate corner the far user's SOP has two local minima: the
-integrand's log-concavity in alpha (criterion 04) does not carry over to
-the integral. The bracket then follows the grid's best valley, and
-bisection keeps each step inside it.
+minmax_pa is the one exact solver. One pass takes both users on a coarse
+grid and gives every cell to refine: each user's minimizer lies in the
+cell beside its grid argmax of psi where phi changes sign, and the min-max
+crossing in a cell where psi1 - psi2 changes sign. The pass's psi picks
+those cells; phi, phi' and phi'' come from moments the pass then takes at
+the nodes they can use alone, 6 of its 66 columns at defaults. One
+safeguarded Newton, _newton, does every root search. It first finds the
+root of the quintic Hermite interpolant of f on each cell, built from f,
+f' and f'' at its ends, which typically lies within 1e-9 of f's. One
+lockstep loop, _refine, evaluates those start points in the next pass,
+narrows each cell to its start and runs _newton again on f itself, one
+pass of both users per step with phi and phi' at every column, so the
+last pass holds both users' SOPs at every candidate. Near a minimizer
+phi' < 0, so Newton converges quadratically, and its first step from the
+interpolant's root is usually already below the tolerance; a crossing's
+objective moves to first order with alpha, so its root is settled by one
+more step. A solve takes 2.13 passes on average and at most 3 on the
+432-configuration test grid, and a crossing config 3. phi' > 0 does occur
+near the window edges, and in a low-SNR, high-rate corner the far user's
+SOP has two local minima: the integrand's log-concavity in alpha
+(criterion 04) does not carry over to the integral. The bracket then
+follows the grid's best valley, and bisection keeps each step inside it.
 
 Between the two per-user minimizers one psi rises and the other falls, so
 psi1 - psi2 is monotone there, and the min-max fair split follows without
@@ -49,9 +48,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .channel import ChannelStats
+from .channel import ChannelStats, _one_config
 from .rates import ALPHA_MAX, ALPHA_MIN
-from .sop import TargetRates, _sops_and_slopes, exact_sops
+from .sop import TargetRates, _sops_and_slopes
 
 __all__ = [
     "XTOL",
@@ -218,14 +217,6 @@ class Candidate(NamedTuple):
         return max(self.so1, self.so2)
 
 
-def _one_config(*configs) -> None:
-    """Each solve takes one configuration: every field of these ChannelStats
-    and TargetRates must be a float or a 0-d array, not one value per config."""
-    if any(np.ndim(value) for config in configs for value in vars(config).values()):
-        raise ValueError("a power-split solve takes one configuration: "
-                         "ChannelStats and TargetRates fields must be scalars, not arrays")
-
-
 def optimal_pa_asymptotic(targets: TargetRates) -> tuple:
     """Closed-form high-SNR minimizers (alpha1_hat, alpha2_hat) of the near
     and far users' SOPs.
@@ -305,19 +296,22 @@ def minmax_pa(stats: ChannelStats, targets: TargetRates) -> MinMaxOutcome:
         ends = [(psi1[j] - psi2[j], at[j][0] - at[n + j][0], at[j][1] - at[n + j][1]) for j in (i, i + 1)]
         cells.append(cell(i, *zip(*ends)))
     crossings = len(cells) - len(users)
+    m = 2 + crossings  # points per refine pass: both minimizers, then each crossing
     if cells:
         def evaluate(x):
             for user, a in zip(users, x):
                 points[user] = a
-            return exact_sops(stats, points + x[len(users):], targets, order=2)
+            return _sops_and_slopes(stats, points + x[len(users):], targets, (0, 1))
 
-        def fields(sops):  # phi at each minimizer column, psi1 - psi2 at each crossing column
-            psi, phi, dphi = (v.tolist() for v in (sops.psi, sops.phi, sops.dphi))
-            columns = range(2, 2 + crossings)
+        def fields(step):  # phi at each minimizer column, psi1 - psi2 at each crossing column
+            sops, slopes = step
+            psi = sops.psi.tolist()
+            phi, dphi = (v.reshape(2, m).tolist() for v in slopes(np.arange(2 * m), 2))
+            columns = range(2, m)
             return ([phi[u][u] for u in users] + [psi[0][j] - psi[1][j] for j in columns],
                     [dphi[u][u] for u in users] + [phi[0][j] - phi[1][j] for j in columns])
 
-        roots, last = _refine(cells, evaluate, fields, [False] * len(users) + [True] * crossings)
+        roots, (last, _) = _refine(cells, evaluate, fields, [False] * len(users) + [True] * crossings)
         points += roots.tolist()[len(users):]
     else:  # every minimizer is a grid node, with no crossing beside them
         last = on_grid._replace(value=on_grid.value[:, best], psi=on_grid.psi[:, best])

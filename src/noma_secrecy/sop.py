@@ -31,7 +31,7 @@ take exp.
 
 Every exact SOP goes through one column builder, _sops_and_slopes:
 exact_sop_near and exact_sop_far take one user per pass, exact_sops and
-the fair-split bracket (optimize.minmax_pa) both. A field of
+the fair-split solver's passes (optimize.minmax_pa) both. A field of
 ChannelStats or TargetRates may be an array of one value per config, which
 broadcasts against alpha: a column per point and config, with the bits of
 its own config's call at its own alpha, since _weighted_sums pads every
@@ -50,14 +50,14 @@ and halvings, which need only h = s/(s + 1/z) besides. The pass keeps its
 integrand in take, and take builds the moments at a list of its columns,
 padded to whole groups of 4 as the pass was, so each column gets the same
 bits whichever columns are listed with it; _slopes turns the moments into
-phi, phi' and phi''. exact_sops at order 2 or 3 takes them at every column
-before the integrand is freed, and the fair-split bracket reads psi from
-an order-0 pass of its grid and takes them at the few columns its cells
-use. Moments and integrand are summed by one rule, two weight-vector
-products per term: one over halvings 0-2's 93 nodes, which is halving 2's
-estimate before the step, and one over halving 3's own 92 nodes, which
-halving 3 adds to it. A pass's values, psi and quadrature errors are
-summed before any moment is taken, so they do not depend on the order.
+phi, phi' and phi''. They are internal to the fair-split solver
+(optimize.minmax_pa), which reads psi from each of its passes and takes
+them at the columns it uses. Moments and integrand are summed by one rule,
+two weight-vector products per term: one over halvings 0-2's 93 nodes,
+which is halving 2's estimate before the step, and one over halving 3's
+own 92 nodes, which halving 3 adds to it. A pass's values, psi and
+quadrature errors are summed before any moment is taken, so they do not
+depend on which slopes are taken.
 
 The asymptotic forms drop the "+1" in the SINR denominators, valid once the
 received SNR is large. They are upper bounds on the exact SOPs, with an
@@ -68,7 +68,7 @@ closed-form optimal power splits are optimize.optimal_pa_asymptotic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,16 +123,11 @@ class QuadratureError(RuntimeError):
 
 
 class SopValue(NamedTuple):
-    """Exact SOPs, their quadrature error and psi = log(1 - s_o); the
-    alpha-derivatives of psi are None unless the call takes them (see
-    exact_sops)."""
+    """Exact SOPs, their quadrature error and psi = log(1 - s_o)."""
 
     value: float | np.ndarray
     quad_error: float | np.ndarray
-    psi: Optional[float | np.ndarray] = None  # log(1 - s_o)
-    phi: Optional[np.ndarray] = None    # d/dalpha log(1 - s_o)
-    dphi: Optional[np.ndarray] = None   # d^2/dalpha^2 log(1 - s_o)
-    d2phi: Optional[np.ndarray] = None  # d^3/dalpha^3 log(1 - s_o)
+    psi: float | np.ndarray
 
 
 def _de_nodes(level: int):
@@ -264,23 +259,21 @@ def _halving_sums(terms: np.ndarray):
     return _COARSE_WEIGHTS @ terms[:, :coarse_rows], _LAST_WEIGHTS @ terms[:, coarse_rows:]
 
 
-_ORDER_MOMENTS = {0: 0, 2: 4, 3: 6}  # derivative order -> highest moment take builds
+_ORDER_MOMENTS = {2: 4, 3: 6}  # derivative order -> highest moment take builds
 
 
-def _sops_and_slopes(stats: ChannelStats, alpha, targets: TargetRates, users: tuple, order: int = 0, keep: bool = True):
-    """The listed users' exact SOPs at each alpha in one kernel pass and,
-    with ``keep``, slopes(columns, order) of that pass (else None).
+def _sops_and_slopes(stats: ChannelStats, alpha, targets: TargetRates, users: tuple):
+    """The listed users' exact SOPs at each alpha in one kernel pass, and
+    slopes(columns, order) of that pass.
 
     users is (0,) for the near user, (1,) for the far one or (0, 1). Every
     field has shape (len(users),) + the broadcast shape of alpha and the
     config fields. A column's own power share sets A = (Pi - 1)/(own*rho_t),
-    the other user's the slope c = other*rho_t. exact_sops describes
-    ``order``: at order 2 or 3 the pass takes every column's moments from
-    its integrand. slopes gives phi and dphi, and at order 3 d2phi, at a
-    list of the pass's columns, numbered in the fields' flat order, from
-    moments taken at those columns alone by the same route: each with the
-    bits a pass at that order gives it. Without ``keep`` the pass's
-    integrand is freed once its order's moments are taken.
+    the other user's the slope c = other*rho_t. slopes gives phi and dphi,
+    and at order 3 d2phi, at a list of the pass's columns, numbered in the
+    fields' flat order, from moments of the pass's integrand taken at those
+    columns alone. slopes holds the integrand, so a caller that takes no
+    slopes drops it.
     """
     a = validated_alpha(alpha)
     pi1, pi2, lam1, lam2, rho_t = config = (targets.pi1, targets.pi2, stats.lambda1, stats.lambda2, stats.rho_t)
@@ -314,18 +307,23 @@ def _sops_and_slopes(stats: ChannelStats, alpha, targets: TargetRates, users: tu
         at = (v[columns] if isinstance(v, np.ndarray) else v for v in per_column)
         return _slopes(order, take(columns, _ORDER_MOMENTS[order]), *at)
 
-    derivatives = _slopes(order, take(np.arange(integral.size), _ORDER_MOMENTS[order]), *per_column) if order else []
-    if not keep:
-        take = None  # the integrand goes before value, quad_error and psi are allocated
     value = np.maximum(1.0 - prefactor * integral, 0.0)  # prefactor * integral >= 0: at most 1
-    fields = [value, prefactor * diff, log_prefactor + np.log(integral)] + derivatives
-    sops = SopValue(*(f.reshape(shape) for f in fields))
-    return sops, slopes if keep else None
+    fields = (value, prefactor * diff, log_prefactor + np.log(integral))
+    return SopValue(*(f.reshape(shape) for f in fields)), slopes
 
 
 def _slopes(order: int, moments, pi, lam, slope, own, other, sign, shift, integral) -> list:
     """phi and dphi, and at order 3 d2phi, of each column from the survival
-    integral's moments (see exact_sops) and the column's config."""
+    integral's moments and the column's config.
+
+    With 1 - s_o = P * I, where P = exp(-A/lam_e) and I is the survival
+    integral, log P is closed-form in alpha. I depends on alpha only through
+    the slope c, and dI/dc = kappa*E[e*g^2],
+    d2I/dc2 = kappa*E[e*(kappa*g^4 - 2*g^3)],
+    d3I/dc3 = kappa*E[e*(kappa^2*g^6 - 6*kappa*g^5 + 6*g^4)], with
+    g = y/(c*y + 1) and kappa = Pi/lam_e. Order 2 skips the two moments
+    only d2phi needs.
+    """
     m2, m3, m4, *m56 = moments
     # dc/dalpha = -sign*rho_t; the moments carry (c*g)**k, so kappa/c**k scales them.
     u = pi / (lam * slope)
@@ -341,13 +339,8 @@ def _slopes(order: int, moments, pi, lam, slope, own, other, sign, shift, integr
     return fields
 
 
-def _sop_pass(stats: ChannelStats, alpha, targets: TargetRates, users: tuple, order: int = 0) -> SopValue:
-    """The SOPs of _sops_and_slopes's pass, without its integrand."""
-    return _sops_and_slopes(stats, alpha, targets, users, order, keep=False)[0]
-
-
 def _one_user(stats: ChannelStats, alpha, targets: TargetRates, user: int) -> SopValue:
-    fields = _sop_pass(stats, alpha, targets, (user,))[:3]
+    fields = _sops_and_slopes(stats, alpha, targets, (user,))[0]
     if fields[0].ndim == 1:  # a scalar alpha
         return SopValue(*(float(f[0]) for f in fields))
     return SopValue(*(f[0] for f in fields))
@@ -363,27 +356,14 @@ def exact_sop_far(stats: ChannelStats, alpha, targets: TargetRates) -> SopValue:
     return _one_user(stats, alpha, targets, 1)
 
 
-def exact_sops(stats: ChannelStats, alpha, targets: TargetRates, order: int = 0) -> SopValue:
-    """Both users' exact SOPs at each alpha in one quadrature pass and, at
-    ``order`` 2 or 3, that many alpha-derivatives of log(1 - s_o).
+def exact_sops(stats: ChannelStats, alpha, targets: TargetRates) -> SopValue:
+    """Both users' exact SOPs at each alpha in one quadrature pass.
 
     Each field has shape (2,) + the broadcast shape of alpha and any array
-    config fields, near user first. Order 0 gives value, quad_error and psi,
-    as exact_sop_near/far do; order 2 adds phi and dphi, and order 3 also
-    d2phi, with the same value, quad_error and psi bits. A field the order
-    leaves out is None.
-
-    With 1 - s_o = P * I, where P = exp(-A/lam_e) and I is the survival
-    integral, log P is closed-form in alpha. I depends on alpha only through
-    the slope c, and dI/dc = kappa*E[e*g^2],
-    d2I/dc2 = kappa*E[e*(kappa*g^4 - 2*g^3)],
-    d3I/dc3 = kappa*E[e*(kappa^2*g^6 - 6*kappa*g^5 + 6*g^4)], with
-    g = y/(c*y + 1) and kappa = Pi/lam_e. Order 2 skips the two moments
-    only d2phi needs: a 4-column pass is then about a seventh cheaper.
+    config fields, near user first: value, quad_error and psi, as
+    exact_sop_near/far give them one user at a time.
     """
-    if order not in _ORDER_MOMENTS:
-        raise ValueError(f"order must be 0, 2 or 3, got {order!r}")
-    return _sop_pass(stats, alpha, targets, (0, 1), order)
+    return _sops_and_slopes(stats, alpha, targets, (0, 1))[0]
 
 
 def asymptotic_sops(stats: ChannelStats, alpha, targets: TargetRates) -> np.ndarray:

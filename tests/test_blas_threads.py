@@ -68,8 +68,9 @@ stats, targets = config.stats(), config.targets()
 digests = {}
 for columns in (198, 500, 1000, 2000):
     grid = np.linspace(0.01, 0.99, columns // 2)
-    for order in (0, 2, 3):
-        fields = [f for f in sop.exact_sops(stats, grid, targets, order) if f is not None]
+    sops, slopes = sop._sops_and_slopes(stats, grid, targets, (0, 1))
+    for order in (0, 2, 3):  # the pass, then its slopes at every column
+        fields = [*sops, *(slopes(np.arange(columns), order) if order else [])]
         digests[f"exact_sops {columns} columns, order {order}"] = hashlib.sha256(b"".join(f.tobytes() for f in fields)).hexdigest()
 outcome = minmax_pa(stats, targets)
 digests["minmax_pa"] = hashlib.sha256(repr(outcome).encode()).hexdigest()

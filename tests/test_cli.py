@@ -69,7 +69,7 @@ def test_csv_headers(tmp_path, command, config_text):
 def test_validate_detects_broken_analytics(tmp_path, monkeypatch):
     def skewed(stats, alpha, targets):  # validate's one call takes its whole grid as arrays
         real = exact_sop_near(stats, alpha, targets)
-        return SopValue(np.minimum(real.value + 0.05, 1.0), real.quad_error)
+        return SopValue(np.minimum(real.value + 0.05, 1.0), real.quad_error, real.psi)
 
     monkeypatch.setattr(cli, "exact_sop_near", skewed)
     code, payload = run_to_file(tmp_path, "validate", FAST_SIM)
@@ -428,6 +428,15 @@ KNOWN_DEFECTS = [
         "system.d2_m = 60\nsystem.rho_r_db = 40\ntargets.rth2_bits = 0.25\n",
         "alpha_sop_nonincreasing",
         id="item4-rising-alpha-sop",
+    ),
+    # Every row is a crossing, and the near user's minimizer lies above the
+    # far user's, so a higher rth1 moves the crossing right: alpha_sop rises
+    # from 0.0214 to 0.402 over the sweep.
+    pytest.param(
+        "minmax",
+        "system.rho_r_db = 0\n",
+        "alpha_sop_nonincreasing",
+        id="item29-crossing-rises-at-0db",
     ),
 ]
 

@@ -153,6 +153,20 @@ def test_no_entries_give_no_rows():
     assert empirical_sops((), 0.4, STREAM_TARGETS, SimConfig(realizations=1_000)) == ()
 
 
+@pytest.mark.parametrize("field", ["rho_t", "rates"])
+def test_an_entry_with_array_fields_is_refused(field):
+    # Array fields batch configs as columns of an SOP pass, but each Monte
+    # Carlo entry and target pair is one configuration: an array in any of
+    # them gets the solvers' ValueError, not an error from inside numpy.
+    stats_seq, targets_seq = [STATS_30DB, STATS_30DB], [RTH1, RTH1]
+    if field == "rho_t":
+        stats_seq[1] = ChannelStats(LAM1, LAM2, np.array([1e7, 1e8]))
+    else:
+        targets_seq[1] = TargetRates(np.array([0.5, 1.0]), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="one configuration"):
+        empirical_sops(stats_seq, 0.4, targets_seq, SimConfig(realizations=1_000))
+
+
 @pytest.mark.parametrize("chunk", [999, 1000, 10_007, 1 << 16])
 @UNCONDITIONED
 def test_stream_counts_match_one_sample_gains_window(monkeypatch, chunk, conditioned):

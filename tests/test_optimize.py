@@ -384,7 +384,8 @@ def test_solved_splits_meet_their_tolerances(monkeypatch):
             if not ALPHA_MIN + XTOL <= alpha <= ALPHA_MAX - XTOL:
                 continue
             checked += 1
-            phi = exact_sops(stats, np.array([alpha - XTOL, alpha + XTOL]), targets, order=3).phi[user]
+            slopes = sop._sops_and_slopes(stats, np.array([alpha - XTOL, alpha + XTOL]), targets, (0, 1))[1]
+            phi = slopes(np.arange(4), 3)[0].reshape(2, 2)[user]
             if not phi[0] > 0.0 > phi[1]:
                 missed.append((stats, targets, user, alpha))
     assert checked == 2 * 432

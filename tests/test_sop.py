@@ -30,6 +30,20 @@ def stats_at(rho_t: float) -> ChannelStats:
     return ChannelStats(lambda1=LAM1, lambda2=LAM2, rho_t=rho_t)
 
 
+def pass_fields(stats, alpha, targets, order, users=(0, 1)) -> tuple:
+    """One pass's value, quad_error and psi and, at order 2 or 3, the pass's
+    slopes at every column (phi and dphi, then d2phi), each shaped as those
+    fields: the derivatives the fair-split solver takes from a pass."""
+    sops, slopes = sop._sops_and_slopes(stats, alpha, targets, users)
+    if not order:
+        return tuple(sops)
+    return (*sops, *(f.reshape(sops.value.shape) for f in slopes(np.arange(sops.value.size), order)))
+
+
+# exact_sops, and at order 2 or 3 its pass with that pass's slopes.
+EXACT_SOPS_AT = {0: exact_sops, **{order: lambda *args, order=order: pass_fields(*args, order) for order in (2, 3)}}
+
+
 # Frozen values from an independent adaptive-quadrature oracle (rescaled
 # integrand, absolute error below 1e-9 in every case).
 NEAR_ORACLE = [
@@ -131,8 +145,8 @@ def test_alpha_window_is_enforced():
 ALPHA_ENTRY_POINTS = {
     "exact_sop_near": lambda alpha: exact_sop_near(stats_at(1e6), alpha, RTH1),
     "exact_sop_far": lambda alpha: exact_sop_far(stats_at(1e6), alpha, RTH1),
-    **{f"exact_sops_order_{order}": lambda alpha, order=order: exact_sops(stats_at(1e6), alpha, RTH1, order)
-       for order in (0, 2, 3)},
+    **{f"exact_sops_order_{order}": lambda alpha, call=call: call(stats_at(1e6), alpha, RTH1)
+       for order, call in EXACT_SOPS_AT.items()},
     # One closed-form call gives both users; each user's row is an entry.
     "asymptotic_sop_near": lambda alpha: asymptotic_sops(stats_at(1e6), alpha, RTH1)[0],
     "asymptotic_sop_far": lambda alpha: asymptotic_sops(stats_at(1e6), alpha, RTH1)[1],
@@ -154,15 +168,15 @@ def test_every_alpha_entry_point_takes_the_same_window(entry):
 @pytest.mark.parametrize("entry", [name for name in ALPHA_ENTRY_POINTS if name != "empirical_sops"])
 def test_an_empty_alpha_gives_empty_fields(entry, shape):
     # Shaped as for any other alpha: both users lead with an axis of 2, every
-    # exact entry gives value, quad_error and psi, and each order adds that
-    # many derivative fields. A closed-form entry is one user's row of the
-    # closed forms' array.
+    # exact entry gives value, quad_error and psi, and a pass's slopes at
+    # order 2 or 3 add that many derivative fields. A closed-form entry is
+    # one user's row of the closed forms' array.
     result = ALPHA_ENTRY_POINTS[entry](np.empty(shape))
     if entry.startswith("asymptotic_"):
         both, fields = False, [result]
     else:
         both = entry.startswith("exact_sops")
-        fields = [field for field in result if field is not None]
+        fields = list(result)
         assert len(fields) == 3 + (int(entry[-1]) if both else 0)
     for field in fields:
         assert field.shape == ((2,) if both else ()) + shape
@@ -309,21 +323,6 @@ def test_target_rates_reject_an_array_with_one_bad_element_as_its_float_config(f
     assert str(from_arrays.value) == str(from_floats.value)
 
 
-def test_exact_sops_order_zero_takes_no_derivatives():
-    stats = stats_at(1e7)
-    scalar = exact_sops(stats, 0.3, RTH1)
-    assert scalar.value.shape == scalar.quad_error.shape == (2,)
-    assert scalar.phi is None and scalar.dphi is None and scalar.d2phi is None
-    grid = np.linspace(0.1, 0.9, 5)
-    curve = exact_sops(stats, grid, RTH1)
-    assert curve.value.shape == curve.quad_error.shape == (2, grid.size)
-    assert curve.phi is None and curve.dphi is None and curve.d2phi is None
-    # Order 0 gives what exact_sop_near/far give one user at a time.
-    for row, func in zip(curve.value, (exact_sop_near, exact_sop_far)):
-        assert np.abs(row - func(stats, grid, RTH1).value).max() <= 1e-15
-    assert exact_sops(stats, grid, RTH1, order=2).d2phi is None
-
-
 def test_psi_is_the_log_survival_and_keeps_its_digits_where_the_sop_rounds_to_one():
     # Where 1e-6 <= s_o <= 0.5, log1p(-s_o) loses at most eps/s_o relative,
     # so it checks psi to 1e-9 there.
@@ -339,13 +338,6 @@ def test_psi_is_the_log_survival_and_keeps_its_digits_where_the_sop_rounds_to_on
     sops = exact_sops(RunConfig().stats(), np.linspace(ALPHA_MIN, ALPHA_MAX, 101), TargetRates(20.0, 20.0))
     assert np.all(sops.value == 1.0)
     assert np.all(np.isfinite(sops.psi)) and np.all(sops.psi < -30.0)
-
-
-@pytest.mark.parametrize("order", [-1, 1, 4, None, "3"])
-def test_exact_sops_rejects_an_unknown_order(order):
-    with pytest.raises(ValueError, match="order"):
-        exact_sops(stats_at(1e7), 0.3, RTH1, order)
-
 
 
 def _box_sweep(count, seed):
@@ -370,39 +362,36 @@ def _config_sweep(count, seed):
 
 def _assert_same_bits(monkeypatch, cases):
     """Every case gives the same bits in every field from both kernels, one
-    user at a time and both users at orders 0, 2 and 3 alike."""
+    user at a time, both users, and both users with the pass's slopes at
+    every column at orders 2 and 3 alike."""
 
     def reference(*args):
         return per_halving_survival_integral(*args, halvings=sop._HALVINGS)
 
-    entries = [exact_sop_near, exact_sop_far]
-    entries += [lambda *case, order=order: exact_sops(*case, order=order) for order in (0, 2, 3)]
-    for func in entries:
+    for func in [exact_sop_near, exact_sop_far, *EXACT_SOPS_AT.values()]:
         fused = [func(*case) for case in cases]
         with monkeypatch.context() as patch:
             patch.setattr(sop, "_survival_integral", reference)
             expected = [func(*case) for case in cases]
         for got, want in zip(fused, expected):
-            assert type(got.value) is type(want.value)
+            assert type(got[0]) is type(want[0])
             for g, w in zip(got, want):
-                assert (g is None) == (w is None)
                 assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
-    # Every order sums the integrand by the same rule, so the derivatives
-    # come with the bits of the plain values.
+    # Every moment is summed by the integrand's rule, after it: taking the
+    # slopes leaves the pass's values with the bits of exact_sops.
     for case in cases:
         plain = exact_sops(*case)
         for order in (2, 3):
-            moment = exact_sops(*case, order=order)
-            assert moment.value.tobytes() == plain.value.tobytes()
-            assert moment.quad_error.tobytes() == plain.quad_error.tobytes()
-            assert moment.psi.tobytes() == plain.psi.tobytes()
-    # Slopes at a list of an order-0 pass's columns keep the bits the
-    # reference's order-3 pass gives those columns.
+            moment = pass_fields(*case, order)
+            for got, want in zip(moment, plain):
+                assert got.tobytes() == want.tobytes()
+    # Slopes at a list of a pass's columns keep the bits the reference's
+    # pass gives those columns when it takes them at every column.
     with monkeypatch.context() as patch:
         patch.setattr(sop, "_survival_integral", reference)
-        full = [exact_sops(*case, order=3) for case in cases]
+        full = [pass_fields(*case, 3) for case in cases]
     for case, want in zip(cases, full):
-        columns = [0, want.phi.size - 1]
+        columns = [0, want[3].size - 1]
         taken = sop._sops_and_slopes(*case, (0, 1))[1](columns, 3)
         for got, field in zip(taken, want[3:]):
             assert got.tobytes() == field.ravel()[columns].tobytes()
@@ -443,17 +432,16 @@ def test_kernel_build_matches_the_written_integrand(monkeypatch):
     grid = np.linspace(ALPHA_MIN, ALPHA_MAX, 1000)
     curves = [(stats, grid, targets) for stats, _, targets in cases[:12]]
     got = [func(*case) for func in (exact_sop_near, exact_sop_far) for case in cases + curves]
-    slopes = [exact_sops(*case, order=3) for case in cases]
+    slopes = [pass_fields(*case, 3) for case in cases]
     with monkeypatch.context() as patch:
         patch.setattr(sop, "_survival_integral", reference)
         want = [func(*case) for func in (exact_sop_near, exact_sop_far) for case in cases + curves]
-        want_slopes = [exact_sops(*case, order=3) for case in cases]
+        want_slopes = [pass_fields(*case, 3) for case in cases]
     for g, w in zip(got, want):
         assert np.abs(np.subtract(g.value, w.value)).max() <= 1e-15
         assert np.abs(np.subtract(g.quad_error, w.quad_error)).max() <= 1e-15
     for g, w in zip(slopes, want_slopes):
-        for field in ("phi", "dphi", "d2phi"):
-            x, ref = getattr(g, field), getattr(w, field)
+        for x, ref in zip(g[3:], w[3:]):  # phi, dphi and d2phi
             big = np.abs(ref) > 1e-6
             assert np.all(np.abs(x - ref)[big] <= 1e-12 * np.abs(ref)[big])
 
@@ -494,23 +482,23 @@ def test_sop_slopes_match_central_differences_over_the_box():
     for stats, alpha, targets in _box_sweep(200, seed=11):
         h = 3e-3 * min(alpha, 1.0 - alpha)
         points = alpha + h * np.arange(-2.0, 3.0)
-        slopes = exact_sops(stats, points, targets, order=3)
-        assert np.all(slopes.quad_error <= 1e-9)
+        both, quad_error, _, phi, dphi, d2phi = pass_fields(stats, points, targets, 3)
+        assert np.all(quad_error <= 1e-9)
         # s_o' = -(1 - s_o)*phi and s_o'' = -(1 - s_o)*(phi' + phi^2)
-        first = -(1.0 - slopes.value) * slopes.phi
-        second = -(1.0 - slopes.value) * (slopes.dphi + slopes.phi ** 2)
+        first = -(1.0 - both) * phi
+        second = -(1.0 - both) * (dphi + phi ** 2)
         for user, func in enumerate((exact_sop_near, exact_sop_far)):
             value = func(stats, points, targets).value
             # Both calls return halving 3; only BLAS rounding, which follows a
             # pass's column count, separates them.
-            assert slopes.value[user] == pytest.approx(value, abs=1e-15)
+            assert both[user] == pytest.approx(value, abs=1e-15)
             if abs(first[user, 2]) <= 1e-6:
                 continue
             checked += 1
             stencil = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
             assert first[user, 2] == pytest.approx(stencil @ value, rel=1e-5)
             assert second[user, 2] == pytest.approx(stencil @ first[user], rel=1e-5)
-            assert slopes.d2phi[user, 2] == pytest.approx(stencil @ slopes.dphi[user], rel=1e-5)
+            assert d2phi[user, 2] == pytest.approx(stencil @ dphi[user], rel=1e-5)
     assert checked >= 250
 
 
@@ -519,10 +507,10 @@ def test_sop_slopes_without_the_third_derivative_keep_every_other_bit():
     # changes no other field.
     for stats, alpha, targets in _box_sweep(40, seed=13):
         points = np.array([alpha, 0.5 * (alpha + ALPHA_MIN)])
-        full = exact_sops(stats, points, targets, order=3)
-        lean = exact_sops(stats, points, targets, order=2)
-        assert lean.d2phi is None and full.d2phi.shape == (2, 2)
-        for got, want in zip(lean[:5], full[:5]):
+        full = pass_fields(stats, points, targets, 3)
+        lean = pass_fields(stats, points, targets, 2)
+        assert len(lean) == 5 and full[5].shape == (2, 2)
+        for got, want in zip(lean, full[:5]):
             assert got.tobytes() == want.tobytes()
 
 
@@ -534,7 +522,7 @@ _SUBSET_CONFIGS += [(stats, targets) for stats, _, targets in _box_sweep(40, see
 _SUBSET_CALLS = {
     "near": exact_sop_near,
     "far": exact_sop_far,
-    **{f"order{order}": lambda *args, order=order: exact_sops(*args, order=order) for order in (0, 2, 3)},
+    **{f"order{order}": call for order, call in EXACT_SOPS_AT.items()},
 }
 
 
@@ -558,10 +546,9 @@ def test_any_column_subset_keeps_the_full_calls_bits(config, call, subset):
     func = _SUBSET_CALLS[call]
     full = func(stats, grid, targets)
     part = func(stats, grid[index], targets)
+    assert len(part) == len(full)
     for got, want in zip(part, full):
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert got.tobytes() == want[..., index].tobytes()
+        assert got.tobytes() == want[..., index].tobytes()
     if len(index) == 1 and call in ("near", "far"):  # a scalar alpha takes the same pass
         scalar = func(stats, float(grid[index[0]]), targets)
         assert all(np.float64(got).tobytes() == want[index[0]].tobytes() for got, want in zip(scalar[:3], full))
@@ -574,9 +561,9 @@ def _slope_columns(draw):
     return points, users, draw(st.lists(st.integers(0, points * len(users) - 1), min_size=1, max_size=12))
 
 
-# The bracket's route: an order-0 pass, then slopes at the columns it picks
-# from moments taken at those columns alone, as every order-2 or order-3
-# pass takes its own. The reference builds the moments at the same columns
+# The solver's route: a pass, then slopes at the columns it picks from
+# moments taken at those columns alone, whether a few of the bracket's
+# columns or every column of a refine pass. The reference builds the moments at the same columns
 # from its own per-halving sums over just those columns, padded to whole
 # groups of 4: each column must get its bits.
 @settings(max_examples=100, deadline=None)
@@ -634,10 +621,10 @@ def test_configs_as_columns_keep_their_own_calls_bits(call, configs, alphas):
     for j, (own_stats, own_targets) in enumerate(zip(stats_seq, targets_seq)):
         for i, alpha in enumerate(alphas):
             own = func(own_stats, alpha, own_targets)
-            for got, want in zip(batched, own if isinstance(own, tuple) else (own,)):
-                assert (got is None) == (want is None)
-                if got is not None:
-                    assert got[..., i, j].tobytes() == np.asarray(want, dtype=float).tobytes()
+            own = own if isinstance(own, tuple) else (own,)
+            assert len(own) == len(batched)
+            for got, want in zip(batched, own):
+                assert got[..., i, j].tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
 def test_log_survival_is_strictly_concave_at_each_minimizer():
@@ -650,7 +637,7 @@ def test_log_survival_is_strictly_concave_at_each_minimizer():
         for user, alpha in enumerate((outcome.near.alpha, outcome.far.alpha)):
             if ALPHA_MIN < alpha < ALPHA_MAX:
                 checked += 1
-                assert exact_sops(stats, alpha, targets, order=3).dphi[user] < 0.0
+                assert pass_fields(stats, alpha, targets, 3)[4][user] < 0.0  # dphi
     assert checked >= 120
 
 
@@ -668,10 +655,9 @@ def test_a_split_pass_keeps_the_unsplit_bits(points, users):
     grid = np.linspace(ALPHA_MIN, ALPHA_MAX, points)
     cut = points // 3
     for order in (0, 2, 3):
-        whole = sop._sop_pass(stats, grid, targets, users, order)
-        parts = zip(sop._sop_pass(stats, grid[:cut], targets, users, order),
-                    sop._sop_pass(stats, grid[cut:], targets, users, order))
+        whole = pass_fields(stats, grid, targets, order, users)
+        parts = zip(pass_fields(stats, grid[:cut], targets, order, users),
+                    pass_fields(stats, grid[cut:], targets, order, users))
+        assert len(whole) == 3 + order
         for (first, second), want in zip(parts, whole):
-            assert (first is None) == (want is None)
-            if first is not None:
-                assert np.concatenate((first, second), axis=-1).tobytes() == want.tobytes()
+            assert np.concatenate((first, second), axis=-1).tobytes() == want.tobytes()
