@@ -92,21 +92,19 @@ def _closed_form_payload(alpha: float) -> dict:
 
 def cmd_validate(cfg: RunConfig) -> tuple:
     rates = cfg.sweep_or(SweepSpec("rth1_bits", 0.5, 3.0, 0.5)).values()
-    targets_seq = [TargetRates(rth1=rth1, rth2=rth1) for rth1 in rates.tolist()]
     base = cfg.stats()
     columns = [
         "rho_r_db", "rth1_bits", "so1_exact", "so1_sim",
         "abs_diff", "bound_3sigma", "within_bound", "rmse_curve",
     ]
     grid = cfg.validate_rho_r_grid_db
-    stats_seq = [with_received_snr(base, rho_r) for rho_r in grid]
-    # One stream for the whole grid: every SNR and target rate is counted on the same draws.
+    # One batch for the whole grid, a row per SNR and a column per target rate:
+    # one exact pass, and one Monte Carlo stream that counts every config on the same draws.
+    rho_t = np.array([[with_received_snr(base, rho_r).rho_t] for rho_r in grid])
+    stats, targets = dataclasses.replace(base, rho_t=rho_t), TargetRates(rates, rates)
     sim = SimConfig(realizations=cfg.realizations, seed=cfg.seed)
-    empiricals_seq = empirical_sops(stats_seq, cfg.alpha, targets_seq, sim)
-    # One exact pass for the whole grid: a column per SNR and target rate.
-    snrs = dataclasses.replace(base, rho_t=np.array([[stats.rho_t] for stats in stats_seq]))
-    exact = exact_sop_near(snrs, cfg.alpha, TargetRates(rates, rates)).value
-    so1_sim, _, stderr, _ = np.moveaxis(np.array(empiricals_seq), -1, 0)  # one array per EmpiricalSop field
+    (so1_sim, _), (stderr, _) = empirical_sops(stats, cfg.alpha, targets, sim)
+    exact = exact_sop_near(stats, cfg.alpha, targets).value
     diff = np.abs(so1_sim - exact)
     bound = 3.0 * stderr + 1e-6
     rmse = np.sqrt(np.mean(diff ** 2, axis=1, keepdims=True))  # one per SNR's curve

@@ -5,10 +5,13 @@ against: draw gain pairs, apply the proposed decoding order, count outages
 R_s < R_th (strict; ties are non-outage). The count needs no logarithm:
 R_s1 < R_th1 iff (1 + g11) / (1 + g12) < 2**R_th1, and likewise for the far
 user. Each stream is one Philox key, two samples per counter block.
-`empirical_sops` reads the stream in order on the calling thread, in chunks
-of whole blocks: 2**15 samples or, for a call with more than 64 target
-pairs, as few as keep its flag block within 4 MiB. So the draws, and hence
-the totals, do not depend on the chunk size.
+`empirical_sops` takes a batch of configs as sop.exact_sops does; its
+distinct mean SNRs (rho_t * lambda1, rho_t * lambda2) are the stream's
+entries and its distinct target pairs the limits, so validate's 3 x 6 grid
+is 3 entries by 6 pairs. It reads the stream in order on the calling
+thread, in chunks of whole blocks: 2**15 samples or, for a call with more
+than 64 target pairs, as few as keep its flag block within 4 MiB. So the
+draws, and hence the totals, do not depend on the chunk size.
 Each chunk is screened before any per-sample work. With c = 1 - alpha and
 x_i a user's received SNR, the near user's ratio is at least c (1 + alpha x1)
 and the far user's at least alpha (1 + c x2), whatever the other draw. So a
@@ -22,14 +25,13 @@ be in outage: 29.7% of them at `validate`'s 20/30/40 dB grid, where the
 count takes about 24 ms against 40 ms unscreened on a shared 2-vCPU x86
 box. Where nearly every sample is kept, at low SNR, the screen's compare
 and gather make it 11-14% slower (10/20/30 and 0/5/10 dB).
-Each chunk is drawn once and counted for every channel entry and target
-pair of a call (common random numbers): per entry, one comparison fills a
-bool block of both users and every pair, and the popcounts of its uint64
-words count all its rows at once. The draws depend only on the seed and
-the sample index; each entry scales them by its own mean SNRs
-rho_t * lambda1 and rho_t * lambda2, so any set of entries and target rates
-costs one stream: `noma-secrecy validate` counts its whole grid on the
-stream keyed by its seed.
+Each chunk is drawn once and counted for every entry and target pair of
+a call (common random numbers): per entry, one comparison fills a bool
+block of both users and every pair, and the popcounts of its uint64 words
+count all its rows at once. The draws depend only on the seed and the
+sample index; each entry scales them by its own mean SNRs, so any batch
+of configs costs one stream: `noma-secrecy validate` counts its whole grid
+on the stream keyed by its seed.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelStats, _one_config, _uniform_pairs
+from .channel import ChannelStats, _uniform_pairs
 from .rates import validated_alpha
 from .sop import TargetRates
 
@@ -79,17 +81,10 @@ class SimConfig:
 
 
 class EmpiricalSop(NamedTuple):
-    so1_hat: float
-    so2_hat: float
-    stderr1: float
-    stderr2: float
+    """Outage frequencies and their binomial standard errors, near user first."""
 
-
-def _estimate(out1: int, out2: int, n: int) -> EmpiricalSop:
-    """Outage frequencies of n samples and their binomial standard errors."""
-    so1 = out1 / n
-    so2 = out2 / n
-    return EmpiricalSop(so1, so2, math.sqrt(so1 * (1.0 - so1) / n), math.sqrt(so2 * (1.0 - so2) / n))
+    value: np.ndarray
+    stderr: np.ndarray
 
 
 def _secrecy_ratios(
@@ -124,32 +119,30 @@ def _secrecy_ratios(
     return out[1::-1]
 
 
-def empirical_sops(
-    stats_seq: Sequence[ChannelStats],
-    alpha: float,
-    targets_seq: Sequence[TargetRates],
-    sim: SimConfig,
-) -> tuple[tuple[EmpiricalSop, ...], ...]:
-    """Outage frequencies under the proposed decoding order, one row per entry.
+def empirical_sops(stats: ChannelStats, alpha: float, targets: TargetRates, sim: SimConfig) -> EmpiricalSop:
+    """Outage frequencies under the proposed decoding order at one alpha.
 
-    Row i holds one estimate per target pair for `stats_seq[i]`. Every entry
-    scales the same unit-mean draws by its own mean SNRs, so every entry and
-    every target pair is counted on the same draws, and each estimate equals
-    what a separate call with that entry and that pair alone gives. Each
-    entry and target pair is one configuration, with scalar fields.
+    A field of `stats` or `targets` may be an array of one value per
+    config, and they broadcast as in sop.exact_sops: each field of the
+    result has shape (2,) + the broadcast shape, near user first. Every
+    config is counted on the same draws, and each estimate equals what a
+    call with that config alone gives.
     """
-    stats_seq, targets_seq = tuple(stats_seq), tuple(targets_seq)
-    _one_config(*stats_seq, *targets_seq)
-    a = float(validated_alpha(alpha))
-    if not stats_seq:
-        return ()
-    pis = [(targets.pi1, targets.pi2) for targets in targets_seq]
-    total = sim.realizations
+    a = validated_alpha(alpha)
+    if a.ndim:
+        raise ValueError("the Monte Carlo oracle takes one power split alpha; "
+                         "batch configs in the array fields of ChannelStats and TargetRates")
+    fields = np.broadcast_arrays(stats.rho_t * stats.lambda1, stats.rho_t * stats.lambda2, targets.pi1, targets.pi2)
+    snr1, snr2, pi1, pi2 = (field.ravel().tolist() for field in fields)
+    snrs, pis = {}, {}  # each distinct pair -> its index, in first-seen order
+    entry = [snrs.setdefault(snr, len(snrs)) for snr in zip(snr1, snr2)]
+    limit = [pis.setdefault(pi, len(pis)) for pi in zip(pi1, pi2)]
     # Whole uint64 words of flags per row; validate's 6 pairs keep the full chunk.
     chunk = min(_CHUNK, max(_FLAG_BYTES // (2 * max(len(pis), 1)) // 8 * 8, 8))
-    counts = _count_stream(stats_seq, a, pis, sim, chunk)
-    # tolist() makes the counts Python ints.
-    return tuple(tuple(_estimate(out1, out2, total) for out1, out2 in zip(*entry)) for entry in counts.tolist())
+    counts = _count_stream(list(snrs), float(a), list(pis), sim, chunk)
+    n = sim.realizations
+    value = counts[entry, :, limit].T.reshape((2,) + fields[0].shape) / n  # each config's counts
+    return EmpiricalSop(value, np.sqrt(value * (1.0 - value) / n))
 
 
 def _screen_bound(pi: float, scale: float, slope: float) -> float:
@@ -171,7 +164,7 @@ def _screen_bound(pi: float, scale: float, slope: float) -> float:
 
 
 def _count_stream(
-    stats_seq: Sequence[ChannelStats],
+    snrs: Sequence[tuple[float, float]],
     a: float,
     pis: Sequence[tuple[float, float]],
     sim: SimConfig,
@@ -179,7 +172,8 @@ def _count_stream(
 ) -> np.ndarray:
     """Outage counts of the whole stream, (entries, 2, pairs).
 
-    counts[i, u, j] is user u + 1's count for entry i and target pair j.
+    counts[i, u, j] is user u + 1's count at the mean SNRs snrs[i] and the
+    limits pis[j] = (2**rth1, 2**rth2). With no entries it draws nothing.
     Each chunk is screened first: a sample is kept if either user's uniform
     lies below its `_screen_bound` at that user's largest limit, the
     loosest over the call's entries; no other sample is in outage at any
@@ -193,12 +187,13 @@ def _count_stream(
     its block.
     """
     limits = np.array(pis, float).reshape(-1, 2).T[:, :, None]  # (2, pairs, 1), also at zero pairs
-    counts = np.zeros((len(stats_seq), 2, len(pis)), np.int64)
-    snrs = [(stats.rho_t * stats.lambda1, stats.rho_t * stats.lambda2) for stats in stats_seq]
+    counts = np.zeros((len(snrs), 2, len(pis)), np.int64)
+    if not snrs:
+        return counts
     # The loosest bound of the call, at each user's largest limit: -inf at zero pairs keeps none.
     pi1, pi2 = np.max(limits, axis=(1, 2), initial=-math.inf).tolist()
-    bound1 = max((_screen_bound(pi1, 1.0 - a, a * snr1) for snr1, _ in snrs), default=0.0)
-    bound2 = max((_screen_bound(pi2, a, (1.0 - a) * snr2) for _, snr2 in snrs), default=0.0)
+    bound1 = max(_screen_bound(pi1, 1.0 - a, a * snr1) for snr1, _ in snrs)
+    bound2 = max(_screen_bound(pi2, a, (1.0 - a) * snr2) for _, snr2 in snrs)
     screen = kept = draws = scratch = flags = words = None
     for pairs in _uniform_pairs(sim.realizations, sim.seed, chunk):
         if screen is None:  # the first chunk is the largest

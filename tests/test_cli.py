@@ -438,6 +438,15 @@ KNOWN_DEFECTS = [
         "alpha_sop_nonincreasing",
         id="item29-crossing-rises-at-0db",
     ),
+    # At 2000 samples every 40 dB row counts no outage, so the estimate's
+    # standard error is 0 and the bound is its 1e-6 floor, below the exact
+    # SOPs of 6.5e-5 to 5.3e-4.
+    pytest.param(
+        "validate",
+        "sim.realizations = 2000\n",
+        "all_within_bound",
+        id="item26-zero-count-bound",
+    ),
 ]
 
 
@@ -542,7 +551,7 @@ from noma_secrecy.channel import ChannelStats
 from noma_secrecy.sop import TargetRates
 loaded = lambda: sorted(name for name in ("concurrent.futures", "logging") if name in sys.modules)
 print(loaded())
-montecarlo.empirical_sops((ChannelStats(1.0, 0.5, 10.0),), 0.5, [TargetRates(1.0, 1.0)], montecarlo.SimConfig(2001))
+montecarlo.empirical_sops(ChannelStats(1.0, 0.5, 10.0), 0.5, TargetRates(np.array([1.0, 2.0]), 1.0), montecarlo.SimConfig(2001))
 sop.exact_sops(ChannelStats(1.0, 0.5, 10.0), np.linspace(0.01, 0.99, 1000), TargetRates(1.0, 1.0))
 print(loaded())
 """

@@ -12,7 +12,7 @@ from noma_secrecy import montecarlo
 from noma_secrecy.channel import ChannelStats, with_received_snr
 from noma_secrecy.montecarlo import EmpiricalSop, SimConfig, _count_stream, _secrecy_ratios, empirical_sops
 from noma_secrecy.rates import ALPHA_MAX, ALPHA_MIN
-from noma_secrecy.sop import TargetRates, exact_sop_far, exact_sop_near
+from noma_secrecy.sop import TargetRates, exact_sop_far, exact_sop_near, exact_sops
 from reference import (
     GainSample,
     empirical_conventional_violation_rate,
@@ -34,38 +34,46 @@ RTH1 = TargetRates(1.0, 1.0)
 UNCONDITIONED = pytest.mark.parametrize("conditioned", [False])
 
 
+def rates_row(pairs) -> TargetRates:
+    """TargetRates of one (rth1, rth2) pair per config, as a row."""
+    rth1, rth2 = np.array(pairs, float).reshape(-1, 2).T
+    return TargetRates(rth1, rth2)
+
+
+def estimates(result: EmpiricalSop) -> list:
+    """(so1, so2, stderr1, stderr2) of each config, in the fields' flat order."""
+    value, stderr = (field.reshape(2, -1).tolist() for field in result)
+    return list(zip(*value, *stderr))
+
+
 def test_runs_are_deterministic():
     sim = SimConfig(realizations=20_000, seed=11)
-    first = empirical_sops((STATS_30DB,), 0.5, (RTH1,), sim)[0][0]
-    second = empirical_sops((STATS_30DB,), 0.5, (RTH1,), sim)[0][0]
-    assert first == second
+    first = empirical_sops(STATS_30DB, 0.5, RTH1, sim)
+    second = empirical_sops(STATS_30DB, 0.5, RTH1, sim)
+    assert estimates(first) == estimates(second)
 
 
 def test_totals_do_not_depend_on_chunking(monkeypatch):
     sim = SimConfig(realizations=50_000, seed=3)
-    default = empirical_sops((STATS_30DB,), 0.4, (RTH1,), sim)[0][0]
+    default = estimates(empirical_sops(STATS_30DB, 0.4, RTH1, sim))
     monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
-    tiny_chunks = empirical_sops((STATS_30DB,), 0.4, (RTH1,), sim)[0][0]
+    tiny_chunks = estimates(empirical_sops(STATS_30DB, 0.4, RTH1, sim))
     monkeypatch.setattr(montecarlo, "_CHUNK", 999)
-    odd_chunks = empirical_sops((STATS_30DB,), 0.4, (RTH1,), sim)[0][0]
+    odd_chunks = estimates(empirical_sops(STATS_30DB, 0.4, RTH1, sim))
     assert default == tiny_chunks == odd_chunks
 
 
 @UNCONDITIONED
 def test_many_targets_match_single_target_calls(conditioned):
     sim = SimConfig(realizations=50_001, seed=4)
-    targets_seq = [
-        TargetRates(0.5, 3.0), TargetRates(1.0, 1.0), TargetRates(3.0, 0.25), TargetRates(0.0, 0.0)
-    ]
+    pairs = [(0.5, 3.0), (1.0, 1.0), (3.0, 0.25), (0.0, 0.0)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(montecarlo, "_CHUNK", 10_007)
-        together = empirical_sops((STATS_30DB,), 0.4, targets_seq, sim)[0]
-    assert len(together) == len(targets_seq)
-    for targets, joint in zip(targets_seq, together):
-        single = empirical_sops((STATS_30DB,), 0.4, (targets,), sim)[0][0]
-        for field in EmpiricalSop._fields:
-            assert getattr(joint, field) == getattr(single, field), field
-    assert empirical_sops((STATS_30DB,), 0.4, (), sim)[0] == ()
+        together = estimates(empirical_sops(STATS_30DB, 0.4, rates_row(pairs), sim))
+    assert len(together) == len(pairs)
+    for pair, joint in zip(pairs, together):
+        assert [joint] == estimates(empirical_sops(STATS_30DB, 0.4, TargetRates(*pair), sim))
+    assert estimates(empirical_sops(STATS_30DB, 0.4, rates_row([]), sim)) == []
 
 
 def test_a_thousand_target_pairs_keep_the_flag_block_within_its_budget():
@@ -75,19 +83,23 @@ def test_a_thousand_target_pairs_keep_the_flag_block_within_its_budget():
     # _FLAG_BYTES (4 MiB); the draws, ratio scratch, popcounts and the 1000
     # estimates fit in as much again. The counts do not move.
     sim = SimConfig(realizations=20_000, seed=5)
-    targets_seq = [TargetRates(rth, 3.0 - rth) for rth in np.linspace(0.0, 3.0, 1000).tolist()]
-    empirical_sops((STATS_30DB,), 0.4, targets_seq[:2], sim)  # numpy.random loads outside the trace
+    rth1 = np.linspace(0.0, 3.0, 1000)
+    targets = TargetRates(rth1, 3.0 - rth1)
+    empirical_sops(STATS_30DB, 0.4, RTH1, sim)  # numpy.random loads outside the trace
     tracemalloc.start()
     try:
-        together = empirical_sops((STATS_30DB,), 0.4, targets_seq, sim)[0]
+        together = empirical_sops(STATS_30DB, 0.4, targets, sim)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 * montecarlo._FLAG_BYTES
-    assert together == tuple(empirical_sops((STATS_30DB,), 0.4, (targets,), sim)[0][0] for targets in targets_seq)
+    assert estimates(together) == [
+        estimates(empirical_sops(STATS_30DB, 0.4, TargetRates(rth, 3.0 - rth), sim))[0] for rth in rth1.tolist()
+    ]
 
 
-STREAM_TARGETS = (TargetRates(0.5, 3.0), TargetRates(1.0, 1.0), TargetRates(3.0, 0.25))
+STREAM_PAIRS = ((0.5, 3.0), (1.0, 1.0), (3.0, 0.25))
+STREAM_TARGETS = rates_row(STREAM_PAIRS)
 
 
 @settings(max_examples=30, deadline=None)
@@ -103,13 +115,14 @@ def test_each_entry_counts_like_its_own_call(rho_t_exponents, half, chunk):
     # Every entry is counted on one stream; each row must be bit-identical
     # to a call with that entry alone, at any chunk size.
     sim = SimConfig(realizations=2 * half + 1, seed=9)
-    stats_seq = [ChannelStats(LAM1, LAM2, 10.0**exponent) for exponent in rho_t_exponents]
+    rho_t = [10.0**exponent for exponent in rho_t_exponents]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(montecarlo, "_CHUNK", chunk)
-        rows = empirical_sops(stats_seq, 0.4, STREAM_TARGETS, sim)
-    assert len(rows) == len(stats_seq)
-    for stats, row in zip(stats_seq, rows):
-        assert row == empirical_sops((stats,), 0.4, STREAM_TARGETS, sim)[0]
+        rows = empirical_sops(ChannelStats(LAM1, LAM2, np.array(rho_t)[:, None]), 0.4, STREAM_TARGETS, sim)
+    assert rows.value.shape == rows.stderr.shape == (2, len(rho_t), len(STREAM_PAIRS))
+    for index, entry in enumerate(rho_t):
+        own = empirical_sops(ChannelStats(LAM1, LAM2, entry), 0.4, STREAM_TARGETS, sim)
+        assert estimates(EmpiricalSop(*(field[:, index] for field in rows))) == estimates(own)
 
 
 # EmpiricalSop rows of STREAM_TARGETS at alpha = 0.4, 200_001 realizations and
@@ -142,29 +155,72 @@ FROZEN_MIXED_ROWS = (
 def test_entries_must_share_mean_gains(monkeypatch, other, frozen_row):
     # An entry with another lambda1 or lambda2 shares the one stream of
     # unit-mean draws with STATS_30DB, across chunk boundaries, and both
-    # keep their one-entry rows.
+    # keep their one-entry rows: one batched call, a column of both entries.
     monkeypatch.setattr(montecarlo, "_CHUNK", 10_007)
-    rows = empirical_sops((STATS_30DB, other), 0.4, STREAM_TARGETS, SimConfig(realizations=200_001, seed=9))
+    column = (np.array([[getattr(STATS_30DB, name)], [getattr(other, name)]]) for name in ("lambda1", "lambda2"))
+    stats = ChannelStats(*column, 1e8)
+    rows = estimates(empirical_sops(stats, 0.4, STREAM_TARGETS, SimConfig(realizations=200_001, seed=9)))
     expected = (FROZEN_MIXED_ROWS[0], FROZEN_MIXED_ROWS[frozen_row])
-    assert tuple(tuple(tuple(estimate) for estimate in row) for row in rows) == expected
+    assert (tuple(rows[:3]), tuple(rows[3:])) == expected
 
 
-def test_no_entries_give_no_rows():
-    assert empirical_sops((), 0.4, STREAM_TARGETS, SimConfig(realizations=1_000)) == ()
+def test_no_entries_give_no_rows(monkeypatch):
+    # An empty batch gives empty fields and draws no sample.
+    monkeypatch.setattr(montecarlo, "_uniform_pairs", None)
+    sim = SimConfig(realizations=1_000)
+    for stats, targets, shape in [
+        (STATS_30DB, rates_row([]), (0,)),
+        (ChannelStats(LAM1, LAM2, np.empty((0, 1))), STREAM_TARGETS, (0, 3)),
+    ]:
+        result = empirical_sops(stats, 0.4, targets, sim)
+        assert result.value.shape == result.stderr.shape == (2,) + shape
 
 
-@pytest.mark.parametrize("field", ["rho_t", "rates"])
-def test_an_entry_with_array_fields_is_refused(field):
-    # Array fields batch configs as columns of an SOP pass, but each Monte
-    # Carlo entry and target pair is one configuration: an array in any of
-    # them gets the solvers' ValueError, not an error from inside numpy.
-    stats_seq, targets_seq = [STATS_30DB, STATS_30DB], [RTH1, RTH1]
-    if field == "rho_t":
-        stats_seq[1] = ChannelStats(LAM1, LAM2, np.array([1e7, 1e8]))
-    else:
-        targets_seq[1] = TargetRates(np.array([0.5, 1.0]), np.array([1.0, 2.0]))
-    with pytest.raises(ValueError, match="one configuration"):
-        empirical_sops(stats_seq, 0.4, targets_seq, SimConfig(realizations=1_000))
+# Configs of the batch test: (rho_t, lambda1, lambda2) entries, one per row,
+# and (rth1, rth2) pairs, one per column.
+ENTRY = st.tuples(st.floats(6.0, 10.0), st.floats(1.0, 4.0), st.floats(0.25, 1.0)).map(
+    lambda entry: (10.0 ** entry[0], LAM1 * entry[1], LAM2 * entry[2])
+)
+PAIR = st.tuples(st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.floats(0.0, 4.0))
+# 65 distinct target pairs: the flag block's budget shrinks the chunk below 2**15.
+MANY_PAIRS = [(rth, 3.0 - rth) for rth in np.linspace(0.0, 3.0, 65).tolist()]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    entries=st.lists(ENTRY, min_size=1, max_size=3),
+    pairs=st.lists(PAIR, max_size=6),
+    alpha=st.floats(0.05, 0.95),
+)
+@example(entries=[(1e8, LAM1, LAM2), (1e9, LAM1, LAM2), (1e10, LAM1, LAM2)], pairs=list(STREAM_PAIRS), alpha=0.5)
+@example(entries=[(1e8, LAM1, LAM2), (1e8, 2 * LAM1, LAM2), (1e8, LAM1, LAM2 / 2)], pairs=list(STREAM_PAIRS), alpha=0.4)
+@example(entries=[(1e8, LAM1, LAM2)] * 2, pairs=[(1.0, 1.0), (0.5, 3.0), (1.0, 1.0)], alpha=0.4)
+@example(entries=[(1e8, LAM1, LAM2), (1e9, 2 * LAM1, LAM2)], pairs=MANY_PAIRS, alpha=0.4)
+@example(entries=[(1e8, LAM1, LAM2), (1e9, LAM1, LAM2)], pairs=[], alpha=0.4)
+def test_a_batch_equals_its_configs_own_calls(entries, pairs, alpha):
+    # A column of entries by a row of target pairs, as `validate` counts
+    # them: each config's estimate is bit-identical to a call with that
+    # config alone, with entries that differ in any field, a config
+    # repeated, more than 64 distinct pairs, which shrink the chunk to
+    # 32 256 samples, and no pairs at all. The fields are shaped as the SOP kernel's.
+    sim = SimConfig(realizations=40_001, seed=13)
+    rho_t, lam1, lam2 = (np.array(column)[:, None] for column in zip(*entries))
+    stats, targets = ChannelStats(lam1, lam2, rho_t), rates_row(pairs)
+    batch = empirical_sops(stats, alpha, targets, sim)
+    assert batch.value.shape == batch.stderr.shape == exact_sops(stats, alpha, targets).value.shape
+    expected = [
+        estimates(empirical_sops(ChannelStats(entry[1], entry[2], entry[0]), alpha, TargetRates(*pair), sim))[0]
+        for entry in entries
+        for pair in pairs
+    ]
+    assert estimates(batch) == expected
+
+
+@pytest.mark.parametrize("alpha", [[0.5], np.array([0.3, 0.5])], ids=["list", "array"])
+def test_one_power_split_per_call(alpha):
+    # Configs batch in the array fields; a sequence of alphas is refused by name.
+    with pytest.raises(ValueError, match="takes one power split alpha"):
+        empirical_sops(STATS_30DB, alpha, RTH1, SimConfig(realizations=1_000))
 
 
 @pytest.mark.parametrize("chunk", [999, 1000, 10_007, 1 << 16])
@@ -177,10 +233,9 @@ def test_stream_counts_match_one_sample_gains_window(monkeypatch, chunk, conditi
     ratio1, ratio2 = _secrecy_ratios(draws.g1, draws.g2, alpha, *SNRS_30DB, np.empty((4, n)))
     sim = SimConfig(realizations=n, seed=seed)
     monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-    results = empirical_sops((STATS_30DB,), alpha, STREAM_TARGETS, sim)[0]
-    for targets, result in zip(STREAM_TARGETS, results):
-        assert result.so1_hat == int(np.count_nonzero(ratio1 < targets.pi1)) / n
-        assert result.so2_hat == int(np.count_nonzero(ratio2 < targets.pi2)) / n
+    so1, so2 = empirical_sops(STATS_30DB, alpha, STREAM_TARGETS, sim).value.tolist()
+    assert so1 == [int(np.count_nonzero(ratio1 < pi1)) / n for pi1 in STREAM_TARGETS.pi1]
+    assert so2 == [int(np.count_nonzero(ratio2 < pi2)) / n for pi2 in STREAM_TARGETS.pi2]
 
 
 @pytest.mark.parametrize("chunk", [999, 1000, 10_007, 1 << 16])
@@ -251,9 +306,8 @@ def test_block_counts_match_per_pair_counts(n, chunk, alpha, rho_t_exponents, li
         [[int(np.count_nonzero(ratio < pi[user])) for pi in pis] for user, ratio in enumerate(entry)]
         for entry in ratios
     ]
-    stats_seq = [ChannelStats(LAM1, LAM2, 10.0**exponent) for exponent in rho_t_exponents]
     sim = SimConfig(realizations=n, seed=seed)
-    counts = _count_stream(stats_seq, alpha, pis, sim, chunk)
+    counts = _count_stream(snrs, alpha, pis, sim, chunk)
     assert counts.dtype == np.int64 and counts.shape == (len(snrs), 2, len(pis))
     assert counts.tolist() == expected
 
@@ -286,8 +340,8 @@ def test_estimates_are_bit_identical_to_frozen_values(key):
     seed, rho_r_db = key
     stats = with_received_snr(STATS_30DB, rho_r_db)
     sim = SimConfig(realizations=200_001, seed=seed)
-    targets_seq = (TargetRates(0.5, 0.5), TargetRates(1.0, 1.0), TargetRates(3.0, 0.25))
-    assert tuple(tuple(r) for r in empirical_sops((stats,), 0.4, targets_seq, sim)[0]) == FROZEN_SOPS[key]
+    targets = rates_row([(0.5, 0.5), (1.0, 1.0), (3.0, 0.25)])
+    assert tuple(estimates(empirical_sops(stats, 0.4, targets, sim))) == FROZEN_SOPS[key]
 
 
 def test_log_free_outage_test_matches_log2_rates():
@@ -308,26 +362,31 @@ def test_log_free_outage_test_matches_log2_rates():
     assert not (ratio1[0] < 2.0 or ratio2[1] < 2.0)
 
 
-def test_counts_stay_python_ints():
+def test_estimates_are_the_exact_count_arithmetic():
+    # The int64 counts give the bits of Python's int arithmetic: count / n
+    # and the binomial standard error, each rounded once per operation.
     sim = SimConfig(realizations=2_000, seed=3)
-    result = empirical_sops((STATS_30DB,), 0.5, (RTH1,), sim)[0][0]
-    # An int64 count would make every frequency and standard error an np.float64.
-    assert all(type(value) is float for value in result)
+    result = empirical_sops(STATS_30DB, 0.5, rates_row(STREAM_PAIRS), sim)
+    assert result.value.dtype == result.stderr.dtype == np.float64
+    for so, stderr in zip(result.value.ravel().tolist(), result.stderr.ravel().tolist()):
+        count = round(so * sim.realizations)
+        assert so == count / sim.realizations
+        assert stderr == math.sqrt(so * (1.0 - so) / sim.realizations)
 
 
 def test_near_outage_is_certain_without_power():
     sim = SimConfig(realizations=100_000, seed=2)
-    result = empirical_sops((STATS_30DB,), ALPHA_MIN, (RTH1,), sim)[0][0]
-    assert result.so1_hat >= 0.999
+    result = empirical_sops(STATS_30DB, ALPHA_MIN, RTH1, sim)
+    assert result.value[0] >= 0.999
 
 
 def test_matches_analytical_sop_within_three_sigma():
     sim = SimConfig(realizations=1_000_000, seed=7)
-    result = empirical_sops((STATS_30DB,), 0.5, (RTH1,), sim)[0][0]
+    result = empirical_sops(STATS_30DB, 0.5, RTH1, sim)
     so1 = exact_sop_near(STATS_30DB, 0.5, RTH1).value
     so2 = exact_sop_far(STATS_30DB, 0.5, RTH1).value
-    assert abs(result.so1_hat - so1) <= 3.0 * result.stderr1 + 1e-6
-    assert abs(result.so2_hat - so2) <= 3.0 * result.stderr2 + 1e-6
+    assert abs(result.value[0] - so1) <= 3.0 * result.stderr[0] + 1e-6
+    assert abs(result.value[1] - so2) <= 3.0 * result.stderr[1] + 1e-6
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
@@ -349,8 +408,8 @@ def test_rmse_shrinks_like_root_n():
         for index, (alpha, rho_r, rth) in enumerate(grid):
             stats = with_received_snr(STATS_30DB, rho_r)
             targets = TargetRates(rth, rth)
-            empirical = empirical_sops((stats,), alpha, (targets,), SimConfig(realizations, seed=5 + index))[0][0]
-            squared.append((empirical.so1_hat - exact_sop_near(stats, alpha, targets).value) ** 2)
+            empirical = empirical_sops(stats, alpha, targets, SimConfig(realizations, seed=5 + index))
+            squared.append((empirical.value[0] - exact_sop_near(stats, alpha, targets).value) ** 2)
         return math.sqrt(sum(squared) / len(squared))
 
     # quadrupling the sample size should roughly halve the error
@@ -359,10 +418,9 @@ def test_rmse_shrinks_like_root_n():
 
 def test_stderr_follows_binomial_formula():
     sim = SimConfig(realizations=10_000, seed=6)
-    result = empirical_sops((STATS_30DB,), 0.5, (RTH1,), sim)[0][0]
-    assert result.stderr1 == pytest.approx(
-        math.sqrt(result.so1_hat * (1.0 - result.so1_hat) / sim.realizations), rel=1e-12
-    )
+    result = empirical_sops(STATS_30DB, 0.5, RTH1, sim)
+    so1 = result.value[0]
+    assert result.stderr[0] == pytest.approx(math.sqrt(so1 * (1.0 - so1) / sim.realizations), rel=1e-12)
 
 
 def test_sim_config_validation():
@@ -387,8 +445,9 @@ def test_sim_config_validation():
 
 
 def test_empirical_result_shape():
-    result = empirical_sops((STATS_30DB,), 0.5, (RTH1,), SimConfig(realizations=1_000, seed=1))[0][0]
+    # One config gives both users, near first, as exact_sops does.
+    result = empirical_sops(STATS_30DB, 0.5, RTH1, SimConfig(realizations=1_000, seed=1))
     assert isinstance(result, EmpiricalSop)
-    assert 0.0 <= result.so1_hat <= 1.0
-    assert 0.0 <= result.so2_hat <= 1.0
-    assert np.isfinite(result.stderr1) and np.isfinite(result.stderr2)
+    assert result.value.shape == result.stderr.shape == (2,)
+    assert np.all((0.0 <= result.value) & (result.value <= 1.0))
+    assert np.all(np.isfinite(result.stderr))

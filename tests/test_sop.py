@@ -150,7 +150,7 @@ ALPHA_ENTRY_POINTS = {
     # One closed-form call gives both users; each user's row is an entry.
     "asymptotic_sop_near": lambda alpha: asymptotic_sops(stats_at(1e6), alpha, RTH1)[0],
     "asymptotic_sop_far": lambda alpha: asymptotic_sops(stats_at(1e6), alpha, RTH1)[1],
-    "empirical_sops": lambda alpha: empirical_sops((stats_at(1e6),), alpha, (RTH1,), SimConfig(1000, 1))[0],
+    "empirical_sops": lambda alpha: empirical_sops(stats_at(1e6), alpha, RTH1, SimConfig(1000, 1)),
 }
 
 
